@@ -26,6 +26,7 @@ appearances (never extrapolating past the first or last one).
 from __future__ import annotations
 
 import enum
+import functools
 import gzip
 import json
 from dataclasses import dataclass, field
@@ -436,6 +437,22 @@ def _parse_category(entry, path: str) -> TextCategory:
         raise SchemaError(f"{path}.category", str(exc)) from None
 
 
+def _naming_file(load):
+    """Make a loader's schema errors name the file when given a path."""
+
+    @functools.wraps(load)
+    def wrapper(source):
+        try:
+            return load(source)
+        except SchemaError as exc:
+            if hasattr(source, "read"):
+                raise
+            raise exc.in_file(source) from None
+
+    return wrapper
+
+
+@_naming_file
 def load_annotation(source) -> VideoAnnotation:
     """Parse an annotation document from a path or an open text stream."""
     doc = _load_json(source)
@@ -532,6 +549,7 @@ def save_trajectories(
     save_annotation(ann, target)
 
 
+@_naming_file
 def load_detections(source) -> DetectionsFile:
     """Parse a detections document into per-frame detection lists.
 

@@ -154,6 +154,14 @@ def _corpus_pairs(gt_dir: str, pred_dir: str) -> list[tuple[str, str]]:
 
 
 def cmd_evaluate(args) -> int:
+    if not (0.0 < args.iou_thresh <= 1.0):
+        print(f"vtspot: --iou-thresh must be in (0, 1], got {args.iou_thresh}",
+              file=sys.stderr)
+        return 2
+    if not (0.0 <= args.iou_floor < 1.0):
+        print(f"vtspot: --iou-floor must be in [0, 1), got {args.iou_floor}",
+              file=sys.stderr)
+        return 2
     if (args.gt_dir is None) != (args.pred_dir is None):
         args.parser.error("--gt-dir and --pred-dir must be used together")
     if args.gt_dir is not None:
@@ -377,9 +385,11 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--task", choices=("detection", "tracking", "spotting"),
                         default="tracking")
     p_eval.add_argument("--iou-thresh", type=float, default=0.5,
-                        help="match gate for detection and CLEAR numbers")
+                        help="match gate for detection and CLEAR numbers, "
+                             "in (0, 1]")
     p_eval.add_argument("--iou-floor", type=float, default=0.0,
-                        help="minimum IoU (strict) for identity overlap")
+                        help="minimum IoU (strict) for identity overlap, "
+                             "in [0, 1)")
     p_eval.add_argument("--case-insensitive", action="store_true",
                         help="fold case when comparing transcriptions")
     p_eval.add_argument("--format", choices=("json", "csv"), default="json")

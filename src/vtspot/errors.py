@@ -52,12 +52,25 @@ class DataError(VtspotError, ValueError):
 class SchemaError(DataError):
     """Document does not match the wire schema.
 
-    ``path`` points at the offending field, e.g. ``frames.12[3].points``.
+    ``path`` points at the offending field, e.g. ``frames.12[3].points``;
+    ``source`` names the file it was read from, when there is one.
     """
 
-    def __init__(self, path: str, message: str):
+    def __init__(self, path: str, message: str, source: str | None = None):
         self.path = path
-        super().__init__(f"{path}: {message}")
+        self.message = message
+        self.source = source
+        where = path if source is None else f"{source}: {path}"
+        super().__init__(f"{where}: {message}")
+
+    def __reduce__(self):
+        # the default rebuilds from self.args, the one formatted string,
+        # which does not fit __init__; worker processes pickle errors
+        return (type(self), (self.path, self.message, self.source))
+
+    def in_file(self, source) -> "SchemaError":
+        """The same error, naming the file it came from."""
+        return type(self)(self.path, self.message, str(source))
 
 
 class DuplicateTrackIdInFrame(SchemaError):

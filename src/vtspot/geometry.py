@@ -277,6 +277,11 @@ def polygon_intersection(a: Quad, b: Quad) -> list[Point2]:
     """
     _require_convex(a)
     _require_convex(b)
+    return _clip(a, b)
+
+
+def _clip(a: Quad, b: Quad) -> list[Point2]:
+    """polygon_intersection for quads already known to be convex."""
     output: list[Point2] = list(a.corners)
     clip = b.corners
     for i in range(4):
@@ -318,20 +323,75 @@ def _area_ratio(inter: float, union: float) -> float:
     return min(1.0, max(0.0, inter / union))
 
 
+# The broad phase only rejects pairs whose gap exceeds this fraction of
+# their coordinates' magnitude: far more than rounding in the unroll or in
+# the clip can bridge.  Nearer pairs, touching ones included, go through the
+# clip, which decides them exactly as before.
+_BROAD_SLACK = 1e-9
+
+
+def quad_extents(quad: Quad) -> tuple[float, float, float, float]:
+    """Axis-aligned extents ``(min_x, min_y, max_x, max_y)`` of a quad,
+    padded outward by ``_BROAD_SLACK`` of its largest coordinate magnitude.
+
+    Quads whose padded extents are apart (``extents_apart``) cannot overlap,
+    so their IoU is 0 without clipping.
+    """
+    c = quad.corners
+    xs = (c[0].x, c[1].x, c[2].x, c[3].x)
+    ys = (c[0].y, c[1].y, c[2].y, c[3].y)
+    lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
+    pad = _BROAD_SLACK * max(abs(lo_x), abs(hi_x), abs(lo_y), abs(hi_y))
+    return (lo_x - pad, lo_y - pad, hi_x + pad, hi_y + pad)
+
+
+def extents_apart(a: tuple[float, float, float, float],
+                  b: tuple[float, float, float, float]) -> bool:
+    """True when two ``quad_extents`` results are strictly apart."""
+    return a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1]
+
+
 def quad_iou(a: Quad, b: Quad) -> float:
-    """Exact intersection-over-union of two convex quads."""
-    if a.corners == b.corners and a.is_convex():
+    """Exact intersection-over-union of two convex quads.
+
+    Raises NonConvexInput for a non-convex argument, even when the two quads
+    are far apart.
+    """
+    _require_convex(a)
+    _require_convex(b)
+    if extents_apart(quad_extents(a), quad_extents(b)):
+        return 0.0
+    if a.corners == b.corners:
         # identical shapes overlap fully by definition; skipping the clip
         # keeps the result exact where round-off would wobble it
         return 1.0 if a.area > 0.0 else 0.0
-    inter = polygon_area(polygon_intersection(a, b))
+    inter = polygon_area(_clip(a, b))
     return _area_ratio(inter, a.area + b.area - inter)
 
 
-def iou(a: RotatedBox, b: RotatedBox) -> float:
-    """Intersection-over-union of two rotated boxes, in [0, 1]."""
-    qa = rotated_to_quad(a)
-    qb = rotated_to_quad(b)
+def iou(
+    a: RotatedBox,
+    b: RotatedBox,
+    *,
+    quads: tuple[Quad, Quad] | None = None,
+) -> float:
+    """Intersection-over-union of two rotated boxes, in [0, 1].
+
+    Boxes whose circumscribed circles are apart, by more than
+    ``_BROAD_SLACK`` of the boxes' size and position, score 0 before any
+    corner is unrolled.  ``quads`` may pass ``(rotated_to_quad(a),
+    rotated_to_quad(b))`` when the caller has them already, as a tracker
+    scoring every box against many others does.
+    """
+    reach = 0.5 * (math.hypot(a.w, a.h) + math.hypot(b.w, b.h))
+    reach += _BROAD_SLACK * (reach + abs(a.cx) + abs(a.cy) + abs(b.cx) + abs(b.cy))
+    dx = a.cx - b.cx
+    dy = a.cy - b.cy
+    if dx * dx + dy * dy > reach * reach:
+        return 0.0
+    if quads is None:
+        quads = (rotated_to_quad(a), rotated_to_quad(b))
+    qa, qb = quads
     if qa.corners == qb.corners:
         return 1.0
     inter = polygon_area(polygon_intersection(qa, qb))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .annotations import Trajectory, TrajectoryPoint
 from .errors import NonMonotonicFrame
-from .geometry import Quad, iou, quad_to_rotated
+from .geometry import Quad, iou, quad_to_rotated, rotated_to_quad
 
 __all__ = ["LinkerConfig", "edit_distance", "link"]
 
@@ -27,6 +27,10 @@ class LinkerConfig:
     def __post_init__(self):
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
+        if not (0.0 < self.iou_threshold <= 1.0):
+            raise ValueError(
+                f"iou_threshold must be in (0,1], got {self.iou_threshold}"
+            )
         if not (0.0 <= self.max_norm_edit <= 1.0):
             raise ValueError(
                 f"max_norm_edit must be in [0,1], got {self.max_norm_edit}"
@@ -57,17 +61,21 @@ def _norm_edit(a: str, b: str) -> float:
 
 
 class _OpenTrajectory:
-    __slots__ = ("track_id", "frames", "last_frame", "last_box", "last_text")
+    __slots__ = ("track_id", "frames", "last_frame", "last_box",
+                 "last_corners", "last_text")
 
-    def __init__(self, track_id, frame_index, quad, text):
+    def __init__(self, track_id, frame_index, quad, box, corners, text):
         self.track_id = track_id
         self.frames: dict[int, TrajectoryPoint] = {}
-        self.append(frame_index, quad, text)
+        self.append(frame_index, quad, box, corners, text)
 
-    def append(self, frame_index, quad, text):
+    def append(self, frame_index, quad, box, corners, text):
+        """Record ``quad`` at ``frame_index``; ``box`` is its enclosing
+        rotated box and ``corners`` that box unrolled."""
         self.frames[frame_index] = TrajectoryPoint(quad=quad, transcription=text)
         self.last_frame = frame_index
-        self.last_box = quad_to_rotated(quad)
+        self.last_box = box
+        self.last_corners = corners
         self.last_text = text
 
 
@@ -82,6 +90,9 @@ def link(
     """
     cfg = cfg if cfg is not None else LinkerConfig()
     open_trajs: list[_OpenTrajectory] = []
+    # trajectories still inside the window, in creation order; one that
+    # falls out can never match again, since frame indices only grow
+    live: list[_OpenTrajectory] = []
     next_id = 0
     last_index: int | None = None
 
@@ -92,18 +103,17 @@ def link(
             )
         last_index = frame_index
 
-        candidates = [
-            t for t in open_trajs
-            if frame_index - t.last_frame <= cfg.window
-        ]
+        live = [t for t in live if frame_index - t.last_frame <= cfg.window]
         boxes = [quad_to_rotated(q) for q, _ in objects]
+        corners = [rotated_to_quad(b) for b in boxes]
 
         # score every admissible (object, trajectory) pair once
         scored: list[list[tuple[float, int]]] = []
         for oi, (quad, text) in enumerate(objects):
             row = []
-            for ci, traj in enumerate(candidates):
-                overlap = iou(boxes[oi], traj.last_box)
+            for ci, traj in enumerate(live):
+                overlap = iou(boxes[oi], traj.last_box,
+                              quads=(corners[oi], traj.last_corners))
                 if overlap < cfg.iou_threshold:
                     continue
                 if _norm_edit(text or "", traj.last_text or "") > cfg.max_norm_edit:
@@ -117,6 +127,7 @@ def link(
             key=lambda oi: (-(max(scored[oi])[0] if scored[oi] else -1.0), oi),
         )
         taken: set[int] = set()
+        born: list[_OpenTrajectory] = []
         for oi in order:
             quad, text = objects[oi]
             best = None
@@ -130,12 +141,14 @@ def link(
             if best is not None:
                 ci = best[1]
                 taken.add(ci)
-                candidates[ci].append(frame_index, quad, text)
+                live[ci].append(frame_index, quad, boxes[oi], corners[oi], text)
             else:
-                open_trajs.append(
-                    _OpenTrajectory(next_id, frame_index, quad, text)
-                )
+                traj = _OpenTrajectory(next_id, frame_index, quad, boxes[oi],
+                                       corners[oi], text)
+                open_trajs.append(traj)
+                born.append(traj)
                 next_id += 1
+        live += born
 
     return [
         Trajectory(track_id=t.track_id, frames=dict(sorted(t.frames.items())))

@@ -14,6 +14,8 @@ Three families of numbers, all computed from two annotation documents
 
 Reference instances transcribed with the ignore marker are excluded, and
 predictions lying on an ignored region are discarded rather than punished.
+``evaluate`` computes each frame's overlaps once, in a table that all three
+families read, each with its own gate.
 Every ratio with a zero denominator is reported as 0 and named in the
 report's ``degenerate`` list.
 """
@@ -25,7 +27,14 @@ from dataclasses import dataclass, field
 
 from .annotations import Instance, VideoAnnotation
 from .errors import EmptyInput, MissingTranscription, VideoMismatch
-from .geometry import Quad, quad_iou, quad_to_rotated, rotated_to_quad
+from .geometry import (
+    Quad,
+    extents_apart,
+    quad_extents,
+    quad_iou,
+    quad_to_rotated,
+    rotated_to_quad,
+)
 from .matching import hungarian
 
 __all__ = [
@@ -186,28 +195,75 @@ def _usable_quad(quad: Quad) -> Quad:
     return quad if quad.is_convex() else rotated_to_quad(quad_to_rotated(quad))
 
 
+def _check_thresh(iou_thresh: float) -> None:
+    if not (0.0 < iou_thresh <= 1.0):
+        raise ValueError(f"iou_thresh must be in (0,1], got {iou_thresh}")
+
+
+def _check_floor(iou_floor: float) -> None:
+    if not (0.0 <= iou_floor < 1.0):
+        raise ValueError(f"iou_floor must be in [0,1), got {iou_floor}")
+
+
 @dataclass(slots=True)
 class _Slot:
     track_id: int
     quad: Quad
     transcription: str | None
+    extents: tuple[float, float, float, float]
 
 
-def _split_frame(instances: list[Instance]) -> tuple[list[_Slot], list[Quad]]:
-    """Active slots and ignored-region quads for one frame."""
-    active, ignored = [], []
-    for inst in instances:
-        if inst.ignore:
-            ignored.append(_usable_quad(inst.quad))
-        else:
-            active.append(
-                _Slot(inst.track_id, _usable_quad(inst.quad), inst.transcription)
-            )
-    return active, ignored
+def _slot(inst: Instance) -> _Slot:
+    quad = _usable_quad(inst.quad)
+    return _Slot(inst.track_id, quad, inst.transcription, quad_extents(quad))
 
 
-def _on_ignored_region(quad: Quad, ignored: list[Quad], gate: float) -> bool:
-    return any(quad_iou(quad, region) >= gate for region in ignored)
+@dataclass(slots=True)
+class _FrameTable:
+    """One frame's overlaps, computed once and read by every metric pass.
+
+    ``ious`` maps (gt index, pred index) to ``quad_iou(gt, pred)`` for the
+    pairs whose extents meet and whose IoU is not 0; every other pair has
+    IoU 0.  ``ignore_iou`` holds each prediction's largest IoU with an
+    ignored reference region (0 when there is none).  Each pass applies its
+    own gate; all gates are positive, so the absent pairs never pass one.
+    """
+
+    gt: list[_Slot]
+    preds: list[_Slot]
+    ious: dict[tuple[int, int], float]
+    ignore_iou: list[float]
+
+
+def _frame_tables(gt: VideoAnnotation, pred: VideoAnnotation) -> list[_FrameTable]:
+    """One table per frame of the video; ignored reference instances become
+    regions, ignored predictions are dropped."""
+    _check_same_video(gt, pred)
+    tables = []
+    for f in range(gt.frame_count):
+        active, ignored = [], []
+        for inst in gt.frames.get(f, []):
+            (ignored if inst.ignore else active).append(_slot(inst))
+        preds = [_slot(inst) for inst in pred.frames.get(f, []) if not inst.ignore]
+        ious: dict[tuple[int, int], float] = {}
+        for gi, g in enumerate(active):
+            for pi, p in enumerate(preds):
+                if not extents_apart(g.extents, p.extents):
+                    overlap = quad_iou(g.quad, p.quad)
+                    if overlap:
+                        ious[gi, pi] = overlap
+        ignore_iou = [
+            max((quad_iou(p.quad, r.quad) for r in ignored
+                 if not extents_apart(p.extents, r.extents)), default=0.0)
+            for p in preds
+        ]
+        tables.append(_FrameTable(active, preds, ious, ignore_iou))
+    return tables
+
+
+def _kept_preds(table: _FrameTable, gate: float) -> list[int]:
+    """Indices of the predictions not lying on an ignored region."""
+    return [pi for pi, overlap in enumerate(table.ignore_iou) if overlap < gate]
 
 
 def _gated_max_iou_pairs(
@@ -249,24 +305,23 @@ def _ratio(num: float, den: float, name: str, flags: list[str]) -> float:
 
 
 def _detection_counts(
-    gt: VideoAnnotation, pred: VideoAnnotation, iou_thresh: float
+    gt: VideoAnnotation,
+    pred: VideoAnnotation,
+    iou_thresh: float,
+    *,
+    tables: list[_FrameTable] | None = None,
 ) -> DetCounters:
-    _check_same_video(gt, pred)
+    _check_thresh(iou_thresh)
+    if tables is None:
+        tables = _frame_tables(gt, pred)
     counters = DetCounters()
-    for f in range(gt.frame_count):
-        gt_active, gt_ignored = _split_frame(gt.frames.get(f, []))
-        pred_all, _ = _split_frame(pred.frames.get(f, []))
-        preds = [
-            p for p in pred_all
-            if not _on_ignored_region(p.quad, gt_ignored, iou_thresh)
-        ]
-        pairs = []
-        for gi, g in enumerate(gt_active):
-            for pi, p in enumerate(preds):
-                overlap = quad_iou(g.quad, p.quad)
-                if overlap >= iou_thresh:
-                    pairs.append((-overlap, gi, pi))
-        pairs.sort()
+    for table in tables:
+        kept = _kept_preds(table, iou_thresh)
+        usable = set(kept)
+        pairs = sorted(
+            (-overlap, gi, pi) for (gi, pi), overlap in table.ious.items()
+            if overlap >= iou_thresh and pi in usable
+        )
         used_g: set[int] = set()
         used_p: set[int] = set()
         tp = 0
@@ -277,8 +332,8 @@ def _detection_counts(
             used_p.add(pi)
             tp += 1
         counters.tp += tp
-        counters.fn += len(gt_active) - tp
-        counters.fp += len(preds) - tp
+        counters.fn += len(table.gt) - tp
+        counters.fp += len(kept) - tp
     return counters
 
 
@@ -301,25 +356,29 @@ def eval_detection(
 
 
 def eval_mot(
-    gt: VideoAnnotation, pred: VideoAnnotation, iou_thresh: float = 0.5
+    gt: VideoAnnotation,
+    pred: VideoAnnotation,
+    iou_thresh: float = 0.5,
+    *,
+    tables: list[_FrameTable] | None = None,
 ) -> tuple[float, float, MotCounters]:
     """CLEAR procedure: correspondences established frame by frame, kept
     while they stay above the gate, mismatches counted the first frame a
-    reference track's partner id changes versus its last established one."""
-    _check_same_video(gt, pred)
+    reference track's partner id changes versus its last established one.
+
+    ``tables`` are the video's per-frame overlaps when the caller has
+    built them already."""
+    _check_thresh(iou_thresh)
+    if tables is None:
+        tables = _frame_tables(gt, pred)
     counters = MotCounters()
     active_corr: dict[int, int] = {}
     last_match: dict[int, int] = {}
 
-    for f in range(gt.frame_count):
-        gt_active, gt_ignored = _split_frame(gt.frames.get(f, []))
-        pred_all, _ = _split_frame(pred.frames.get(f, []))
-        preds = [
-            p for p in pred_all
-            if not _on_ignored_region(p.quad, gt_ignored, iou_thresh)
-        ]
-        gt_by_id = {s.track_id: s for s in gt_active}
-        pred_by_id = {s.track_id: s for s in preds}
+    for table in tables:
+        kept = _kept_preds(table, iou_thresh)
+        gt_index = {s.track_id: gi for gi, s in enumerate(table.gt)}
+        pred_index = {table.preds[pi].track_id: pi for pi in kept}
 
         matches: dict[int, int] = {}
         matched_pred: set[int] = set()
@@ -327,31 +386,32 @@ def eval_mot(
 
         # keep still-valid correspondences from the previous frame
         for gid, pid in active_corr.items():
-            if gid in gt_by_id and pid in pred_by_id:
-                overlap = quad_iou(gt_by_id[gid].quad, pred_by_id[pid].quad)
+            if gid in gt_index and pid in pred_index:
+                overlap = table.ious.get((gt_index[gid], pred_index[pid]), 0.0)
                 if overlap >= iou_thresh:
                     matches[gid] = pid
                     matched_pred.add(pid)
                     iou_of[gid] = overlap
 
         # assign the remainder, maximizing total IoU above the gate
-        rem_g = [s for s in gt_active if s.track_id not in matches]
-        rem_p = [s for s in preds if s.track_id not in matched_pred]
-        ious = [[quad_iou(g.quad, p.quad) for p in rem_p] for g in rem_g]
-        for gi, pi in _gated_max_iou_pairs(ious, iou_thresh):
-            gid, pid = rem_g[gi].track_id, rem_p[pi].track_id
+        rem_g = [gi for gi, s in enumerate(table.gt) if s.track_id not in matches]
+        rem_p = [pi for pi in kept if table.preds[pi].track_id not in matched_pred]
+        ious = [[table.ious.get((gi, pi), 0.0) for pi in rem_p] for gi in rem_g]
+        for r, c in _gated_max_iou_pairs(ious, iou_thresh):
+            gid = table.gt[rem_g[r]].track_id
+            pid = table.preds[rem_p[c]].track_id
             matches[gid] = pid
-            iou_of[gid] = ious[gi][pi]
+            iou_of[gid] = ious[r][c]
             if gid in last_match and last_match[gid] != pid:
                 counters.mismatches += 1
 
         for gid, pid in matches.items():
             last_match[gid] = pid
 
-        counters.gt_count += len(gt_active)
+        counters.gt_count += len(table.gt)
         counters.matches += len(matches)
-        counters.misses += len(gt_active) - len(matches)
-        counters.false_positives += len(preds) - len(matches)
+        counters.misses += len(table.gt) - len(matches)
+        counters.false_positives += len(kept) - len(matches)
         counters.matched_iou_sum += sum(iou_of.values())
         active_corr = matches
 
@@ -370,59 +430,6 @@ def eval_mot(
 # ---------------------------------------------------------------------------
 
 
-def _identity_tracks(
-    ann: VideoAnnotation,
-    *,
-    is_prediction: bool,
-    spotting: bool,
-    case_insensitive: bool,
-    ignored_by_frame: dict[int, list[Quad]] | None = None,
-) -> dict[int, dict[int, tuple[Quad, str | None]]]:
-    """Per-track frame slots for identity evaluation.
-
-    Ignored reference instances are dropped; prediction slots sitting on an
-    ignored region are dropped.  In spotting mode prediction slots must be
-    transcribed, and all transcriptions are normalized once here.
-    """
-    tracks: dict[int, dict[int, tuple[Quad, str | None]]] = {}
-    for f in sorted(ann.frames):
-        for inst in ann.frames[f]:
-            if inst.ignore:
-                continue
-            quad = _usable_quad(inst.quad)
-            if is_prediction and ignored_by_frame:
-                if _on_ignored_region(quad, ignored_by_frame.get(f, []),
-                                      IGNORE_GATE):
-                    continue
-            text = inst.transcription
-            if spotting:
-                if is_prediction and text is None:
-                    raise MissingTranscription(
-                        f"prediction track {inst.track_id} frame {f} has no "
-                        "transcription"
-                    )
-                text = normalize_transcription(text or "", case_insensitive)
-            tracks.setdefault(inst.track_id, {})[f] = (quad, text)
-    return tracks
-
-
-def _overlap(
-    g_frames: dict[int, tuple[Quad, str | None]],
-    p_frames: dict[int, tuple[Quad, str | None]],
-    iou_floor: float,
-    spotting: bool,
-) -> int:
-    count = 0
-    for f in g_frames.keys() & p_frames.keys():
-        g_quad, g_text = g_frames[f]
-        p_quad, p_text = p_frames[f]
-        if spotting and g_text != p_text:
-            continue
-        if quad_iou(g_quad, p_quad) > iou_floor:
-            count += 1
-    return count
-
-
 def eval_id(
     gt: VideoAnnotation,
     pred: VideoAnnotation,
@@ -430,6 +437,7 @@ def eval_id(
     iou_floor: float = 0.0,
     *,
     case_insensitive: bool = False,
+    tables: list[_FrameTable] | None = None,
 ) -> tuple[float, float, float, int, int, IdCounters]:
     """Trajectory-level identity metrics.
 
@@ -437,35 +445,50 @@ def eval_id(
     ``iou_floor``; in spotting mode the transcriptions must also be equal
     after normalization.  A global assignment between reference and
     predicted trajectories maximizes the total number of agreeing slots
-    (id_tp); IDP, IDR, IDF1, MT, and ML all follow from it.
+    (id_tp); IDP, IDR, IDF1, MT, and ML all follow from it.  Prediction
+    slots on an ignored reference region (IoU at least ``IGNORE_GATE``)
+    are dropped.  ``tables`` are the video's per-frame overlaps when the
+    caller has built them already.
     """
     if mode not in ("tracking", "spotting"):
         raise ValueError(f"mode must be 'tracking' or 'spotting', got {mode!r}")
-    _check_same_video(gt, pred)
+    _check_floor(iou_floor)
+    if tables is None:
+        tables = _frame_tables(gt, pred)
     spotting = mode == "spotting"
 
-    ignored_by_frame: dict[int, list[Quad]] = {}
-    for f, instances in gt.frames.items():
-        regions = [_usable_quad(i.quad) for i in instances if i.ignore]
-        if regions:
-            ignored_by_frame[f] = regions
+    def text_of(slot: _Slot) -> str | None:
+        if not spotting:
+            return None
+        return normalize_transcription(slot.transcription or "", case_insensitive)
 
-    gt_tracks = _identity_tracks(
-        gt, is_prediction=False, spotting=spotting,
-        case_insensitive=case_insensitive,
-    )
-    pred_tracks = _identity_tracks(
-        pred, is_prediction=True, spotting=spotting,
-        case_insensitive=case_insensitive, ignored_by_frame=ignored_by_frame,
-    )
+    # lifespans (slots per track) and agreeing slots per (gt, pred) track pair
+    gt_len: dict[int, int] = {}
+    pred_len: dict[int, int] = {}
+    agree: dict[tuple[int, int], int] = {}
+    for f, table in enumerate(tables):
+        for slot in table.gt:
+            gt_len[slot.track_id] = gt_len.get(slot.track_id, 0) + 1
+        pred_text: dict[int, str | None] = {}
+        for pi in _kept_preds(table, IGNORE_GATE):
+            slot = table.preds[pi]
+            if spotting and slot.transcription is None:
+                raise MissingTranscription(
+                    f"prediction track {slot.track_id} frame {f} has no "
+                    "transcription"
+                )
+            pred_len[slot.track_id] = pred_len.get(slot.track_id, 0) + 1
+            pred_text[pi] = text_of(slot)
+        gt_text = [text_of(slot) for slot in table.gt]
+        for (gi, pi), overlap in table.ious.items():
+            if (pi in pred_text and overlap > iou_floor
+                    and gt_text[gi] == pred_text[pi]):
+                key = (table.gt[gi].track_id, table.preds[pi].track_id)
+                agree[key] = agree.get(key, 0) + 1
 
-    g_ids = sorted(gt_tracks)
-    p_ids = sorted(pred_tracks)
-    overlaps = [
-        [_overlap(gt_tracks[g], pred_tracks[p], iou_floor, spotting)
-         for p in p_ids]
-        for g in g_ids
-    ]
+    g_ids = sorted(gt_len)
+    p_ids = sorted(pred_len)
+    overlaps = [[agree.get((g, p), 0) for p in p_ids] for g in g_ids]
 
     assigned: dict[int, int] = {}
     if g_ids and p_ids:
@@ -479,8 +502,8 @@ def eval_id(
                 assigned[gi] = pi
 
     id_tp = sum(overlaps[gi][pi] for gi, pi in assigned.items())
-    total_gt = sum(len(frames) for frames in gt_tracks.values())
-    total_pred = sum(len(frames) for frames in pred_tracks.values())
+    total_gt = sum(gt_len.values())
+    total_pred = sum(pred_len.values())
 
     counters = IdCounters(
         id_tp=id_tp,
@@ -495,7 +518,7 @@ def eval_id(
 
     mt = ml = 0
     for gi, g in enumerate(g_ids):
-        lifespan = len(gt_tracks[g])
+        lifespan = gt_len[g]
         covered = overlaps[gi][assigned[gi]] if gi in assigned else 0
         coverage = covered / lifespan if lifespan else 0.0
         if coverage >= 0.8:
@@ -556,15 +579,18 @@ def evaluate(
     """
     if task not in ("detection", "tracking", "spotting"):
         raise ValueError(f"unknown task {task!r}")
+    _check_thresh(iou_thresh)
+    _check_floor(iou_floor)
+    tables = _frame_tables(gt, pred)
     report = MetricsReport(task=task, video_id=gt.video_id,
                            scenario=gt.scenario)
-    report.det = _detection_counts(gt, pred, iou_thresh)
+    report.det = _detection_counts(gt, pred, iou_thresh, tables=tables)
     if task != "detection":
-        _, _, report.mot = eval_mot(gt, pred, iou_thresh)
+        _, _, report.mot = eval_mot(gt, pred, iou_thresh, tables=tables)
         mode = "spotting" if task == "spotting" else "tracking"
         _, _, _, report.mt, report.ml, report.ids = eval_id(
             gt, pred, mode=mode, iou_floor=iou_floor,
-            case_insensitive=case_insensitive,
+            case_insensitive=case_insensitive, tables=tables,
         )
     return _ratios_from_counters(report)
 

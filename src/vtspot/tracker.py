@@ -155,10 +155,16 @@ class Tracker:
         if n_t == 0 or n_d == 0:
             return []
         n = max(n_t, n_d)
-        ious = [
-            [iou(track.predicted_box, det.box) for det in detections]
-            for track in self.tracks
-        ]
+        # unroll every box once per frame, not once per pair
+        det_quads = [rotated_to_quad(det.box) for det in detections]
+        ious = []
+        for track in self.tracks:
+            box = track.predicted_box
+            quad = rotated_to_quad(box)
+            ious.append([
+                iou(box, det.box, quads=(quad, det_quad))
+                for det, det_quad in zip(detections, det_quads)
+            ])
         cost = [[_MISS_COST] * n for _ in range(n)]
         for ti in range(n_t):
             for di in range(n_d):

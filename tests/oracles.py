@@ -1,8 +1,10 @@
 """Independent reference implementations used only by the test suite.
 
-Everything here is deliberately written from first principles (sampling,
-exhaustive enumeration, textbook recurrences) rather than calling into the
-package, so a bug in the library cannot hide inside its own oracle.
+Everything here, up to the last section, is deliberately written from
+first principles (sampling, exhaustive enumeration, textbook recurrences)
+rather than calling into the package, so a bug in the library cannot hide
+inside its own oracle.  The last section holds the plain versions of the
+package's fast paths, for differential tests.
 """
 
 from __future__ import annotations
@@ -12,6 +14,24 @@ import math
 import random
 
 import numpy as np
+
+from vtspot.errors import MissingTranscription
+from vtspot.geometry import (
+    polygon_area,
+    polygon_intersection,
+    quad_to_rotated,
+    rotated_to_quad,
+)
+from vtspot.matching import hungarian
+from vtspot.metrics import (
+    IGNORE_GATE,
+    DetCounters,
+    IdCounters,
+    MetricsReport,
+    MotCounters,
+    _ratios_from_counters,
+    normalize_transcription,
+)
 
 
 def box_corners(cx, cy, w, h, angle):
@@ -138,3 +158,221 @@ def overlapping_box_pair(rng: random.Random):
         rng.uniform(-math.pi, math.pi),
     )
     return a, b
+
+
+# ---------------------------------------------------------------------------
+# clip-only overlap and the three separate evaluation passes
+# ---------------------------------------------------------------------------
+# The package scores far-apart pairs 0 without clipping, and its metric
+# passes share one IoU table per frame.  What follows is the plain version
+# of both: every pair is clipped, and each pass computes its own overlaps.
+# Unlike the oracles above, these reuse the package's clipping arithmetic
+# on purpose, so that differential tests can demand bit-equal results.
+
+
+def _area_ratio(inter, union):
+    if union <= 0.0:
+        return 0.0
+    return min(1.0, max(0.0, inter / union))
+
+
+def clip_quad_iou(a, b):
+    """IoU of two convex quads, always by clipping."""
+    if a.corners == b.corners and a.is_convex():
+        return 1.0 if a.area > 0.0 else 0.0
+    inter = polygon_area(polygon_intersection(a, b))
+    return _area_ratio(inter, a.area + b.area - inter)
+
+
+def clip_iou(a, b):
+    """IoU of two rotated boxes, always by unrolling and clipping."""
+    qa = rotated_to_quad(a)
+    qb = rotated_to_quad(b)
+    if qa.corners == qb.corners:
+        return 1.0
+    inter = polygon_area(polygon_intersection(qa, qb))
+    return _area_ratio(inter, a.area + b.area - inter)
+
+
+def _usable_quad(quad):
+    return quad if quad.is_convex() else rotated_to_quad(quad_to_rotated(quad))
+
+
+def _split_frame(instances):
+    active, ignored = [], []
+    for inst in instances:
+        if inst.ignore:
+            ignored.append(_usable_quad(inst.quad))
+        else:
+            active.append((inst.track_id, _usable_quad(inst.quad), inst.transcription))
+    return active, ignored
+
+
+def _on_ignored_region(quad, ignored, gate):
+    return any(clip_quad_iou(quad, region) >= gate for region in ignored)
+
+
+def _gated_max_iou_pairs(ious, gate):
+    n_r = len(ious)
+    n_c = len(ious[0]) if n_r else 0
+    if n_r == 0 or n_c == 0:
+        return []
+    n = max(n_r, n_c)
+    cost = [[1.0] * n for _ in range(n)]
+    for r in range(n_r):
+        for c in range(n_c):
+            if ious[r][c] >= gate:
+                cost[r][c] = 1.0 - ious[r][c]
+    return [
+        (r, c)
+        for r, c in hungarian(cost).pairs
+        if r < n_r and c < n_c and ious[r][c] >= gate
+    ]
+
+
+def _frame_preds(gt, pred, f, gate):
+    gt_active, gt_ignored = _split_frame(gt.frames.get(f, []))
+    pred_all, _ = _split_frame(pred.frames.get(f, []))
+    preds = [p for p in pred_all if not _on_ignored_region(p[1], gt_ignored, gate)]
+    return gt_active, preds
+
+
+def _detection_pass(gt, pred, iou_thresh):
+    counters = DetCounters()
+    for f in range(gt.frame_count):
+        gt_active, preds = _frame_preds(gt, pred, f, iou_thresh)
+        pairs = []
+        for gi, g in enumerate(gt_active):
+            for pi, p in enumerate(preds):
+                overlap = clip_quad_iou(g[1], p[1])
+                if overlap >= iou_thresh:
+                    pairs.append((-overlap, gi, pi))
+        pairs.sort()
+        used_g, used_p = set(), set()
+        for _, gi, pi in pairs:
+            if gi not in used_g and pi not in used_p:
+                used_g.add(gi)
+                used_p.add(pi)
+        tp = len(used_g)
+        counters.tp += tp
+        counters.fn += len(gt_active) - tp
+        counters.fp += len(preds) - tp
+    return counters
+
+
+def _clear_pass(gt, pred, iou_thresh):
+    counters = MotCounters()
+    active_corr, last_match = {}, {}
+    for f in range(gt.frame_count):
+        gt_active, preds = _frame_preds(gt, pred, f, iou_thresh)
+        gt_by_id = {g[0]: g for g in gt_active}
+        pred_by_id = {p[0]: p for p in preds}
+        matches, matched_pred, iou_of = {}, set(), {}
+        for gid, pid in active_corr.items():
+            if gid in gt_by_id and pid in pred_by_id:
+                overlap = clip_quad_iou(gt_by_id[gid][1], pred_by_id[pid][1])
+                if overlap >= iou_thresh:
+                    matches[gid] = pid
+                    matched_pred.add(pid)
+                    iou_of[gid] = overlap
+        rem_g = [g for g in gt_active if g[0] not in matches]
+        rem_p = [p for p in preds if p[0] not in matched_pred]
+        ious = [[clip_quad_iou(g[1], p[1]) for p in rem_p] for g in rem_g]
+        for gi, pi in _gated_max_iou_pairs(ious, iou_thresh):
+            gid, pid = rem_g[gi][0], rem_p[pi][0]
+            matches[gid] = pid
+            iou_of[gid] = ious[gi][pi]
+            if gid in last_match and last_match[gid] != pid:
+                counters.mismatches += 1
+        for gid, pid in matches.items():
+            last_match[gid] = pid
+        counters.gt_count += len(gt_active)
+        counters.matches += len(matches)
+        counters.misses += len(gt_active) - len(matches)
+        counters.false_positives += len(preds) - len(matches)
+        counters.matched_iou_sum += sum(iou_of.values())
+        active_corr = matches
+    return counters
+
+
+def _identity_tracks(ann, spotting, case_insensitive, ignored_by_frame=None):
+    """Per-track frame slots; ``ignored_by_frame`` is given for predictions
+    only, which are dropped on an ignored region and must be transcribed."""
+    tracks = {}
+    for f in sorted(ann.frames):
+        for inst in ann.frames[f]:
+            if inst.ignore:
+                continue
+            quad = _usable_quad(inst.quad)
+            if ignored_by_frame is not None and _on_ignored_region(
+                    quad, ignored_by_frame.get(f, []), IGNORE_GATE):
+                continue
+            text = inst.transcription
+            if spotting:
+                if ignored_by_frame is not None and text is None:
+                    raise MissingTranscription(
+                        f"prediction track {inst.track_id} frame {f} has no "
+                        "transcription"
+                    )
+                text = normalize_transcription(text or "", case_insensitive)
+            tracks.setdefault(inst.track_id, {})[f] = (quad, text)
+    return tracks
+
+
+def _identity_pass(gt, pred, spotting, iou_floor, case_insensitive):
+    ignored_by_frame = {
+        f: [_usable_quad(i.quad) for i in instances if i.ignore]
+        for f, instances in gt.frames.items()
+    }
+    gt_tracks = _identity_tracks(gt, spotting, case_insensitive)
+    pred_tracks = _identity_tracks(pred, spotting, case_insensitive, ignored_by_frame)
+    g_ids, p_ids = sorted(gt_tracks), sorted(pred_tracks)
+
+    def overlap(g_frames, p_frames):
+        count = 0
+        for f in g_frames.keys() & p_frames.keys():
+            (g_quad, g_text), (p_quad, p_text) = g_frames[f], p_frames[f]
+            if spotting and g_text != p_text:
+                continue
+            if clip_quad_iou(g_quad, p_quad) > iou_floor:
+                count += 1
+        return count
+
+    overlaps = [[overlap(gt_tracks[g], pred_tracks[p]) for p in p_ids] for g in g_ids]
+    assigned = {}
+    if g_ids and p_ids:
+        n = max(len(g_ids), len(p_ids))
+        cost = [[0.0] * n for _ in range(n)]
+        for gi in range(len(g_ids)):
+            for pi in range(len(p_ids)):
+                cost[gi][pi] = -float(overlaps[gi][pi])
+        for gi, pi in hungarian(cost).pairs:
+            if gi < len(g_ids) and pi < len(p_ids) and overlaps[gi][pi] > 0:
+                assigned[gi] = pi
+    id_tp = sum(overlaps[gi][pi] for gi, pi in assigned.items())
+    total_gt = sum(len(v) for v in gt_tracks.values())
+    total_pred = sum(len(v) for v in pred_tracks.values())
+    mt = ml = 0
+    for gi, g in enumerate(g_ids):
+        covered = overlaps[gi][assigned[gi]] if gi in assigned else 0
+        coverage = covered / len(gt_tracks[g])
+        if coverage >= 0.8:
+            mt += 1
+        elif coverage < 0.2:
+            ml += 1
+    counters = IdCounters(id_tp=id_tp, id_fp=total_pred - id_tp,
+                          id_fn=total_gt - id_tp, gt_tracks=len(g_ids))
+    return mt, ml, counters
+
+
+def three_pass_report(gt, pred, task, *, iou_thresh=0.5, iou_floor=0.0,
+                      case_insensitive=False):
+    """``evaluate(...).to_dict()`` computed by three independent passes,
+    each clipping every gt x pred pair it looks at."""
+    report = MetricsReport(task=task, video_id=gt.video_id, scenario=gt.scenario)
+    report.det = _detection_pass(gt, pred, iou_thresh)
+    if task != "detection":
+        report.mot = _clear_pass(gt, pred, iou_thresh)
+        report.mt, report.ml, report.ids = _identity_pass(
+            gt, pred, task == "spotting", iou_floor, case_insensitive)
+    return _ratios_from_counters(report).to_dict()

@@ -2,6 +2,7 @@ import gzip
 import io
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -491,3 +492,45 @@ def test_save_trajectories_writes_annotation_schema():
     assert ann.frames[0][0].track_id == 2
     assert ann.frames[0][0].transcription == "go"
     assert ann.frames[0][0].quad == q
+
+
+@pytest.mark.parametrize("cls", [SchemaError, DuplicateTrackIdInFrame,
+                                 OutOfRangeFrameIndex])
+def test_schema_errors_survive_pickling(cls):
+    for exc in (cls("frames.3[1].points", "expected 8 numbers, got 3"),
+                cls("video_id", "missing required field", "clip.json")):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert (back.path, back.message, back.source) == (exc.path, exc.message,
+                                                          exc.source)
+        assert str(back) == str(exc)
+
+
+def test_schema_error_names_the_file(tmp_path):
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["frames"]["0"][0].pop("points")
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(SchemaError) as exc_info:
+        load_annotation(path)
+    assert exc_info.value.source == str(path)
+    assert str(exc_info.value) == (
+        f"{path}: frames.0[0].points: missing required field")
+
+
+def test_detections_schema_error_names_the_file(tmp_path):
+    doc = json.loads(json.dumps(DETS_DOC))
+    doc["frames"]["1"][0]["score"] = 1.5
+    path = tmp_path / "dets.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(SchemaError) as exc_info:
+        load_detections(str(path))
+    assert exc_info.value.path == "frames.1[0].score"
+    assert str(path) in str(exc_info.value)
+
+
+def test_schema_error_from_stream_has_no_file():
+    with pytest.raises(SchemaError) as exc_info:
+        load_annotation(io.StringIO("[]"))
+    assert exc_info.value.source is None
+    assert str(exc_info.value) == "$: expected an object, got list"

@@ -416,3 +416,48 @@ def test_loss_video_mismatch_exits_three(tmp_path):
     gt_path, _ = axis_aligned_fixture(tmp_path)
     _, other_dets = make_synth(tmp_path, **{"--frames": 3})
     assert run_cli("loss", str(gt_path), str(other_dets)) == 3
+
+
+def test_python_dash_m_version():
+    package_root = str(Path(vtspot.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=package_root)
+    out = subprocess.run([sys.executable, "-m", "vtspot", "--version"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == f"vtspot {vtspot.__version__}"
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--iou-thresh", "0"),
+    ("--iou-thresh", "-0.5"),
+    ("--iou-thresh", "1.5"),
+    ("--iou-thresh", "nan"),
+    ("--iou-floor", "-0.1"),
+    ("--iou-floor", "1"),
+    ("--iou-floor", "nan"),
+])
+def test_evaluate_gate_out_of_range_exits_two(tmp_path, capsys, flag, value):
+    gt, _ = make_synth(tmp_path)
+    assert run_cli("evaluate", flag, value, str(gt), str(gt)) == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--iou-thresh", "1"),
+                                        ("--iou-floor", "0")])
+def test_evaluate_gate_range_ends_accepted(tmp_path, capsys, flag, value):
+    gt, _ = make_synth(tmp_path)
+    assert run_cli("evaluate", flag, value, str(gt), str(gt)) == 0
+    assert json.loads(capsys.readouterr().out)["mota"] == 1.0
+
+
+def test_evaluate_corpus_bad_file_with_jobs_exits_two(tmp_path, capsys):
+    gt_dir, pred_dir = corpus_dirs(tmp_path, 3)
+    bad = pred_dir / "video1.json"
+    doc = json.loads(bad.read_text())
+    doc["video_id"] = 17
+    bad.write_text(json.dumps(doc))
+    assert run_cli("evaluate", "--gt-dir", str(gt_dir),
+                   "--pred-dir", str(pred_dir), "--jobs", "2") == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "video_id: expected str, got int" in err

@@ -1,0 +1,340 @@
+"""Differential tests: the broad phase and the shared per-frame IoU table
+against the clip-only geometry and the three separate metric passes kept
+in ``oracles``.  Results must be equal, not approximately equal."""
+
+import math
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import vtspot.linker as linker_mod
+import vtspot.tracker as tracker_mod
+from oracles import clip_iou, clip_quad_iou, three_pass_report
+from vtspot.annotations import (
+    IGNORE_MARK,
+    Instance,
+    VideoAnnotation,
+    trajectories_to_annotation,
+)
+from vtspot.errors import MissingTranscription, NonConvexInput, SelfIntersectingQuad
+from vtspot.geometry import (
+    Point2,
+    Quad,
+    RotatedBox,
+    iou,
+    quad_iou,
+    rotated_to_quad,
+)
+from vtspot.linker import link
+from vtspot.metrics import evaluate
+from vtspot.synth import SynthConfig, generate
+from vtspot.tracker import TrackerConfig
+from vtspot.tracker import run as run_tracker
+
+coord = st.floats(-200.0, 200.0)
+side = st.floats(0.5, 60.0)
+angle = st.floats(-math.pi, math.pi)
+boxes = st.builds(RotatedBox, coord, coord, side, side, angle)
+
+
+def nudge(value: float, ulps: int) -> float:
+    """``value`` moved by ``ulps`` units in the last place (either sign)."""
+    toward = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, toward)
+    return value
+
+
+def shifted(quad: Quad, dx: float, dy: float) -> Quad:
+    return Quad(tuple(Point2(p.x + dx, p.y + dy) for p in quad.corners))
+
+
+def assert_box_iou_matches(a: RotatedBox, b: RotatedBox) -> None:
+    for x, y in ((a, b), (b, a)):
+        expected = clip_iou(x, y)
+        assert iou(x, y) == expected
+        quads = (rotated_to_quad(x), rotated_to_quad(y))
+        assert iou(x, y, quads=quads) == expected
+
+
+def assert_quad_iou_matches(a: Quad, b: Quad) -> None:
+    for x, y in ((a, b), (b, a)):
+        assert quad_iou(x, y) == clip_quad_iou(x, y)
+
+
+# ---------------------------------------------------------------------------
+# iou: circumscribed-circle reject
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxes, boxes)
+def test_box_iou_equals_clip_on_random_pairs(a, b):
+    assert_box_iou_matches(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxes, side, side, angle, st.integers(-4, 4), st.booleans())
+def test_box_iou_equals_clip_on_touching_and_ulp_gaps(a, w, h, turn, ulps, along_w):
+    """b sits flush against one side of a, then moves a few ulps apart or
+    into it; with a random turn it touches corner to corner or not at all."""
+    c, s = math.cos(a.angle), math.sin(a.angle)
+    if along_w:
+        reach = (a.w + w) / 2.0
+        cx, cy = a.cx + c * reach, a.cy + s * reach
+        b = RotatedBox(nudge(cx, ulps), nudge(cy, ulps), w, a.h, a.angle)
+    else:
+        reach = (a.h + h) / 2.0
+        cx, cy = a.cx - s * reach, a.cy + c * reach
+        b = RotatedBox(nudge(cx, ulps), nudge(cy, ulps), a.w, h, a.angle)
+    assert_box_iou_matches(a, b)
+    turned = RotatedBox(b.cx, b.cy, b.w, b.h, b.angle + turn)
+    assert_box_iou_matches(a, turned)
+
+
+@settings(max_examples=100, deadline=None)
+@given(boxes, st.floats(0.0, 1.0))
+def test_box_iou_equals_clip_at_circle_contact(a, ratio):
+    """Centers exactly the sum of the circumscribed radii apart, or a few
+    ulps either side of it: the reject must leave these to the clip."""
+    rb = math.hypot(a.w, a.h) / 2.0 * (0.5 + ratio)
+    b_w = 2.0 * rb * math.cos(0.4)
+    b_h = 2.0 * rb * math.sin(0.4)
+    d = math.hypot(a.w, a.h) / 2.0 + math.hypot(b_w, b_h) / 2.0
+    for ulps in (-3, 0, 3):
+        b = RotatedBox(nudge(a.cx + d, ulps), a.cy, b_w, b_h, a.angle)
+        assert_box_iou_matches(a, b)
+
+
+@given(boxes)
+def test_box_iou_identical_boxes(a):
+    assert iou(a, a) == clip_iou(a, a) == 1.0
+    swapped = RotatedBox(a.cx, a.cy, a.h, a.w, a.angle + math.pi / 2.0)
+    assert_box_iou_matches(a, swapped)
+
+
+def test_far_apart_boxes_score_zero_without_unrolling(monkeypatch):
+    def refuse(box):
+        raise AssertionError("a far-apart pair was unrolled")
+
+    monkeypatch.setattr("vtspot.geometry.rotated_to_quad", refuse)
+    assert iou(RotatedBox(0, 0, 10, 4, 0.3), RotatedBox(100, 0, 10, 4, -1.0)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# quad_iou: axis-aligned extents reject
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def convex_quads(draw):
+    """Rotated rectangles with corners pulled about, kept when convex."""
+    quad = rotated_to_quad(draw(boxes))
+    jitter = draw(st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8))
+    try:
+        moved = Quad(tuple(Point2(p.x + jitter[2 * i], p.y + jitter[2 * i + 1])
+                           for i, p in enumerate(quad.corners)))
+    except SelfIntersectingQuad:
+        return quad
+    return moved if moved.is_convex() else quad
+
+
+@settings(max_examples=300, deadline=None)
+@given(convex_quads(), convex_quads())
+def test_quad_iou_equals_clip_on_random_pairs(a, b):
+    assert_quad_iou_matches(a, b)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(convex_quads(), convex_quads(), st.integers(-4, 4), st.booleans(),
+       st.floats(-1.0, 1.0))
+def test_quad_iou_equals_clip_on_touching_and_ulp_gaps(a, b, ulps, in_x, slide):
+    """b's extents start where a's end, then a few ulps apart or overlapped."""
+    ax = [p.x for p in a.corners]
+    ay = [p.y for p in a.corners]
+    bx = [p.x for p in b.corners]
+    by = [p.y for p in b.corners]
+    if in_x:
+        dx = nudge(max(ax) - min(bx), ulps)
+        dy = slide * (max(ay) - min(ay))
+    else:
+        dx = slide * (max(ax) - min(ax))
+        dy = nudge(max(ay) - min(by), ulps)
+    assert_quad_iou_matches(a, shifted(b, dx, dy))
+
+
+@pytest.mark.parametrize("origin", [0.0, 1e6])
+@pytest.mark.parametrize("ulps", [-3, -1, 0, 1, 3])
+@pytest.mark.parametrize("in_x", [True, False])
+def test_quad_iou_axis_aligned_slivers(origin, ulps, in_x):
+    """Squares sharing an edge, then a few ulps apart or overlapping in a
+    sliver.  Near the origin the sliver's IoU is tiny but not 0; far from it
+    the shoelace sum rounds the sliver away, and the two must agree on that."""
+    edge = nudge(origin + 1.0, ulps)
+    a = Quad.from_flat([origin, origin, origin + 1, origin, origin + 1,
+                        origin + 1, origin, origin + 1])
+    lo, hi = (edge, origin + 2.0), (origin, origin + 1.0)
+    (x0, x1), (y0, y1) = (lo, hi) if in_x else (hi, lo)
+    b = Quad.from_flat([x0, y0, x1, y0, x1, y1, x0, y1])
+    assert_quad_iou_matches(a, b)
+    if ulps >= 0:
+        assert quad_iou(a, b) == 0.0
+    elif origin == 0.0:
+        assert quad_iou(a, b) > 0.0
+
+
+@given(convex_quads())
+def test_quad_iou_identical_corners(a):
+    same = Quad(a.corners)
+    assert quad_iou(a, same) == clip_quad_iou(a, same) == 1.0
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+def test_quad_iou_rejects_nonconvex_even_when_disjoint(offset):
+    dart = Quad.from_flat([0, 0, 4, 0, 1, 1, 0, 4])
+    assert not dart.is_convex()
+    square = shifted(Quad.from_flat([0, 0, 1, 0, 1, 1, 0, 1]), 100.0 + offset, 0.0)
+    for a, b in ((dart, square), (square, dart)):
+        with pytest.raises(NonConvexInput):
+            clip_quad_iou(a, b)
+        with pytest.raises(NonConvexInput):
+            quad_iou(a, b)
+
+
+# ---------------------------------------------------------------------------
+# evaluate: one table per frame vs three passes
+# ---------------------------------------------------------------------------
+
+
+def _with_ignores(gt: VideoAnnotation, rng: random.Random, share: float) -> VideoAnnotation:
+    frames = {
+        f: [Instance(i.track_id, i.quad,
+                     IGNORE_MARK if rng.random() < share else i.transcription)
+            for i in instances]
+        for f, instances in gt.frames.items()
+    }
+    return VideoAnnotation(gt.video_id, gt.width, gt.height, gt.frame_count,
+                           frames, gt.scenario)
+
+
+def _roughened(pred: VideoAnnotation, rng: random.Random) -> VideoAnnotation:
+    """Pull some prediction corners about (some quads turn non-convex),
+    misspell some transcriptions and drop a few."""
+    frames = {}
+    for f, instances in pred.frames.items():
+        out = []
+        for i in instances:
+            quad, text = i.quad, i.transcription
+            if rng.random() < 0.3:
+                try:
+                    quad = Quad(tuple(Point2(p.x + rng.gauss(0, 8), p.y + rng.gauss(0, 8))
+                                      for p in quad.corners))
+                except SelfIntersectingQuad:
+                    pass
+            if rng.random() < 0.2:
+                text = (text or "") + "x"
+            if rng.random() < 0.1:
+                continue
+            out.append(Instance(i.track_id, quad, text))
+        frames[f] = out
+    return VideoAnnotation(pred.video_id, pred.width, pred.height,
+                           pred.frame_count, frames)
+
+
+@st.composite
+def videos(draw):
+    cfg = SynthConfig(
+        n_objects=draw(st.integers(1, 12)),
+        n_frames=draw(st.integers(2, 6)),
+        motion=draw(st.sampled_from(("static", "constant_velocity", "rotate"))),
+        noise_sigma=draw(st.sampled_from((0.0, 1.0, 6.0))),
+        drop_prob=draw(st.sampled_from((0.0, 0.2))),
+        seed=draw(st.integers(0, 10_000)),
+    )
+    rng = random.Random(cfg.seed)
+    gt, dets = generate(cfg)
+    trajs = run_tracker(dets.frames, TrackerConfig(iou_threshold=0.3))
+    pred = trajectories_to_annotation(trajs, gt.video_id, gt.width, gt.height,
+                                      gt.frame_count)
+    if draw(st.booleans()):
+        pred = _roughened(pred, rng)
+    gt = _with_ignores(gt, rng, draw(st.sampled_from((0.0, 0.15, 0.4))))
+    return gt, pred
+
+
+@settings(max_examples=60, deadline=None)
+@given(videos(), st.sampled_from(("detection", "tracking", "spotting")),
+       st.sampled_from((0.05, 0.3, 0.5, 0.7, 1.0)),
+       st.sampled_from((0.0, 0.2, 0.6)), st.booleans())
+def test_evaluate_equals_three_pass_oracle(video, task, iou_thresh, iou_floor, fold):
+    gt, pred = video
+    kwargs = dict(iou_thresh=iou_thresh, iou_floor=iou_floor, case_insensitive=fold)
+    assert evaluate(gt, pred, task, **kwargs).to_dict() == three_pass_report(
+        gt, pred, task, **kwargs)
+
+
+def test_evaluate_equals_oracle_at_exact_ignore_gates():
+    """A prediction whose IoU with an ignored region is exactly the gate is
+    dropped; one region over the gate drops it whatever the others say."""
+    def square(tid, x0, x1, text):
+        return Instance(tid, Quad.from_flat([x0, 0, x1, 0, x1, 1, x0, 1]), text)
+
+    gt = VideoAnnotation("v", 100, 100, 2, {
+        0: [square(0, 0, 2, IGNORE_MARK), square(1, 10, 11, "a")],
+        1: [square(0, 0, 1, IGNORE_MARK), square(2, 0.5, 1.5, IGNORE_MARK),
+            square(1, 10, 11, "a")],
+    })
+    pred = VideoAnnotation("v", 100, 100, 2, {
+        0: [square(5, 0, 1, "p"), square(6, 10, 11, "a")],
+        1: [square(5, 0, 1, "p"), square(6, 10, 11, "a")],
+    })
+    for task in ("detection", "tracking", "spotting"):
+        for thresh in (0.3, 0.5, 1.0):
+            ours = evaluate(gt, pred, task, iou_thresh=thresh).to_dict()
+            assert ours == three_pass_report(gt, pred, task, iou_thresh=thresh)
+    # IoU([0,1], [0,2]) is exactly 0.5, the identity ignore gate
+    assert evaluate(gt, pred, "tracking").ids.id_fp == 0
+
+
+def test_evaluate_equals_oracle_on_missing_transcription():
+    gt, dets = generate(SynthConfig(n_objects=4, n_frames=4, seed=7))
+    pred = trajectories_to_annotation(run_tracker(dets.frames), gt.video_id,
+                                      gt.width, gt.height, gt.frame_count)
+    pred.frames[2][1] = Instance(pred.frames[2][1].track_id,
+                                 pred.frames[2][1].quad, None)
+    with pytest.raises(MissingTranscription) as ours:
+        evaluate(gt, pred, "spotting")
+    with pytest.raises(MissingTranscription) as oracle:
+        three_pass_report(gt, pred, "spotting")
+    assert str(ours.value) == str(oracle.value)
+
+
+# ---------------------------------------------------------------------------
+# tracker and linker with the clip-only iou
+# ---------------------------------------------------------------------------
+
+
+def _clip_only(a, b, *, quads=None):
+    return clip_iou(a, b)
+
+
+def _as_points(trajectories):
+    return [(t.track_id, sorted((f, p.quad.corners, p.transcription)
+                                for f, p in t.frames.items()))
+            for t in trajectories]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tracker_and_linker_equal_clip_only(seed, monkeypatch):
+    _, dets = generate(SynthConfig(n_objects=20, n_frames=6, noise_sigma=2.0,
+                                   drop_prob=0.1, motion="rotate", seed=seed))
+    frames = [(fd.frame_index, [(rotated_to_quad(d.box), d.transcription or "")
+                                for d in fd.detections]) for fd in dets.frames]
+    fast = (_as_points(run_tracker(dets.frames)), _as_points(link(frames)))
+    monkeypatch.setattr(tracker_mod, "iou", _clip_only)
+    monkeypatch.setattr(linker_mod, "iou", _clip_only)
+    plain = (_as_points(run_tracker(dets.frames)), _as_points(link(frames)))
+    assert fast == plain

@@ -192,3 +192,13 @@ def test_config_validation():
         LinkerConfig(window=0)
     with pytest.raises(ValueError):
         LinkerConfig(max_norm_edit=1.5)
+
+
+@pytest.mark.parametrize("threshold", [-1.0, 0.0, 5.0, float("nan")])
+def test_config_rejects_iou_threshold_outside_unit_interval(threshold):
+    with pytest.raises(ValueError):
+        LinkerConfig(iou_threshold=threshold)
+
+
+def test_config_accepts_full_overlap_threshold():
+    assert LinkerConfig(iou_threshold=1.0).iou_threshold == 1.0

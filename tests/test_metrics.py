@@ -528,3 +528,27 @@ def test_evaluate_rejects_unknown_task():
     gt = moving_annotation()
     with pytest.raises(ValueError):
         evaluate(gt, gt, "recognition")
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"iou_thresh": 0.0}, {"iou_thresh": -0.2}, {"iou_thresh": 1.01},
+    {"iou_floor": -0.01}, {"iou_floor": 1.0},
+])
+def test_gates_outside_their_range_are_rejected(kwargs):
+    gt = moving_annotation()
+    with pytest.raises(ValueError):
+        evaluate(gt, gt, "tracking", **kwargs)
+    if "iou_thresh" in kwargs:
+        with pytest.raises(ValueError):
+            eval_detection(gt, gt, **kwargs)
+        with pytest.raises(ValueError):
+            eval_mot(gt, gt, **kwargs)
+    else:
+        with pytest.raises(ValueError):
+            eval_id(gt, gt, **kwargs)
+
+
+def test_far_box_is_not_a_true_positive_at_smallest_gate():
+    gt = ann({0: [inst(0, 0.0)]}, 1)
+    pred = ann({0: [inst(0, 50.0)]}, 1)
+    assert eval_detection(gt, pred, iou_thresh=1e-9) == (0.0, 0.0, 0.0)
