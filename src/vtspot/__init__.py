@@ -14,7 +14,6 @@ from .annotations import (
     FrameDetections,
     IGNORE_MARK,
     Instance,
-    SampledAnnotation,
     TextCategory,
     Trajectory,
     TrajectoryPoint,
@@ -50,7 +49,6 @@ from .errors import (
     VtspotError,
 )
 from .geometry import (
-    AABox,
     Point2,
     Quad,
     RotatedBox,
@@ -97,11 +95,10 @@ __all__ = [
     "__version__",
     # annotations
     "Detection", "DetectionsFile", "FrameDetections", "IGNORE_MARK",
-    "Instance", "SampledAnnotation", "TextCategory", "Trajectory",
-    "TrajectoryPoint", "VideoAnnotation", "annotation_to_trajectories",
-    "interpolate", "load_annotation", "load_detections", "sample",
-    "save_annotation", "save_detections", "save_trajectories",
-    "trajectories_to_annotation",
+    "Instance", "TextCategory", "Trajectory", "TrajectoryPoint",
+    "VideoAnnotation", "annotation_to_trajectories", "interpolate",
+    "load_annotation", "load_detections", "sample", "save_annotation",
+    "save_detections", "save_trajectories", "trajectories_to_annotation",
     # errors
     "CornerCorrespondenceError", "DataError", "DegenerateQuad",
     "DuplicateTrackIdInFrame", "EmptyInput", "GeometryError",
@@ -110,9 +107,9 @@ __all__ = [
     "OutOfRangeFrameIndex", "SchemaError", "SelfIntersectingQuad",
     "SizeMismatch", "VideoMismatch", "VtspotError",
     # geometry
-    "AABox", "Point2", "Quad", "RotatedBox", "canonical_angle", "giou",
-    "iou", "polygon_area", "polygon_intersection", "quad_iou",
-    "quad_to_rotated", "rotated_to_quad",
+    "Point2", "Quad", "RotatedBox", "canonical_angle", "giou", "iou",
+    "polygon_area", "polygon_intersection", "quad_iou", "quad_to_rotated",
+    "rotated_to_quad",
     # linker
     "LinkerConfig", "edit_distance", "link",
     # matching

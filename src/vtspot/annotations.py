@@ -29,7 +29,7 @@ import enum
 import functools
 import gzip
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import (
@@ -104,29 +104,6 @@ class VideoAnnotation:
                     )
                 seen.add(inst.track_id)
 
-    def instances_at(self, idx: int) -> list[Instance]:
-        return self.frames.get(idx, [])
-
-
-@dataclass
-class SampledAnnotation:
-    """A VideoAnnotation restricted to the sampled frame lattice {0, k, 2k, ...}."""
-
-    video_id: str
-    width: int
-    height: int
-    frame_count: int
-    k: int
-    frames: dict[int, list[Instance]]
-    scenario: str | None = None
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"sampling frequency must be >= 1, got {self.k}")
-        for idx in self.frames:
-            if idx % self.k != 0:
-                raise ValueError(f"frame {idx} is not on the k={self.k} sampling lattice")
-
 
 @dataclass(frozen=True, slots=True)
 class TrajectoryPoint:
@@ -188,20 +165,12 @@ class DetectionsFile:
 # ---------------------------------------------------------------------------
 
 
-def sample(dense: VideoAnnotation, k: int) -> SampledAnnotation:
+def sample(dense: VideoAnnotation, k: int) -> VideoAnnotation:
     """Keep only frames whose index is a multiple of k."""
     if k < 1:
         raise ValueError(f"sampling frequency must be >= 1, got {k}")
     kept = {idx: list(insts) for idx, insts in dense.frames.items() if idx % k == 0}
-    return SampledAnnotation(
-        video_id=dense.video_id,
-        width=dense.width,
-        height=dense.height,
-        frame_count=dense.frame_count,
-        k=k,
-        frames=kept,
-        scenario=dense.scenario,
-    )
+    return replace(dense, frames=kept)
 
 
 def _lerp_quad(a: Quad, b: Quad, t: float) -> Quad:
@@ -212,8 +181,8 @@ def _lerp_quad(a: Quad, b: Quad, t: float) -> Quad:
     return Quad(pts)  # type: ignore[arg-type]
 
 
-def interpolate(sampled: SampledAnnotation, frame_count: int) -> VideoAnnotation:
-    """Expand sampled keyframes to a dense annotation.
+def interpolate(sampled: VideoAnnotation, frame_count: int) -> VideoAnnotation:
+    """Expand sampled keyframes to a dense annotation of ``frame_count`` frames.
 
     Each track's quad corners move linearly between its consecutive sampled
     appearances; transcription, category, and id are copied from the earlier
@@ -262,14 +231,7 @@ def interpolate(sampled: SampledAnnotation, frame_count: int) -> VideoAnnotation
                     )
                 )
 
-    return VideoAnnotation(
-        video_id=sampled.video_id,
-        width=sampled.width,
-        height=sampled.height,
-        frame_count=frame_count,
-        frames=dict(sorted(frames.items())),
-        scenario=sampled.scenario,
-    )
+    return replace(sampled, frame_count=frame_count, frames=dict(sorted(frames.items())))
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,14 @@
 
 Exit codes: 0 success, 1 usage error, 2 malformed or unreadable input,
 3 mismatched inputs (different videos).  Reports go to stdout unless
-``--out`` is given; diagnostics go to stderr.
+``--out`` is given (a name ending in ".gz" is written gzip-compressed);
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -18,7 +18,8 @@ from pathlib import Path
 
 from . import __version__
 from .annotations import (
-    SampledAnnotation,
+    _dump_json,
+    _open_write,
     interpolate,
     load_annotation,
     load_detections,
@@ -27,7 +28,7 @@ from .annotations import (
     save_detections,
     save_trajectories,
 )
-from .errors import DataError, VideoMismatch
+from .errors import DataError, SchemaError, VideoMismatch
 from .geometry import quad_to_rotated, rotated_to_quad
 from .linker import LinkerConfig, link
 from .matching import (
@@ -37,7 +38,7 @@ from .matching import (
     match_sets,
     set_loss_terms,
 )
-from .metrics import MetricsReport, aggregate, evaluate
+from .metrics import MetricsReport, _check_same_video, aggregate, evaluate
 from .synth import SynthConfig, generate
 from .tracker import TrackerConfig
 from .tracker import run as run_tracker
@@ -82,28 +83,12 @@ def _default_jobs() -> int:
         return 1
 
 
-def _open_out(path: str | None):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
-
-def _write_json(payload, path: str | None) -> None:
-    stream, owned = _open_out(path)
-    try:
-        json.dump(payload, stream, ensure_ascii=False, indent=1)
-        stream.write("\n")
-    finally:
-        if owned:
-            stream.close()
-
-
 _CSV_RATIOS = ("precision", "recall", "fscore", "mota", "motp",
                "idp", "idr", "idf1")
 
 
-def _csv_rows(reports: list[MetricsReport], path: str | None) -> None:
-    stream, owned = _open_out(path)
+def _csv_rows(reports: list[MetricsReport], target) -> None:
+    stream, owned = _open_write(target)
     try:
         writer = csv.writer(stream)
         writer.writerow(["video_id", "scenario", "task", *_CSV_RATIOS,
@@ -132,8 +117,11 @@ def _eval_pair(job) -> MetricsReport:
     gt_path, pred_path, task, iou_thresh, iou_floor, case_insensitive = job
     gt = load_annotation(gt_path)
     pred = load_annotation(pred_path)
-    return evaluate(gt, pred, task, iou_thresh=iou_thresh,
-                    iou_floor=iou_floor, case_insensitive=case_insensitive)
+    try:
+        return evaluate(gt, pred, task, iou_thresh=iou_thresh,
+                        iou_floor=iou_floor, case_insensitive=case_insensitive)
+    except VideoMismatch as exc:
+        raise VideoMismatch(f"{gt_path} vs {pred_path}: {exc}") from None
 
 
 def _corpus_pairs(gt_dir: str, pred_dir: str) -> list[tuple[str, str]]:
@@ -183,22 +171,23 @@ def cmd_evaluate(args) -> int:
     else:
         reports = [_eval_pair(job) for job in jobs]
 
+    out = args.out or sys.stdout
     if len(reports) == 1 and args.gt_dir is None:
         if args.format == "json":
-            _write_json(reports[0].to_dict(), args.out)
+            _dump_json(reports[0].to_dict(), out)
         else:
-            _csv_rows(reports, args.out)
+            _csv_rows(reports, out)
         return 0
 
     summary = aggregate(reports)
     if args.format == "json":
-        _write_json(
+        _dump_json(
             {"videos": [r.to_dict() for r in reports],
              "aggregate": summary.to_dict()},
-            args.out,
+            out,
         )
     else:
-        _csv_rows(reports + [summary], args.out)
+        _csv_rows(reports + [summary], out)
     return 0
 
 
@@ -226,13 +215,8 @@ def cmd_track(args) -> int:
         ]
         trajectories = link(frames, cfg)
 
-    stream, owned = _open_out(args.out)
-    try:
-        save_trajectories(trajectories, dets.video_id, dets.width,
-                          dets.height, dets.frame_count, stream)
-    finally:
-        if owned:
-            stream.close()
+    save_trajectories(trajectories, dets.video_id, dets.width,
+                      dets.height, dets.frame_count, args.out or sys.stdout)
     return 0
 
 
@@ -252,30 +236,20 @@ def cmd_interpolate(args) -> int:
             "(highest sampled index + 1)",
             file=sys.stderr,
         )
-    sampled = SampledAnnotation(
-        video_id=loaded.video_id, width=loaded.width, height=loaded.height,
-        frame_count=target, k=args.k, frames=loaded.frames,
-        scenario=loaded.scenario,
-    )
-    dense = interpolate(sampled, target)
-    stream, owned = _open_out(args.out)
-    try:
-        save_annotation(dense, stream)
-    finally:
-        if owned:
-            stream.close()
+    for idx in loaded.frames:
+        if idx % args.k:
+            raise SchemaError(
+                f"frames.{idx}",
+                f"frame {idx} is not on the k={args.k} sampling lattice",
+                args.annotation,
+            )
+    save_annotation(interpolate(loaded, target), args.out or sys.stdout)
     return 0
 
 
 def cmd_sample(args) -> int:
     dense = load_annotation(args.annotation)
-    sampled = sample(dense, args.k)
-    stream, owned = _open_out(args.out)
-    try:
-        save_annotation(sampled, stream)
-    finally:
-        if owned:
-            stream.close()
+    save_annotation(sample(dense, args.k), args.out or sys.stdout)
     return 0
 
 
@@ -292,14 +266,7 @@ def _normalized_box(box, width, height):
 def cmd_loss(args) -> int:
     gt = load_annotation(args.gt)
     preds = load_detections(args.pred)
-    if gt.video_id != preds.video_id:
-        raise VideoMismatch(
-            f"video_id differs: {gt.video_id!r} vs {preds.video_id!r}"
-        )
-    if gt.frame_count != preds.frame_count:
-        raise VideoMismatch(
-            f"frame_count differs: {gt.frame_count} vs {preds.frame_count}"
-        )
+    _check_same_video(gt, preds)
     w = args.weights
     frames_out = []
     totals = {"cls": 0.0, "l1": 0.0, "giou": 0.0, "angle": 0.0}
@@ -343,7 +310,7 @@ def cmd_loss(args) -> int:
         "totals": totals,
         "loss": math.fsum(totals.values()),
     }
-    _write_json(payload, args.out)
+    _dump_json(payload, args.out or sys.stdout)
     return 0
 
 
@@ -421,8 +388,9 @@ def _build_parser() -> _Parser:
     p_interp.add_argument("annotation", help="sampled annotation JSON")
     p_interp.add_argument("--frames", type=_positive_int, default=None,
                           help="dense frame count (default: inferred)")
-    p_interp.add_argument("--k", type=_positive_int, default=3,
-                          help="sampling stride of the input")
+    p_interp.add_argument("--k", type=_positive_int, default=1,
+                          help="sampling stride the input's frames must lie "
+                               "on (default 1: any frame)")
     p_interp.add_argument("--out")
     p_interp.set_defaults(func=cmd_interpolate)
 

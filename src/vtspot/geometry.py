@@ -154,30 +154,6 @@ class RotatedBox:
         return self.w * self.h
 
 
-@dataclass(frozen=True, slots=True)
-class AABox:
-    """Axis-aligned box as min/max corners."""
-
-    min_x: float
-    min_y: float
-    max_x: float
-    max_y: float
-
-    def __post_init__(self):
-        if self.max_x < self.min_x or self.max_y < self.min_y:
-            raise ValueError("axis-aligned box has inverted extents")
-
-    @property
-    def area(self) -> float:
-        return (self.max_x - self.min_x) * (self.max_y - self.min_y)
-
-    @classmethod
-    def around(cls, points) -> "AABox":
-        xs = [p.x for p in points]
-        ys = [p.y for p in points]
-        return cls(min(xs), min(ys), max(xs), max(ys))
-
-
 def rotated_to_quad(box: RotatedBox) -> Quad:
     """Unroll a box to its four corners in counter-clockwise order."""
     c = math.cos(box.angle)
@@ -407,8 +383,10 @@ def giou(a: RotatedBox, b: RotatedBox) -> float:
     qb = rotated_to_quad(b)
     inter = polygon_area(polygon_intersection(qa, qb))
     union = a.area + b.area - inter
-    hull = AABox.around(list(qa.corners) + list(qb.corners))
+    xs = [p.x for p in qa.corners + qb.corners]
+    ys = [p.y for p in qa.corners + qb.corners]
+    hull = (max(xs) - min(xs)) * (max(ys) - min(ys))
     value = _area_ratio(inter, union)
-    if hull.area <= 0.0:
+    if hull <= 0.0:
         return value
-    return value - max(0.0, hull.area - union) / hull.area
+    return value - max(0.0, hull - union) / hull

@@ -61,6 +61,13 @@ IGNORE_GATE = 0.5
 # ---------------------------------------------------------------------------
 
 
+def _ratio(num: float, den: float, name: str, flags: list[str]) -> float:
+    if den == 0:
+        flags.append(name)
+        return 0.0
+    return num / den
+
+
 @dataclass(slots=True)
 class DetCounters:
     tp: int = 0
@@ -70,6 +77,13 @@ class DetCounters:
     def __add__(self, other: "DetCounters") -> "DetCounters":
         return DetCounters(self.tp + other.tp, self.fp + other.fp,
                            self.fn + other.fn)
+
+    def ratios(self, flags: list[str]) -> tuple[float, float, float]:
+        """(precision, recall, F-score); each ratio with an empty
+        denominator is 0 and its name is appended to ``flags``."""
+        p = _ratio(self.tp, self.tp + self.fp, "precision", flags)
+        r = _ratio(self.tp, self.tp + self.fn, "recall", flags)
+        return p, r, _ratio(2 * p * r, p + r, "fscore", flags)
 
 
 @dataclass(slots=True)
@@ -91,6 +105,15 @@ class MotCounters:
             self.matched_iou_sum + other.matched_iou_sum,
         )
 
+    def ratios(self, flags: list[str]) -> tuple[float, float]:
+        """(MOTA, MOTP), flagged like ``DetCounters.ratios``."""
+        errors = self.misses + self.false_positives + self.mismatches
+        mota = (
+            1.0 - errors / self.gt_count if self.gt_count > 0
+            else _ratio(0.0, 0.0, "mota", flags)
+        )
+        return mota, _ratio(self.matched_iou_sum, self.matches, "motp", flags)
+
 
 @dataclass(slots=True)
 class IdCounters:
@@ -106,6 +129,14 @@ class IdCounters:
             self.id_fn + other.id_fn,
             self.gt_tracks + other.gt_tracks,
         )
+
+    def ratios(self, flags: list[str]) -> tuple[float, float, float]:
+        """(IDP, IDR, IDF1), flagged like ``DetCounters.ratios``."""
+        tp = self.id_tp
+        idp = _ratio(tp, tp + self.id_fp, "idp", flags)
+        idr = _ratio(tp, tp + self.id_fn, "idr", flags)
+        idf1 = _ratio(2 * tp, 2 * tp + self.id_fp + self.id_fn, "idf1", flags)
+        return idp, idr, idf1
 
 
 @dataclass(slots=True)
@@ -178,7 +209,8 @@ def normalize_transcription(text: str, case_insensitive: bool = False) -> str:
     return out.casefold() if case_insensitive else out
 
 
-def _check_same_video(gt: VideoAnnotation, pred: VideoAnnotation) -> None:
+def _check_same_video(gt: VideoAnnotation, pred) -> None:
+    """``pred`` is an annotation or a detections file."""
     if gt.video_id != pred.video_id:
         raise VideoMismatch(
             f"video_id differs: {gt.video_id!r} vs {pred.video_id!r}"
@@ -292,13 +324,6 @@ def _gated_max_iou_pairs(
     ]
 
 
-def _ratio(num: float, den: float, name: str, flags: list[str]) -> float:
-    if den == 0:
-        flags.append(name)
-        return 0.0
-    return num / den
-
-
 # ---------------------------------------------------------------------------
 # detection
 # ---------------------------------------------------------------------------
@@ -342,12 +367,7 @@ def eval_detection(
 ) -> tuple[float, float, float]:
     """Per-frame greedy one-to-one matching; returns (precision, recall,
     F-score), each 0 when its denominator is empty."""
-    c = _detection_counts(gt, pred, iou_thresh)
-    flags: list[str] = []
-    p = _ratio(c.tp, c.tp + c.fp, "precision", flags)
-    r = _ratio(c.tp, c.tp + c.fn, "recall", flags)
-    f = _ratio(2 * p * r, p + r, "fscore", flags)
-    return p, r, f
+    return _detection_counts(gt, pred, iou_thresh).ratios([])
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +435,7 @@ def eval_mot(
         counters.matched_iou_sum += sum(iou_of.values())
         active_corr = matches
 
-    flags: list[str] = []
-    errors = counters.misses + counters.false_positives + counters.mismatches
-    mota = (
-        1.0 - errors / counters.gt_count if counters.gt_count > 0
-        else _ratio(0.0, 0.0, "mota", flags)
-    )
-    motp = _ratio(counters.matched_iou_sum, counters.matches, "motp", flags)
-    return mota, motp, counters
+    return (*counters.ratios([]), counters)
 
 
 # ---------------------------------------------------------------------------
@@ -502,19 +515,12 @@ def eval_id(
                 assigned[gi] = pi
 
     id_tp = sum(overlaps[gi][pi] for gi, pi in assigned.items())
-    total_gt = sum(gt_len.values())
-    total_pred = sum(pred_len.values())
-
     counters = IdCounters(
         id_tp=id_tp,
-        id_fp=total_pred - id_tp,
-        id_fn=total_gt - id_tp,
+        id_fp=sum(pred_len.values()) - id_tp,
+        id_fn=sum(gt_len.values()) - id_tp,
         gt_tracks=len(g_ids),
     )
-    flags: list[str] = []
-    idp = _ratio(id_tp, total_pred, "idp", flags)
-    idr = _ratio(id_tp, total_gt, "idr", flags)
-    idf1 = _ratio(2 * id_tp, total_gt + total_pred, "idf1", flags)
 
     mt = ml = 0
     for gi, g in enumerate(g_ids):
@@ -525,7 +531,7 @@ def eval_id(
             mt += 1
         elif coverage < 0.2:
             ml += 1
-    return idp, idr, idf1, mt, ml, counters
+    return (*counters.ratios([]), mt, ml, counters)
 
 
 # ---------------------------------------------------------------------------
@@ -537,26 +543,10 @@ def _ratios_from_counters(report: MetricsReport) -> MetricsReport:
     """Recompute every ratio belonging to the report's task from its raw
     counters; used both for fresh reports and for aggregation."""
     flags: list[str] = []
-    task = report.task
-    det = report.det
-    p = _ratio(det.tp, det.tp + det.fp, "precision", flags)
-    r = _ratio(det.tp, det.tp + det.fn, "recall", flags)
-    f = _ratio(2 * p * r, p + r, "fscore", flags)
-    report.precision, report.recall, report.fscore = p, r, f
-    if task != "detection":
-        mot = report.mot
-        errors = mot.misses + mot.false_positives + mot.mismatches
-        report.mota = (
-            1.0 - errors / mot.gt_count if mot.gt_count > 0
-            else _ratio(0.0, 0.0, "mota", flags)
-        )
-        report.motp = _ratio(mot.matched_iou_sum, mot.matches, "motp", flags)
-        ids = report.ids
-        report.idp = _ratio(ids.id_tp, ids.id_tp + ids.id_fp, "idp", flags)
-        report.idr = _ratio(ids.id_tp, ids.id_tp + ids.id_fn, "idr", flags)
-        report.idf1 = _ratio(
-            2 * ids.id_tp, 2 * ids.id_tp + ids.id_fp + ids.id_fn, "idf1", flags
-        )
+    report.precision, report.recall, report.fscore = report.det.ratios(flags)
+    if report.task != "detection":
+        report.mota, report.motp = report.mot.ratios(flags)
+        report.idp, report.idr, report.idf1 = report.ids.ratios(flags)
     report.degenerate = tuple(flags)
     return report
 

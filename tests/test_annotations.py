@@ -12,7 +12,6 @@ from vtspot.annotations import (
     FrameDetections,
     IGNORE_MARK,
     Instance,
-    SampledAnnotation,
     TextCategory,
     Trajectory,
     TrajectoryPoint,
@@ -111,13 +110,16 @@ def test_sample_k1_is_identity():
     s = sample(dense, 1)
     assert sorted(s.frames) == sorted(dense.frames)
     assert s.frames[3] == dense.frames[3]
-    assert s.k == 1
+    assert s == dense
 
 
 def test_sample_k3_keeps_lattice():
     dense = make_linear_video(10)
     s = sample(dense, 3)
     assert sorted(s.frames) == [0, 3, 6, 9]
+    assert isinstance(s, VideoAnnotation)
+    assert (s.video_id, s.width, s.height, s.frame_count, s.scenario) == (
+        dense.video_id, dense.width, dense.height, dense.frame_count, dense.scenario)
 
 
 def test_sample_k_equal_frame_count():
@@ -131,14 +133,6 @@ def test_sample_rejects_bad_k():
         sample(make_linear_video(), 0)
 
 
-def test_sampled_annotation_enforces_lattice():
-    with pytest.raises(ValueError):
-        SampledAnnotation(
-            video_id="v", width=10, height=10, frame_count=9, k=3,
-            frames={2: []},
-        )
-
-
 # ---------------------------------------------------------------------------
 # interpolation
 # ---------------------------------------------------------------------------
@@ -146,8 +140,8 @@ def test_sampled_annotation_enforces_lattice():
 
 def test_interpolate_constant_quad():
     q = rect(10, 10, 30, 20)
-    s = SampledAnnotation(
-        video_id="v", width=100, height=100, frame_count=4, k=3,
+    s = VideoAnnotation(
+        video_id="v", width=100, height=100, frame_count=4,
         frames={0: [inst(0, q)], 3: [inst(0, q)]},
     )
     dense = interpolate(s, 4)
@@ -159,8 +153,8 @@ def test_interpolate_constant_quad():
 def test_interpolate_linear_x():
     a = rect(10, 0, 12, 2)
     b = rect(16, 0, 18, 2)
-    s = SampledAnnotation(
-        video_id="v", width=100, height=100, frame_count=4, k=3,
+    s = VideoAnnotation(
+        video_id="v", width=100, height=100, frame_count=4,
         frames={0: [inst(0, a)], 3: [inst(0, b)]},
     )
     dense = interpolate(s, 4)
@@ -199,8 +193,8 @@ def test_sample_interpolate_sample_idempotent():
 
 def test_interpolate_never_extrapolates():
     q = rect(0, 0, 5, 5)
-    s = SampledAnnotation(
-        video_id="v", width=50, height=50, frame_count=13, k=3,
+    s = VideoAnnotation(
+        video_id="v", width=50, height=50, frame_count=13,
         frames={3: [inst(0, q)], 9: [inst(0, q)]},
     )
     dense = interpolate(s, 13)
@@ -216,8 +210,8 @@ def test_interpolate_translation_keeps_area_constant():
         dx, dy = rng.uniform(-30, 30), rng.uniform(-30, 30)
         a = rect(x, y, x + w, y + h)
         b = rect(x + dx, y + dy, x + dx + w, y + dy + h)
-        s = SampledAnnotation(
-            video_id="v", width=200, height=200, frame_count=7, k=6,
+        s = VideoAnnotation(
+            video_id="v", width=200, height=200, frame_count=7,
             frames={0: [inst(0, a)], 6: [inst(0, b)]},
         )
         dense = interpolate(s, 7)
@@ -232,8 +226,8 @@ def test_interpolate_detects_corner_mismatch():
     # collapses to a bowtie halfway through
     a = Quad((Point2(-5, -5), Point2(5, -5), Point2(5, 5), Point2(-5, 5)))
     b = Quad((Point2(5, 5), Point2(-3, 5), Point2(-5, -3), Point2(7, -3)))
-    s = SampledAnnotation(
-        video_id="v", width=100, height=100, frame_count=4, k=3,
+    s = VideoAnnotation(
+        video_id="v", width=100, height=100, frame_count=4,
         frames={0: [Instance(0, a, "x", TextCategory.OTHERS)],
                 3: [Instance(0, b, "x", TextCategory.OTHERS)]},
     )
@@ -245,8 +239,8 @@ def test_interpolate_bridges_skipped_sample():
     # a track absent from one middle keyframe is treated as one instance
     q0 = rect(0, 0, 4, 2)
     q6 = rect(6, 0, 10, 2)
-    s = SampledAnnotation(
-        video_id="v", width=50, height=50, frame_count=7, k=3,
+    s = VideoAnnotation(
+        video_id="v", width=50, height=50, frame_count=7,
         frames={0: [inst(0, q0)], 3: [], 6: [inst(0, q6)]},
     )
     dense = interpolate(s, 7)

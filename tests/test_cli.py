@@ -1,3 +1,4 @@
+import gzip
 import json
 import math
 import os
@@ -370,6 +371,27 @@ def test_sample_k_one_identity(tmp_path, capsys):
     assert out == json.loads(gt.read_text())
 
 
+def test_interpolate_off_lattice_frame_exits_two(tmp_path, capsys):
+    gt, _ = make_synth(tmp_path, **{"--frames": 9})
+    sampled = tmp_path / "sampled.json"
+    assert run_cli("sample", str(gt), "--k", "2", "--out", str(sampled)) == 0
+    assert run_cli("interpolate", str(sampled), "--k", "3") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"{sampled}: frames.2: frame 2 is not on the k=3 sampling lattice"
+            in captured.err)
+
+
+def test_sample_k2_then_interpolate_without_k(tmp_path):
+    gt, _ = make_synth(tmp_path, **{"--frames": 9})
+    sampled = tmp_path / "sampled.json"
+    dense = tmp_path / "dense.json"
+    assert run_cli("sample", str(gt), "--k", "2", "--out", str(sampled)) == 0
+    assert run_cli("interpolate", str(sampled), "--frames", "9",
+                   "--out", str(dense)) == 0
+    assert sorted(load_annotation(dense).frames) == list(range(9))
+
+
 # ---------------------------------------------------------------------------
 # loss
 # ---------------------------------------------------------------------------
@@ -461,3 +483,59 @@ def test_evaluate_corpus_bad_file_with_jobs_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(bad) in err
     assert "video_id: expected str, got int" in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_evaluate_corpus_video_mismatch_names_both_files(tmp_path, capsys, jobs):
+    gt_dir, pred_dir = corpus_dirs(tmp_path, 3)
+    bad = pred_dir / "video1.json"
+    doc = json.loads(bad.read_text())
+    doc["video_id"] = "elsewhere"
+    bad.write_text(json.dumps(doc))
+    assert run_cli("evaluate", "--gt-dir", str(gt_dir),
+                   "--pred-dir", str(pred_dir), "--jobs", jobs) == 3
+    err = capsys.readouterr().err
+    assert f"{gt_dir / 'video1.json'} vs {bad}: video_id differs" in err
+
+
+# ---------------------------------------------------------------------------
+# --out paths ending in .gz
+# ---------------------------------------------------------------------------
+
+
+def gz_argv(command, gt, dets):
+    return {
+        "sample": ["sample", str(gt), "--k", "2"],
+        "interpolate": ["interpolate", str(gt)],
+        "track": ["track", str(dets)],
+        "evaluate": ["evaluate", str(gt), str(gt)],
+        "evaluate-csv": ["evaluate", "--format", "csv", str(gt), str(gt)],
+        "loss": ["loss", str(gt), str(dets)],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["sample", "interpolate", "track",
+                                     "evaluate", "evaluate-csv", "loss"])
+def test_gz_out_is_compressed(tmp_path, command):
+    gt, dets = make_synth(tmp_path, **{"--frames": 8})
+    out = tmp_path / "out.gz"
+    assert run_cli(*gz_argv(command, gt, dets), "--out", str(out)) == 0
+    assert out.read_bytes()[:2] == b"\x1f\x8b"
+    with gzip.open(out, "rt", encoding="utf-8") as fh:
+        text = fh.read()
+    if command == "evaluate-csv":
+        assert text.startswith("video_id,scenario,task,precision")
+    else:
+        assert json.loads(text)["video_id"] == "synth-7"
+    if command in ("sample", "interpolate", "track"):
+        assert load_annotation(out).video_id == "synth-7"
+
+
+def test_gz_sample_feeds_interpolate(tmp_path):
+    gt, _ = make_synth(tmp_path, **{"--frames": 9})
+    sampled = tmp_path / "sampled.json.gz"
+    dense = tmp_path / "dense.json.gz"
+    assert run_cli("sample", str(gt), "--k", "3", "--out", str(sampled)) == 0
+    assert run_cli("interpolate", str(sampled), "--k", "3", "--frames", "9",
+                   "--out", str(dense)) == 0
+    assert load_annotation(dense).frame_count == 9

@@ -5,7 +5,6 @@ import pytest
 
 from vtspot.errors import DegenerateQuad, NonConvexInput, SelfIntersectingQuad
 from vtspot.geometry import (
-    AABox,
     Point2,
     Quad,
     RotatedBox,
@@ -288,8 +287,9 @@ def test_giou_identical_tilted_pays_hull_penalty():
     b = RotatedBox(-2, 7, 3, 1, -0.4)
     g = giou(b, b)
     assert g < 1.0
-    q = rotated_to_quad(b)
-    hull = AABox.around(q.corners).area
+    xs = [p.x for p in rotated_to_quad(b).corners]
+    ys = [p.y for p in rotated_to_quad(b).corners]
+    hull = (max(xs) - min(xs)) * (max(ys) - min(ys))
     assert g == pytest.approx(1.0 - (hull - b.area) / hull, abs=1e-12)
 
 
@@ -328,14 +328,6 @@ def test_giou_hull_term_against_direct_recomputation():
     ys = [p[1] for p in pts]
     hull = (max(xs) - min(xs)) * (max(ys) - min(ys))
     assert giou(a, b) == pytest.approx(inter / union - (hull - union) / hull, abs=1e-12)
-
-
-def test_aabox_helpers():
-    box = AABox.around([Point2(0, 1), Point2(4, -2), Point2(2, 3)])
-    assert (box.min_x, box.min_y, box.max_x, box.max_y) == (0, -2, 4, 3)
-    assert box.area == pytest.approx(4 * 5)
-    with pytest.raises(ValueError):
-        AABox(1, 0, 0, 2)
 
 
 def test_shoelace_oracle_agrees_on_known_quad():

@@ -3,15 +3,25 @@ import random
 
 import pytest
 
-from vtspot.annotations import IGNORE_MARK, Instance, VideoAnnotation
+from vtspot.annotations import (
+    IGNORE_MARK,
+    Instance,
+    VideoAnnotation,
+    trajectories_to_annotation,
+)
 from vtspot.errors import (
     EmptyInput,
     MissingTranscription,
     VideoMismatch,
 )
 from vtspot.geometry import Point2, Quad, RotatedBox, rotated_to_quad
+from vtspot.synth import SynthConfig, generate
+from vtspot.tracker import TrackerConfig
+from vtspot.tracker import run as run_tracker
 from vtspot.metrics import (
+    DetCounters,
     IdCounters,
+    MotCounters,
     MetricsReport,
     aggregate,
     eval_detection,
@@ -552,3 +562,54 @@ def test_far_box_is_not_a_true_positive_at_smallest_gate():
     gt = ann({0: [inst(0, 0.0)]}, 1)
     pred = ann({0: [inst(0, 50.0)]}, 1)
     assert eval_detection(gt, pred, iou_thresh=1e-9) == (0.0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the eval_* tuples are views of the report
+# ---------------------------------------------------------------------------
+
+
+def _view_cases():
+    rng = random.Random(61)
+    for seed in range(6):
+        cfg = SynthConfig(n_objects=rng.randint(1, 8), n_frames=rng.randint(2, 8),
+                          motion=rng.choice(("static", "constant_velocity", "rotate")),
+                          noise_sigma=rng.choice((0.0, 2.0, 6.0)),
+                          drop_prob=rng.choice((0.0, 0.3)), seed=seed)
+        gt, dets = generate(cfg)
+        trajs = run_tracker(dets.frames, TrackerConfig(iou_threshold=0.3))
+        yield gt, trajectories_to_annotation(trajs, gt.video_id, gt.width,
+                                             gt.height, gt.frame_count)
+    gt, _ = generate(SynthConfig(n_objects=3, n_frames=4, seed=9))
+    empty = VideoAnnotation(gt.video_id, gt.width, gt.height, gt.frame_count, {})
+    yield gt, empty
+    yield empty, gt
+    yield empty, empty
+
+
+@pytest.mark.parametrize("iou_thresh", [0.3, 0.5])
+def test_eval_tuples_are_views_of_the_report(iou_thresh):
+    for gt, pred in _view_cases():
+        for task in ("tracking", "spotting"):
+            r = evaluate(gt, pred, task, iou_thresh=iou_thresh)
+            assert eval_detection(gt, pred, iou_thresh) == (
+                r.precision, r.recall, r.fscore)
+            assert eval_mot(gt, pred, iou_thresh)[:2] == (r.mota, r.motp)
+            assert eval_id(gt, pred, mode=task)[:5] == (
+                r.idp, r.idr, r.idf1, r.mt, r.ml)
+
+
+def test_counter_ratios_name_every_empty_denominator():
+    flags = []
+    assert DetCounters().ratios(flags) == (0.0, 0.0, 0.0)
+    assert MotCounters().ratios(flags) == (0.0, 0.0)
+    assert IdCounters().ratios(flags) == (0.0, 0.0, 0.0)
+    assert flags == ["precision", "recall", "fscore", "mota", "motp",
+                     "idp", "idr", "idf1"]
+    flags = []
+    assert IdCounters(id_tp=3, id_fp=1, id_fn=2).ratios(flags) == (
+        3 / 4, 3 / 5, 6 / 9)
+    assert MotCounters(misses=1, false_positives=2, mismatches=1, matches=3,
+                       gt_count=4, matched_iou_sum=2.4).ratios(flags) == (
+        1.0 - 4 / 4, 2.4 / 3)
+    assert flags == []
