@@ -29,6 +29,8 @@ import enum
 import functools
 import gzip
 import json
+import re
+import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -312,6 +314,10 @@ def _load_json(source):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError("$", f"not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise SchemaError("$", f"not UTF-8 text: {exc}") from None
+        except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+            raise SchemaError("$", f"not a readable gzip stream: {exc}") from None
     finally:
         if owned:
             fh.close()
@@ -350,30 +356,39 @@ def _parse_header(doc):
     return video_id, width, height, frame_count, frames, scenario
 
 
-def _parse_frame_index(key: str, frame_count: int) -> int:
-    if not isinstance(key, str) or not key.lstrip("-").isdigit():
+# ASCII only: str.isdigit() also accepts "²", which int() refuses.
+_FRAME_KEY = re.compile(r"-?[0-9]+")
+
+
+def _parse_frame_index(key: str, frame_count: int, parsed) -> int:
+    """The frame index a ``frames`` key names; ``parsed`` holds the indices
+    already read, which "1" and "01" must not both name."""
+    if not isinstance(key, str) or not _FRAME_KEY.fullmatch(key):
         raise SchemaError(f"frames.{key}", "frame index must be a decimal string")
     idx = int(key)
     if not (0 <= idx < frame_count):
         raise OutOfRangeFrameIndex(
             f"frames.{key}", f"frame index outside [0, {frame_count})"
         )
+    if idx in parsed:
+        raise SchemaError(f"frames.{key}", f"frame {idx} is listed twice")
     return idx
 
 
-def _parse_points(entry, path: str) -> Quad:
-    pts = _expect(entry, "points", list, path)
+def _parse_points(entry, path: str, key: str = "points") -> Quad:
+    pts = _expect(entry, key, list, path)
+    path = f"{path}.{key}"
     if len(pts) != 8:
-        raise SchemaError(f"{path}.points", f"expected 8 numbers, got {len(pts)}")
+        raise SchemaError(path, f"expected 8 numbers, got {len(pts)}")
     for i, v in enumerate(pts):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError(f"{path}.points[{i}]", f"expected a number, got {type(v).__name__}")
+            raise SchemaError(f"{path}[{i}]", f"expected a number, got {type(v).__name__}")
     try:
         return Quad.from_flat(pts)
     except SelfIntersectingQuad:
-        raise SchemaError(f"{path}.points", "corners describe a self-intersecting quad") from None
-    except ValueError as exc:
-        raise SchemaError(f"{path}.points", str(exc)) from None
+        raise SchemaError(path, "corners describe a self-intersecting quad") from None
+    except (ValueError, OverflowError) as exc:  # non-finite, or an int past float range
+        raise SchemaError(path, str(exc)) from None
 
 
 def _parse_transcription(entry, path: str) -> str | None:
@@ -421,7 +436,7 @@ def load_annotation(source) -> VideoAnnotation:
     video_id, width, height, frame_count, raw_frames, scenario = _parse_header(doc)
     frames: dict[int, list[Instance]] = {}
     for key in sorted(raw_frames, key=_numeric_key):
-        idx = _parse_frame_index(key, frame_count)
+        idx = _parse_frame_index(key, frame_count, frames)
         entries = raw_frames[key]
         if not isinstance(entries, list):
             raise SchemaError(f"frames.{key}", f"expected a list, got {type(entries).__name__}")
@@ -456,7 +471,7 @@ def load_annotation(source) -> VideoAnnotation:
 
 def _numeric_key(key) -> tuple:
     s = str(key)
-    return (0, int(s)) if s.lstrip("-").isdigit() else (1, 0)
+    return (0, int(s)) if _FRAME_KEY.fullmatch(s) else (1, 0)
 
 
 def _annotation_payload(ann: VideoAnnotation) -> dict:
@@ -522,7 +537,7 @@ def load_detections(source) -> DetectionsFile:
     video_id, width, height, frame_count, raw_frames, _ = _parse_header(doc)
     per_index: dict[int, list[Detection]] = {}
     for key in sorted(raw_frames, key=_numeric_key):
-        idx = _parse_frame_index(key, frame_count)
+        idx = _parse_frame_index(key, frame_count, per_index)
         entries = raw_frames[key]
         if not isinstance(entries, list):
             raise SchemaError(f"frames.{key}", f"expected a list, got {type(entries).__name__}")
@@ -547,11 +562,9 @@ def load_detections(source) -> DetectionsFile:
                 )
             track_box = None
             if entry.get("track_box") is not None:
-                raw_tb = entry["track_box"]
-                if not isinstance(raw_tb, list) or len(raw_tb) != 8:
-                    raise SchemaError(f"{path}.track_box", "expected 8 numbers")
+                track_quad = _parse_points(entry, path, "track_box")
                 try:
-                    track_box = quad_to_rotated(Quad.from_flat(raw_tb))
+                    track_box = quad_to_rotated(track_quad)
                 except ValueError as exc:
                     raise SchemaError(f"{path}.track_box", str(exc)) from None
             try:

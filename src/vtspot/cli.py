@@ -62,10 +62,9 @@ def _weights(text: str) -> CostWeights:
             "expected four comma-separated numbers: w_cls,w_l1,w_giou,w_angle"
         )
     try:
-        values = [float(p) for p in parts]
+        return CostWeights(*(float(p) for p in parts))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return CostWeights(*values)
 
 
 def _positive_int(text: str) -> int:
@@ -227,15 +226,6 @@ def cmd_track(args) -> int:
 
 def cmd_interpolate(args) -> int:
     loaded = load_annotation(args.annotation)
-    if args.frames is not None:
-        target = args.frames
-    else:
-        target = (max(loaded.frames) + 1) if loaded.frames else 1
-        print(
-            f"warning: --frames not given, inferring {target} "
-            "(highest sampled index + 1)",
-            file=sys.stderr,
-        )
     for idx in loaded.frames:
         if idx % args.k:
             raise SchemaError(
@@ -243,6 +233,13 @@ def cmd_interpolate(args) -> int:
                 f"frame {idx} is not on the k={args.k} sampling lattice",
                 args.annotation,
             )
+    target = loaded.frame_count if args.frames is None else args.frames
+    smallest = max(loaded.frames, default=0) + 1
+    if target < smallest:
+        args.parser.error(
+            f"{args.annotation}: --frames {target} is too small; its highest "
+            f"keyframe is {smallest - 1}, so --frames must be at least {smallest}"
+        )
     save_annotation(interpolate(loaded, target), args.out or sys.stdout)
     return 0
 
@@ -387,7 +384,9 @@ def _build_parser() -> _Parser:
                               help="densify a sampled annotation")
     p_interp.add_argument("annotation", help="sampled annotation JSON")
     p_interp.add_argument("--frames", type=_positive_int, default=None,
-                          help="dense frame count (default: inferred)")
+                          help="dense frame count, at least the highest "
+                               "keyframe + 1 (default: the input's "
+                               "frame_count)")
     p_interp.add_argument("--k", type=_positive_int, default=1,
                           help="sampling stride the input's frames must lie "
                                "on (default 1: any frame)")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateQuad, NonConvexInput, SelfIntersectingQuad
 
@@ -306,6 +307,20 @@ def _area_ratio(inter: float, union: float) -> float:
 _BROAD_SLACK = 1e-9
 
 
+def _raw_extents(quad: Quad) -> tuple[float, float, float, float]:
+    """Axis-aligned extents ``(min_x, min_y, max_x, max_y)`` of a quad."""
+    c = quad.corners
+    xs = (c[0].x, c[1].x, c[2].x, c[3].x)
+    ys = (c[0].y, c[1].y, c[2].y, c[3].y)
+    return (min(xs), min(ys), max(xs), max(ys))
+
+
+def _padded(extents: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+    lo_x, lo_y, hi_x, hi_y = extents
+    pad = _BROAD_SLACK * max(abs(lo_x), abs(hi_x), abs(lo_y), abs(hi_y))
+    return (lo_x - pad, lo_y - pad, hi_x + pad, hi_y + pad)
+
+
 def quad_extents(quad: Quad) -> tuple[float, float, float, float]:
     """Axis-aligned extents ``(min_x, min_y, max_x, max_y)`` of a quad,
     padded outward by ``_BROAD_SLACK`` of its largest coordinate magnitude.
@@ -313,12 +328,7 @@ def quad_extents(quad: Quad) -> tuple[float, float, float, float]:
     Quads whose padded extents are apart (``extents_apart``) cannot overlap,
     so their IoU is 0 without clipping.
     """
-    c = quad.corners
-    xs = (c[0].x, c[1].x, c[2].x, c[3].x)
-    ys = (c[0].y, c[1].y, c[2].y, c[3].y)
-    lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
-    pad = _BROAD_SLACK * max(abs(lo_x), abs(hi_x), abs(lo_y), abs(hi_y))
-    return (lo_x - pad, lo_y - pad, hi_x + pad, hi_y + pad)
+    return _padded(_raw_extents(quad))
 
 
 def extents_apart(a: tuple[float, float, float, float],
@@ -374,18 +384,44 @@ def iou(
     return _area_ratio(inter, a.area + b.area - inter)
 
 
-def giou(a: RotatedBox, b: RotatedBox) -> float:
+class Unrolled(NamedTuple):
+    """What ``giou`` needs of one box: its convex quad, the quad's raw
+    extents and its ``quad_extents``."""
+
+    quad: Quad
+    extents: tuple[float, float, float, float]
+    padded: tuple[float, float, float, float]
+
+
+def unroll(box: RotatedBox) -> Unrolled:
+    """Unroll a box for ``giou``; raises NonConvexInput when rounding left
+    its corners non-convex."""
+    quad = rotated_to_quad(box)
+    _require_convex(quad)
+    extents = _raw_extents(quad)
+    return Unrolled(quad, extents, _padded(extents))
+
+
+def giou(
+    a: RotatedBox,
+    b: RotatedBox,
+    *,
+    unrolled: tuple[Unrolled, Unrolled] | None = None,
+) -> float:
     """Generalized IoU: IoU minus the hull penalty, in (-1, 1].
 
     The enclosing hull is the axis-aligned bounding box of both corner sets.
+    Boxes whose padded extents are apart are not clipped: their overlap is
+    0.  ``unrolled`` may pass ``(unroll(a), unroll(b))`` when the caller
+    scores each box against many others, as ``match_sets`` does.
     """
-    qa = rotated_to_quad(a)
-    qb = rotated_to_quad(b)
-    inter = polygon_area(polygon_intersection(qa, qb))
+    if unrolled is None:
+        unrolled = (unroll(a), unroll(b))
+    (qa, ea, pa), (qb, eb, pb) = unrolled
+    inter = 0.0 if extents_apart(pa, pb) else polygon_area(_clip(qa, qb))
     union = a.area + b.area - inter
-    xs = [p.x for p in qa.corners + qb.corners]
-    ys = [p.y for p in qa.corners + qb.corners]
-    hull = (max(xs) - min(xs)) * (max(ys) - min(ys))
+    hull = ((max(ea[2], eb[2]) - min(ea[0], eb[0]))
+            * (max(ea[3], eb[3]) - min(ea[1], eb[1])))
     value = _area_ratio(inter, union)
     if hull <= 0.0:
         return value

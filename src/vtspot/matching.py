@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonFiniteCost, SizeMismatch
-from .geometry import RotatedBox, giou
+from .geometry import RotatedBox, Unrolled, giou, unroll
 
 _PROB_EPS = 1e-12
 
@@ -52,8 +52,9 @@ class CostWeights:
 
     def __post_init__(self):
         for name in ("w_cls", "w_l1", "w_giou", "w_angle"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -77,14 +78,23 @@ def _l1_box(a: RotatedBox, b: RotatedBox) -> float:
     return abs(a.cx - b.cx) + abs(a.cy - b.cy) + abs(a.w - b.w) + abs(a.h - b.h)
 
 
-def pair_cost(gt: GroundTruthInstance, pred: PredictedInstance, w: CostWeights) -> float:
-    """Matching cost of one (gt, pred) pair; 0 for no-object gt entries."""
+def pair_cost(
+    gt: GroundTruthInstance,
+    pred: PredictedInstance,
+    w: CostWeights,
+    *,
+    unrolled: tuple[Unrolled, Unrolled] | None = None,
+) -> float:
+    """Matching cost of one (gt, pred) pair; 0 for no-object gt entries.
+
+    ``unrolled`` is passed on to ``giou``.
+    """
     if not gt.is_object:
         return 0.0
     return (
         -w.w_cls * pred.class_prob
         + w.w_l1 * _l1_box(gt.box, pred.box)
-        + w.w_giou * (1.0 - giou(gt.box, pred.box))
+        + w.w_giou * (1.0 - giou(gt.box, pred.box, unrolled=unrolled))
         + w.w_angle * angle_loss(gt.box.angle, pred.box.angle)
     )
 
@@ -154,11 +164,21 @@ def match_sets(gts, preds, w: CostWeights = CostWeights()) -> Assignment:
     """Optimal one-to-one matching between equal-size gt and pred sets.
 
     Callers pad the ground truth with no-object entries up front; unequal
-    sizes raise SizeMismatch.
+    sizes raise SizeMismatch.  Each box is unrolled once, not once per pair.
     """
     if len(gts) != len(preds):
         raise SizeMismatch(f"{len(gts)} ground-truth entries vs {len(preds)} predictions")
-    cost = [[pair_cost(g, p, w) for p in preds] for g in gts]
+    # Only boxes that meet an object are unrolled (and checked for
+    # convexity), as when every giou call unrolled its own pair.
+    gt_unrolled = [unroll(g.box) if g.is_object else None for g in gts]
+    if any(gt_unrolled):
+        pred_unrolled = [unroll(p.box) for p in preds]
+    else:
+        pred_unrolled = [None] * len(preds)
+    cost = [
+        [pair_cost(g, p, w, unrolled=(ug, up)) for p, up in zip(preds, pred_unrolled)]
+        for g, ug in zip(gts, gt_unrolled)
+    ]
     return hungarian(cost)
 
 

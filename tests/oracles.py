@@ -163,9 +163,11 @@ def overlapping_box_pair(rng: random.Random):
 # ---------------------------------------------------------------------------
 # clip-only overlap and the three separate evaluation passes
 # ---------------------------------------------------------------------------
-# The package scores far-apart pairs 0 without clipping, and its metric
+# The package scores far-apart pairs 0 without clipping (for GIoU, their
+# overlap), unrolls each box once for all of its pairs, and its metric
 # passes share one IoU table per frame.  What follows is the plain version
-# of both: every pair is clipped, and each pass computes its own overlaps.
+# of each: every pair is unrolled and clipped on its own, and each pass
+# computes its own overlaps.
 # Unlike the oracles above, these reuse the package's clipping arithmetic
 # on purpose, so that differential tests can demand bit-equal results.
 
@@ -192,6 +194,38 @@ def clip_iou(a, b):
         return 1.0
     inter = polygon_area(polygon_intersection(qa, qb))
     return _area_ratio(inter, a.area + b.area - inter)
+
+
+def clip_giou(a, b):
+    """GIoU of two rotated boxes, always by unrolling and clipping, with
+    the hull taken over all eight corners."""
+    qa = rotated_to_quad(a)
+    qb = rotated_to_quad(b)
+    inter = polygon_area(polygon_intersection(qa, qb))
+    union = a.area + b.area - inter
+    xs = [p.x for p in qa.corners + qb.corners]
+    ys = [p.y for p in qa.corners + qb.corners]
+    hull = (max(xs) - min(xs)) * (max(ys) - min(ys))
+    value = _area_ratio(inter, union)
+    if hull <= 0.0:
+        return value
+    return value - max(0.0, hull - union) / hull
+
+
+def plain_cost_matrix(gts, preds, w):
+    """The set-matching cost of every pair, each pair on its own, with the
+    clip-only GIoU."""
+    def cost(g, p):
+        if not g.is_object:
+            return 0.0
+        a, b = g.box, p.box
+        l1 = abs(a.cx - b.cx) + abs(a.cy - b.cy) + abs(a.w - b.w) + abs(a.h - b.h)
+        return (-w.w_cls * p.class_prob
+                + w.w_l1 * l1
+                + w.w_giou * (1.0 - clip_giou(a, b))
+                + w.w_angle * (1.0 - math.cos(b.angle - a.angle)))
+
+    return [[cost(g, p) for p in preds] for g in gts]
 
 
 def _usable_quad(quad):

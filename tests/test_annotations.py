@@ -528,3 +528,91 @@ def test_schema_error_from_stream_has_no_file():
         load_annotation(io.StringIO("[]"))
     assert exc_info.value.source is None
     assert str(exc_info.value) == "$: expected an object, got list"
+
+
+# ---------------------------------------------------------------------------
+# inputs the fuzz tests found raising something other than a DataError
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", ["--1", "²", "٣", "+1", "1.0"])
+@pytest.mark.parametrize("load", [load_annotation, load_detections])
+def test_frame_key_must_be_ascii_decimal(load, key):
+    doc = json.loads(json.dumps(DETS_DOC))
+    doc["frames"] = {key: []}
+    with pytest.raises(SchemaError) as exc_info:
+        load(io.StringIO(json.dumps(doc)))
+    assert str(exc_info.value) == f"frames.{key}: frame index must be a decimal string"
+
+
+@pytest.mark.parametrize("load", [load_annotation, load_detections])
+def test_frame_listed_twice_is_schema_error(load):
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["frames"]["0"][0]["score"] = 0.5
+    doc["frames"]["00"] = doc["frames"]["0"]
+    with pytest.raises(SchemaError) as exc_info:
+        load(io.StringIO(json.dumps(doc)))
+    assert str(exc_info.value) == "frames.00: frame 0 is listed twice"
+
+
+@pytest.mark.parametrize("field", ["points", "track_box"])
+def test_integer_past_float_range_is_schema_error(field):
+    doc = json.loads(json.dumps(DETS_DOC))
+    entry = doc["frames"]["1"][0]
+    entry[field] = [10 ** 400] + entry["points"][1:]
+    with pytest.raises(SchemaError) as exc_info:
+        load_detections(io.StringIO(json.dumps(doc)))
+    assert exc_info.value.path == f"frames.1[0].{field}"
+    assert "too large" in exc_info.value.message
+
+
+@pytest.mark.parametrize("bad,path", [
+    (None, "frames.1[0].track_box[3]"),
+    ("7", "frames.1[0].track_box[3]"),
+    (True, "frames.1[0].track_box[3]"),
+])
+def test_track_box_entries_must_be_numbers(bad, path):
+    doc = json.loads(json.dumps(DETS_DOC))
+    corners = list(doc["frames"]["1"][0]["points"])
+    corners[3] = bad
+    doc["frames"]["1"][0]["track_box"] = corners
+    with pytest.raises(SchemaError) as exc_info:
+        load_detections(io.StringIO(json.dumps(doc)))
+    assert exc_info.value.path == path
+
+
+def test_track_box_of_wrong_length_is_schema_error():
+    doc = json.loads(json.dumps(DETS_DOC))
+    doc["frames"]["1"][0]["track_box"] = [1, 2, 3]
+    with pytest.raises(SchemaError) as exc_info:
+        load_detections(io.StringIO(json.dumps(doc)))
+    assert str(exc_info.value) == "frames.1[0].track_box: expected 8 numbers, got 3"
+
+
+def _gzip_damages():
+    good = gzip.compress(json.dumps(MINIMAL_DOC).encode("utf-8"))
+    return {
+        "truncated": good[:-5],
+        "bad crc": good[:-8] + b"\0\0\0\0" + good[-4:],
+        "plain text": json.dumps(MINIMAL_DOC).encode("utf-8"),
+        "not utf-8": gzip.compress(b"\xff\xfe{}"),
+    }
+
+
+@pytest.mark.parametrize("damage", sorted(_gzip_damages()))
+@pytest.mark.parametrize("load", [load_annotation, load_detections])
+def test_damaged_gzip_is_schema_error_naming_the_file(tmp_path, load, damage):
+    path = tmp_path / "video.json.gz"
+    path.write_bytes(_gzip_damages()[damage])
+    with pytest.raises(SchemaError) as exc_info:
+        load(path)
+    assert exc_info.value.source == str(path)
+    assert exc_info.value.path == "$"
+
+
+def test_non_utf8_file_is_schema_error(tmp_path):
+    path = tmp_path / "video.json"
+    path.write_bytes(b'{"video_id": "\x80"}')
+    with pytest.raises(SchemaError) as exc_info:
+        load_annotation(path)
+    assert exc_info.value.message.startswith("not UTF-8 text")

@@ -353,15 +353,46 @@ def test_sample_interpolate_round_trip(tmp_path):
     assert worst < 1e-9
 
 
-def test_interpolate_infers_frames_with_warning(tmp_path, capsys):
-    gt, _ = make_synth(tmp_path, **{"--frames": 10})
+def test_interpolate_defaults_to_document_frame_count(tmp_path, capsys):
+    """Without --frames the output keeps the input's frame_count, which
+    `sample` carries over from the dense clip, and nothing is warned."""
+    for n_frames, last_keyframe in ((30, 27), (10, 9)):
+        gt, _ = make_synth(tmp_path, f"v{n_frames}", **{"--frames": n_frames})
+        sampled = tmp_path / "sampled.json"
+        assert run_cli("sample", str(gt), "--k", "3", "--out", str(sampled)) == 0
+        assert max(load_annotation(sampled).frames) == last_keyframe
+        dense = tmp_path / "dense.json"
+        assert run_cli("interpolate", str(sampled), "--out", str(dense)) == 0
+        assert capsys.readouterr().err == ""
+        assert load_annotation(dense).frame_count == n_frames
+        explicit = tmp_path / "explicit.json"
+        assert run_cli("interpolate", str(sampled), "--frames", str(n_frames),
+                       "--out", str(explicit)) == 0
+        assert dense.read_bytes() == explicit.read_bytes()
+
+
+@pytest.mark.parametrize("frames", ["1", "5", "27"])
+def test_interpolate_too_few_frames_is_a_usage_error(tmp_path, capsys, frames):
+    gt, _ = make_synth(tmp_path, **{"--frames": 30})
     sampled = tmp_path / "sampled.json"
     assert run_cli("sample", str(gt), "--k", "3", "--out", str(sampled)) == 0
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("interpolate", str(sampled), "--frames", frames)
+    assert exc_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(sampled) in captured.err
+    assert "at least 28" in captured.err
+
+
+def test_interpolate_frames_at_highest_keyframe_plus_one(tmp_path):
+    gt, _ = make_synth(tmp_path, **{"--frames": 30})
+    sampled = tmp_path / "sampled.json"
     dense = tmp_path / "dense.json"
-    assert run_cli("interpolate", str(sampled), "--out", str(dense)) == 0
-    err = capsys.readouterr().err
-    assert "warning" in err and "10" in err
-    assert load_annotation(dense).frame_count == 10
+    assert run_cli("sample", str(gt), "--k", "3", "--out", str(sampled)) == 0
+    assert run_cli("interpolate", str(sampled), "--frames", "28",
+                   "--out", str(dense)) == 0
+    assert load_annotation(dense).frame_count == 28
 
 
 def test_sample_k_one_identity(tmp_path, capsys):
@@ -432,6 +463,23 @@ def test_loss_bad_weights_exits_one(tmp_path):
     with pytest.raises(SystemExit) as exc_info:
         run_cli("loss", str(gt_path), str(det_path), "--weights", "1,2")
     assert exc_info.value.code == 1
+
+
+@pytest.mark.parametrize("weights,name", [
+    ("nan,5,2,2", "w_cls"),
+    ("1,inf,2,2", "w_l1"),
+    ("1,5,-inf,2", "w_giou"),
+    ("1,5,2,NaN", "w_angle"),
+    ("1,5,2,-1", "w_angle"),
+])
+def test_loss_non_finite_or_negative_weight_exits_one(tmp_path, capsys, weights, name):
+    gt_path, det_path = axis_aligned_fixture(tmp_path)
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("loss", str(gt_path), str(det_path), "--weights", weights)
+    assert exc_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{name} must be finite and non-negative" in captured.err
 
 
 def test_loss_video_mismatch_exits_three(tmp_path):
@@ -529,6 +577,22 @@ def test_gz_out_is_compressed(tmp_path, command):
         assert json.loads(text)["video_id"] == "synth-7"
     if command in ("sample", "interpolate", "track"):
         assert load_annotation(out).video_id == "synth-7"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "track", "loss"])
+def test_truncated_gz_input_exits_two(tmp_path, capsys, command):
+    gt, dets = make_synth(tmp_path, **{"--frames": 4})
+    for path in (gt, dets):
+        data = gzip.compress(path.read_bytes())
+        path.with_suffix(".json.gz").write_bytes(data[:len(data) // 2])
+    gt, dets = gt.with_suffix(".json.gz"), dets.with_suffix(".json.gz")
+    argv = {"evaluate": ["evaluate", str(gt), str(gt)],
+            "track": ["track", str(dets)],
+            "loss": ["loss", str(gt), str(dets)]}[command]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{gt if command != 'track' else dets}: $: not a readable gzip stream" in captured.err
 
 
 def test_gz_sample_feeds_interpolate(tmp_path):

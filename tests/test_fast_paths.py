@@ -1,9 +1,11 @@
-"""Differential tests: the broad phase and the shared per-frame IoU table
-against the clip-only geometry and the three separate metric passes kept
-in ``oracles``.  Results must be equal, not approximately equal."""
+"""Differential tests: the broad phase, the once-per-frame unroll of the set
+matcher and the shared per-frame IoU table against the clip-only geometry,
+the per-pair cost matrix and the three separate metric passes kept in
+``oracles``.  Results must be equal, not approximately equal."""
 
 import math
 import random
+import unittest.mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,7 +13,14 @@ from hypothesis import strategies as st
 
 import vtspot.linker as linker_mod
 import vtspot.tracker as tracker_mod
-from oracles import clip_iou, clip_quad_iou, three_pass_report
+import vtspot.matching as matching_mod
+from oracles import (
+    clip_giou,
+    clip_iou,
+    clip_quad_iou,
+    plain_cost_matrix,
+    three_pass_report,
+)
 from vtspot.annotations import (
     IGNORE_MARK,
     Instance,
@@ -23,11 +32,20 @@ from vtspot.geometry import (
     Point2,
     Quad,
     RotatedBox,
+    giou,
     iou,
     quad_iou,
     rotated_to_quad,
+    unroll,
 )
 from vtspot.linker import link
+from vtspot.matching import (
+    CostWeights,
+    GroundTruthInstance,
+    PredictedInstance,
+    hungarian,
+    match_sets,
+)
 from vtspot.metrics import evaluate
 from vtspot.synth import SynthConfig, generate
 from vtspot.tracker import TrackerConfig
@@ -52,11 +70,16 @@ def shifted(quad: Quad, dx: float, dy: float) -> Quad:
 
 
 def assert_box_iou_matches(a: RotatedBox, b: RotatedBox) -> None:
+    """iou and giou equal the clip-only oracles both ways round, with and
+    without the unrolled boxes passed in."""
     for x, y in ((a, b), (b, a)):
         expected = clip_iou(x, y)
         assert iou(x, y) == expected
         quads = (rotated_to_quad(x), rotated_to_quad(y))
         assert iou(x, y, quads=quads) == expected
+        expected = clip_giou(x, y)
+        assert giou(x, y) == expected
+        assert giou(x, y, unrolled=(unroll(x), unroll(y))) == expected
 
 
 def assert_quad_iou_matches(a: Quad, b: Quad) -> None:
@@ -65,7 +88,7 @@ def assert_quad_iou_matches(a: Quad, b: Quad) -> None:
 
 
 # ---------------------------------------------------------------------------
-# iou: circumscribed-circle reject
+# iou: circumscribed-circle reject (and giou on the same pairs)
 # ---------------------------------------------------------------------------
 
 
@@ -111,6 +134,7 @@ def test_box_iou_equals_clip_at_circle_contact(a, ratio):
 @given(boxes)
 def test_box_iou_identical_boxes(a):
     assert iou(a, a) == clip_iou(a, a) == 1.0
+    assert_box_iou_matches(a, a)
     swapped = RotatedBox(a.cx, a.cy, a.h, a.w, a.angle + math.pi / 2.0)
     assert_box_iou_matches(a, swapped)
 
@@ -202,6 +226,129 @@ def test_quad_iou_rejects_nonconvex_even_when_disjoint(offset):
             clip_quad_iou(a, b)
         with pytest.raises(NonConvexInput):
             quad_iou(a, b)
+
+
+# ---------------------------------------------------------------------------
+# giou: extents reject and boxes unrolled once
+# ---------------------------------------------------------------------------
+
+
+def normalized(box: RotatedBox, width: int, height: int) -> RotatedBox:
+    """The box in image-relative units, as `vtspot loss` scores it."""
+    return RotatedBox(box.cx / width, box.cy / height, box.w / width,
+                      box.h / height, box.angle)
+
+
+def extents_of(box: RotatedBox) -> tuple[float, float, float, float]:
+    corners = rotated_to_quad(box).corners
+    xs = [p.x for p in corners]
+    ys = [p.y for p in corners]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+frame_sizes = st.sampled_from(((640, 360), (1280, 720), (1920, 1080), (7, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxes, boxes, frame_sizes, st.booleans())
+def test_giou_equals_clip_on_normalized_pairs(a, b, size, same):
+    a = normalized(a, *size)
+    assert_box_iou_matches(a, a if same else normalized(b, *size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxes, boxes, st.integers(-4, 4), st.booleans(), st.floats(-1.0, 1.0),
+       st.one_of(st.none(), frame_sizes))
+def test_giou_equals_clip_when_extents_touch(a, b, ulps, in_x, slide, size):
+    """b is moved so that its extents start where a's end, then a few ulps
+    apart or into a; its box may touch a, cross it or miss it."""
+    if size is not None:
+        a, b = normalized(a, *size), normalized(b, *size)
+    a_lo_x, a_lo_y, a_hi_x, a_hi_y = extents_of(a)
+    b_lo_x, b_lo_y, b_hi_x, b_hi_y = extents_of(b)
+    if in_x:
+        cx = nudge(a_hi_x + (b.cx - b_lo_x), ulps)
+        cy = a.cy + slide * (a_hi_y - a_lo_y)
+    else:
+        cx = a.cx + slide * (a_hi_x - a_lo_x)
+        cy = nudge(a_hi_y + (b.cy - b_lo_y), ulps)
+    assert_box_iou_matches(a, RotatedBox(cx, cy, b.w, b.h, b.angle))
+
+
+# Far from the origin, rounding leaves this thin box's unrolled corners
+# non-convex.
+SLIVER = RotatedBox(68959236076.52457, -97003351220.82849, 0.0014793974273401228,
+                    103.41668763794779, -0.2689317283797865)
+
+
+@pytest.mark.parametrize("dx", [0.0, 1e3, 1e9])
+def test_giou_rejects_nonconvex_unroll_even_when_disjoint(dx):
+    assert not rotated_to_quad(SLIVER).is_convex()
+    other = RotatedBox(SLIVER.cx + dx, SLIVER.cy, 10.0, 4.0, 0.3)
+    with pytest.raises(NonConvexInput):
+        unroll(SLIVER)
+    for a, b in ((SLIVER, other), (other, SLIVER)):
+        with pytest.raises(NonConvexInput):
+            clip_giou(a, b)
+        with pytest.raises(NonConvexInput):
+            giou(a, b)
+    w = CostWeights()
+    with pytest.raises(NonConvexInput):
+        match_sets([GroundTruthInstance(SLIVER)], [PredictedInstance(0.5, other)], w)
+    with pytest.raises(NonConvexInput):
+        match_sets([GroundTruthInstance(other)], [PredictedInstance(0.5, SLIVER)], w)
+
+
+@st.composite
+def loss_frames(draw):
+    """A padded (gts, preds) frame as `vtspot loss` builds it: predictions
+    near some objects, others anywhere, identical boxes among them."""
+    objects = draw(st.lists(boxes, min_size=0, max_size=6))
+    preds = []
+    for box in objects:
+        kind = draw(st.sampled_from(("near", "same", "far")))
+        if kind == "same":
+            pred_box = box
+        elif kind == "near":
+            pred_box = RotatedBox(box.cx + draw(st.floats(-5.0, 5.0)),
+                                  box.cy + draw(st.floats(-5.0, 5.0)),
+                                  box.w, box.h, box.angle + draw(st.floats(-0.3, 0.3)))
+        else:
+            pred_box = draw(boxes)
+        preds.append(PredictedInstance(draw(st.floats(0.0, 1.0)), pred_box))
+    preds += [PredictedInstance(draw(st.floats(0.0, 1.0)), b)
+              for b in draw(st.lists(boxes, max_size=3))]
+    size = draw(st.one_of(st.none(), frame_sizes))
+    if size is not None:
+        objects = [normalized(b, *size) for b in objects]
+        preds = [PredictedInstance(p.class_prob, normalized(p.box, *size)) for p in preds]
+    gts = [GroundTruthInstance(b) for b in objects]
+    preds = draw(st.permutations(preds))
+    gts += [GroundTruthInstance.padding()] * (len(preds) - len(gts))
+    preds += [PredictedInstance(0.0, GroundTruthInstance.padding().box)] * (
+        len(gts) - len(preds))
+    return gts, preds
+
+
+weights = st.sampled_from((CostWeights(), CostWeights(1.0, 1.0, 1.0, 1.0),
+                           CostWeights(0.5, 0.0, 3.0, 0.25)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(loss_frames(), weights)
+def test_match_sets_equals_per_pair_oracle(frame, w):
+    gts, preds = frame
+    seen = []
+
+    def recording_hungarian(cost):
+        seen.append(cost)
+        return hungarian(cost)
+
+    with unittest.mock.patch.object(matching_mod, "hungarian", recording_hungarian):
+        got = match_sets(gts, preds, w)
+    plain = plain_cost_matrix(gts, preds, w)
+    assert seen == [plain]
+    assert got == hungarian(plain)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,17 @@ def test_weights_reject_negative():
         CostWeights(w_l1=-1.0)
 
 
+@pytest.mark.parametrize("name", ["w_cls", "w_l1", "w_giou", "w_angle"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_weights_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
+        CostWeights(**{name: value})
+
+
+def test_weights_accept_zero():
+    assert CostWeights(0.0, 0.0, 0.0, 0.0).w_giou == 0.0
+
+
 # ---------------------------------------------------------------------------
 # hungarian solver
 # ---------------------------------------------------------------------------
@@ -240,6 +251,28 @@ def test_match_sets_perfect_predictions():
     a = match_sets(gts, preds, CostWeights())
     assert a.total_cost == pytest.approx(-n * CostWeights().w_cls, abs=1e-9)
     assert set_loss(gts, preds, a, CostWeights()) <= 1e-11
+
+
+def test_match_sets_calls_giou_once_per_object_pair(monkeypatch):
+    """The traced benchmark times `matching.giou`; a matcher that scored
+    pairs without going through it would read as no GIoU work at all."""
+    rng = random.Random(14)
+    gts = [gt_of(*random_box(rng)) for _ in range(5)]
+    gts += [GroundTruthInstance.padding() for _ in range(3)]
+    preds = [pred_of(rng.random(), *random_box(rng)) for _ in range(8)]
+    calls = []
+
+    def counting_giou(a, b, **kwargs):
+        calls.append((a, b))
+        return giou(a, b, **kwargs)
+
+    monkeypatch.setattr("vtspot.matching.giou", counting_giou)
+    match_sets(gts, preds, CostWeights())
+    assert sorted(calls, key=repr) == sorted(
+        ((g.box, p.box) for g in gts[:5] for p in preds), key=repr)
+    calls.clear()
+    match_sets([GroundTruthInstance.padding()] * 2, preds[:2], CostWeights())
+    assert calls == []
 
 
 def test_match_sets_all_padding_costs_zero():
