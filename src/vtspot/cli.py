@@ -361,7 +361,7 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--jobs", type=_positive_int, default=_default_jobs(),
                         help="parallel workers for corpus evaluation "
                              "(default: VTSPOT_JOBS or 1)")
-    p_eval.set_defaults(func=cmd_evaluate)
+    p_eval.set_defaults(func=cmd_evaluate, parser=p_eval)
 
     p_track = sub.add_parser("track", help="link detections into trajectories")
     p_track.add_argument("detections", help="detections JSON")
@@ -378,7 +378,7 @@ def _build_parser() -> _Parser:
     p_track.add_argument("--max-norm-edit", type=float, default=0.3,
                          help="linker: normalized edit-distance gate")
     p_track.add_argument("--out")
-    p_track.set_defaults(func=cmd_track)
+    p_track.set_defaults(func=cmd_track, parser=p_track)
 
     p_interp = sub.add_parser("interpolate",
                               help="densify a sampled annotation")
@@ -391,13 +391,13 @@ def _build_parser() -> _Parser:
                           help="sampling stride the input's frames must lie "
                                "on (default 1: any frame)")
     p_interp.add_argument("--out")
-    p_interp.set_defaults(func=cmd_interpolate)
+    p_interp.set_defaults(func=cmd_interpolate, parser=p_interp)
 
     p_sample = sub.add_parser("sample", help="keep every k-th frame")
     p_sample.add_argument("annotation", help="dense annotation JSON")
     p_sample.add_argument("--k", type=_positive_int, default=3)
     p_sample.add_argument("--out")
-    p_sample.set_defaults(func=cmd_sample)
+    p_sample.set_defaults(func=cmd_sample, parser=p_sample)
 
     p_loss = sub.add_parser("loss",
                             help="set-prediction loss of detections vs reference")
@@ -407,7 +407,7 @@ def _build_parser() -> _Parser:
                         default=CostWeights(),
                         help="w_cls,w_l1,w_giou,w_angle (default 1,5,2,2)")
     p_loss.add_argument("--out")
-    p_loss.set_defaults(func=cmd_loss)
+    p_loss.set_defaults(func=cmd_loss, parser=p_loss)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic video world")
     p_synth.add_argument("--objects", type=_positive_int, default=4)
@@ -420,7 +420,7 @@ def _build_parser() -> _Parser:
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--gt-out", required=True)
     p_synth.add_argument("--dets-out", required=True)
-    p_synth.set_defaults(func=cmd_synth)
+    p_synth.set_defaults(func=cmd_synth, parser=p_synth)
 
     return parser
 
@@ -428,7 +428,6 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    args.parser = parser
     try:
         return args.func(args)
     except VideoMismatch as exc:

@@ -5,7 +5,9 @@ is a rotated box or a "no object" padding entry. The pair cost rewards
 confident predictions and penalizes L1 box error, the generalized-IoU gap,
 and the cosine angle gap. A hand-rolled O(n^3) shortest-augmenting-path
 solver finds the minimum-cost one-to-one matching, and the set loss scores a
-matched set with log-likelihood class terms plus the same box terms.
+matched set with log-likelihood class terms plus the same box terms.  The
+tracker and the CLEAR and identity passes price their gated max-weight
+assignments for the same solver with ``gated_cost``.
 """
 
 from __future__ import annotations
@@ -74,8 +76,19 @@ def angle_loss(a_gt: float, a_pred: float) -> float:
     return 1.0 - math.cos(a_pred - a_gt)
 
 
-def _l1_box(a: RotatedBox, b: RotatedBox) -> float:
-    return abs(a.cx - b.cx) + abs(a.cy - b.cy) + abs(a.w - b.w) + abs(a.h - b.h)
+def _box_terms(
+    a: RotatedBox,
+    b: RotatedBox,
+    w: CostWeights,
+    unrolled: tuple[Unrolled, Unrolled] | None = None,
+) -> tuple[float, float, float]:
+    """The weighted L1, GIoU-gap and angle terms of a (gt, pred) box pair."""
+    l1 = abs(a.cx - b.cx) + abs(a.cy - b.cy) + abs(a.w - b.w) + abs(a.h - b.h)
+    return (
+        w.w_l1 * l1,
+        w.w_giou * (1.0 - giou(a, b, unrolled=unrolled)),
+        w.w_angle * angle_loss(a.angle, b.angle),
+    )
 
 
 def pair_cost(
@@ -91,12 +104,8 @@ def pair_cost(
     """
     if not gt.is_object:
         return 0.0
-    return (
-        -w.w_cls * pred.class_prob
-        + w.w_l1 * _l1_box(gt.box, pred.box)
-        + w.w_giou * (1.0 - giou(gt.box, pred.box, unrolled=unrolled))
-        + w.w_angle * angle_loss(gt.box.angle, pred.box.angle)
-    )
+    l1, giou_gap, angle = _box_terms(gt.box, pred.box, w, unrolled)
+    return -w.w_cls * pred.class_prob + l1 + giou_gap + angle
 
 
 def hungarian(cost) -> Assignment:
@@ -160,6 +169,20 @@ def hungarian(cost) -> Assignment:
     return Assignment(tuple(pairs), total)
 
 
+def gated_cost(
+    weights: dict[tuple[int, int], float], n_rows: int, n_cols: int
+) -> list[list[float]]:
+    """Square cost matrix of a max-weight assignment over the admissible
+    (row, col) pairs in ``weights``: a listed pair costs ``1.0 - weight`` and
+    every other cell, padding included, costs 1.0.  Callers keep only the
+    solution pairs listed in ``weights``."""
+    n = max(n_rows, n_cols)
+    cost = [[1.0] * n for _ in range(n)]
+    for (r, c), weight in weights.items():
+        cost[r][c] = 1.0 - weight
+    return cost
+
+
 def match_sets(gts, preds, w: CostWeights = CostWeights()) -> Assignment:
     """Optimal one-to-one matching between equal-size gt and pred sets.
 
@@ -200,9 +223,8 @@ def set_loss_terms(gts, preds, assignment: Assignment, w: CostWeights) -> dict[s
         pred = preds[pi]
         if gt.is_object:
             terms["cls"] += -math.log(_clamp_prob(pred.class_prob))
-            terms["l1"] += w.w_l1 * _l1_box(gt.box, pred.box)
-            terms["giou"] += w.w_giou * (1.0 - giou(gt.box, pred.box))
-            terms["angle"] += w.w_angle * angle_loss(gt.box.angle, pred.box.angle)
+            for key, value in zip(("l1", "giou", "angle"), _box_terms(gt.box, pred.box, w)):
+                terms[key] += value
         else:
             terms["cls"] += -math.log(_clamp_prob(1.0 - pred.class_prob))
     return terms

@@ -35,7 +35,7 @@ from .geometry import (
     quad_to_rotated,
     rotated_to_quad,
 )
-from .matching import hungarian
+from .matching import gated_cost, hungarian
 
 __all__ = [
     "DetCounters",
@@ -298,32 +298,6 @@ def _kept_preds(table: _FrameTable, gate: float) -> list[int]:
     return [pi for pi, overlap in enumerate(table.ignore_iou) if overlap < gate]
 
 
-def _gated_max_iou_pairs(
-    ious: list[list[float]], gate: float
-) -> list[tuple[int, int]]:
-    """Assignment maximizing total IoU over pairs at or above the gate.
-
-    Cells under the gate are priced like the virtual padding so the solver
-    cannot benefit from choosing them; any that still appear in the raw
-    solution are discarded.
-    """
-    n_r = len(ious)
-    n_c = len(ious[0]) if n_r else 0
-    if n_r == 0 or n_c == 0:
-        return []
-    n = max(n_r, n_c)
-    cost = [[1.0] * n for _ in range(n)]
-    for r in range(n_r):
-        for c in range(n_c):
-            if ious[r][c] >= gate:
-                cost[r][c] = 1.0 - ious[r][c]
-    return [
-        (r, c)
-        for r, c in hungarian(cost).pairs
-        if r < n_r and c < n_c and ious[r][c] >= gate
-    ]
-
-
 # ---------------------------------------------------------------------------
 # detection
 # ---------------------------------------------------------------------------
@@ -416,12 +390,19 @@ def eval_mot(
         # assign the remainder, maximizing total IoU above the gate
         rem_g = [gi for gi, s in enumerate(table.gt) if s.track_id not in matches]
         rem_p = [pi for pi in kept if table.preds[pi].track_id not in matched_pred]
-        ious = [[table.ious.get((gi, pi), 0.0) for pi in rem_p] for gi in rem_g]
-        for r, c in _gated_max_iou_pairs(ious, iou_thresh):
+        gated = {
+            (r, c): overlap
+            for r, gi in enumerate(rem_g) for c, pi in enumerate(rem_p)
+            if (overlap := table.ious.get((gi, pi), 0.0)) >= iou_thresh
+        }
+        solution = hungarian(gated_cost(gated, len(rem_g), len(rem_p))).pairs if gated else ()
+        for r, c in solution:
+            if (r, c) not in gated:
+                continue
             gid = table.gt[rem_g[r]].track_id
             pid = table.preds[rem_p[c]].track_id
             matches[gid] = pid
-            iou_of[gid] = ious[r][c]
+            iou_of[gid] = gated[r, c]
             if gid in last_match and last_match[gid] != pid:
                 counters.mismatches += 1
 
@@ -501,20 +482,16 @@ def eval_id(
 
     g_ids = sorted(gt_len)
     p_ids = sorted(pred_len)
-    overlaps = [[agree.get((g, p), 0) for p in p_ids] for g in g_ids]
+    g_row = {g: r for r, g in enumerate(g_ids)}
+    p_col = {p: c for c, p in enumerate(p_ids)}
+    weights = {(g_row[g], p_col[p]): n for (g, p), n in agree.items()}
 
     assigned: dict[int, int] = {}
-    if g_ids and p_ids:
-        n = max(len(g_ids), len(p_ids))
-        cost = [[0.0] * n for _ in range(n)]
-        for gi in range(len(g_ids)):
-            for pi in range(len(p_ids)):
-                cost[gi][pi] = -float(overlaps[gi][pi])
-        for gi, pi in hungarian(cost).pairs:
-            if gi < len(g_ids) and pi < len(p_ids) and overlaps[gi][pi] > 0:
-                assigned[gi] = pi
+    if weights:
+        cost = gated_cost(weights, len(g_ids), len(p_ids))
+        assigned = {gi: pi for gi, pi in hungarian(cost).pairs if (gi, pi) in weights}
 
-    id_tp = sum(overlaps[gi][pi] for gi, pi in assigned.items())
+    id_tp = sum(weights[pair] for pair in assigned.items())
     counters = IdCounters(
         id_tp=id_tp,
         id_fp=sum(pred_len.values()) - id_tp,
@@ -525,7 +502,7 @@ def eval_id(
     mt = ml = 0
     for gi, g in enumerate(g_ids):
         lifespan = gt_len[g]
-        covered = overlaps[gi][assigned[gi]] if gi in assigned else 0
+        covered = weights[gi, assigned[gi]] if gi in assigned else 0
         coverage = covered / lifespan if lifespan else 0.0
         if coverage >= 0.8:
             mt += 1

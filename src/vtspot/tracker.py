@@ -27,11 +27,9 @@ from .annotations import (
 )
 from .errors import NonMonotonicFrame
 from .geometry import RotatedBox, iou, rotated_to_quad
-from .matching import hungarian
+from .matching import gated_cost, hungarian
 
 __all__ = ["TrackerConfig", "TrackState", "Tracker", "run"]
-
-_MISS_COST = 1.0  # cost of leaving a track or detection unmatched (worst IoU)
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,37 +143,26 @@ class Tracker:
         return self.tracks, born, dead
 
     def _associate(self, detections: list[Detection]) -> list[tuple[int, int]]:
-        """Gated max-IoU assignment between live tracks and detections.
-
-        Pairs under the gate are priced at the miss cost before solving, so
-        the solver can never profit from an inadmissible pair; the accepted
-        matching therefore maximizes total IoU among gated matchings.
-        """
-        n_t, n_d = len(self.tracks), len(detections)
-        if n_t == 0 or n_d == 0:
+        """Gated max-IoU assignment between live tracks and detections: the
+        accepted matching maximizes total IoU among the pairs at or above
+        the gate."""
+        if not self.tracks or not detections:
             return []
-        n = max(n_t, n_d)
+        gate = self.cfg.iou_threshold
         # unroll every box once per frame, not once per pair
         det_quads = [rotated_to_quad(det.box) for det in detections]
-        ious = []
-        for track in self.tracks:
+        gated: dict[tuple[int, int], float] = {}
+        for ti, track in enumerate(self.tracks):
             box = track.predicted_box
             quad = rotated_to_quad(box)
-            ious.append([
-                iou(box, det.box, quads=(quad, det_quad))
-                for det, det_quad in zip(detections, det_quads)
-            ])
-        cost = [[_MISS_COST] * n for _ in range(n)]
-        for ti in range(n_t):
-            for di in range(n_d):
-                if ious[ti][di] >= self.cfg.iou_threshold:
-                    cost[ti][di] = 1.0 - ious[ti][di]
-        assignment = hungarian(cost)
-        return [
-            (ti, di)
-            for ti, di in assignment.pairs
-            if ti < n_t and di < n_d and ious[ti][di] >= self.cfg.iou_threshold
-        ]
+            for di, (det, det_quad) in enumerate(zip(detections, det_quads)):
+                overlap = iou(box, det.box, quads=(quad, det_quad))
+                if overlap >= gate:
+                    gated[ti, di] = overlap
+        if not gated:
+            return []
+        cost = gated_cost(gated, len(self.tracks), len(detections))
+        return [pair for pair in hungarian(cost).pairs if pair in gated]
 
     def trajectories(self) -> list[Trajectory]:
         """Every track ever born, dead or alive, sorted by ID."""

@@ -17,6 +17,7 @@ import numpy as np
 
 from vtspot.errors import MissingTranscription
 from vtspot.geometry import (
+    iou,
     polygon_area,
     polygon_intersection,
     quad_to_rotated,
@@ -32,6 +33,7 @@ from vtspot.metrics import (
     _ratios_from_counters,
     normalize_transcription,
 )
+from vtspot.tracker import Tracker
 
 
 def box_corners(cx, cy, w, h, angle):
@@ -164,10 +166,11 @@ def overlapping_box_pair(rng: random.Random):
 # clip-only overlap and the three separate evaluation passes
 # ---------------------------------------------------------------------------
 # The package scores far-apart pairs 0 without clipping (for GIoU, their
-# overlap), unrolls each box once for all of its pairs, and its metric
-# passes share one IoU table per frame.  What follows is the plain version
-# of each: every pair is unrolled and clipped on its own, and each pass
-# computes its own overlaps.
+# overlap), unrolls each box once for all of its pairs, its metric passes
+# share one IoU table per frame, and its gated assignments price only the
+# listed pairs.  What follows is the plain version of each: every pair is
+# unrolled and clipped on its own, each pass computes its own overlaps, and
+# each assignment fills a dense padded matrix by hand.
 # Unlike the oracles above, these reuse the package's clipping arithmetic
 # on purpose, so that differential tests can demand bit-equal results.
 
@@ -410,3 +413,44 @@ def three_pass_report(gt, pred, task, *, iou_thresh=0.5, iou_floor=0.0,
         report.mt, report.ml, report.ids = _identity_pass(
             gt, pred, task == "spotting", iou_floor, case_insensitive)
     return _ratios_from_counters(report).to_dict()
+
+
+def _dense_associate(tracker, detections):
+    """``Tracker._associate`` on a dense table: every track/detection IoU
+    is kept, and cells under the gate are priced at the miss cost 1."""
+    n_t, n_d = len(tracker.tracks), len(detections)
+    if n_t == 0 or n_d == 0:
+        return []
+    gate = tracker.cfg.iou_threshold
+    det_quads = [rotated_to_quad(det.box) for det in detections]
+    ious = []
+    for track in tracker.tracks:
+        box = track.predicted_box
+        quad = rotated_to_quad(box)
+        ious.append([iou(box, det.box, quads=(quad, det_quad))
+                     for det, det_quad in zip(detections, det_quads)])
+    n = max(n_t, n_d)
+    cost = [[1.0] * n for _ in range(n)]
+    for ti in range(n_t):
+        for di in range(n_d):
+            if ious[ti][di] >= gate:
+                cost[ti][di] = 1.0 - ious[ti][di]
+    return [
+        (ti, di)
+        for ti, di in hungarian(cost).pairs
+        if ti < n_t and di < n_d and ious[ti][di] >= gate
+    ]
+
+
+class DenseTracker(Tracker):
+    """The tracker with the dense-matrix association."""
+
+    _associate = _dense_associate
+
+
+def dense_track(stream, cfg=None):
+    """``tracker.run`` with the dense-matrix association."""
+    tracker = DenseTracker(cfg)
+    for frame in stream:
+        tracker.step(frame)
+    return tracker.trajectories()

@@ -213,10 +213,11 @@ def test_evaluate_out_file(tmp_path):
     assert json.loads(out.read_text())["mota"] == 1.0
 
 
-def test_evaluate_requires_both_dirs(tmp_path):
+def test_evaluate_requires_both_dirs(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc_info:
         run_cli("evaluate", "--gt-dir", str(tmp_path))
     assert exc_info.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: vtspot evaluate")
 
 
 def test_evaluate_requires_inputs():
@@ -381,6 +382,7 @@ def test_interpolate_too_few_frames_is_a_usage_error(tmp_path, capsys, frames):
     assert exc_info.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert captured.err.startswith("usage: vtspot interpolate")
     assert str(sampled) in captured.err
     assert "at least 28" in captured.err
 

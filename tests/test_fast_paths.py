@@ -1,14 +1,15 @@
 """Differential tests: the broad phase, the once-per-frame unroll of the set
-matcher and the shared per-frame IoU table against the clip-only geometry,
-the per-pair cost matrix and the three separate metric passes kept in
-``oracles``.  Results must be equal, not approximately equal."""
+matcher, the shared per-frame IoU table and the tracker's gated pricing
+against the clip-only geometry, the per-pair cost matrix, the three
+separate metric passes and the dense-matrix tracker kept in ``oracles``.
+Results must be equal, not approximately equal."""
 
 import math
 import random
 import unittest.mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import vtspot.linker as linker_mod
@@ -18,11 +19,14 @@ from oracles import (
     clip_giou,
     clip_iou,
     clip_quad_iou,
+    dense_track,
     plain_cost_matrix,
     three_pass_report,
 )
 from vtspot.annotations import (
     IGNORE_MARK,
+    Detection,
+    FrameDetections,
     Instance,
     VideoAnnotation,
     trajectories_to_annotation,
@@ -391,6 +395,34 @@ def _roughened(pred: VideoAnnotation, rng: random.Random) -> VideoAnnotation:
                            pred.frame_count, frames)
 
 
+def _with_ties(pred: VideoAnnotation, rng: random.Random, split: bool) -> VideoAnnotation:
+    """Give some prediction tracks a tied twin: a copy of the track's
+    first frames (sometimes all of them) under a fresh id, or (``split``)
+    the track's second half moved to a fresh id when both halves are
+    equally long, so that two tracks agree equally with one reference."""
+    fresh = 1 + max((i.track_id for f in pred.frames.values() for i in f), default=0)
+    frames = {f: list(instances) for f, instances in pred.frames.items()}
+    spans: dict[int, list[int]] = {}
+    for f in sorted(frames):
+        for i in frames[f]:
+            spans.setdefault(i.track_id, []).append(f)
+    for tid, span in sorted(spans.items()):
+        if rng.random() < 0.5:
+            continue
+        if not split:
+            for f in span[:rng.randint(1, len(span))]:
+                twin = next(i for i in frames[f] if i.track_id == tid)
+                frames[f].append(Instance(fresh, twin.quad, twin.transcription))
+        elif len(span) % 2 == 0:
+            moved = set(span[len(span) // 2:])
+            for f in moved:
+                frames[f] = [Instance(fresh, i.quad, i.transcription)
+                             if i.track_id == tid else i for i in frames[f]]
+        fresh += 1
+    return VideoAnnotation(pred.video_id, pred.width, pred.height,
+                           pred.frame_count, frames)
+
+
 @st.composite
 def videos(draw):
     cfg = SynthConfig(
@@ -406,13 +438,39 @@ def videos(draw):
     trajs = run_tracker(dets.frames, TrackerConfig(iou_threshold=0.3))
     pred = trajectories_to_annotation(trajs, gt.video_id, gt.width, gt.height,
                                       gt.frame_count)
+    ties = draw(st.sampled_from((None, "copy", "split")))
+    if ties is not None:
+        pred = _with_ties(pred, rng, split=ties == "split")
     if draw(st.booleans()):
         pred = _roughened(pred, rng)
     gt = _with_ignores(gt, rng, draw(st.sampled_from((0.0, 0.15, 0.4))))
     return gt, pred
 
 
+def _unit_square(tid: int, x: float) -> Instance:
+    return Instance(tid, Quad.from_flat([x, 0, x + 1, 0, x + 1, 1, x, 1]), "a")
+
+
+def _cross_tied_video() -> tuple[VideoAnnotation, VideoAnnotation]:
+    """Reference tracks 0 (frames 0-4 at x=0) and 1 (frames 5-9 at x=10);
+    prediction 7 agrees with them on 4 and 3 frames, prediction 8 on 2 and
+    1.  Both pairings total 5 agreeing frames, but only one of them leaves
+    reference track 0 mostly tracked."""
+    gt = VideoAnnotation("v", 100, 100, 10, {
+        f: [_unit_square(0, 0.0) if f < 5 else _unit_square(1, 10.0)] for f in range(10)
+    })
+    where = {7: {0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0, 5: 10.0, 6: 10.0, 7: 10.0},
+             8: {3: 0.0, 4: 0.0, 8: 10.0}}
+    pred = VideoAnnotation("v", 100, 100, 10, {
+        f: [_unit_square(tid, xs[f]) for tid, xs in where.items() if f in xs]
+        for f in range(10)
+    })
+    return gt, pred
+
+
 @settings(max_examples=60, deadline=None)
+@example(_cross_tied_video(), "tracking", 0.5, 0.0, False)
+@example(_cross_tied_video(), "spotting", 0.5, 0.0, False)
 @given(videos(), st.sampled_from(("detection", "tracking", "spotting")),
        st.sampled_from((0.05, 0.3, 0.5, 0.7, 1.0)),
        st.sampled_from((0.0, 0.2, 0.6)), st.booleans())
@@ -485,3 +543,44 @@ def test_tracker_and_linker_equal_clip_only(seed, monkeypatch):
     monkeypatch.setattr(linker_mod, "iou", _clip_only)
     plain = (_as_points(run_tracker(dets.frames)), _as_points(link(frames)))
     assert fast == plain
+
+
+# ---------------------------------------------------------------------------
+# tracker: gated pricing against the dense padded matrix
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("motion", ["static", "constant_velocity", "rotate"])
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("cfg", [TrackerConfig(), TrackerConfig(0.2, max_age=2),
+                                 TrackerConfig(1.0, max_age=1, min_score=0.5)])
+def test_tracker_equals_dense_oracle_on_synth_streams(motion, seed, cfg):
+    _, dets = generate(SynthConfig(n_objects=15, n_frames=8, motion=motion,
+                                   noise_sigma=3.0, drop_prob=0.2, seed=seed))
+    assert run_tracker(dets.frames, cfg) == dense_track(dets.frames, cfg)
+
+
+# Squares of side 4 on a lattice of step 2: duplicates, and pairs at equal
+# IoU (a box at x = 2 meets boxes at x = 0 and x = 4 at 1/3 each).
+lattice_dets = st.builds(
+    lambda x, y, score: Detection(RotatedBox(2.0 * x, 2.0 * y, 4.0, 4.0, 0.0), score),
+    st.integers(0, 3), st.integers(0, 1), st.sampled_from((0.4, 1.0)))
+
+# Every box jumps clear of the last frame's: tracks and detections in each
+# frame, but no admissible pair.
+GATE_MISSING_FRAMES = [
+    [Detection(RotatedBox(20.0 * f + 7.0 * k, 3.0 * k, 4.0, 4.0, 0.1 * f), 1.0)
+     for k in range(4)]
+    for f in range(5)
+]
+
+
+@settings(max_examples=150, deadline=None)
+@example(GATE_MISSING_FRAMES, 0.5, 3, 0.0)
+@given(st.lists(st.lists(lattice_dets, max_size=6), min_size=1, max_size=6),
+       st.sampled_from((0.1, 1.0 / 3.0, 0.5, 1.0)), st.integers(0, 2),
+       st.sampled_from((0.0, 0.5)))
+def test_tracker_equals_dense_oracle_on_tied_frames(frames, gate, max_age, min_score):
+    stream = [FrameDetections(f, dets) for f, dets in enumerate(frames)]
+    cfg = TrackerConfig(gate, max_age=max_age, min_score=min_score)
+    assert run_tracker(stream, cfg) == dense_track(stream, cfg)

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vtspot.errors import NonFiniteCost, SizeMismatch
 from vtspot.geometry import RotatedBox, giou
@@ -11,6 +13,7 @@ from vtspot.matching import (
     GroundTruthInstance,
     PredictedInstance,
     angle_loss,
+    gated_cost,
     hungarian,
     match_sets,
     pair_cost,
@@ -225,6 +228,41 @@ def test_hungarian_row_shift_moves_total_by_constant():
         assert hungarian(shifted).total_cost == pytest.approx(
             hungarian(cost).total_cost + k, abs=1e-9
         )
+
+
+# Weights as the callers list them: IoUs in (0, 1], with repeats so that
+# optima tie, and the integer agreement counts of the identity pass.
+pair_weights = st.one_of(st.sampled_from((0.25, 0.5, 1.0)), st.floats(0.01, 1.0),
+                         st.integers(1, 4))
+
+
+@st.composite
+def sparse_weights(draw):
+    n_rows, n_cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    cells = [(r, c) for r in range(n_rows) for c in range(n_cols)]
+    listed = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+    return {pair: draw(pair_weights) for pair in listed}, n_rows, n_cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_weights())
+def test_gated_cost_solution_is_a_max_weight_matching(case):
+    weights, n_rows, n_cols = case
+    kept = [pair for pair in hungarian(gated_cost(weights, n_rows, n_cols)).pairs
+            if pair in weights]
+    assert len({r for r, _ in kept}) == len({c for _, c in kept}) == len(kept)
+    assert all(r < n_rows and c < n_cols for r, c in kept)
+    n = max(n_rows, n_cols)
+    best, _ = brute_force_assignment(
+        [[-weights.get((r, c), 0) for c in range(n)] for r in range(n)])
+    assert math.fsum(weights[pair] for pair in kept) == pytest.approx(-best, abs=1e-9)
+
+
+def test_gated_cost_prices_listed_pairs_and_pads_with_one():
+    assert gated_cost({}, 0, 0) == []
+    assert gated_cost({}, 1, 2) == [[1.0, 1.0], [1.0, 1.0]]
+    assert gated_cost({(0, 1): 0.75, (2, 0): 3}, 3, 2) == [
+        [1.0, 0.25, 1.0], [1.0, 1.0, 1.0], [-2.0, 1.0, 1.0]]
 
 
 # ---------------------------------------------------------------------------
