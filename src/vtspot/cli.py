@@ -74,12 +74,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _default_jobs() -> int:
+def _env_jobs(parser: argparse.ArgumentParser) -> int:
+    """The worker count VTSPOT_JOBS gives, checked like --jobs."""
     raw = os.environ.get("VTSPOT_JOBS", "1")
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        return _positive_int(raw)
+    except (ValueError, argparse.ArgumentTypeError):
+        parser.error(f"VTSPOT_JOBS must be an integer >= 1, got {raw!r}")
 
 
 _CSV_RATIOS = ("precision", "recall", "fscore", "mota", "motp",
@@ -141,6 +142,7 @@ def _corpus_pairs(gt_dir: str, pred_dir: str) -> list[tuple[str, str]]:
 
 
 def cmd_evaluate(args) -> int:
+    n_workers = args.jobs if args.jobs is not None else _env_jobs(args.parser)
     if not (0.0 < args.iou_thresh <= 1.0):
         print(f"vtspot: --iou-thresh must be in (0, 1], got {args.iou_thresh}",
               file=sys.stderr)
@@ -164,8 +166,8 @@ def cmd_evaluate(args) -> int:
 
     jobs = [(g, p, args.task, args.iou_thresh, args.iou_floor,
              args.case_insensitive) for g, p in pairs]
-    if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if n_workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
             reports = list(pool.map(_eval_pair, jobs))
     else:
         reports = [_eval_pair(job) for job in jobs]
@@ -358,7 +360,7 @@ def _build_parser() -> _Parser:
                         help="fold case when comparing transcriptions")
     p_eval.add_argument("--format", choices=("json", "csv"), default="json")
     p_eval.add_argument("--out", help="write the report here instead of stdout")
-    p_eval.add_argument("--jobs", type=_positive_int, default=_default_jobs(),
+    p_eval.add_argument("--jobs", type=_positive_int, default=None,
                         help="parallel workers for corpus evaluation "
                              "(default: VTSPOT_JOBS or 1)")
     p_eval.set_defaults(func=cmd_evaluate, parser=p_eval)

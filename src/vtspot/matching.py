@@ -6,8 +6,9 @@ confident predictions and penalizes L1 box error, the generalized-IoU gap,
 and the cosine angle gap. A hand-rolled O(n^3) shortest-augmenting-path
 solver finds the minimum-cost one-to-one matching, and the set loss scores a
 matched set with log-likelihood class terms plus the same box terms.  The
-tracker and the CLEAR and identity passes price their gated max-weight
-assignments for the same solver with ``gated_cost``.
+tracker and the CLEAR and identity passes solve their gated max-weight
+assignments with ``gated_assign``, one connected component of admissible
+pairs at a time, each priced for the same solver by ``gated_cost``.
 """
 
 from __future__ import annotations
@@ -181,6 +182,56 @@ def gated_cost(
     for (r, c), weight in weights.items():
         cost[r][c] = 1.0 - weight
     return cost
+
+
+def gated_assign(weights: dict[tuple[int, int], float]) -> list[tuple[int, int]]:
+    """Max-weight one-to-one assignment over the admissible (row, col) pairs
+    in ``weights``, each of positive weight; returns the chosen pairs, all
+    listed, sorted by row.
+
+    Only listed pairs can be chosen, so the optimum splits over the
+    connected components of the bipartite graph the pairs form.  A
+    component of one pair is taken as it is; a larger one is solved by
+    ``hungarian`` on ``gated_cost`` of its own submatrix, with its rows and
+    its columns in ascending order.  A tie is therefore broken inside its
+    own component, never by rows or columns that share no listed pair with
+    it.
+    """
+    row_cols: dict[int, list[int]] = {}
+    col_rows: dict[int, list[int]] = {}
+    for r, c in weights:
+        row_cols.setdefault(r, []).append(c)
+        col_rows.setdefault(c, []).append(r)
+
+    pairs: list[tuple[int, int]] = []
+    seen: set[int] = set()
+    for start, start_cols in row_cols.items():
+        if start in seen:
+            continue
+        seen.add(start)
+        if len(start_cols) == 1 and len(col_rows[start_cols[0]]) == 1:
+            pairs.append((start, start_cols[0]))
+            continue
+        rows, cols, stack = [start], set(start_cols), list(start_cols)
+        while stack:
+            for r in col_rows[stack.pop()]:
+                if r not in seen:
+                    seen.add(r)
+                    rows.append(r)
+                    for c in row_cols[r]:
+                        if c not in cols:
+                            cols.add(c)
+                            stack.append(c)
+        rows.sort()
+        cols = sorted(cols)
+        col_at = {c: j for j, c in enumerate(cols)}
+        sub = {(i, col_at[c]): weights[r, c]
+               for i, r in enumerate(rows) for c in row_cols[r]}
+        for i, j in hungarian(gated_cost(sub, len(rows), len(cols))).pairs:
+            if (i, j) in sub:
+                pairs.append((rows[i], cols[j]))
+    pairs.sort()
+    return pairs
 
 
 def match_sets(gts, preds, w: CostWeights = CostWeights()) -> Assignment:

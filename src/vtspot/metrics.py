@@ -35,7 +35,8 @@ from .geometry import (
     quad_to_rotated,
     rotated_to_quad,
 )
-from .matching import gated_cost, hungarian
+from .matching import gated_assign
+from .matching import hungarian  # noqa: F401  bench/layers.py wraps this name
 
 __all__ = [
     "DetCounters",
@@ -395,10 +396,7 @@ def eval_mot(
             for r, gi in enumerate(rem_g) for c, pi in enumerate(rem_p)
             if (overlap := table.ious.get((gi, pi), 0.0)) >= iou_thresh
         }
-        solution = hungarian(gated_cost(gated, len(rem_g), len(rem_p))).pairs if gated else ()
-        for r, c in solution:
-            if (r, c) not in gated:
-                continue
+        for r, c in gated_assign(gated):
             gid = table.gt[rem_g[r]].track_id
             pid = table.preds[rem_p[c]].track_id
             matches[gid] = pid
@@ -486,10 +484,7 @@ def eval_id(
     p_col = {p: c for c, p in enumerate(p_ids)}
     weights = {(g_row[g], p_col[p]): n for (g, p), n in agree.items()}
 
-    assigned: dict[int, int] = {}
-    if weights:
-        cost = gated_cost(weights, len(g_ids), len(p_ids))
-        assigned = {gi: pi for gi, pi in hungarian(cost).pairs if (gi, pi) in weights}
+    assigned = dict(gated_assign(weights))
 
     id_tp = sum(weights[pair] for pair in assigned.items())
     counters = IdCounters(

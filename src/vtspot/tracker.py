@@ -27,7 +27,8 @@ from .annotations import (
 )
 from .errors import NonMonotonicFrame
 from .geometry import RotatedBox, iou, rotated_to_quad
-from .matching import gated_cost, hungarian
+from .matching import gated_assign
+from .matching import hungarian  # noqa: F401  bench/layers.py wraps this name
 
 __all__ = ["TrackerConfig", "TrackState", "Tracker", "run"]
 
@@ -159,10 +160,7 @@ class Tracker:
                 overlap = iou(box, det.box, quads=(quad, det_quad))
                 if overlap >= gate:
                     gated[ti, di] = overlap
-        if not gated:
-            return []
-        cost = gated_cost(gated, len(self.tracks), len(detections))
-        return [pair for pair in hungarian(cost).pairs if pair in gated]
+        return gated_assign(gated)
 
     def trajectories(self) -> list[Trajectory]:
         """Every track ever born, dead or alive, sorted by ID."""

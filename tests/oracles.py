@@ -170,7 +170,8 @@ def overlapping_box_pair(rng: random.Random):
 # share one IoU table per frame, and its gated assignments price only the
 # listed pairs.  What follows is the plain version of each: every pair is
 # unrolled and clipped on its own, each pass computes its own overlaps, and
-# each assignment fills a dense padded matrix by hand.
+# each assignment flood-fills its gate components on a dense table and
+# fills each one's padded matrix by hand.
 # Unlike the oracles above, these reuse the package's clipping arithmetic
 # on purpose, so that differential tests can demand bit-equal results.
 
@@ -249,22 +250,53 @@ def _on_ignored_region(quad, ignored, gate):
     return any(clip_quad_iou(quad, region) >= gate for region in ignored)
 
 
+def component_pairs(admissible, weight):
+    """Gated max-weight assignment on dense tables, one gate component at a
+    time: flood-fill the components of the bipartite graph whose edges are
+    the admissible cells, then solve each on its own padded square
+    submatrix, rows and columns in their original order (an admissible cell
+    costs 1 - weight, any other cell 1).  Returns the admissible pairs
+    chosen, sorted by row."""
+    n_r = len(admissible)
+    n_c = len(admissible[0]) if n_r else 0
+    row_comp, col_comp = [None] * n_r, [None] * n_c
+    n_comps = 0
+    for start in range(n_r):
+        if row_comp[start] is not None or not any(admissible[start]):
+            continue
+        row_comp[start] = n_comps
+        frontier = [("row", start)]
+        while frontier:
+            side, i = frontier.pop()
+            if side == "row":
+                for c in range(n_c):
+                    if admissible[i][c] and col_comp[c] is None:
+                        col_comp[c] = n_comps
+                        frontier.append(("col", c))
+            else:
+                for r in range(n_r):
+                    if admissible[r][i] and row_comp[r] is None:
+                        row_comp[r] = n_comps
+                        frontier.append(("row", r))
+        n_comps += 1
+    pairs = []
+    for k in range(n_comps):
+        rows = [r for r in range(n_r) if row_comp[r] == k]
+        cols = [c for c in range(n_c) if col_comp[c] == k]
+        n = max(len(rows), len(cols))
+        cost = [[1.0] * n for _ in range(n)]
+        for i, r in enumerate(rows):
+            for j, c in enumerate(cols):
+                if admissible[r][c]:
+                    cost[i][j] = 1.0 - weight[r][c]
+        for i, j in hungarian(cost).pairs:
+            if i < len(rows) and j < len(cols) and admissible[rows[i]][cols[j]]:
+                pairs.append((rows[i], cols[j]))
+    return sorted(pairs)
+
+
 def _gated_max_iou_pairs(ious, gate):
-    n_r = len(ious)
-    n_c = len(ious[0]) if n_r else 0
-    if n_r == 0 or n_c == 0:
-        return []
-    n = max(n_r, n_c)
-    cost = [[1.0] * n for _ in range(n)]
-    for r in range(n_r):
-        for c in range(n_c):
-            if ious[r][c] >= gate:
-                cost[r][c] = 1.0 - ious[r][c]
-    return [
-        (r, c)
-        for r, c in hungarian(cost).pairs
-        if r < n_r and c < n_c and ious[r][c] >= gate
-    ]
+    return component_pairs([[v >= gate for v in row] for row in ious], ious)
 
 
 def _frame_preds(gt, pred, f, gate):
@@ -376,16 +408,8 @@ def _identity_pass(gt, pred, spotting, iou_floor, case_insensitive):
         return count
 
     overlaps = [[overlap(gt_tracks[g], pred_tracks[p]) for p in p_ids] for g in g_ids]
-    assigned = {}
-    if g_ids and p_ids:
-        n = max(len(g_ids), len(p_ids))
-        cost = [[0.0] * n for _ in range(n)]
-        for gi in range(len(g_ids)):
-            for pi in range(len(p_ids)):
-                cost[gi][pi] = -float(overlaps[gi][pi])
-        for gi, pi in hungarian(cost).pairs:
-            if gi < len(g_ids) and pi < len(p_ids) and overlaps[gi][pi] > 0:
-                assigned[gi] = pi
+    assigned = dict(component_pairs([[n > 0 for n in row] for row in overlaps],
+                                    overlaps))
     id_tp = sum(overlaps[gi][pi] for gi, pi in assigned.items())
     total_gt = sum(len(v) for v in gt_tracks.values())
     total_pred = sum(len(v) for v in pred_tracks.values())
@@ -417,10 +441,7 @@ def three_pass_report(gt, pred, task, *, iou_thresh=0.5, iou_floor=0.0,
 
 def _dense_associate(tracker, detections):
     """``Tracker._associate`` on a dense table: every track/detection IoU
-    is kept, and cells under the gate are priced at the miss cost 1."""
-    n_t, n_d = len(tracker.tracks), len(detections)
-    if n_t == 0 or n_d == 0:
-        return []
+    is kept, and the gate components are solved one by one."""
     gate = tracker.cfg.iou_threshold
     det_quads = [rotated_to_quad(det.box) for det in detections]
     ious = []
@@ -429,27 +450,17 @@ def _dense_associate(tracker, detections):
         quad = rotated_to_quad(box)
         ious.append([iou(box, det.box, quads=(quad, det_quad))
                      for det, det_quad in zip(detections, det_quads)])
-    n = max(n_t, n_d)
-    cost = [[1.0] * n for _ in range(n)]
-    for ti in range(n_t):
-        for di in range(n_d):
-            if ious[ti][di] >= gate:
-                cost[ti][di] = 1.0 - ious[ti][di]
-    return [
-        (ti, di)
-        for ti, di in hungarian(cost).pairs
-        if ti < n_t and di < n_d and ious[ti][di] >= gate
-    ]
+    return _gated_max_iou_pairs(ious, gate)
 
 
 class DenseTracker(Tracker):
-    """The tracker with the dense-matrix association."""
+    """The tracker with the dense-table association."""
 
     _associate = _dense_associate
 
 
 def dense_track(stream, cfg=None):
-    """``tracker.run`` with the dense-matrix association."""
+    """``tracker.run`` with the dense-table association."""
     tracker = DenseTracker(cfg)
     for frame in stream:
         tracker.step(frame)

@@ -280,6 +280,24 @@ def test_jobs_env_default(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["aggregate"]["mota"] == 1.0
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_bad_jobs_env_is_a_usage_error(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv("VTSPOT_JOBS", raw)
+    gt_dir, pred_dir = corpus_dirs(tmp_path, 2)
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("evaluate", "--gt-dir", str(gt_dir), "--pred-dir", str(pred_dir))
+    assert exc_info.value.code == 1
+    err = capsys.readouterr().err
+    assert "VTSPOT_JOBS" in err and repr(raw) in err
+
+
+def test_track_ignores_bad_jobs_env(tmp_path, capsys, monkeypatch):
+    _, dets = make_synth(tmp_path, **{"--frames": 5, "--objects": 2})
+    monkeypatch.setenv("VTSPOT_JOBS", "abc")
+    assert run_cli("track", str(dets)) == 0
+    assert len(json.loads(capsys.readouterr().out)["frames"]) == 5
+
+
 # ---------------------------------------------------------------------------
 # track
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Differential tests: the broad phase, the once-per-frame unroll of the set
-matcher, the shared per-frame IoU table and the tracker's gated pricing
-against the clip-only geometry, the per-pair cost matrix, the three
-separate metric passes and the dense-matrix tracker kept in ``oracles``.
+matcher, the shared per-frame IoU table and the tracker's component-wise
+gated assignment against the clip-only geometry, the per-pair cost matrix,
+the three separate metric passes and the dense-table tracker kept in
+``oracles``.
 Results must be equal, not approximately equal."""
 
 import math
@@ -546,7 +547,7 @@ def test_tracker_and_linker_equal_clip_only(seed, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# tracker: gated pricing against the dense padded matrix
+# tracker: component-wise gated assignment against the dense-table oracle
 # ---------------------------------------------------------------------------
 
 
@@ -575,8 +576,24 @@ GATE_MISSING_FRAMES = [
 ]
 
 
+def _lattice(x: int, y: int) -> Detection:
+    return Detection(RotatedBox(2.0 * x, 2.0 * y, 4.0, 4.0, 0.0), 1.0)
+
+
+# Tracks 0-4 are duplicates at (0, 0), track 5 sits at (2, 0).  In the next
+# frame tracks 0-2 match their duplicates exactly and tracks 3-4 gate with
+# nothing; track 5 meets detections 3 and 5 at IoU 1/3 each.  One dense
+# padded solve let the idle tracks 3-4 decide that tie (track 5 took
+# detection 5); solved inside its own component, track 5 takes detection 3.
+TIE_OUTSIDE_ITS_COMPONENT = [
+    [_lattice(0, 0)] * 5 + [_lattice(1, 0)],
+    [_lattice(0, 0)] * 3 + [_lattice(1, 1), _lattice(2, 1), _lattice(1, 1)],
+]
+
+
 @settings(max_examples=150, deadline=None)
 @example(GATE_MISSING_FRAMES, 0.5, 3, 0.0)
+@example(TIE_OUTSIDE_ITS_COMPONENT, 1.0 / 3.0, 0, 0.0)
 @given(st.lists(st.lists(lattice_dets, max_size=6), min_size=1, max_size=6),
        st.sampled_from((0.1, 1.0 / 3.0, 0.5, 1.0)), st.integers(0, 2),
        st.sampled_from((0.0, 0.5)))

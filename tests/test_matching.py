@@ -13,6 +13,7 @@ from vtspot.matching import (
     GroundTruthInstance,
     PredictedInstance,
     angle_loss,
+    gated_assign,
     gated_cost,
     hungarian,
     match_sets,
@@ -263,6 +264,80 @@ def test_gated_cost_prices_listed_pairs_and_pads_with_one():
     assert gated_cost({}, 1, 2) == [[1.0, 1.0], [1.0, 1.0]]
     assert gated_cost({(0, 1): 0.75, (2, 0): 3}, 3, 2) == [
         [1.0, 0.25, 1.0], [1.0, 1.0, 1.0], [-2.0, 1.0, 1.0]]
+
+
+def test_gated_assign_of_nothing_is_empty():
+    assert gated_assign({}) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_weights())
+def test_gated_assign_is_a_max_weight_matching(case):
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    weights, n_rows, n_cols = case
+    pairs = gated_assign(weights)
+    assert all(pair in weights for pair in pairs)
+    assert len({r for r, _ in pairs}) == len({c for _, c in pairs}) == len(pairs)
+    assert [r for r, _ in pairs] == sorted(r for r, _ in pairs)
+    total = math.fsum(weights[pair] for pair in pairs)
+    n = max(n_rows, n_cols)
+    table = [[weights.get((r, c), 0) for c in range(n)] for r in range(n)]
+    best, _ = brute_force_assignment([[-w for w in row] for row in table])
+    assert total == pytest.approx(-best, abs=1e-9)
+    if table:  # scipy wants a 2-D array
+        rows, cols = scipy_opt.linear_sum_assignment(table, maximize=True)
+        want = math.fsum(table[r][c] for r, c in zip(rows, cols))
+        assert total == pytest.approx(want, abs=1e-9)
+
+
+@st.composite
+def unique_optimum_weights(draw):
+    """Sparse weights that are distinct powers of two, so no two matchings
+    share a total and the optimum is unique (and every sum is exact)."""
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = [(r, c) for r in range(n_rows) for c in range(n_cols)]
+    listed = draw(st.lists(st.sampled_from(cells), unique=True, max_size=12))
+    exponents = draw(st.permutations(range(-8, 4)))
+    return {pair: 2.0 ** e for pair, e in zip(listed, exponents)}, n_rows, n_cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(unique_optimum_weights())
+def test_gated_assign_equals_dense_solve_when_the_optimum_is_unique(case):
+    weights, n_rows, n_cols = case
+    dense = [pair for pair in hungarian(gated_cost(weights, n_rows, n_cols)).pairs
+             if pair in weights]
+    assert gated_assign(weights) == dense
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_weights(), sparse_weights(), st.data())
+def test_gated_assign_is_local_to_each_component(case, other, data):
+    """Rows and columns of an unrelated problem, inserted at random indices,
+    change none of the existing pairs (ties included) once relabelled."""
+    weights, n_rows, n_cols = case
+    extra, n_extra_rows, n_extra_cols = other
+    row_slots = data.draw(st.permutations([False] * n_rows + [True] * n_extra_rows))
+    col_slots = data.draw(st.permutations([False] * n_cols + [True] * n_extra_cols))
+
+    def positions(slots):
+        """Merged indices of the original (False) and inserted (True) slots."""
+        return ([i for i, inserted in enumerate(slots) if not inserted],
+                [i for i, inserted in enumerate(slots) if inserted])
+
+    row_of, extra_row_of = positions(row_slots)
+    col_of, extra_col_of = positions(col_slots)
+    merged = {(row_of[r], col_of[c]): w for (r, c), w in weights.items()}
+    merged.update({(extra_row_of[r], extra_col_of[c]): w for (r, c), w in extra.items()})
+    pairs = gated_assign(merged)
+
+    def relabelled(rows, cols):
+        back_row = {m: i for i, m in enumerate(rows)}
+        back_col = {m: i for i, m in enumerate(cols)}
+        return [(back_row[r], back_col[c]) for r, c in pairs if r in back_row]
+
+    assert relabelled(row_of, col_of) == gated_assign(weights)
+    assert relabelled(extra_row_of, extra_col_of) == gated_assign(extra)
 
 
 # ---------------------------------------------------------------------------
