@@ -80,10 +80,6 @@ from .metrics import (
     MetricsReport,
     MotCounters,
     aggregate,
-    eval_detection,
-    eval_id,
-    eval_mot,
-    eval_spotting,
     evaluate,
     normalize_transcription,
 )
@@ -118,8 +114,7 @@ __all__ = [
     "set_loss_terms",
     # metrics
     "DetCounters", "IdCounters", "MetricsReport", "MotCounters", "aggregate",
-    "eval_detection", "eval_id", "eval_mot", "eval_spotting", "evaluate",
-    "normalize_transcription",
+    "evaluate", "normalize_transcription",
     # synth
     "SynthConfig", "generate",
     # tracker

@@ -28,7 +28,7 @@ from .annotations import (
     save_detections,
     save_trajectories,
 )
-from .errors import DataError, SchemaError, VideoMismatch
+from .errors import DataError, GeometryError, SchemaError, VideoMismatch
 from .geometry import quad_to_rotated, rotated_to_quad
 from .linker import LinkerConfig, link
 from .matching import (
@@ -124,11 +124,15 @@ def _eval_pair(job) -> MetricsReport:
         raise VideoMismatch(f"{gt_path} vs {pred_path}: {exc}") from None
 
 
+def _annotation_files(directory: str) -> dict[str, Path]:
+    """The directory's files in the two annotation formats, by name."""
+    return {p.name: p for p in Path(directory).iterdir()
+            if p.name.endswith((".json", ".json.gz"))}
+
+
 def _corpus_pairs(gt_dir: str, pred_dir: str) -> list[tuple[str, str]]:
-    gt_names = {p.name: p for p in sorted(Path(gt_dir).iterdir())
-                if p.suffixes and p.suffixes[0] == ".json"}
-    pred_names = {p.name: p for p in sorted(Path(pred_dir).iterdir())
-                  if p.suffixes and p.suffixes[0] == ".json"}
+    gt_names = _annotation_files(gt_dir)
+    pred_names = _annotation_files(pred_dir)
     missing = sorted(set(gt_names) - set(pred_names))
     extra = sorted(set(pred_names) - set(gt_names))
     if missing or extra:
@@ -271,13 +275,17 @@ def cmd_loss(args) -> int:
     totals = {"cls": 0.0, "l1": 0.0, "giou": 0.0, "angle": 0.0}
     for fd in preds.frames:
         f = fd.frame_index
-        gts = [
-            GroundTruthInstance(
-                box=_normalized_box(quad_to_rotated(inst.quad),
-                                    gt.width, gt.height)
-            )
-            for inst in gt.frames.get(f, []) if not inst.ignore
-        ]
+        gts = []
+        for i, inst in enumerate(gt.frames.get(f, [])):
+            if inst.ignore:
+                continue
+            try:
+                box = quad_to_rotated(inst.quad)
+            except GeometryError as exc:
+                raise SchemaError(f"frames.{f}[{i}].points", str(exc),
+                                  args.gt) from None
+            gts.append(GroundTruthInstance(
+                box=_normalized_box(box, gt.width, gt.height)))
         predicted = [
             PredictedInstance(
                 class_prob=d.score,

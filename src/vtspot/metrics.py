@@ -43,10 +43,6 @@ __all__ = [
     "MotCounters",
     "IdCounters",
     "MetricsReport",
-    "eval_detection",
-    "eval_mot",
-    "eval_id",
-    "eval_spotting",
     "evaluate",
     "aggregate",
     "normalize_transcription",
@@ -228,16 +224,6 @@ def _usable_quad(quad: Quad) -> Quad:
     return quad if quad.is_convex() else rotated_to_quad(quad_to_rotated(quad))
 
 
-def _check_thresh(iou_thresh: float) -> None:
-    if not (0.0 < iou_thresh <= 1.0):
-        raise ValueError(f"iou_thresh must be in (0,1], got {iou_thresh}")
-
-
-def _check_floor(iou_floor: float) -> None:
-    if not (0.0 <= iou_floor < 1.0):
-        raise ValueError(f"iou_floor must be in [0,1), got {iou_floor}")
-
-
 @dataclass(slots=True)
 class _Slot:
     track_id: int
@@ -304,16 +290,8 @@ def _kept_preds(table: _FrameTable, gate: float) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _detection_counts(
-    gt: VideoAnnotation,
-    pred: VideoAnnotation,
-    iou_thresh: float,
-    *,
-    tables: list[_FrameTable] | None = None,
-) -> DetCounters:
-    _check_thresh(iou_thresh)
-    if tables is None:
-        tables = _frame_tables(gt, pred)
+def _detection_counts(tables: list[_FrameTable], iou_thresh: float) -> DetCounters:
+    """Per-frame greedy one-to-one matching, best IoU first."""
     counters = DetCounters()
     for table in tables:
         kept = _kept_preds(table, iou_thresh)
@@ -337,35 +315,16 @@ def _detection_counts(
     return counters
 
 
-def eval_detection(
-    gt: VideoAnnotation, pred: VideoAnnotation, iou_thresh: float = 0.5
-) -> tuple[float, float, float]:
-    """Per-frame greedy one-to-one matching; returns (precision, recall,
-    F-score), each 0 when its denominator is empty."""
-    return _detection_counts(gt, pred, iou_thresh).ratios([])
-
-
 # ---------------------------------------------------------------------------
 # CLEAR tracking
 # ---------------------------------------------------------------------------
 
 
-def eval_mot(
-    gt: VideoAnnotation,
-    pred: VideoAnnotation,
-    iou_thresh: float = 0.5,
-    *,
-    tables: list[_FrameTable] | None = None,
-) -> tuple[float, float, MotCounters]:
+# bench/layers.py times the CLEAR pass by wrapping this name
+def eval_mot(tables: list[_FrameTable], iou_thresh: float) -> MotCounters:
     """CLEAR procedure: correspondences established frame by frame, kept
     while they stay above the gate, mismatches counted the first frame a
-    reference track's partner id changes versus its last established one.
-
-    ``tables`` are the video's per-frame overlaps when the caller has
-    built them already."""
-    _check_thresh(iou_thresh)
-    if tables is None:
-        tables = _frame_tables(gt, pred)
+    reference track's partner id changes versus its last established one."""
     counters = MotCounters()
     active_corr: dict[int, int] = {}
     last_match: dict[int, int] = {}
@@ -414,7 +373,7 @@ def eval_mot(
         counters.matched_iou_sum += sum(iou_of.values())
         active_corr = matches
 
-    return (*counters.ratios([]), counters)
+    return counters
 
 
 # ---------------------------------------------------------------------------
@@ -422,32 +381,23 @@ def eval_mot(
 # ---------------------------------------------------------------------------
 
 
+# bench/layers.py times the identity pass by wrapping this name
 def eval_id(
-    gt: VideoAnnotation,
-    pred: VideoAnnotation,
-    mode: str = "tracking",
-    iou_floor: float = 0.0,
-    *,
-    case_insensitive: bool = False,
-    tables: list[_FrameTable] | None = None,
-) -> tuple[float, float, float, int, int, IdCounters]:
-    """Trajectory-level identity metrics.
+    tables: list[_FrameTable],
+    spotting: bool,
+    iou_floor: float,
+    case_insensitive: bool,
+) -> tuple[IdCounters, int, int]:
+    """Trajectory-level identity counters plus MT and ML.
 
     Two frame slots agree when both exist and their IoU strictly exceeds
-    ``iou_floor``; in spotting mode the transcriptions must also be equal
+    ``iou_floor``; when ``spotting`` the transcriptions must also be equal
     after normalization.  A global assignment between reference and
     predicted trajectories maximizes the total number of agreeing slots
     (id_tp); IDP, IDR, IDF1, MT, and ML all follow from it.  Prediction
     slots on an ignored reference region (IoU at least ``IGNORE_GATE``)
-    are dropped.  ``tables`` are the video's per-frame overlaps when the
-    caller has built them already.
+    are dropped.
     """
-    if mode not in ("tracking", "spotting"):
-        raise ValueError(f"mode must be 'tracking' or 'spotting', got {mode!r}")
-    _check_floor(iou_floor)
-    if tables is None:
-        tables = _frame_tables(gt, pred)
-    spotting = mode == "spotting"
 
     def text_of(slot: _Slot) -> str | None:
         if not spotting:
@@ -503,7 +453,7 @@ def eval_id(
             mt += 1
         elif coverage < 0.2:
             ml += 1
-    return (*counters.ratios([]), mt, ml, counters)
+    return counters, mt, ml
 
 
 # ---------------------------------------------------------------------------
@@ -541,36 +491,19 @@ def evaluate(
     """
     if task not in ("detection", "tracking", "spotting"):
         raise ValueError(f"unknown task {task!r}")
-    _check_thresh(iou_thresh)
-    _check_floor(iou_floor)
+    if not (0.0 < iou_thresh <= 1.0):
+        raise ValueError(f"iou_thresh must be in (0,1], got {iou_thresh}")
+    if not (0.0 <= iou_floor < 1.0):
+        raise ValueError(f"iou_floor must be in [0,1), got {iou_floor}")
     tables = _frame_tables(gt, pred)
     report = MetricsReport(task=task, video_id=gt.video_id,
                            scenario=gt.scenario)
-    report.det = _detection_counts(gt, pred, iou_thresh, tables=tables)
+    report.det = _detection_counts(tables, iou_thresh)
     if task != "detection":
-        _, _, report.mot = eval_mot(gt, pred, iou_thresh, tables=tables)
-        mode = "spotting" if task == "spotting" else "tracking"
-        _, _, _, report.mt, report.ml, report.ids = eval_id(
-            gt, pred, mode=mode, iou_floor=iou_floor,
-            case_insensitive=case_insensitive, tables=tables,
-        )
+        report.mot = eval_mot(tables, iou_thresh)
+        report.ids, report.mt, report.ml = eval_id(
+            tables, task == "spotting", iou_floor, case_insensitive)
     return _ratios_from_counters(report)
-
-
-def eval_spotting(
-    gt: VideoAnnotation,
-    pred: VideoAnnotation,
-    *,
-    iou_thresh: float = 0.5,
-    iou_floor: float = 0.0,
-    case_insensitive: bool = False,
-) -> MetricsReport:
-    """End-to-end spotting report: CLEAR numbers from geometry, identity
-    numbers gated on matching transcriptions."""
-    return evaluate(
-        gt, pred, "spotting", iou_thresh=iou_thresh, iou_floor=iou_floor,
-        case_insensitive=case_insensitive,
-    )
 
 
 def aggregate(reports: list[MetricsReport]) -> MetricsReport:

@@ -51,8 +51,9 @@ class SynthConfig:
             raise ValueError(f"n_frames must be >= 2, got {self.n_frames}")
         if self.motion not in MOTIONS:
             raise ValueError(f"motion must be one of {MOTIONS}, got {self.motion!r}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(
+                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not (0.0 <= self.drop_prob < 1.0):
             raise ValueError(f"drop_prob must be in [0,1), got {self.drop_prob}")
 

@@ -31,7 +31,7 @@ from vtspot.matching import (
     match_sets,
     set_loss,
 )
-from vtspot.metrics import eval_id, eval_mot, evaluate
+from vtspot.metrics import evaluate
 from vtspot.synth import SynthConfig, generate
 from vtspot.tracker import TrackerConfig, run
 
@@ -147,11 +147,11 @@ def test_criterion_05_mot_switch_fixture():
             1: [wide(10, 5.5)],
             2: [wide(11, 6.75)],
         }, 3)
-        mota, motp, counters = eval_mot(gt, pred)
-        assert counters.mismatches == 1
-        assert counters.misses == 0 and counters.false_positives == 0
-        assert abs(mota - 2.0 / 3.0) <= 1e-12
-        assert abs(motp - (0.8 + 0.8 + 0.6) / 3.0) <= 1e-12
+        report = evaluate(gt, pred, "tracking")
+        assert report.mot.mismatches == 1
+        assert report.mot.misses == 0 and report.mot.false_positives == 0
+        assert abs(report.mota - 2.0 / 3.0) <= 1e-12
+        assert abs(report.motp - (0.8 + 0.8 + 0.6) / 3.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +174,16 @@ def test_criterion_06_identity_fixture():
             pred_frames[f].append(inst(3, cx))
         gt, pred = ann(gt_frames, 6), ann(pred_frames, 6)
 
-        idp, idr, idf1, mt, ml, counters = eval_id(gt, pred)
+        report = evaluate(gt, pred, "tracking")
         overlaps = [[5, 3, 0], [0, 4, 4]]
         best = max(sum(overlaps[i][cols[i]] for i in range(2))
                    for cols in itertools.permutations(range(3), 2))
-        assert counters.id_tp == best == 9
-        assert counters.id_fn == 2 and counters.id_fp == 6
-        assert abs(idf1 - 18.0 / 26.0) <= 1e-12
-        assert abs(idp - 9.0 / 15.0) <= 1e-12
-        assert abs(idr - 9.0 / 11.0) <= 1e-12
-        assert mt == 2 and ml == 0
+        assert report.ids.id_tp == best == 9
+        assert report.ids.id_fn == 2 and report.ids.id_fp == 6
+        assert abs(report.idf1 - 18.0 / 26.0) <= 1e-12
+        assert abs(report.idp - 9.0 / 15.0) <= 1e-12
+        assert abs(report.idr - 9.0 / 11.0) <= 1e-12
+        assert report.mt == 2 and report.ml == 0
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +238,8 @@ def test_criterion_08_spotting_dominated_by_tracking():
                     for t in range(3) if rng.random() > 0.2
                 ]
             gt, pred = ann(gt_frames, n_frames), ann(pred_frames, n_frames)
-            tracking = eval_id(gt, pred, mode="tracking")[2]
-            spotting = eval_id(gt, pred, mode="spotting")[2]
+            tracking = evaluate(gt, pred, "tracking").idf1
+            spotting = evaluate(gt, pred, "spotting").idf1
             assert spotting <= tracking + 1e-12, f"trial {trial}"
 
 
@@ -322,7 +322,7 @@ def test_criterion_11_degradation_is_monotone():
             pred = VideoAnnotation(video_id=gt.video_id, width=gt.width,
                                    height=gt.height,
                                    frame_count=gt.frame_count, frames=frames)
-            idf1 = eval_id(gt, pred)[2]
+            idf1 = evaluate(gt, pred, "tracking").idf1
             if previous is not None:
                 assert idf1 <= previous + 1e-12, f"rose at p={p}"
             previous = idf1

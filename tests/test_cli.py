@@ -18,7 +18,7 @@ from vtspot.annotations import (
 )
 from vtspot.cli import main
 from vtspot.geometry import RotatedBox, rotated_to_quad
-from vtspot.metrics import eval_id, eval_mot
+from vtspot.metrics import evaluate
 
 
 def run_cli(*argv):
@@ -140,6 +140,15 @@ def test_synth_writes_deterministic_files(tmp_path):
     gt2, dets2 = make_synth(tmp_path, "b", **{"--seed": 3})
     assert gt1.read_text() == gt2.read_text()
     assert dets1.read_text() == dets2.read_text()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_non_finite_noise_sigma_exits_one(tmp_path, capsys, value):
+    gt, dets = tmp_path / "gt.json", tmp_path / "dets.json"
+    assert run_cli("synth", "--noise-sigma", value, "--gt-out", str(gt),
+                   "--dets-out", str(dets)) == 1
+    assert f"noise_sigma must be finite and >= 0, got {value}" in capsys.readouterr().err
+    assert not gt.exists() and not dets.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +281,29 @@ def test_evaluate_corpus_name_mismatch_exits_two(tmp_path, capsys):
     assert "video1.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,scored", [
+    ("clip.v2.json", True),
+    ("clip.json.gz", True),
+    ("a.json.bak", False),
+    ("a.json.gz.orig", False),
+    ("notes.txt", False),
+])
+def test_evaluate_corpus_keeps_json_and_json_gz_names(tmp_path, capsys, name, scored):
+    gt_dir, pred_dir = corpus_dirs(tmp_path, 2)
+    text = (gt_dir / "video0.json").read_text()
+    for directory in (gt_dir, pred_dir):
+        if not scored:
+            # scoring this file would exit 2
+            (directory / name).write_text("not an annotation")
+        elif name.endswith(".gz"):
+            (directory / name).write_bytes(gzip.compress(text.encode()))
+        else:
+            (directory / name).write_text(text)
+    assert run_cli("evaluate", "--gt-dir", str(gt_dir),
+                   "--pred-dir", str(pred_dir)) == 0
+    assert len(json.loads(capsys.readouterr().out)["videos"]) == (3 if scored else 2)
+
+
 def test_jobs_env_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("VTSPOT_JOBS", "2")
     gt_dir, pred_dir = corpus_dirs(tmp_path, 2)
@@ -321,7 +353,7 @@ def test_track_linker_on_static_fixture(tmp_path):
                    "--out", str(out)) == 0
     linked = load_annotation(out)
     ref = load_annotation(gt)
-    idf1 = eval_id(ref, linked)[2]
+    idf1 = evaluate(ref, linked, "tracking").idf1
     assert idf1 >= 0.9
 
 
@@ -500,6 +532,17 @@ def test_loss_non_finite_or_negative_weight_exits_one(tmp_path, capsys, weights,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{name} must be finite and non-negative" in captured.err
+
+
+def test_loss_zero_area_reference_exits_two_naming_the_field(tmp_path, capsys):
+    gt_path, det_path = axis_aligned_fixture(tmp_path)
+    doc = json.loads(gt_path.read_text())
+    doc["frames"]["1"][2]["points"] = [5, 5, 5, 5, 5, 5, 5, 5]
+    gt_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("loss", str(gt_path), str(det_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{gt_path}: frames.1[2].points: quad area 0.0 is below" in captured.err
 
 
 def test_loss_video_mismatch_exits_three(tmp_path):

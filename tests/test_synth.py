@@ -4,7 +4,7 @@ import pytest
 
 from vtspot.annotations import save_annotation, save_detections
 from vtspot.geometry import iou
-from vtspot.metrics import eval_detection, eval_id, eval_mot
+from vtspot.metrics import evaluate
 from vtspot.synth import CANVAS_HEIGHT, CANVAS_WIDTH, SynthConfig, generate
 
 
@@ -20,6 +20,8 @@ def serialize(gt, dets):
     {"n_frames": 1},
     {"motion": "brownian"},
     {"noise_sigma": -1.0},
+    {"noise_sigma": float("nan")},
+    {"noise_sigma": float("inf")},
     {"drop_prob": 1.0},
 ])
 def test_config_validation(kwargs):
@@ -82,9 +84,10 @@ def test_objects_stay_separated():
 
 def test_reference_self_evaluates_perfectly():
     gt, _ = generate(SynthConfig(n_objects=4, n_frames=15, seed=8))
-    assert eval_detection(gt, gt) == (1.0, 1.0, 1.0)
-    assert eval_mot(gt, gt)[:2] == (1.0, 1.0)
-    assert eval_id(gt, gt)[:3] == (1.0, 1.0, 1.0)
+    r = evaluate(gt, gt, "tracking")
+    assert (r.precision, r.recall, r.fscore) == (1.0, 1.0, 1.0)
+    assert (r.mota, r.motp) == (1.0, 1.0)
+    assert (r.idp, r.idr, r.idf1) == (1.0, 1.0, 1.0)
 
 
 def test_consecutive_frames_overlap_enough_for_tracking():
