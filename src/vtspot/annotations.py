@@ -41,7 +41,7 @@ from .errors import (
     SchemaError,
     SelfIntersectingQuad,
 )
-from .geometry import Point2, Quad, RotatedBox, quad_to_rotated
+from .geometry import Point2, Quad, RotatedBox, nondegenerate_hull, quad_to_rotated
 
 IGNORE_MARK = "###"
 
@@ -384,11 +384,13 @@ def _parse_points(entry, path: str, key: str = "points") -> Quad:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise SchemaError(f"{path}[{i}]", f"expected a number, got {type(v).__name__}")
     try:
-        return Quad.from_flat(pts)
+        quad = Quad.from_flat(pts)
+        nondegenerate_hull(quad)
     except SelfIntersectingQuad:
         raise SchemaError(path, "corners describe a self-intersecting quad") from None
-    except (ValueError, OverflowError) as exc:  # non-finite, or an int past float range
+    except (ValueError, OverflowError) as exc:  # non-finite, past float range, degenerate
         raise SchemaError(path, str(exc)) from None
+    return quad
 
 
 def _parse_transcription(entry, path: str) -> str | None:
@@ -587,8 +589,6 @@ def load_detections(source) -> DetectionsFile:
 
 
 def save_detections(dets: DetectionsFile, target) -> None:
-    from .geometry import rotated_to_quad
-
     payload: dict = {
         "video_id": dets.video_id,
         "width": dets.width,
@@ -602,13 +602,13 @@ def save_detections(dets: DetectionsFile, target) -> None:
         entries = []
         for d in frame.detections:
             entry: dict = {
-                "points": rotated_to_quad(d.box).as_flat(),
+                "points": d.box.quad.as_flat(),
                 "score": d.score,
             }
             if d.transcription is not None:
                 entry["transcription"] = d.transcription
             if d.track_box is not None:
-                entry["track_box"] = rotated_to_quad(d.track_box).as_flat()
+                entry["track_box"] = d.track_box.quad.as_flat()
             entries.append(entry)
         payload["frames"][str(frame.frame_index)] = entries
     _dump_json(payload, target)

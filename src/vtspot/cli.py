@@ -28,8 +28,8 @@ from .annotations import (
     save_detections,
     save_trajectories,
 )
-from .errors import DataError, GeometryError, SchemaError, VideoMismatch
-from .geometry import quad_to_rotated, rotated_to_quad
+from .errors import DataError, SchemaError, VideoMismatch
+from .geometry import quad_to_rotated
 from .linker import LinkerConfig, link
 from .matching import (
     CostWeights,
@@ -214,7 +214,7 @@ def cmd_track(args) -> int:
                            max_norm_edit=args.max_norm_edit)
         frames = [
             (fd.frame_index,
-             [(rotated_to_quad(d.box), d.transcription or "")
+             [(d.box.quad, d.transcription or "")
               for d in fd.detections if d.score >= args.min_score])
             for fd in dets.frames
         ]
@@ -275,17 +275,11 @@ def cmd_loss(args) -> int:
     totals = {"cls": 0.0, "l1": 0.0, "giou": 0.0, "angle": 0.0}
     for fd in preds.frames:
         f = fd.frame_index
-        gts = []
-        for i, inst in enumerate(gt.frames.get(f, [])):
-            if inst.ignore:
-                continue
-            try:
-                box = quad_to_rotated(inst.quad)
-            except GeometryError as exc:
-                raise SchemaError(f"frames.{f}[{i}].points", str(exc),
-                                  args.gt) from None
-            gts.append(GroundTruthInstance(
-                box=_normalized_box(box, gt.width, gt.height)))
+        gts = [
+            GroundTruthInstance(box=_normalized_box(quad_to_rotated(inst.quad),
+                                                    gt.width, gt.height))
+            for inst in gt.frames.get(f, []) if not inst.ignore
+        ]
         predicted = [
             PredictedInstance(
                 class_prob=d.score,

@@ -8,6 +8,11 @@ its minimum-area enclosing rotated rectangle. Overlap is computed exactly by
 clipping convex quads against each other (Sutherland-Hodgman), which gives
 IoU and, with the axis-aligned hull of both corner sets, GIoU.
 
+The overlap functions take plain shapes.  What they prepare is kept on the
+shape, outside its value: a box keeps its unrolled quad (``RotatedBox.quad``)
+and a quad its convexity and axis-aligned extents, so a shape scored against
+many others is prepared once, whoever calls.
+
 Units are whatever the caller uses (pixels throughout this package); nothing
 here assumes an image size.
 """
@@ -15,15 +20,26 @@ here assumes an image size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 from .errors import DegenerateQuad, NonConvexInput, SelfIntersectingQuad
 
 _HALF_PI = math.pi / 2.0
 
-# Quads flatter than this are rejected by quad_to_rotated.
+# Quads flatter than this are rejected by quad_to_rotated and the loaders.
 DEGENERATE_AREA = 1e-12
+
+# The broad phase only rejects pairs whose gap exceeds this fraction of
+# their coordinates' magnitude: far more than rounding in the unroll or in
+# the clip can bridge.  Nearer pairs, touching ones included, go through the
+# clip, which decides them exactly as before.
+_BROAD_SLACK = 1e-9
+
+
+def _cache():
+    """A slot filled on first use.  It is not part of the value: equality,
+    hashing, repr and ``dataclasses.replace`` ignore it."""
+    return field(default=None, init=False, repr=False, compare=False)
 
 
 def canonical_angle(angle: float) -> float:
@@ -89,6 +105,10 @@ class Quad:
     """Simple quadrilateral; corner order is canonicalized to counter-clockwise."""
 
     corners: tuple[Point2, Point2, Point2, Point2]
+    _convex: bool | None = _cache()
+    # (min_x, min_y, max_x, max_y, pad): the axis-aligned extents and the
+    # broad phase's outward pad, _BROAD_SLACK of their largest magnitude
+    _extents: tuple[float, float, float, float, float] | None = _cache()
 
     def __post_init__(self):
         if len(self.corners) != 4:
@@ -105,11 +125,29 @@ class Quad:
         return polygon_area(self.corners)
 
     def is_convex(self) -> bool:
-        c = self.corners
-        for i in range(4):
-            if _orient(c[i], c[(i + 1) % 4], c[(i + 2) % 4]) < 0.0:
-                return False
-        return True
+        convex = self._convex
+        if convex is None:
+            c = self.corners
+            convex = not any(_orient(c[i], c[(i + 1) % 4], c[(i + 2) % 4]) < 0.0
+                             for i in range(4))
+            object.__setattr__(self, "_convex", convex)
+        return convex
+
+    def _convex_extents(self) -> tuple[float, float, float, float, float]:
+        """The cached ``_extents`` of a convex quad; raises NonConvexInput
+        for a non-convex one, since overlap math cannot use it."""
+        extents = self._extents
+        if extents is None:
+            _require_convex(self)
+            c = self.corners
+            lo_x = min(c[0].x, c[1].x, c[2].x, c[3].x)
+            lo_y = min(c[0].y, c[1].y, c[2].y, c[3].y)
+            hi_x = max(c[0].x, c[1].x, c[2].x, c[3].x)
+            hi_y = max(c[0].y, c[1].y, c[2].y, c[3].y)
+            pad = _BROAD_SLACK * max(abs(lo_x), abs(hi_x), abs(lo_y), abs(hi_y))
+            extents = (lo_x, lo_y, hi_x, hi_y, pad)
+            object.__setattr__(self, "_extents", extents)
+        return extents
 
     def as_flat(self) -> list[float]:
         """Corners flattened to [x1, y1, ..., x4, y4]."""
@@ -141,6 +179,7 @@ class RotatedBox:
     w: float
     h: float
     angle: float
+    _quad: Quad | None = _cache()
 
     def __post_init__(self):
         for name in ("cx", "cy", "w", "h", "angle"):
@@ -154,43 +193,72 @@ class RotatedBox:
     def area(self) -> float:
         return self.w * self.h
 
+    @property
+    def quad(self) -> Quad:
+        """The box's corners, from ``rotated_to_quad`` on first use."""
+        quad = self._quad
+        return rotated_to_quad(self) if quad is None else quad
+
 
 def rotated_to_quad(box: RotatedBox) -> Quad:
-    """Unroll a box to its four corners in counter-clockwise order."""
-    c = math.cos(box.angle)
-    s = math.sin(box.angle)
-    hw = box.w / 2.0
-    hh = box.h / 2.0
-    corners = tuple(
-        Point2(box.cx + c * dx - s * dy, box.cy + s * dx + c * dy)
-        for dx, dy in ((-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh))
-    )
-    return Quad(corners)  # type: ignore[arg-type]
+    """Unroll a box to its four corners in counter-clockwise order.
+
+    The quad is computed on a box's first unroll and kept on the box, so
+    every later call, and ``box.quad``, returns that same quad.
+    """
+    quad = box._quad
+    if quad is None:
+        c = math.cos(box.angle)
+        s = math.sin(box.angle)
+        hw = box.w / 2.0
+        hh = box.h / 2.0
+        quad = Quad(tuple(  # type: ignore[arg-type]
+            Point2(box.cx + c * dx - s * dy, box.cy + s * dx + c * dy)
+            for dx, dy in ((-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh))
+        ))
+        object.__setattr__(box, "_quad", quad)
+    return quad
 
 
-def _convex_hull(points: list[Point2]) -> list[Point2]:
-    """Monotone-chain hull, counter-clockwise; collinear points dropped."""
-    pts = sorted(set((p.x, p.y) for p in points))
+def _half_hull(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """One monotone chain over ``pts``, popping right turns and collinear
+    points."""
+    out: list[tuple[float, float]] = []
+    for p in pts:
+        while len(out) >= 2:
+            ox, oy = out[-2]
+            ax, ay = out[-1]
+            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= 0.0:
+                out.pop()
+            else:
+                break
+        out.append(p)
+    return out
+
+
+def _convex_hull(points) -> list[tuple[float, float]]:
+    """Monotone-chain hull as ``(x, y)`` pairs, counter-clockwise; collinear
+    points dropped."""
+    pts = sorted({(p.x, p.y) for p in points})
     if len(pts) <= 2:
-        return [Point2(x, y) for x, y in pts]
+        return pts
+    return _half_hull(pts)[:-1] + _half_hull(pts[::-1])[:-1]
 
-    def half(seq):
-        out: list[tuple[float, float]] = []
-        for p in seq:
-            while len(out) >= 2:
-                ox, oy = out[-2]
-                ax, ay = out[-1]
-                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= 0.0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
 
-    lower = half(pts)
-    upper = half(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    return [Point2(x, y) for x, y in hull]
+def nondegenerate_hull(quad: Quad) -> list[tuple[float, float]]:
+    """The convex hull of a quad's corners as ``(x, y)`` pairs,
+    counter-clockwise.
+
+    Raises DegenerateQuad when the quad's own area is below
+    ``DEGENERATE_AREA`` or its corners are collinear: the quads that
+    ``quad_to_rotated`` cannot enclose and the loaders refuse.
+    """
+    if quad.area < DEGENERATE_AREA:
+        raise DegenerateQuad(f"quad area {quad.area!r} is below {DEGENERATE_AREA!r}")
+    hull = _convex_hull(quad.corners)
+    if len(hull) < 3:
+        raise DegenerateQuad("quad corners are collinear")
+    return hull
 
 
 def quad_to_rotated(quad: Quad) -> RotatedBox:
@@ -199,19 +267,15 @@ def quad_to_rotated(quad: Quad) -> RotatedBox:
     The returned box carries the rectangle's longest edge in ``w`` and that
     edge's direction in ``angle``. For a square (sides equal within 1e-9
     relative) the candidate angle closest to zero wins. Raises
-    DegenerateQuad when the quad's own area is below ``DEGENERATE_AREA``.
+    DegenerateQuad for the quads ``nondegenerate_hull`` rejects.
     """
-    if quad.area < DEGENERATE_AREA:
-        raise DegenerateQuad(f"quad area {quad.area!r} is below {DEGENERATE_AREA!r}")
-    hull = _convex_hull(list(quad.corners))
-    if len(hull) < 3:
-        raise DegenerateQuad("quad corners are collinear")
+    hull = nondegenerate_hull(quad)
 
     best = None  # (area, theta, u extents, v extents)
     n = len(hull)
     for i in range(n):
-        p, q = hull[i], hull[(i + 1) % n]
-        theta = math.atan2(q.y - p.y, q.x - p.x)
+        (px, py), (qx, qy) = hull[i], hull[(i + 1) % n]
+        theta = math.atan2(qy - py, qx - px)
         c, s = math.cos(theta), math.sin(theta)
         us = [c * pt.x + s * pt.y for pt in quad.corners]
         vs = [-s * pt.x + c * pt.y for pt in quad.corners]
@@ -300,52 +364,22 @@ def _area_ratio(inter: float, union: float) -> float:
     return min(1.0, max(0.0, inter / union))
 
 
-# The broad phase only rejects pairs whose gap exceeds this fraction of
-# their coordinates' magnitude: far more than rounding in the unroll or in
-# the clip can bridge.  Nearer pairs, touching ones included, go through the
-# clip, which decides them exactly as before.
-_BROAD_SLACK = 1e-9
-
-
-def _raw_extents(quad: Quad) -> tuple[float, float, float, float]:
-    """Axis-aligned extents ``(min_x, min_y, max_x, max_y)`` of a quad."""
-    c = quad.corners
-    xs = (c[0].x, c[1].x, c[2].x, c[3].x)
-    ys = (c[0].y, c[1].y, c[2].y, c[3].y)
-    return (min(xs), min(ys), max(xs), max(ys))
-
-
-def _padded(extents: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
-    lo_x, lo_y, hi_x, hi_y = extents
-    pad = _BROAD_SLACK * max(abs(lo_x), abs(hi_x), abs(lo_y), abs(hi_y))
-    return (lo_x - pad, lo_y - pad, hi_x + pad, hi_y + pad)
-
-
-def quad_extents(quad: Quad) -> tuple[float, float, float, float]:
-    """Axis-aligned extents ``(min_x, min_y, max_x, max_y)`` of a quad,
-    padded outward by ``_BROAD_SLACK`` of its largest coordinate magnitude.
-
-    Quads whose padded extents are apart (``extents_apart``) cannot overlap,
-    so their IoU is 0 without clipping.
-    """
-    return _padded(_raw_extents(quad))
-
-
-def extents_apart(a: tuple[float, float, float, float],
-                  b: tuple[float, float, float, float]) -> bool:
-    """True when two ``quad_extents`` results are strictly apart."""
-    return a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1]
+def _apart(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
+    """True when two quads' ``_extents``, each padded outward by its own
+    pad, are strictly apart: the quads cannot overlap."""
+    return (a[2] + a[4] < b[0] - b[4] or b[2] + b[4] < a[0] - a[4]
+            or a[3] + a[4] < b[1] - b[4] or b[3] + b[4] < a[1] - a[4])
 
 
 def quad_iou(a: Quad, b: Quad) -> float:
     """Exact intersection-over-union of two convex quads.
 
     Raises NonConvexInput for a non-convex argument, even when the two quads
-    are far apart.
+    are far apart.  Quads whose padded extents are apart score 0 unclipped.
     """
-    _require_convex(a)
-    _require_convex(b)
-    if extents_apart(quad_extents(a), quad_extents(b)):
+    ea = a._convex_extents()
+    eb = b._convex_extents()
+    if _apart(ea, eb):
         return 0.0
     if a.corners == b.corners:
         # identical shapes overlap fully by definition; skipping the clip
@@ -355,19 +389,27 @@ def quad_iou(a: Quad, b: Quad) -> float:
     return _area_ratio(inter, a.area + b.area - inter)
 
 
-def iou(
-    a: RotatedBox,
-    b: RotatedBox,
-    *,
-    quads: tuple[Quad, Quad] | None = None,
-) -> float:
+def near_pairs(a: list[Quad], b: list[Quad]) -> list[tuple[int, int]]:
+    """The index pairs ``(i, j)``, in order, for which ``quad_iou(a[i],
+    b[j])`` can be nonzero: every pair but those whose padded extents are
+    apart.  A table of IoUs needs to score only these pairs.  Raises
+    NonConvexInput for a non-convex quad, as quad_iou does.
+    """
+    extents_b = [q._convex_extents() for q in b]
+    pairs: list[tuple[int, int]] = []
+    for i, q in enumerate(a):
+        ea = q._convex_extents()
+        pairs += [(i, j) for j, eb in enumerate(extents_b) if not _apart(ea, eb)]
+    return pairs
+
+
+def iou(a: RotatedBox, b: RotatedBox) -> float:
     """Intersection-over-union of two rotated boxes, in [0, 1].
 
     Boxes whose circumscribed circles are apart, by more than
     ``_BROAD_SLACK`` of the boxes' size and position, score 0 before any
-    corner is unrolled.  ``quads`` may pass ``(rotated_to_quad(a),
-    rotated_to_quad(b))`` when the caller has them already, as a tracker
-    scoring every box against many others does.
+    corner is unrolled.  Nearer pairs are clipped, each box unrolled only
+    on its first use (``RotatedBox.quad``).
     """
     reach = 0.5 * (math.hypot(a.w, a.h) + math.hypot(b.w, b.h))
     reach += _BROAD_SLACK * (reach + abs(a.cx) + abs(a.cy) + abs(b.cx) + abs(b.cy))
@@ -375,50 +417,27 @@ def iou(
     dy = a.cy - b.cy
     if dx * dx + dy * dy > reach * reach:
         return 0.0
-    if quads is None:
-        quads = (rotated_to_quad(a), rotated_to_quad(b))
-    qa, qb = quads
+    qa = a.quad
+    qb = b.quad
     if qa.corners == qb.corners:
         return 1.0
     inter = polygon_area(polygon_intersection(qa, qb))
     return _area_ratio(inter, a.area + b.area - inter)
 
 
-class Unrolled(NamedTuple):
-    """What ``giou`` needs of one box: its convex quad, the quad's raw
-    extents and its ``quad_extents``."""
-
-    quad: Quad
-    extents: tuple[float, float, float, float]
-    padded: tuple[float, float, float, float]
-
-
-def unroll(box: RotatedBox) -> Unrolled:
-    """Unroll a box for ``giou``; raises NonConvexInput when rounding left
-    its corners non-convex."""
-    quad = rotated_to_quad(box)
-    _require_convex(quad)
-    extents = _raw_extents(quad)
-    return Unrolled(quad, extents, _padded(extents))
-
-
-def giou(
-    a: RotatedBox,
-    b: RotatedBox,
-    *,
-    unrolled: tuple[Unrolled, Unrolled] | None = None,
-) -> float:
+def giou(a: RotatedBox, b: RotatedBox) -> float:
     """Generalized IoU: IoU minus the hull penalty, in (-1, 1].
 
     The enclosing hull is the axis-aligned bounding box of both corner sets.
-    Boxes whose padded extents are apart are not clipped: their overlap is
-    0.  ``unrolled`` may pass ``(unroll(a), unroll(b))`` when the caller
-    scores each box against many others, as ``match_sets`` does.
+    Raises NonConvexInput when rounding left a box's unrolled corners
+    non-convex, even when the boxes are far apart.  Boxes whose padded
+    extents are apart are not clipped: their overlap is 0.
     """
-    if unrolled is None:
-        unrolled = (unroll(a), unroll(b))
-    (qa, ea, pa), (qb, eb, pb) = unrolled
-    inter = 0.0 if extents_apart(pa, pb) else polygon_area(_clip(qa, qb))
+    qa = a.quad
+    qb = b.quad
+    ea = qa._convex_extents()
+    eb = qb._convex_extents()
+    inter = 0.0 if _apart(ea, eb) else polygon_area(_clip(qa, qb))
     union = a.area + b.area - inter
     hull = ((max(ea[2], eb[2]) - min(ea[0], eb[0]))
             * (max(ea[3], eb[3]) - min(ea[1], eb[1])))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .annotations import Trajectory, TrajectoryPoint
 from .errors import NonMonotonicFrame
-from .geometry import Quad, iou, quad_to_rotated, rotated_to_quad
+from .geometry import Quad, iou, quad_to_rotated
 
 __all__ = ["LinkerConfig", "edit_distance", "link"]
 
@@ -61,21 +61,19 @@ def _norm_edit(a: str, b: str) -> float:
 
 
 class _OpenTrajectory:
-    __slots__ = ("track_id", "frames", "last_frame", "last_box",
-                 "last_corners", "last_text")
+    __slots__ = ("track_id", "frames", "last_frame", "last_box", "last_text")
 
-    def __init__(self, track_id, frame_index, quad, box, corners, text):
+    def __init__(self, track_id, frame_index, quad, box, text):
         self.track_id = track_id
         self.frames: dict[int, TrajectoryPoint] = {}
-        self.append(frame_index, quad, box, corners, text)
+        self.append(frame_index, quad, box, text)
 
-    def append(self, frame_index, quad, box, corners, text):
+    def append(self, frame_index, quad, box, text):
         """Record ``quad`` at ``frame_index``; ``box`` is its enclosing
-        rotated box and ``corners`` that box unrolled."""
+        rotated box."""
         self.frames[frame_index] = TrajectoryPoint(quad=quad, transcription=text)
         self.last_frame = frame_index
         self.last_box = box
-        self.last_corners = corners
         self.last_text = text
 
 
@@ -105,15 +103,13 @@ def link(
 
         live = [t for t in live if frame_index - t.last_frame <= cfg.window]
         boxes = [quad_to_rotated(q) for q, _ in objects]
-        corners = [rotated_to_quad(b) for b in boxes]
 
         # score every admissible (object, trajectory) pair once
         scored: list[list[tuple[float, int]]] = []
         for oi, (quad, text) in enumerate(objects):
             row = []
             for ci, traj in enumerate(live):
-                overlap = iou(boxes[oi], traj.last_box,
-                              quads=(corners[oi], traj.last_corners))
+                overlap = iou(boxes[oi], traj.last_box)
                 if overlap < cfg.iou_threshold:
                     continue
                 if _norm_edit(text or "", traj.last_text or "") > cfg.max_norm_edit:
@@ -141,16 +137,14 @@ def link(
             if best is not None:
                 ci = best[1]
                 taken.add(ci)
-                live[ci].append(frame_index, quad, boxes[oi], corners[oi], text)
+                live[ci].append(frame_index, quad, boxes[oi], text)
             else:
-                traj = _OpenTrajectory(next_id, frame_index, quad, boxes[oi],
-                                       corners[oi], text)
+                traj = _OpenTrajectory(next_id, frame_index, quad, boxes[oi], text)
                 open_trajs.append(traj)
                 born.append(traj)
                 next_id += 1
         live += born
 
-    return [
-        Trajectory(track_id=t.track_id, frames=dict(sorted(t.frames.items())))
-        for t in sorted(open_trajs, key=lambda t: t.track_id)
-    ]
+    # trajectories are born in id order and frame indices only grow, so
+    # both are already sorted
+    return [Trajectory(track_id=t.track_id, frames=t.frames) for t in open_trajs]

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonFiniteCost, SizeMismatch
-from .geometry import RotatedBox, Unrolled, giou, unroll
+from .geometry import RotatedBox, giou
 
 _PROB_EPS = 1e-12
 
@@ -41,9 +41,14 @@ class GroundTruthInstance:
     box: RotatedBox
     is_object: bool = True
 
-    @classmethod
-    def padding(cls) -> "GroundTruthInstance":
-        return cls(box=RotatedBox(0.0, 0.0, 1.0, 1.0, 0.0), is_object=False)
+    @staticmethod
+    def padding() -> "GroundTruthInstance":
+        """The no-object entry.  Every call returns the same instance, so
+        its box is unrolled once however many sets it pads."""
+        return _PADDING
+
+
+_PADDING = GroundTruthInstance(box=RotatedBox(0.0, 0.0, 1.0, 1.0, 0.0), is_object=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,35 +82,22 @@ def angle_loss(a_gt: float, a_pred: float) -> float:
     return 1.0 - math.cos(a_pred - a_gt)
 
 
-def _box_terms(
-    a: RotatedBox,
-    b: RotatedBox,
-    w: CostWeights,
-    unrolled: tuple[Unrolled, Unrolled] | None = None,
-) -> tuple[float, float, float]:
+def _box_terms(a: RotatedBox, b: RotatedBox, w: CostWeights) -> tuple[float, float, float]:
     """The weighted L1, GIoU-gap and angle terms of a (gt, pred) box pair."""
     l1 = abs(a.cx - b.cx) + abs(a.cy - b.cy) + abs(a.w - b.w) + abs(a.h - b.h)
     return (
         w.w_l1 * l1,
-        w.w_giou * (1.0 - giou(a, b, unrolled=unrolled)),
+        w.w_giou * (1.0 - giou(a, b)),
         w.w_angle * angle_loss(a.angle, b.angle),
     )
 
 
-def pair_cost(
-    gt: GroundTruthInstance,
-    pred: PredictedInstance,
-    w: CostWeights,
-    *,
-    unrolled: tuple[Unrolled, Unrolled] | None = None,
-) -> float:
-    """Matching cost of one (gt, pred) pair; 0 for no-object gt entries.
-
-    ``unrolled`` is passed on to ``giou``.
-    """
+def pair_cost(gt: GroundTruthInstance, pred: PredictedInstance, w: CostWeights) -> float:
+    """Matching cost of one (gt, pred) pair; 0 for no-object gt entries,
+    whose boxes are therefore never unrolled."""
     if not gt.is_object:
         return 0.0
-    l1, giou_gap, angle = _box_terms(gt.box, pred.box, w, unrolled)
+    l1, giou_gap, angle = _box_terms(gt.box, pred.box, w)
     return -w.w_cls * pred.class_prob + l1 + giou_gap + angle
 
 
@@ -238,22 +230,12 @@ def match_sets(gts, preds, w: CostWeights = CostWeights()) -> Assignment:
     """Optimal one-to-one matching between equal-size gt and pred sets.
 
     Callers pad the ground truth with no-object entries up front; unequal
-    sizes raise SizeMismatch.  Each box is unrolled once, not once per pair.
+    sizes raise SizeMismatch.  The cost matrix is ``pair_cost`` of every
+    pair; ``giou`` unrolls each box once, on its first pair.
     """
     if len(gts) != len(preds):
         raise SizeMismatch(f"{len(gts)} ground-truth entries vs {len(preds)} predictions")
-    # Only boxes that meet an object are unrolled (and checked for
-    # convexity), as when every giou call unrolled its own pair.
-    gt_unrolled = [unroll(g.box) if g.is_object else None for g in gts]
-    if any(gt_unrolled):
-        pred_unrolled = [unroll(p.box) for p in preds]
-    else:
-        pred_unrolled = [None] * len(preds)
-    cost = [
-        [pair_cost(g, p, w, unrolled=(ug, up)) for p, up in zip(preds, pred_unrolled)]
-        for g, ug in zip(gts, gt_unrolled)
-    ]
-    return hungarian(cost)
+    return hungarian([[pair_cost(g, p, w) for p in preds] for g in gts])
 
 
 def _clamp_prob(p: float) -> float:

@@ -27,14 +27,7 @@ from dataclasses import dataclass, field
 
 from .annotations import Instance, VideoAnnotation
 from .errors import EmptyInput, MissingTranscription, VideoMismatch
-from .geometry import (
-    Quad,
-    extents_apart,
-    quad_extents,
-    quad_iou,
-    quad_to_rotated,
-    rotated_to_quad,
-)
+from .geometry import Quad, near_pairs, quad_iou, quad_to_rotated
 from .matching import gated_assign
 from .matching import hungarian  # noqa: F401  bench/layers.py wraps this name
 
@@ -221,20 +214,7 @@ def _check_same_video(gt: VideoAnnotation, pred) -> None:
 def _usable_quad(quad: Quad) -> Quad:
     """Overlap math needs convex input; a non-convex (but simple) quad is
     replaced by its minimum-area enclosing rotated box."""
-    return quad if quad.is_convex() else rotated_to_quad(quad_to_rotated(quad))
-
-
-@dataclass(slots=True)
-class _Slot:
-    track_id: int
-    quad: Quad
-    transcription: str | None
-    extents: tuple[float, float, float, float]
-
-
-def _slot(inst: Instance) -> _Slot:
-    quad = _usable_quad(inst.quad)
-    return _Slot(inst.track_id, quad, inst.transcription, quad_extents(quad))
+    return quad if quad.is_convex() else quad_to_rotated(quad).quad
 
 
 @dataclass(slots=True)
@@ -242,14 +222,14 @@ class _FrameTable:
     """One frame's overlaps, computed once and read by every metric pass.
 
     ``ious`` maps (gt index, pred index) to ``quad_iou(gt, pred)`` for the
-    pairs whose extents meet and whose IoU is not 0; every other pair has
-    IoU 0.  ``ignore_iou`` holds each prediction's largest IoU with an
-    ignored reference region (0 when there is none).  Each pass applies its
+    ``near_pairs`` whose IoU is not 0; every other pair has IoU 0.
+    ``ignore_iou`` holds each prediction's largest IoU with an ignored
+    reference region (0 when there is none).  Each pass applies its
     own gate; all gates are positive, so the absent pairs never pass one.
     """
 
-    gt: list[_Slot]
-    preds: list[_Slot]
+    gt: list[Instance]
+    preds: list[Instance]
     ious: dict[tuple[int, int], float]
     ignore_iou: list[float]
 
@@ -262,20 +242,19 @@ def _frame_tables(gt: VideoAnnotation, pred: VideoAnnotation) -> list[_FrameTabl
     for f in range(gt.frame_count):
         active, ignored = [], []
         for inst in gt.frames.get(f, []):
-            (ignored if inst.ignore else active).append(_slot(inst))
-        preds = [_slot(inst) for inst in pred.frames.get(f, []) if not inst.ignore]
+            (ignored if inst.ignore else active).append(inst)
+        preds = [inst for inst in pred.frames.get(f, []) if not inst.ignore]
+        gt_quads = [_usable_quad(g.quad) for g in active]
+        pred_quads = [_usable_quad(p.quad) for p in preds]
         ious: dict[tuple[int, int], float] = {}
-        for gi, g in enumerate(active):
-            for pi, p in enumerate(preds):
-                if not extents_apart(g.extents, p.extents):
-                    overlap = quad_iou(g.quad, p.quad)
-                    if overlap:
-                        ious[gi, pi] = overlap
-        ignore_iou = [
-            max((quad_iou(p.quad, r.quad) for r in ignored
-                 if not extents_apart(p.extents, r.extents)), default=0.0)
-            for p in preds
-        ]
+        for gi, pi in near_pairs(gt_quads, pred_quads):
+            overlap = quad_iou(gt_quads[gi], pred_quads[pi])
+            if overlap:
+                ious[gi, pi] = overlap
+        region_quads = [_usable_quad(r.quad) for r in ignored]
+        ignore_iou = [0.0] * len(preds)
+        for pi, ri in near_pairs(pred_quads, region_quads):
+            ignore_iou[pi] = max(ignore_iou[pi], quad_iou(pred_quads[pi], region_quads[ri]))
         tables.append(_FrameTable(active, preds, ious, ignore_iou))
     return tables
 
@@ -399,7 +378,7 @@ def eval_id(
     are dropped.
     """
 
-    def text_of(slot: _Slot) -> str | None:
+    def text_of(slot: Instance) -> str | None:
         if not spotting:
             return None
         return normalize_transcription(slot.transcription or "", case_insensitive)

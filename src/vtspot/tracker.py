@@ -2,7 +2,7 @@
 
 The tracker is a sequential state machine over a stream of per-frame
 detections.  Each step it predicts where every live track should be (a
-constant-position guess unless an override box is supplied), scores every
+constant-position guess unless a carried ``track_box`` applies), scores every
 track/detection pair by rotated-box IoU, and solves the resulting
 assignment problem exactly.  Pairs below the IoU gate never match;
 unmatched detections become new tracks and unmatched tracks age out after
@@ -11,8 +11,7 @@ unmatched detections become new tracks and unmatched tracks age out after
 Detections may carry a ``track_box``: an externally predicted box for the
 same object in the next frame.  When a detection with a ``track_box`` is
 matched, that box replaces the constant-position prediction on the
-following step.  Explicit per-step overrides take precedence over these
-carried boxes.
+following step.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .annotations import (
     TrajectoryPoint,
 )
 from .errors import NonMonotonicFrame
-from .geometry import RotatedBox, iou, rotated_to_quad
+from .geometry import RotatedBox, iou
 from .matching import gated_assign
 from .matching import hungarian  # noqa: F401  bench/layers.py wraps this name
 
@@ -74,9 +73,7 @@ class Tracker:
         self._carried_boxes: dict[int, RotatedBox] = {}
 
     def step(
-        self,
-        frame: FrameDetections,
-        track_box_overrides: dict[int, RotatedBox] | None = None,
+        self, frame: FrameDetections
     ) -> tuple[list[TrackState], list[int], list[int]]:
         """Associate one frame of detections with the live tracks.
 
@@ -91,11 +88,8 @@ class Tracker:
 
         detections = [d for d in frame.detections if d.score >= self.cfg.min_score]
 
-        overrides = dict(self._carried_boxes)
-        if track_box_overrides:
-            overrides.update(track_box_overrides)
         for track in self.tracks:
-            track.predicted_box = overrides.get(track.track_id, track.last_box)
+            track.predicted_box = self._carried_boxes.get(track.track_id, track.last_box)
 
         matches = self._associate(detections)
         matched_tracks = {t for t, _ in matches}
@@ -150,14 +144,11 @@ class Tracker:
         if not self.tracks or not detections:
             return []
         gate = self.cfg.iou_threshold
-        # unroll every box once per frame, not once per pair
-        det_quads = [rotated_to_quad(det.box) for det in detections]
         gated: dict[tuple[int, int], float] = {}
         for ti, track in enumerate(self.tracks):
             box = track.predicted_box
-            quad = rotated_to_quad(box)
-            for di, (det, det_quad) in enumerate(zip(detections, det_quads)):
-                overlap = iou(box, det.box, quads=(quad, det_quad))
+            for di, det in enumerate(detections):
+                overlap = iou(box, det.box)
                 if overlap >= gate:
                     gated[ti, di] = overlap
         return gated_assign(gated)
@@ -167,7 +158,7 @@ class Tracker:
         out = []
         for track in sorted(self._retired + self.tracks, key=lambda t: t.track_id):
             points = {
-                fi: TrajectoryPoint(quad=rotated_to_quad(box), transcription=text)
+                fi: TrajectoryPoint(quad=box.quad, transcription=text)
                 for fi, box, text in track.history
             }
             out.append(Trajectory(track_id=track.track_id, frames=points))

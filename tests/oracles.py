@@ -166,12 +166,12 @@ def overlapping_box_pair(rng: random.Random):
 # clip-only overlap and the three separate evaluation passes
 # ---------------------------------------------------------------------------
 # The package scores far-apart pairs 0 without clipping (for GIoU, their
-# overlap), unrolls each box once for all of its pairs, its metric passes
-# share one IoU table per frame, and its gated assignments price only the
-# listed pairs.  What follows is the plain version of each: every pair is
-# unrolled and clipped on its own, each pass computes its own overlaps, and
-# each assignment flood-fills its gate components on a dense table and
-# fills each one's padded matrix by hand.
+# overlap), keeps each shape's unrolled quad and extents for all of its
+# pairs, its metric passes share one IoU table per frame, and its gated
+# assignments price only the listed pairs.  What follows is the plain
+# version of each: every pair is clipped on its own, each pass computes its
+# own overlaps, and each assignment flood-fills its gate components on a
+# dense table and fills each one's padded matrix by hand.
 # Unlike the oracles above, these reuse the package's clipping arithmetic
 # on purpose, so that differential tests can demand bit-equal results.
 
@@ -191,7 +191,7 @@ def clip_quad_iou(a, b):
 
 
 def clip_iou(a, b):
-    """IoU of two rotated boxes, always by unrolling and clipping."""
+    """IoU of two rotated boxes, always by clipping their quads."""
     qa = rotated_to_quad(a)
     qb = rotated_to_quad(b)
     if qa.corners == qb.corners:
@@ -201,7 +201,7 @@ def clip_iou(a, b):
 
 
 def clip_giou(a, b):
-    """GIoU of two rotated boxes, always by unrolling and clipping, with
+    """GIoU of two rotated boxes, always by clipping their quads, with
     the hull taken over all eight corners."""
     qa = rotated_to_quad(a)
     qb = rotated_to_quad(b)
@@ -443,13 +443,8 @@ def _dense_associate(tracker, detections):
     """``Tracker._associate`` on a dense table: every track/detection IoU
     is kept, and the gate components are solved one by one."""
     gate = tracker.cfg.iou_threshold
-    det_quads = [rotated_to_quad(det.box) for det in detections]
-    ious = []
-    for track in tracker.tracks:
-        box = track.predicted_box
-        quad = rotated_to_quad(box)
-        ious.append([iou(box, det.box, quads=(quad, det_quad))
-                     for det, det_quad in zip(detections, det_quads)])
+    ious = [[iou(track.predicted_box, det.box) for det in detections]
+            for track in tracker.tracks]
     return _gated_max_iou_pairs(ious, gate)
 
 

@@ -616,3 +616,14 @@ def test_non_utf8_file_is_schema_error(tmp_path):
     with pytest.raises(SchemaError) as exc_info:
         load_annotation(path)
     assert exc_info.value.message.startswith("not UTF-8 text")
+
+
+@pytest.mark.parametrize("points", [[5] * 8, [0, 0, 1, 1, 2, 2, 3, 3]])
+@pytest.mark.parametrize("load", [load_annotation, load_detections])
+def test_degenerate_quad_is_the_same_schema_error_in_both_loaders(load, points):
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["frames"]["0"][0]["score"] = 0.5
+    doc["frames"]["0"][0]["points"] = points
+    with pytest.raises(SchemaError) as exc_info:
+        load(io.StringIO(json.dumps(doc)))
+    assert str(exc_info.value) == "frames.0[0].points: quad area 0.0 is below 1e-12"

@@ -545,6 +545,29 @@ def test_loss_zero_area_reference_exits_two_naming_the_field(tmp_path, capsys):
     assert f"{gt_path}: frames.1[2].points: quad area 0.0 is below" in captured.err
 
 
+def test_loss_zero_area_reference_is_named_by_its_frame_key(tmp_path, capsys):
+    gt_path, det_path = axis_aligned_fixture(tmp_path)
+    doc = json.loads(gt_path.read_text())
+    doc["frames"]["01"] = doc["frames"].pop("1")
+    doc["frames"]["01"][0]["points"] = [5, 5, 5, 5, 5, 5, 5, 5]
+    gt_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("loss", str(gt_path), str(det_path)) == 2
+    assert f"{gt_path}: frames.01[0].points: quad area 0.0 is below" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", [[5] * 8, [0, 0, 1, 1, 2, 2, 3, 3]])
+def test_evaluate_zero_area_reference_exits_two_naming_the_field(tmp_path, capsys, points):
+    z = tmp_path / "z.json"
+    z.write_text(json.dumps({
+        "video_id": "z", "width": 10, "height": 10, "frame_count": 1,
+        "frames": {"0": [{"id": 0, "points": points, "transcription": "a"}]},
+    }), encoding="utf-8")
+    assert run_cli("evaluate", str(z), str(z)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{z}: frames.0[0].points: quad area 0.0 is below" in captured.err
+
+
 def test_loss_video_mismatch_exits_three(tmp_path):
     gt_path, _ = axis_aligned_fixture(tmp_path)
     _, other_dets = make_synth(tmp_path, **{"--frames": 3})

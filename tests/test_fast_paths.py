@@ -1,13 +1,14 @@
-"""Differential tests: the broad phase, the once-per-frame unroll of the set
-matcher, the shared per-frame IoU table and the tracker's component-wise
-gated assignment against the clip-only geometry, the per-pair cost matrix,
-the three separate metric passes and the dense-table tracker kept in
-``oracles``.
+"""Differential tests: the broad phase, the unrolled quads and extents the
+shapes keep, the shared per-frame IoU table and the tracker's
+component-wise gated assignment against the clip-only geometry, the
+per-pair cost matrix, the three separate metric passes and the dense-table
+tracker kept in ``oracles``.
 Results must be equal, not approximately equal."""
 
 import math
 import random
 import unittest.mock
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -41,7 +42,6 @@ from vtspot.geometry import (
     iou,
     quad_iou,
     rotated_to_quad,
-    unroll,
 )
 from vtspot.linker import link
 from vtspot.matching import (
@@ -75,21 +75,24 @@ def shifted(quad: Quad, dx: float, dy: float) -> Quad:
 
 
 def assert_box_iou_matches(a: RotatedBox, b: RotatedBox) -> None:
-    """iou and giou equal the clip-only oracles both ways round, with and
-    without the unrolled boxes passed in."""
+    """iou and giou equal the clip-only oracles both ways round, on fresh
+    copies of the boxes (a cold call unrolls them) and again on the same
+    copies (a warm call reads the quads they kept)."""
     for x, y in ((a, b), (b, a)):
-        expected = clip_iou(x, y)
-        assert iou(x, y) == expected
-        quads = (rotated_to_quad(x), rotated_to_quad(y))
-        assert iou(x, y, quads=quads) == expected
-        expected = clip_giou(x, y)
-        assert giou(x, y) == expected
-        assert giou(x, y, unrolled=(unroll(x), unroll(y))) == expected
+        for overlap, oracle in ((iou, clip_iou), (giou, clip_giou)):
+            expected = oracle(x, y)
+            cold_x, cold_y = replace(x), replace(y)
+            assert overlap(cold_x, cold_y) == expected
+            assert overlap(cold_x, cold_y) == expected
 
 
 def assert_quad_iou_matches(a: Quad, b: Quad) -> None:
+    """As ``assert_box_iou_matches``, for quad_iou on fresh quad copies."""
     for x, y in ((a, b), (b, a)):
-        assert quad_iou(x, y) == clip_quad_iou(x, y)
+        expected = clip_quad_iou(x, y)
+        cold_x, cold_y = Quad(x.corners), Quad(y.corners)
+        assert quad_iou(cold_x, cold_y) == expected
+        assert quad_iou(cold_x, cold_y) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +237,7 @@ def test_quad_iou_rejects_nonconvex_even_when_disjoint(offset):
 
 
 # ---------------------------------------------------------------------------
-# giou: extents reject and boxes unrolled once
+# giou: extents reject on the quads the boxes keep
 # ---------------------------------------------------------------------------
 
 
@@ -289,10 +292,10 @@ SLIVER = RotatedBox(68959236076.52457, -97003351220.82849, 0.0014793974273401228
 @pytest.mark.parametrize("dx", [0.0, 1e3, 1e9])
 def test_giou_rejects_nonconvex_unroll_even_when_disjoint(dx):
     assert not rotated_to_quad(SLIVER).is_convex()
+    assert SLIVER.quad == rotated_to_quad(SLIVER)
     other = RotatedBox(SLIVER.cx + dx, SLIVER.cy, 10.0, 4.0, 0.3)
-    with pytest.raises(NonConvexInput):
-        unroll(SLIVER)
-    for a, b in ((SLIVER, other), (other, SLIVER)):
+    # the second round reads the quads the boxes kept from the first
+    for a, b in ((SLIVER, other), (other, SLIVER)) * 2:
         with pytest.raises(NonConvexInput):
             clip_giou(a, b)
         with pytest.raises(NonConvexInput):
@@ -523,7 +526,7 @@ def test_evaluate_equals_oracle_on_missing_transcription():
 # ---------------------------------------------------------------------------
 
 
-def _clip_only(a, b, *, quads=None):
+def _clip_only(a, b):
     return clip_iou(a, b)
 
 

@@ -1,5 +1,7 @@
 import math
+import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -80,6 +82,42 @@ def test_quad_enforces_ccw():
 def test_quad_rejects_bowtie():
     with pytest.raises(SelfIntersectingQuad):
         quad_of((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def _value_facts(shape):
+    """What a shape's value shows: equality, hash, repr, pickle round-trip."""
+    again = pickle.loads(pickle.dumps(shape))
+    return shape, hash(shape), repr(shape), again == shape, hash(again), repr(again)
+
+
+def test_filled_caches_leave_box_and_quad_values_alone():
+    box = RotatedBox(3.0, -2.0, 6.0, 2.0, 0.4)
+    other = RotatedBox(4.0, -2.0, 6.0, 2.0, -0.2)
+    quad = quad_of((0, 0), (4, 0), (4, 3), (0, 3))
+    cold = [_value_facts(box), _value_facts(quad), _value_facts(box.quad)]
+    assert giou(box, other) == giou(box, other)
+    assert quad_iou(quad, box.quad) == quad_iou(quad, box.quad)
+    assert quad.is_convex() and box.quad.is_convex()
+    assert cold == [_value_facts(box), _value_facts(quad), _value_facts(box.quad)]
+    assert box == RotatedBox(3.0, -2.0, 6.0, 2.0, 0.4)
+    assert quad == quad_of((0, 0), (4, 0), (4, 3), (0, 3))
+    assert repr(box) == "RotatedBox(cx=3.0, cy=-2.0, w=6.0, h=2.0, angle=0.4)"
+
+
+def test_box_quad_is_unrolled_once_and_kept():
+    box = RotatedBox(1.0, 2.0, 5.0, 3.0, 0.7)
+    assert box.quad is box.quad
+    assert rotated_to_quad(box) is box.quad
+    assert pickle.loads(pickle.dumps(box)).quad == box.quad
+
+
+def test_replaced_box_unrolls_afresh():
+    box = RotatedBox(1.0, 2.0, 5.0, 3.0, 0.7)
+    moved = replace(box, cx=11.0)
+    assert box.quad.corners[0].x + 10.0 == pytest.approx(moved.quad.corners[0].x)
+    assert moved.quad == rotated_to_quad(RotatedBox(11.0, 2.0, 5.0, 3.0, 0.7))
+    assert iou(box, moved) == 0.0
+    assert iou(moved, replace(moved)) == 1.0
 
 
 # ---------------------------------------------------------------------------

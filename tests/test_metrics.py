@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vtspot.annotations import (
     IGNORE_MARK,
@@ -617,3 +619,20 @@ def test_counter_ratios_name_every_empty_denominator():
                        gt_count=4, matched_iou_sum=2.4).ratios(flags) == (
         1.0 - 4 / 4, 2.4 / 3)
     assert flags == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(SynthConfig, n_objects=st.integers(1, 8), n_frames=st.integers(2, 12),
+                 motion=st.sampled_from(("static", "constant_velocity", "rotate")),
+                 seed=st.integers(0, 10_000)),
+       st.sampled_from(("detection", "tracking", "spotting")))
+def test_a_synth_reference_scores_itself_perfectly(cfg, task):
+    gt, _ = generate(cfg)
+    report = evaluate(gt, gt, task)
+    assert (report.precision, report.recall, report.fscore) == (1.0, 1.0, 1.0)
+    assert report.det.fp == report.det.fn == 0
+    if task != "detection":
+        assert (report.mota, report.motp, report.idf1) == (1.0, 1.0, 1.0)
+        assert report.mot.mismatches == 0 and report.ml == 0
+        assert report.mt == report.ids.gt_tracks
+    assert report.degenerate == ()

@@ -234,13 +234,12 @@ def test_track_box_carries_prediction_to_next_step():
     assert len(no_hint) == 2
 
 
-def test_explicit_override_beats_carried_box():
+def test_carried_track_box_is_the_next_prediction():
     t = Tracker()
-    t.step(frame(0, [det(0, track_box=box(-8))]))
-    tracks, born, dead = t.step(frame(1, [det(8)]),
-                                track_box_overrides={0: box(8)})
+    t.step(frame(0, [det(0, track_box=box(8))]))
+    tracks, born, dead = t.step(frame(1, [det(8)]))
     assert born == [] and dead == []
-    assert tracks[0].predicted_box.cx == 8
+    assert tracks[0].predicted_box == box(8)
     assert len(tracks[0].history) == 2
 
 
