@@ -41,7 +41,7 @@ from .errors import (
     SchemaError,
     SelfIntersectingQuad,
 )
-from .geometry import Point2, Quad, RotatedBox, nondegenerate_hull, quad_to_rotated
+from .geometry import Quad, RotatedBox, nondegenerate_hull, quad_to_rotated
 
 IGNORE_MARK = "###"
 
@@ -176,11 +176,7 @@ def sample(dense: VideoAnnotation, k: int) -> VideoAnnotation:
 
 
 def _lerp_quad(a: Quad, b: Quad, t: float) -> Quad:
-    pts = tuple(
-        Point2(pa.x + t * (pb.x - pa.x), pa.y + t * (pb.y - pa.y))
-        for pa, pb in zip(a.corners, b.corners)
-    )
-    return Quad(pts)  # type: ignore[arg-type]
+    return Quad.from_flat([p + t * (q - p) for p, q in zip(a.as_flat(), b.as_flat())])
 
 
 def interpolate(sampled: VideoAnnotation, frame_count: int) -> VideoAnnotation:
@@ -375,7 +371,11 @@ def _parse_frame_index(key: str, frame_count: int, parsed) -> int:
     return idx
 
 
-def _parse_points(entry, path: str, key: str = "points") -> Quad:
+def _parse_points(entry, path: str, key: str = "points", *,
+                  as_box: bool = False) -> Quad | RotatedBox:
+    """The quad at ``entry[key]``, or with ``as_box`` its enclosing rotated
+    box.  Either way its hull is checked once, by ``nondegenerate_hull``
+    or inside ``quad_to_rotated``."""
     pts = _expect(entry, key, list, path)
     path = f"{path}.{key}"
     if len(pts) != 8:
@@ -385,6 +385,8 @@ def _parse_points(entry, path: str, key: str = "points") -> Quad:
             raise SchemaError(f"{path}[{i}]", f"expected a number, got {type(v).__name__}")
     try:
         quad = Quad.from_flat(pts)
+        if as_box:
+            return quad_to_rotated(quad)
         nondegenerate_hull(quad)
     except SelfIntersectingQuad:
         raise SchemaError(path, "corners describe a self-intersecting quad") from None
@@ -548,7 +550,7 @@ def load_detections(source) -> DetectionsFile:
             path = f"frames.{key}[{i}]"
             if not isinstance(entry, dict):
                 raise SchemaError(path, f"expected an object, got {type(entry).__name__}")
-            quad = _parse_points(entry, path)
+            box = _parse_points(entry, path, as_box=True)
             if "score" not in entry:
                 raise SchemaError(f"{path}.score", "missing required field")
             score = entry["score"]
@@ -564,15 +566,7 @@ def load_detections(source) -> DetectionsFile:
                 )
             track_box = None
             if entry.get("track_box") is not None:
-                track_quad = _parse_points(entry, path, "track_box")
-                try:
-                    track_box = quad_to_rotated(track_quad)
-                except ValueError as exc:
-                    raise SchemaError(f"{path}.track_box", str(exc)) from None
-            try:
-                box = quad_to_rotated(quad)
-            except ValueError as exc:
-                raise SchemaError(f"{path}.points", str(exc)) from None
+                track_box = _parse_points(entry, path, "track_box", as_box=True)
             dets.append(
                 Detection(
                     box=box, score=float(score), transcription=transcription, track_box=track_box

@@ -8,6 +8,15 @@ its minimum-area enclosing rotated rectangle. Overlap is computed exactly by
 clipping convex quads against each other (Sutherland-Hodgman), which gives
 IoU and, with the axis-aligned hull of both corner sets, GIoU.
 
+A quad stores its corners as one flat tuple of eight floats, ``(x0, y0,
+..., x3, y3)``, and every kernel here (the clip, the areas, the
+orientation, bowtie and convexity tests, the extents and the box fit)
+works on plain floats.  Coordinates are checked to be finite once, where a
+quad is made: ``Quad(corners)`` takes ``Point2``s, which check their own,
+and ``Quad.from_flat`` and ``rotated_to_quad`` check theirs.  ``Point2``
+stays the public face of a corner: ``Quad.corners`` is a ``Point2`` view
+and ``polygon_intersection`` returns ``Point2``s.
+
 The overlap functions take plain shapes.  What they prepare is kept on the
 shape, outside its value: a box keeps its unrolled quad (``RotatedBox.quad``)
 and a quad its convexity and axis-aligned extents, so a shape scored against
@@ -55,6 +64,10 @@ def canonical_angle(angle: float) -> float:
     return a
 
 
+def _not_finite(x, y) -> ValueError:
+    return ValueError(f"point coordinates must be finite, got ({x}, {y})")
+
+
 @dataclass(frozen=True, slots=True)
 class Point2:
     """2D point; coordinates must be finite."""
@@ -64,72 +77,152 @@ class Point2:
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
+            raise _not_finite(self.x, self.y)
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
 
 
-def signed_area(points: tuple[Point2, ...] | list[Point2]) -> float:
-    """Shoelace signed area; positive means counter-clockwise order."""
+def _finite_floats(values) -> tuple[float, ...]:
+    """``values``, a flat corner list, as a tuple of floats.  Raises as
+    building a ``Point2`` per corner would: the first corner with a value
+    ``float()`` refuses, or one that is not finite, raises."""
+    try:
+        xy = tuple(map(float, values))
+    except (TypeError, ValueError, OverflowError):
+        xy = None
+    # an inf or a nan anywhere makes the sum non-finite
+    if xy is not None and math.isfinite(sum(xy)):
+        return xy
+    out: list[float] = []
+    for i in range(0, len(values), 2):
+        x, y = float(values[i]), float(values[i + 1])
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise _not_finite(x, y)
+        out += (x, y)
+    return tuple(out)
+
+
+def _area(poly: list[tuple[float, float]]) -> float:
+    """Shoelace area of ``(x, y)`` pairs; 0 for fewer than three."""
+    if len(poly) < 3:
+        return 0.0
     total = 0.0
-    n = len(points)
-    for i in range(n):
-        p, q = points[i], points[(i + 1) % n]
-        total += p.x * q.y - q.x * p.y
-    return 0.5 * total
+    it = iter(poly)
+    first = px, py = next(it)
+    for x, y in it:
+        total += px * y - x * py
+        px = x
+        py = y
+    x, y = first
+    total += px * y - x * py
+    return abs(0.5 * total)
 
 
 def polygon_area(points: tuple[Point2, ...] | list[Point2]) -> float:
-    if len(points) < 3:
-        return 0.0
-    return abs(signed_area(points))
+    return _area([(p.x, p.y) for p in points])
 
 
-def _orient(a: Point2, b: Point2, c: Point2) -> float:
+def _quad_signed_area(xy: tuple[float, ...]) -> float:
+    """Shoelace signed area of a flat quad, summed corner by corner from
+    0.0; positive means counter-clockwise order."""
+    x0, y0, x1, y1, x2, y2, x3, y3 = xy
+    return 0.5 * (0.0 + (x0 * y1 - x1 * y0) + (x1 * y2 - x2 * y1)
+                  + (x2 * y3 - x3 * y2) + (x3 * y0 - x0 * y3))
+
+
+def _orient(ax, ay, bx, by, cx, cy) -> float:
     """Twice the signed area of triangle abc (left of a->b is positive)."""
-    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
-def _segments_cross(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:
+def _segments_cross(ax, ay, bx, by, cx, cy, dx, dy) -> bool:
     """True when segments ab and cd properly cross (shared endpoints do not count)."""
-    o1 = _orient(a, b, c)
-    o2 = _orient(a, b, d)
-    o3 = _orient(c, d, a)
-    o4 = _orient(c, d, b)
-    return (o1 * o2 < 0.0) and (o3 * o4 < 0.0)
+    return (_orient(ax, ay, bx, by, cx, cy) * _orient(ax, ay, bx, by, dx, dy) < 0.0
+            and _orient(cx, cy, dx, dy, ax, ay) * _orient(cx, cy, dx, dy, bx, by) < 0.0)
 
 
-@dataclass(frozen=True, slots=True)
+def _point_view(xy: tuple[float, ...]) -> tuple[Point2, Point2, Point2, Point2]:
+    return (Point2(xy[0], xy[1]), Point2(xy[2], xy[3]),
+            Point2(xy[4], xy[5]), Point2(xy[6], xy[7]))
+
+
+def _ccw(xy: tuple[float, ...], shown=None) -> tuple[float, ...]:
+    """A flat quad in counter-clockwise order.  Raises SelfIntersectingQuad,
+    showing ``shown`` (by default the Point2 view), for a bowtie."""
+    x0, y0, x1, y1, x2, y2, x3, y3 = xy
+    # A four-gon self-intersects iff a pair of opposite edges crosses.
+    if (_segments_cross(x0, y0, x1, y1, x2, y2, x3, y3)
+            or _segments_cross(x1, y1, x2, y2, x3, y3, x0, y0)):
+        shown = _point_view(xy) if shown is None else shown
+        raise SelfIntersectingQuad(f"corner order describes a self-intersecting quad: {shown}")
+    if _quad_signed_area(xy) < 0.0:
+        return (x0, y0, x3, y3, x2, y2, x1, y1)
+    return xy
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class Quad:
-    """Simple quadrilateral; corner order is canonicalized to counter-clockwise."""
+    """Simple quadrilateral; corner order is canonicalized to counter-clockwise.
 
-    corners: tuple[Point2, Point2, Point2, Point2]
+    ``Quad(corners)`` takes four ``Point2``s; ``corners`` gives them back
+    (counter-clockwise), and equality, hashing and repr are those of that
+    tuple.  The quad itself keeps the corners as eight flat floats.
+    """
+
+    _xy: tuple[float, ...]
     _convex: bool | None = _cache()
     # (min_x, min_y, max_x, max_y, pad): the axis-aligned extents and the
     # broad phase's outward pad, _BROAD_SLACK of their largest magnitude
     _extents: tuple[float, float, float, float, float] | None = _cache()
 
-    def __post_init__(self):
-        if len(self.corners) != 4:
-            raise ValueError(f"quad needs exactly 4 corners, got {len(self.corners)}")
-        c = self.corners
-        # A four-gon self-intersects iff a pair of opposite edges crosses.
-        if _segments_cross(c[0], c[1], c[2], c[3]) or _segments_cross(c[1], c[2], c[3], c[0]):
-            raise SelfIntersectingQuad(f"corner order describes a self-intersecting quad: {c}")
-        if signed_area(c) < 0.0:
-            object.__setattr__(self, "corners", (c[0], c[3], c[2], c[1]))
+    __match_args__ = ("corners",)
+
+    def __init__(self, corners: tuple[Point2, Point2, Point2, Point2]):
+        if len(corners) != 4:
+            raise ValueError(f"quad needs exactly 4 corners, got {len(corners)}")
+        c0, c1, c2, c3 = corners
+        self._fill(_ccw((c0.x, c0.y, c1.x, c1.y, c2.x, c2.y, c3.x, c3.y), corners))
+
+    def _fill(self, xy: tuple[float, ...]) -> None:
+        object.__setattr__(self, "_xy", xy)
+        object.__setattr__(self, "_convex", None)
+        object.__setattr__(self, "_extents", None)
+
+    @classmethod
+    def _of_flat(cls, xy: tuple[float, ...]) -> "Quad":
+        """The quad of eight finite floats, reordered counter-clockwise."""
+        quad = object.__new__(cls)
+        quad._fill(_ccw(xy))
+        return quad
+
+    @property
+    def corners(self) -> tuple[Point2, Point2, Point2, Point2]:
+        return _point_view(self._xy)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._xy == other._xy
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.corners,))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(corners={self.corners!r})"
 
     @property
     def area(self) -> float:
-        return polygon_area(self.corners)
+        return abs(_quad_signed_area(self._xy))
 
     def is_convex(self) -> bool:
         convex = self._convex
         if convex is None:
-            c = self.corners
-            convex = not any(_orient(c[i], c[(i + 1) % 4], c[(i + 2) % 4]) < 0.0
-                             for i in range(4))
+            x0, y0, x1, y1, x2, y2, x3, y3 = self._xy
+            convex = not (_orient(x0, y0, x1, y1, x2, y2) < 0.0
+                          or _orient(x1, y1, x2, y2, x3, y3) < 0.0
+                          or _orient(x2, y2, x3, y3, x0, y0) < 0.0
+                          or _orient(x3, y3, x0, y0, x1, y1) < 0.0)
             object.__setattr__(self, "_convex", convex)
         return convex
 
@@ -139,30 +232,25 @@ class Quad:
         extents = self._extents
         if extents is None:
             _require_convex(self)
-            c = self.corners
-            lo_x = min(c[0].x, c[1].x, c[2].x, c[3].x)
-            lo_y = min(c[0].y, c[1].y, c[2].y, c[3].y)
-            hi_x = max(c[0].x, c[1].x, c[2].x, c[3].x)
-            hi_y = max(c[0].y, c[1].y, c[2].y, c[3].y)
+            xy = self._xy
+            xs = xy[0::2]
+            ys = xy[1::2]
+            lo_x, lo_y, hi_x, hi_y = min(xs), min(ys), max(xs), max(ys)
             pad = _BROAD_SLACK * max(abs(lo_x), abs(hi_x), abs(lo_y), abs(hi_y))
             extents = (lo_x, lo_y, hi_x, hi_y, pad)
             object.__setattr__(self, "_extents", extents)
         return extents
 
-    def as_flat(self) -> list[float]:
-        """Corners flattened to [x1, y1, ..., x4, y4]."""
-        out: list[float] = []
-        for p in self.corners:
-            out.extend((p.x, p.y))
-        return out
+    def as_flat(self) -> tuple[float, ...]:
+        """The stored corners, ``(x0, y0, ..., x3, y3)``."""
+        return self._xy
 
     @classmethod
     def from_flat(cls, values) -> "Quad":
         vals = list(values)
         if len(vals) != 8:
             raise ValueError(f"flat quad needs 8 numbers, got {len(vals)}")
-        pts = tuple(Point2(float(vals[i]), float(vals[i + 1])) for i in range(0, 8, 2))
-        return cls(pts)  # type: ignore[arg-type]
+        return cls._of_flat(_finite_floats(vals))
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,8 +291,11 @@ class RotatedBox:
 def rotated_to_quad(box: RotatedBox) -> Quad:
     """Unroll a box to its four corners in counter-clockwise order.
 
-    The quad is computed on a box's first unroll and kept on the box, so
-    every later call, and ``box.quad``, returns that same quad.
+    Corner ``(dx, dy)`` of the unrotated box, ``dx = -w/2, w/2, w/2, -w/2``
+    and ``dy = -h/2, -h/2, h/2, h/2``, lands at ``(cx + c*dx - s*dy, cy +
+    s*dx + c*dy)``.  The quad is computed on a box's first unroll and kept
+    on the box, so every later call, and ``box.quad``, returns that same
+    quad.  Raises ValueError when a corner overflows.
     """
     quad = box._quad
     if quad is None:
@@ -212,10 +303,16 @@ def rotated_to_quad(box: RotatedBox) -> Quad:
         s = math.sin(box.angle)
         hw = box.w / 2.0
         hh = box.h / 2.0
-        quad = Quad(tuple(  # type: ignore[arg-type]
-            Point2(box.cx + c * dx - s * dy, box.cy + s * dx + c * dy)
-            for dx, dy in ((-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh))
-        ))
+        # c*(-hw) is -(c*hw) and a + -b is a - b, exactly: the products are
+        # taken once and the signs folded into the sums.
+        cw, sw, ch, sh = c * hw, s * hw, c * hh, s * hh
+        cx, cy = box.cx, box.cy
+        quad = Quad._of_flat(_finite_floats((
+            cx - cw + sh, cy - sw - ch,
+            cx + cw + sh, cy + sw - ch,
+            cx + cw - sh, cy + sw + ch,
+            cx - cw - sh, cy - sw + ch,
+        )))
         object.__setattr__(box, "_quad", quad)
     return quad
 
@@ -236,15 +333,6 @@ def _half_hull(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return out
 
 
-def _convex_hull(points) -> list[tuple[float, float]]:
-    """Monotone-chain hull as ``(x, y)`` pairs, counter-clockwise; collinear
-    points dropped."""
-    pts = sorted({(p.x, p.y) for p in points})
-    if len(pts) <= 2:
-        return pts
-    return _half_hull(pts)[:-1] + _half_hull(pts[::-1])[:-1]
-
-
 def nondegenerate_hull(quad: Quad) -> list[tuple[float, float]]:
     """The convex hull of a quad's corners as ``(x, y)`` pairs,
     counter-clockwise.
@@ -253,9 +341,14 @@ def nondegenerate_hull(quad: Quad) -> list[tuple[float, float]]:
     ``DEGENERATE_AREA`` or its corners are collinear: the quads that
     ``quad_to_rotated`` cannot enclose and the loaders refuse.
     """
-    if quad.area < DEGENERATE_AREA:
-        raise DegenerateQuad(f"quad area {quad.area!r} is below {DEGENERATE_AREA!r}")
-    hull = _convex_hull(quad.corners)
+    area = quad.area
+    if area < DEGENERATE_AREA:
+        raise DegenerateQuad(f"quad area {area!r} is below {DEGENERATE_AREA!r}")
+    x0, y0, x1, y1, x2, y2, x3, y3 = quad._xy
+    hull = sorted({(x0, y0), (x1, y1), (x2, y2), (x3, y3)})
+    if len(hull) > 2:
+        # monotone chain: lower then upper half, collinear points dropped
+        hull = _half_hull(hull)[:-1] + _half_hull(hull[::-1])[:-1]
     if len(hull) < 3:
         raise DegenerateQuad("quad corners are collinear")
     return hull
@@ -270,6 +363,7 @@ def quad_to_rotated(quad: Quad) -> RotatedBox:
     DegenerateQuad for the quads ``nondegenerate_hull`` rejects.
     """
     hull = nondegenerate_hull(quad)
+    x0, y0, x1, y1, x2, y2, x3, y3 = quad._xy
 
     best = None  # (area, theta, u extents, v extents)
     n = len(hull)
@@ -277,10 +371,12 @@ def quad_to_rotated(quad: Quad) -> RotatedBox:
         (px, py), (qx, qy) = hull[i], hull[(i + 1) % n]
         theta = math.atan2(qy - py, qx - px)
         c, s = math.cos(theta), math.sin(theta)
-        us = [c * pt.x + s * pt.y for pt in quad.corners]
-        vs = [-s * pt.x + c * pt.y for pt in quad.corners]
-        u0, u1 = min(us), max(us)
-        v0, v1 = min(vs), max(vs)
+        ns = -s
+        u_0, u_1, u_2, u_3 = c * x0 + s * y0, c * x1 + s * y1, c * x2 + s * y2, c * x3 + s * y3
+        v_0, v_1, v_2, v_3 = (ns * x0 + c * y0, ns * x1 + c * y1,
+                              ns * x2 + c * y2, ns * x3 + c * y3)
+        u0, u1 = min(u_0, u_1, u_2, u_3), max(u_0, u_1, u_2, u_3)
+        v0, v1 = min(v_0, v_1, v_2, v_3), max(v_0, v_1, v_2, v_3)
         area = (u1 - u0) * (v1 - v0)
         if best is None or area < best[0]:
             best = (area, theta, u0, u1, v0, v1)
@@ -318,42 +414,54 @@ def polygon_intersection(a: Quad, b: Quad) -> list[Point2]:
     """
     _require_convex(a)
     _require_convex(b)
-    return _clip(a, b)
+    return [Point2(x, y) for x, y in _clip(a._xy, b._xy)]
 
 
-def _clip(a: Quad, b: Quad) -> list[Point2]:
-    """polygon_intersection for quads already known to be convex."""
-    output: list[Point2] = list(a.corners)
-    clip = b.corners
-    for i in range(4):
-        if not output:
+def _clip(a: tuple[float, ...], b: tuple[float, ...]) -> list[tuple[float, float]]:
+    """Sutherland-Hodgman: clip flat quad ``a`` against each edge of flat
+    quad ``b`` in turn, keeping the part on or left of the edge; both must
+    be convex.  Returns the intersection's vertices as ``(x, y)`` pairs.
+
+    Each vertex's side of the edge is computed once.  A crossing lands at
+    ``p + t * (q - p)`` with ``t = p_side / (p_side - q_side)``; one that
+    overflows raises ValueError, as a non-finite ``Point2`` would.
+    """
+    poly = [(a[0], a[1]), (a[2], a[3]), (a[4], a[5]), (a[6], a[7])]
+    for k in (0, 2, 4, 6):
+        ax = b[k]
+        ay = b[k + 1]
+        ex = b[(k + 2) & 7] - ax
+        ey = b[(k + 3) & 7] - ay
+        out = []
+        px, py = poly[-1]
+        p_side = ex * (py - ay) - ey * (px - ax)
+        for q in poly:
+            qx, qy = q
+            q_side = ex * (qy - ay) - ey * (qx - ax)
+            if q_side >= 0.0:
+                if p_side < 0.0:
+                    t = p_side / (p_side - q_side)
+                    hx = px + t * (qx - px)
+                    hy = py + t * (qy - py)
+                    # v - v is 0.0 for a finite v and nan (truthy) otherwise
+                    if hx - hx or hy - hy:
+                        raise _not_finite(hx, hy)
+                    out.append((hx, hy))
+                out.append(q)
+            elif p_side >= 0.0:
+                t = p_side / (p_side - q_side)
+                hx = px + t * (qx - px)
+                hy = py + t * (qy - py)
+                if hx - hx or hy - hy:
+                    raise _not_finite(hx, hy)
+                out.append((hx, hy))
+            px = qx
+            py = qy
+            p_side = q_side
+        poly = out
+        if not poly:
             break
-        ca, cb = clip[i], clip[(i + 1) % 4]
-        output = _clip_half_plane(output, ca, cb)
-    return output
-
-
-def _clip_half_plane(poly: list[Point2], a: Point2, b: Point2) -> list[Point2]:
-    """Keep the part of ``poly`` on or left of the directed line a->b."""
-    out: list[Point2] = []
-    n = len(poly)
-    for i in range(n):
-        prv = poly[i - 1]
-        cur = poly[i]
-        prv_side = _orient(a, b, prv)
-        cur_side = _orient(a, b, cur)
-        if cur_side >= 0.0:
-            if prv_side < 0.0:
-                out.append(_line_hit(prv, cur, prv_side, cur_side))
-            out.append(cur)
-        elif prv_side >= 0.0:
-            out.append(_line_hit(prv, cur, prv_side, cur_side))
-    return out
-
-
-def _line_hit(p: Point2, q: Point2, p_side: float, q_side: float) -> Point2:
-    t = p_side / (p_side - q_side)
-    return Point2(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
+    return poly
 
 
 def _area_ratio(inter: float, union: float) -> float:
@@ -381,11 +489,11 @@ def quad_iou(a: Quad, b: Quad) -> float:
     eb = b._convex_extents()
     if _apart(ea, eb):
         return 0.0
-    if a.corners == b.corners:
+    if a._xy == b._xy:
         # identical shapes overlap fully by definition; skipping the clip
         # keeps the result exact where round-off would wobble it
         return 1.0 if a.area > 0.0 else 0.0
-    inter = polygon_area(_clip(a, b))
+    inter = _area(_clip(a._xy, b._xy))
     return _area_ratio(inter, a.area + b.area - inter)
 
 
@@ -419,9 +527,11 @@ def iou(a: RotatedBox, b: RotatedBox) -> float:
         return 0.0
     qa = a.quad
     qb = b.quad
-    if qa.corners == qb.corners:
+    if qa._xy == qb._xy:
         return 1.0
-    inter = polygon_area(polygon_intersection(qa, qb))
+    _require_convex(qa)
+    _require_convex(qb)
+    inter = _area(_clip(qa._xy, qb._xy))
     return _area_ratio(inter, a.area + b.area - inter)
 
 
@@ -437,7 +547,7 @@ def giou(a: RotatedBox, b: RotatedBox) -> float:
     qb = b.quad
     ea = qa._convex_extents()
     eb = qb._convex_extents()
-    inter = 0.0 if _apart(ea, eb) else polygon_area(_clip(qa, qb))
+    inter = 0.0 if _apart(ea, eb) else _area(_clip(qa._xy, qb._xy))
     union = a.area + b.area - inter
     hull = ((max(ea[2], eb[2]) - min(ea[0], eb[0]))
             * (max(ea[3], eb[3]) - min(ea[1], eb[1])))

@@ -23,7 +23,7 @@ from .annotations import (
     VideoAnnotation,
 )
 from .errors import GeometryError
-from .geometry import Point2, Quad, RotatedBox, quad_to_rotated, rotated_to_quad
+from .geometry import Quad, RotatedBox, quad_to_rotated, rotated_to_quad
 
 __all__ = ["SynthConfig", "generate", "CANVAS_WIDTH", "CANVAS_HEIGHT"]
 
@@ -121,13 +121,12 @@ def _noisy_detection_box(
 ) -> RotatedBox:
     """Perturb each corner and refit a rotated box; noise draws that break
     the quad (a self-crossing) are retried on fresh draws."""
+    flat = quad.as_flat()
     for _ in range(16):
-        corners = tuple(
-            Point2(p.x + rng.gauss(0.0, sigma), p.y + rng.gauss(0.0, sigma))
-            for p in quad.corners
-        )
+        # x0, y0, x1, y1, ...: each corner's x draw before its y draw
+        noisy = [v + rng.gauss(0.0, sigma) for v in flat]
         try:
-            return quad_to_rotated(Quad(corners))
+            return quad_to_rotated(Quad.from_flat(noisy))
         except GeometryError:
             continue
     return quad_to_rotated(quad)

@@ -15,13 +15,14 @@ import random
 
 import numpy as np
 
-from vtspot.errors import MissingTranscription
+from vtspot.errors import DegenerateQuad, MissingTranscription, NonConvexInput
 from vtspot.geometry import (
+    DEGENERATE_AREA,
+    Point2,
+    Quad,
+    RotatedBox,
+    canonical_angle,
     iou,
-    polygon_area,
-    polygon_intersection,
-    quad_to_rotated,
-    rotated_to_quad,
 )
 from vtspot.matching import hungarian
 from vtspot.metrics import (
@@ -163,6 +164,146 @@ def overlapping_box_pair(rng: random.Random):
 
 
 # ---------------------------------------------------------------------------
+# the Point2 geometry
+# ---------------------------------------------------------------------------
+# The package's geometry kernel works on flat float tuples.  What follows is
+# the kernel it replaced, on Point2 corners: the textbook unroll, the
+# Sutherland-Hodgman clip that builds a Point2 per vertex, the shoelace sum
+# and the minimum-area box fit.  It does the same arithmetic in the same
+# order, so differential tests can demand bit-equal results from two
+# separate implementations.
+
+
+def signed_area(points):
+    """Shoelace signed area of Point2s; positive means counter-clockwise."""
+    total = 0.0
+    n = len(points)
+    for i in range(n):
+        p, q = points[i], points[(i + 1) % n]
+        total += p.x * q.y - q.x * p.y
+    return 0.5 * total
+
+
+def point_area(points):
+    if len(points) < 3:
+        return 0.0
+    return abs(signed_area(points))
+
+
+def _orient(a, b, c):
+    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+
+
+def _require_convex(quad):
+    c = quad.corners
+    if any(_orient(c[i], c[(i + 1) % 4], c[(i + 2) % 4]) < 0.0 for i in range(4)):
+        raise NonConvexInput(f"polygon clipping needs convex input, got {c}")
+
+
+def _line_hit(p, q, p_side, q_side):
+    t = p_side / (p_side - q_side)
+    return Point2(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
+
+
+def _clip_half_plane(poly, a, b):
+    """Keep the part of ``poly`` on or left of the directed line a->b."""
+    out = []
+    n = len(poly)
+    for i in range(n):
+        prv = poly[i - 1]
+        cur = poly[i]
+        prv_side = _orient(a, b, prv)
+        cur_side = _orient(a, b, cur)
+        if cur_side >= 0.0:
+            if prv_side < 0.0:
+                out.append(_line_hit(prv, cur, prv_side, cur_side))
+            out.append(cur)
+        elif prv_side >= 0.0:
+            out.append(_line_hit(prv, cur, prv_side, cur_side))
+    return out
+
+
+def point_intersection(a, b):
+    """``polygon_intersection`` as Point2s, clipping the quads' Point2
+    corners edge by edge."""
+    _require_convex(a)
+    _require_convex(b)
+    output = list(a.corners)
+    clip = b.corners
+    for i in range(4):
+        if not output:
+            break
+        output = _clip_half_plane(output, clip[i], clip[(i + 1) % 4])
+    return output
+
+
+def point_unroll(box):
+    """``rotated_to_quad``: each corner offset rotated and added on its own."""
+    c = math.cos(box.angle)
+    s = math.sin(box.angle)
+    hw = box.w / 2.0
+    hh = box.h / 2.0
+    return Quad(tuple(
+        Point2(box.cx + c * dx - s * dy, box.cy + s * dx + c * dy)
+        for dx, dy in ((-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh))
+    ))
+
+
+def _half_hull(pts):
+    out = []
+    for p in pts:
+        while len(out) >= 2:
+            ox, oy = out[-2]
+            ax, ay = out[-1]
+            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= 0.0:
+                out.pop()
+            else:
+                break
+        out.append(p)
+    return out
+
+
+def point_quad_to_rotated(quad):
+    """``quad_to_rotated``: the minimum-area box over the hull's edges."""
+    corners = quad.corners
+    area = point_area(corners)
+    if area < DEGENERATE_AREA:
+        raise DegenerateQuad(f"quad area {area!r} is below {DEGENERATE_AREA!r}")
+    pts = sorted({(p.x, p.y) for p in corners})
+    hull = pts if len(pts) <= 2 else _half_hull(pts)[:-1] + _half_hull(pts[::-1])[:-1]
+    if len(hull) < 3:
+        raise DegenerateQuad("quad corners are collinear")
+    best = None
+    n = len(hull)
+    for i in range(n):
+        (px, py), (qx, qy) = hull[i], hull[(i + 1) % n]
+        theta = math.atan2(qy - py, qx - px)
+        c, s = math.cos(theta), math.sin(theta)
+        us = [c * pt.x + s * pt.y for pt in corners]
+        vs = [-s * pt.x + c * pt.y for pt in corners]
+        u0, u1 = min(us), max(us)
+        v0, v1 = min(vs), max(vs)
+        area = (u1 - u0) * (v1 - v0)
+        if best is None or area < best[0]:
+            best = (area, theta, u0, u1, v0, v1)
+    _, theta, u0, u1, v0, v1 = best
+    c, s = math.cos(theta), math.sin(theta)
+    uc = (u0 + u1) / 2.0
+    vc = (v0 + v1) / 2.0
+    w0 = u1 - u0
+    h0 = v1 - v0
+    if abs(w0 - h0) <= 1e-9 * max(w0, h0):
+        cand = [(canonical_angle(theta), w0, h0),
+                (canonical_angle(theta + math.pi / 2.0), h0, w0)]
+        angle, w, h = min(cand, key=lambda t: (abs(t[0]), t[0]))
+    elif h0 > w0:
+        angle, w, h = canonical_angle(theta + math.pi / 2.0), h0, w0
+    else:
+        angle, w, h = canonical_angle(theta), w0, h0
+    return RotatedBox(c * uc - s * vc, s * uc + c * vc, w, h, angle)
+
+
+# ---------------------------------------------------------------------------
 # clip-only overlap and the three separate evaluation passes
 # ---------------------------------------------------------------------------
 # The package scores far-apart pairs 0 without clipping (for GIoU, their
@@ -172,8 +313,9 @@ def overlapping_box_pair(rng: random.Random):
 # version of each: every pair is clipped on its own, each pass computes its
 # own overlaps, and each assignment flood-fills its gate components on a
 # dense table and fills each one's padded matrix by hand.
-# Unlike the oracles above, these reuse the package's clipping arithmetic
-# on purpose, so that differential tests can demand bit-equal results.
+# Unlike the oracles at the top, the overlaps use the Point2 geometry above,
+# which does the package's arithmetic, so that differential tests can
+# demand bit-equal results.
 
 
 def _area_ratio(inter, union):
@@ -184,28 +326,29 @@ def _area_ratio(inter, union):
 
 def clip_quad_iou(a, b):
     """IoU of two convex quads, always by clipping."""
-    if a.corners == b.corners and a.is_convex():
-        return 1.0 if a.area > 0.0 else 0.0
-    inter = polygon_area(polygon_intersection(a, b))
-    return _area_ratio(inter, a.area + b.area - inter)
+    if a.corners == b.corners:
+        _require_convex(a)
+        return 1.0 if point_area(a.corners) > 0.0 else 0.0
+    inter = point_area(point_intersection(a, b))
+    return _area_ratio(inter, point_area(a.corners) + point_area(b.corners) - inter)
 
 
 def clip_iou(a, b):
     """IoU of two rotated boxes, always by clipping their quads."""
-    qa = rotated_to_quad(a)
-    qb = rotated_to_quad(b)
+    qa = point_unroll(a)
+    qb = point_unroll(b)
     if qa.corners == qb.corners:
         return 1.0
-    inter = polygon_area(polygon_intersection(qa, qb))
+    inter = point_area(point_intersection(qa, qb))
     return _area_ratio(inter, a.area + b.area - inter)
 
 
 def clip_giou(a, b):
     """GIoU of two rotated boxes, always by clipping their quads, with
     the hull taken over all eight corners."""
-    qa = rotated_to_quad(a)
-    qb = rotated_to_quad(b)
-    inter = polygon_area(polygon_intersection(qa, qb))
+    qa = point_unroll(a)
+    qb = point_unroll(b)
+    inter = point_area(point_intersection(qa, qb))
     union = a.area + b.area - inter
     xs = [p.x for p in qa.corners + qb.corners]
     ys = [p.y for p in qa.corners + qb.corners]
@@ -233,7 +376,7 @@ def plain_cost_matrix(gts, preds, w):
 
 
 def _usable_quad(quad):
-    return quad if quad.is_convex() else rotated_to_quad(quad_to_rotated(quad))
+    return quad if quad.is_convex() else point_unroll(point_quad_to_rotated(quad))
 
 
 def _split_frame(instances):

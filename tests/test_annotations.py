@@ -627,3 +627,47 @@ def test_degenerate_quad_is_the_same_schema_error_in_both_loaders(load, points):
     with pytest.raises(SchemaError) as exc_info:
         load(io.StringIO(json.dumps(doc)))
     assert str(exc_info.value) == "frames.0[0].points: quad area 0.0 is below 1e-12"
+
+
+@pytest.mark.parametrize("field", ["points", "track_box"])
+@pytest.mark.parametrize("corners,message", [
+    ([5] * 8, "quad area 0.0 is below 1e-12"),
+    ([0, 0, 1, 1, 2, 2, 3, 3], "quad area 0.0 is below 1e-12"),
+    ([0, 0, 1, 0, 1, 1e-13, 0, 1e-13], "quad area 1e-13 is below 1e-12"),
+])
+def test_degenerate_detection_quad_names_its_field(field, corners, message):
+    doc = json.loads(json.dumps(DETS_DOC))
+    entry = doc["frames"]["1"][0]
+    entry["track_box"] = list(entry["points"])
+    entry[field] = corners
+    with pytest.raises(SchemaError) as exc_info:
+        load_detections(io.StringIO(json.dumps(doc)))
+    assert str(exc_info.value) == f"frames.1[0].{field}: {message}"
+
+
+def test_load_detections_checks_each_quad_once(monkeypatch):
+    """Fitting a detection's box rejects a degenerate quad on the way, so
+    each ``points`` and each ``track_box`` gets one hull check."""
+    import vtspot.annotations as annotations_mod
+    import vtspot.geometry as geometry_mod
+
+    checked = []
+    real = geometry_mod.nondegenerate_hull
+
+    def counting(quad):
+        checked.append(quad.as_flat())
+        return real(quad)
+
+    monkeypatch.setattr(geometry_mod, "nondegenerate_hull", counting)
+    monkeypatch.setattr(annotations_mod, "nondegenerate_hull", counting)
+    doc = json.loads(json.dumps(DETS_DOC))
+    tracked = dict(doc["frames"]["1"][0],
+                   track_box=[12.0, 10.0, 52.0, 10.0, 52.0, 30.0, 12.0, 30.0])
+    doc["frames"]["2"] = [tracked]
+    load_detections(io.StringIO(json.dumps(doc)))
+    assert checked == [(10.0, 10.0, 50.0, 10.0, 50.0, 30.0, 10.0, 30.0),
+                       (10.0, 10.0, 50.0, 10.0, 50.0, 30.0, 10.0, 30.0),
+                       (12.0, 10.0, 52.0, 10.0, 52.0, 30.0, 12.0, 30.0)]
+    checked.clear()
+    load_annotation(io.StringIO(json.dumps(MINIMAL_DOC)))
+    assert len(checked) == sum(len(v) for v in MINIMAL_DOC["frames"].values())

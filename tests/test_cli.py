@@ -370,6 +370,20 @@ def test_track_empty_detections(tmp_path, capsys):
     assert ann.frame_count == 4
 
 
+@pytest.mark.parametrize("field", ["points", "track_box"])
+def test_track_degenerate_detection_quad_exits_two(tmp_path, capsys, field):
+    square = [10.0, 10.0, 50.0, 10.0, 50.0, 50.0, 10.0, 50.0]
+    entry = {"points": square, "score": 0.9, "track_box": square}
+    entry[field] = [0, 0, 1, 1, 2, 2, 3, 3]
+    path = tmp_path / "dets.json"
+    path.write_text(json.dumps({
+        "video_id": "d", "width": 100, "height": 100,
+        "frame_count": 2, "frames": {"1": [entry]},
+    }), encoding="utf-8")
+    assert run_cli("track", str(path)) == 2
+    assert f"frames.1[0].{field}: quad area 0.0 is below 1e-12" in capsys.readouterr().err
+
+
 def test_track_stdout(tmp_path, capsys):
     _, dets = make_synth(tmp_path, **{"--frames": 5, "--objects": 2})
     assert run_cli("track", str(dets)) == 0

@@ -1,8 +1,8 @@
-"""Differential tests: the broad phase, the unrolled quads and extents the
-shapes keep, the shared per-frame IoU table and the tracker's
-component-wise gated assignment against the clip-only geometry, the
-per-pair cost matrix, the three separate metric passes and the dense-table
-tracker kept in ``oracles``.
+"""Differential tests: the flat-float geometry kernel, the broad phase, the
+unrolled quads and extents the shapes keep, the shared per-frame IoU table
+and the tracker's component-wise gated assignment against the Point2
+geometry and clip-only overlaps, the per-pair cost matrix, the three
+separate metric passes and the dense-table tracker kept in ``oracles``.
 Results must be equal, not approximately equal."""
 
 import math
@@ -23,6 +23,9 @@ from oracles import (
     clip_quad_iou,
     dense_track,
     plain_cost_matrix,
+    point_intersection,
+    point_quad_to_rotated,
+    point_unroll,
     three_pass_report,
 )
 from vtspot.annotations import (
@@ -40,7 +43,9 @@ from vtspot.geometry import (
     RotatedBox,
     giou,
     iou,
+    polygon_intersection,
     quad_iou,
+    quad_to_rotated,
     rotated_to_quad,
 )
 from vtspot.linker import link
@@ -77,8 +82,10 @@ def shifted(quad: Quad, dx: float, dy: float) -> Quad:
 def assert_box_iou_matches(a: RotatedBox, b: RotatedBox) -> None:
     """iou and giou equal the clip-only oracles both ways round, on fresh
     copies of the boxes (a cold call unrolls them) and again on the same
-    copies (a warm call reads the quads they kept)."""
+    copies (a warm call reads the quads they kept); each box unrolls to
+    the Point2 unroll's corners."""
     for x, y in ((a, b), (b, a)):
+        assert rotated_to_quad(replace(x)) == point_unroll(x)
         for overlap, oracle in ((iou, clip_iou), (giou, clip_giou)):
             expected = oracle(x, y)
             cold_x, cold_y = replace(x), replace(y)
@@ -87,12 +94,15 @@ def assert_box_iou_matches(a: RotatedBox, b: RotatedBox) -> None:
 
 
 def assert_quad_iou_matches(a: Quad, b: Quad) -> None:
-    """As ``assert_box_iou_matches``, for quad_iou on fresh quad copies."""
+    """As ``assert_box_iou_matches``, for quad_iou on fresh quad copies;
+    polygon_intersection and quad_to_rotated equal the Point2 geometry's."""
     for x, y in ((a, b), (b, a)):
         expected = clip_quad_iou(x, y)
         cold_x, cold_y = Quad(x.corners), Quad(y.corners)
         assert quad_iou(cold_x, cold_y) == expected
         assert quad_iou(cold_x, cold_y) == expected
+        assert polygon_intersection(x, y) == point_intersection(x, y)
+        assert quad_to_rotated(x) == point_quad_to_rotated(x)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +315,54 @@ def test_giou_rejects_nonconvex_unroll_even_when_disjoint(dx):
         match_sets([GroundTruthInstance(SLIVER)], [PredictedInstance(0.5, other)], w)
     with pytest.raises(NonConvexInput):
         match_sets([GroundTruthInstance(other)], [PredictedInstance(0.5, SLIVER)], w)
+
+
+# ---------------------------------------------------------------------------
+# the flat-float kernel against the Point2 geometry
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def box_pairs(draw):
+    """A box and a partner that is identical to it, flush against one of
+    its sides (then a few ulps apart or into it), nested inside it, far
+    from it, or anywhere."""
+    a = draw(boxes)
+    kind = draw(st.sampled_from(("identical", "touching", "nested", "far", "random")))
+    turn = draw(st.sampled_from((0.0, math.pi / 2.0))) + draw(st.floats(-0.5, 0.5))
+    if kind == "identical":
+        b = RotatedBox(a.cx, a.cy, a.w, a.h, a.angle)
+    elif kind == "touching":
+        c, s = math.cos(a.angle), math.sin(a.angle)
+        w = draw(side)
+        ulps = draw(st.integers(-3, 3))
+        reach = (a.w + w) / 2.0
+        b = RotatedBox(nudge(a.cx + c * reach, ulps), nudge(a.cy + s * reach, ulps),
+                       w, a.h, a.angle + draw(st.sampled_from((0.0, turn))))
+    elif kind == "nested":
+        # half the partner's diagonal is at most 0.35 of a's shorter side
+        # and its center at most 0.1 of it from a's: inside a at any angle
+        short = min(a.w, a.h)
+        fit = draw(st.floats(0.05, 0.95))
+        b = RotatedBox(a.cx + 0.1 * short * draw(st.floats(-0.7, 0.7)),
+                       a.cy + 0.1 * short * draw(st.floats(-0.7, 0.7)),
+                       0.7 * short * fit, 0.7 * short * (1.0 - fit), a.angle + turn)
+    elif kind == "far":
+        b = RotatedBox(a.cx + draw(st.sampled_from((-1.0, 1.0))) * 1e3, a.cy,
+                       draw(side), draw(side), a.angle + turn)
+    else:
+        b = draw(boxes)
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(box_pairs())
+def test_kernel_equals_point_geometry(pair):
+    """iou, giou, quad_iou, polygon_intersection and both conversions
+    equal the Point2 geometry in ``oracles``."""
+    a, b = pair
+    assert_box_iou_matches(a, b)
+    assert_quad_iou_matches(rotated_to_quad(a), rotated_to_quad(b))
 
 
 @st.composite

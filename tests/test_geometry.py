@@ -20,7 +20,7 @@ from vtspot.geometry import (
     rotated_to_quad,
 )
 
-from oracles import monte_carlo_iou, overlapping_box_pair, shoelace
+from oracles import monte_carlo_iou, overlapping_box_pair, shoelace, signed_area
 
 HALF_PI = math.pi / 2
 
@@ -74,14 +74,47 @@ def test_box_wraps_angle_on_construction():
 def test_quad_enforces_ccw():
     q = quad_of((0, 0), (0, 2), (4, 2), (4, 0))  # clockwise input
     assert q.corners[0] == Point2(0, 0)
-    from vtspot.geometry import signed_area
-
     assert signed_area(q.corners) > 0
 
 
 def test_quad_rejects_bowtie():
     with pytest.raises(SelfIntersectingQuad):
         quad_of((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+@pytest.mark.parametrize("at", [0, 3, 7])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_from_flat_rejects_non_finite(bad, at):
+    values = [0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0]
+    values[at] = bad
+    with pytest.raises(ValueError, match="point coordinates must be finite"):
+        Quad.from_flat(values)
+
+
+def test_unroll_that_overflows_is_rejected():
+    # 1.7e308 plus half of a 1e308 side is past the float range
+    with pytest.raises(ValueError, match="point coordinates must be finite"):
+        rotated_to_quad(RotatedBox(1.7e308, 0.0, 1e308, 1.0, 0.3))
+
+
+def test_clip_vertex_that_overflows_is_rejected():
+    """Near the float range a crossing's side values overflow, and the
+    vertex the clip would put there is not finite."""
+    big = 1e200
+    square = Quad.from_flat([-big, -big, big, -big, big, big, -big, big])
+    diamond = Quad.from_flat([0, -1.5 * big, 1.5 * big, 0, 0, 1.5 * big, -1.5 * big, 0])
+    with pytest.raises(ValueError, match="point coordinates must be finite"):
+        quad_iou(square, diamond)
+
+
+def test_quad_value_is_its_point_view():
+    q = Quad.from_flat([0, 0, 0, 2, 4, 2, 4, 0])  # clockwise input
+    assert q.as_flat() == (0.0, 0.0, 4.0, 0.0, 4.0, 2.0, 0.0, 2.0)
+    assert q.corners == (Point2(0.0, 0.0), Point2(4.0, 0.0), Point2(4.0, 2.0), Point2(0.0, 2.0))
+    assert Quad(q.corners) == q == Quad.from_flat(q.as_flat())
+    assert hash(q) == hash((q.corners,))
+    assert repr(q) == f"Quad(corners={q.corners!r})"
+    assert Quad(corners=q.corners) == q
 
 
 def _value_facts(shape):
