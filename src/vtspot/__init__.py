@@ -49,14 +49,11 @@ from .errors import (
     VtspotError,
 )
 from .geometry import (
-    Point2,
     Quad,
     RotatedBox,
     canonical_angle,
     giou,
     iou,
-    polygon_area,
-    polygon_intersection,
     quad_iou,
     quad_to_rotated,
     rotated_to_quad,
@@ -103,9 +100,8 @@ __all__ = [
     "OutOfRangeFrameIndex", "SchemaError", "SelfIntersectingQuad",
     "SizeMismatch", "VideoMismatch", "VtspotError",
     # geometry
-    "Point2", "Quad", "RotatedBox", "canonical_angle", "giou", "iou",
-    "polygon_area", "polygon_intersection", "quad_iou", "quad_to_rotated",
-    "rotated_to_quad",
+    "Quad", "RotatedBox", "canonical_angle", "giou", "iou", "quad_iou",
+    "quad_to_rotated", "rotated_to_quad",
     # linker
     "LinkerConfig", "edit_distance", "link",
     # matching

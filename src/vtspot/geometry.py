@@ -8,14 +8,13 @@ its minimum-area enclosing rotated rectangle. Overlap is computed exactly by
 clipping convex quads against each other (Sutherland-Hodgman), which gives
 IoU and, with the axis-aligned hull of both corner sets, GIoU.
 
-A quad stores its corners as one flat tuple of eight floats, ``(x0, y0,
-..., x3, y3)``, and every kernel here (the clip, the areas, the
-orientation, bowtie and convexity tests, the extents and the box fit)
-works on plain floats.  Coordinates are checked to be finite once, where a
-quad is made: ``Quad(corners)`` takes ``Point2``s, which check their own,
-and ``Quad.from_flat`` and ``rotated_to_quad`` check theirs.  ``Point2``
-stays the public face of a corner: ``Quad.corners`` is a ``Point2`` view
-and ``polygon_intersection`` returns ``Point2``s.
+A quad's corners are one flat tuple of eight floats, ``(x0, y0, ..., x3,
+y3)``: that tuple is the quad's value (its equality, hash and repr), what
+``Quad.from_flat`` takes and ``Quad.as_flat`` gives back, and what every
+kernel here (the clip, the areas, the orientation, bowtie and convexity
+tests, the extents and the box fit) reads.  Coordinates are checked to be
+finite once, where a quad is made: in ``Quad.from_flat`` and
+``rotated_to_quad``.
 
 The overlap functions take plain shapes.  What they prepare is kept on the
 shape, outside its value: a box keeps its unrolled quad (``RotatedBox.quad``)
@@ -47,7 +46,10 @@ _BROAD_SLACK = 1e-9
 
 def _cache():
     """A slot filled on first use.  It is not part of the value: equality,
-    hashing, repr and ``dataclasses.replace`` ignore it."""
+    hashing and repr ignore it, and ``dataclasses.replace`` of a
+    ``RotatedBox`` starts its copy with the slot empty.  (A ``Quad`` has no
+    ``__init__`` for ``replace`` to call, so ``replace`` raises TypeError
+    on one.)"""
     return field(default=None, init=False, repr=False, compare=False)
 
 
@@ -68,25 +70,10 @@ def _not_finite(x, y) -> ValueError:
     return ValueError(f"point coordinates must be finite, got ({x}, {y})")
 
 
-@dataclass(frozen=True, slots=True)
-class Point2:
-    """2D point; coordinates must be finite."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise _not_finite(self.x, self.y)
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
-
 def _finite_floats(values) -> tuple[float, ...]:
-    """``values``, a flat corner list, as a tuple of floats.  Raises as
-    building a ``Point2`` per corner would: the first corner with a value
-    ``float()`` refuses, or one that is not finite, raises."""
+    """``values``, a flat corner list, as a tuple of floats.  The first
+    corner with a value ``float()`` refuses, or one that is not finite,
+    raises."""
     try:
         xy = tuple(map(float, values))
     except (TypeError, ValueError, OverflowError):
@@ -119,10 +106,6 @@ def _area(poly: list[tuple[float, float]]) -> float:
     return abs(0.5 * total)
 
 
-def polygon_area(points: tuple[Point2, ...] | list[Point2]) -> float:
-    return _area([(p.x, p.y) for p in points])
-
-
 def _quad_signed_area(xy: tuple[float, ...]) -> float:
     """Shoelace signed area of a flat quad, summed corner by corner from
     0.0; positive means counter-clockwise order."""
@@ -142,32 +125,25 @@ def _segments_cross(ax, ay, bx, by, cx, cy, dx, dy) -> bool:
             and _orient(cx, cy, dx, dy, ax, ay) * _orient(cx, cy, dx, dy, bx, by) < 0.0)
 
 
-def _point_view(xy: tuple[float, ...]) -> tuple[Point2, Point2, Point2, Point2]:
-    return (Point2(xy[0], xy[1]), Point2(xy[2], xy[3]),
-            Point2(xy[4], xy[5]), Point2(xy[6], xy[7]))
-
-
-def _ccw(xy: tuple[float, ...], shown=None) -> tuple[float, ...]:
-    """A flat quad in counter-clockwise order.  Raises SelfIntersectingQuad,
-    showing ``shown`` (by default the Point2 view), for a bowtie."""
+def _ccw(xy: tuple[float, ...]) -> tuple[float, ...]:
+    """A flat quad in counter-clockwise order.  Raises SelfIntersectingQuad
+    for a bowtie."""
     x0, y0, x1, y1, x2, y2, x3, y3 = xy
     # A four-gon self-intersects iff a pair of opposite edges crosses.
     if (_segments_cross(x0, y0, x1, y1, x2, y2, x3, y3)
             or _segments_cross(x1, y1, x2, y2, x3, y3, x0, y0)):
-        shown = _point_view(xy) if shown is None else shown
-        raise SelfIntersectingQuad(f"corner order describes a self-intersecting quad: {shown}")
+        raise SelfIntersectingQuad(f"corner order describes a self-intersecting quad: {xy}")
     if _quad_signed_area(xy) < 0.0:
         return (x0, y0, x3, y3, x2, y2, x1, y1)
     return xy
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
+@dataclass(frozen=True, slots=True, init=False, match_args=False)
 class Quad:
     """Simple quadrilateral; corner order is canonicalized to counter-clockwise.
 
-    ``Quad(corners)`` takes four ``Point2``s; ``corners`` gives them back
-    (counter-clockwise), and equality, hashing and repr are those of that
-    tuple.  The quad itself keeps the corners as eight flat floats.
+    Build one with ``Quad.from_flat``.  Its value, for equality, hashing,
+    repr and pickling, is the flat corner tuple ``as_flat()`` returns.
     """
 
     _xy: tuple[float, ...]
@@ -176,40 +152,14 @@ class Quad:
     # broad phase's outward pad, _BROAD_SLACK of their largest magnitude
     _extents: tuple[float, float, float, float, float] | None = _cache()
 
-    __match_args__ = ("corners",)
-
-    def __init__(self, corners: tuple[Point2, Point2, Point2, Point2]):
-        if len(corners) != 4:
-            raise ValueError(f"quad needs exactly 4 corners, got {len(corners)}")
-        c0, c1, c2, c3 = corners
-        self._fill(_ccw((c0.x, c0.y, c1.x, c1.y, c2.x, c2.y, c3.x, c3.y), corners))
-
-    def _fill(self, xy: tuple[float, ...]) -> None:
-        object.__setattr__(self, "_xy", xy)
-        object.__setattr__(self, "_convex", None)
-        object.__setattr__(self, "_extents", None)
-
     @classmethod
     def _of_flat(cls, xy: tuple[float, ...]) -> "Quad":
         """The quad of eight finite floats, reordered counter-clockwise."""
         quad = object.__new__(cls)
-        quad._fill(_ccw(xy))
+        object.__setattr__(quad, "_xy", _ccw(xy))
+        object.__setattr__(quad, "_convex", None)
+        object.__setattr__(quad, "_extents", None)
         return quad
-
-    @property
-    def corners(self) -> tuple[Point2, Point2, Point2, Point2]:
-        return _point_view(self._xy)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._xy == other._xy
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.corners,))
-
-    def __repr__(self):
-        return f"{self.__class__.__qualname__}(corners={self.corners!r})"
 
     @property
     def area(self) -> float:
@@ -403,28 +353,18 @@ def quad_to_rotated(quad: Quad) -> RotatedBox:
 
 def _require_convex(quad: Quad) -> None:
     if not quad.is_convex():
-        raise NonConvexInput(f"polygon clipping needs convex input, got {quad.corners}")
-
-
-def polygon_intersection(a: Quad, b: Quad) -> list[Point2]:
-    """Clip quad ``a`` against quad ``b``; both must be convex.
-
-    Returns the intersection polygon's vertices (counter-clockwise, possibly
-    empty or degenerate when the quads only touch).
-    """
-    _require_convex(a)
-    _require_convex(b)
-    return [Point2(x, y) for x, y in _clip(a._xy, b._xy)]
+        raise NonConvexInput(f"polygon clipping needs convex input, got {quad._xy}")
 
 
 def _clip(a: tuple[float, ...], b: tuple[float, ...]) -> list[tuple[float, float]]:
     """Sutherland-Hodgman: clip flat quad ``a`` against each edge of flat
     quad ``b`` in turn, keeping the part on or left of the edge; both must
-    be convex.  Returns the intersection's vertices as ``(x, y)`` pairs.
+    be convex.  Returns the intersection's vertices as ``(x, y)`` pairs,
+    counter-clockwise, possibly empty or degenerate when the quads only touch.
 
     Each vertex's side of the edge is computed once.  A crossing lands at
     ``p + t * (q - p)`` with ``t = p_side / (p_side - q_side)``; one that
-    overflows raises ValueError, as a non-finite ``Point2`` would.
+    overflows raises ValueError, as a non-finite corner does.
     """
     poly = [(a[0], a[1]), (a[2], a[3]), (a[4], a[5]), (a[6], a[7])]
     for k in (0, 2, 4, 6):

@@ -23,7 +23,7 @@ report's ``degenerate`` list.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .annotations import Instance, VideoAnnotation
 from .errors import EmptyInput, MissingTranscription, VideoMismatch
@@ -150,7 +150,7 @@ class MetricsReport:
     scenario: str | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "task": self.task,
             "video_id": self.video_id,
             "scenario": self.scenario,
@@ -166,25 +166,11 @@ class MetricsReport:
             "ml": self.ml,
             "degenerate": list(self.degenerate),
             "counters": {
-                "detection": {"tp": self.det.tp, "fp": self.det.fp,
-                              "fn": self.det.fn},
-                "mot": {
-                    "misses": self.mot.misses,
-                    "false_positives": self.mot.false_positives,
-                    "mismatches": self.mot.mismatches,
-                    "matches": self.mot.matches,
-                    "gt_count": self.mot.gt_count,
-                    "matched_iou_sum": self.mot.matched_iou_sum,
-                },
-                "identity": {
-                    "id_tp": self.ids.id_tp,
-                    "id_fp": self.ids.id_fp,
-                    "id_fn": self.ids.id_fn,
-                    "gt_tracks": self.ids.gt_tracks,
-                },
+                "detection": asdict(self.det),
+                "mot": asdict(self.mot),
+                "identity": asdict(self.ids),
             },
         }
-        return out
 
 
 # ---------------------------------------------------------------------------

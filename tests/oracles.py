@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 
 from vtspot.errors import DegenerateQuad, MissingTranscription, NonConvexInput
 from vtspot.geometry import (
     DEGENERATE_AREA,
-    Point2,
     Quad,
     RotatedBox,
     canonical_angle,
@@ -164,18 +164,31 @@ def overlapping_box_pair(rng: random.Random):
 
 
 # ---------------------------------------------------------------------------
-# the Point2 geometry
+# the point geometry
 # ---------------------------------------------------------------------------
 # The package's geometry kernel works on flat float tuples.  What follows is
-# the kernel it replaced, on Point2 corners: the textbook unroll, the
-# Sutherland-Hodgman clip that builds a Point2 per vertex, the shoelace sum
+# the same geometry on corner points: the textbook unroll, the
+# Sutherland-Hodgman clip that builds a point per vertex, the shoelace sum
 # and the minimum-area box fit.  It does the same arithmetic in the same
 # order, so differential tests can demand bit-equal results from two
 # separate implementations.
 
 
+class Pt(NamedTuple):
+    """A corner; it equals the ``(x, y)`` pair with its coordinates."""
+
+    x: float
+    y: float
+
+
+def corners(quad):
+    """A quad's four corners as ``Pt``s, in its stored order."""
+    xy = quad.as_flat()
+    return (Pt(xy[0], xy[1]), Pt(xy[2], xy[3]), Pt(xy[4], xy[5]), Pt(xy[6], xy[7]))
+
+
 def signed_area(points):
-    """Shoelace signed area of Point2s; positive means counter-clockwise."""
+    """Shoelace signed area of ``Pt``s; positive means counter-clockwise."""
     total = 0.0
     n = len(points)
     for i in range(n):
@@ -195,14 +208,17 @@ def _orient(a, b, c):
 
 
 def _require_convex(quad):
-    c = quad.corners
+    c = corners(quad)
     if any(_orient(c[i], c[(i + 1) % 4], c[(i + 2) % 4]) < 0.0 for i in range(4)):
-        raise NonConvexInput(f"polygon clipping needs convex input, got {c}")
+        raise NonConvexInput(f"polygon clipping needs convex input, got {quad.as_flat()}")
 
 
 def _line_hit(p, q, p_side, q_side):
     t = p_side / (p_side - q_side)
-    return Point2(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
+    x, y = p.x + t * (q.x - p.x), p.y + t * (q.y - p.y)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"point coordinates must be finite, got ({x}, {y})")
+    return Pt(x, y)
 
 
 def _clip_half_plane(poly, a, b):
@@ -224,12 +240,12 @@ def _clip_half_plane(poly, a, b):
 
 
 def point_intersection(a, b):
-    """``polygon_intersection`` as Point2s, clipping the quads' Point2
-    corners edge by edge."""
+    """The clip of convex quad ``a`` by convex quad ``b`` as ``Pt``s,
+    clipping their corners edge by edge."""
     _require_convex(a)
     _require_convex(b)
-    output = list(a.corners)
-    clip = b.corners
+    output = list(corners(a))
+    clip = corners(b)
     for i in range(4):
         if not output:
             break
@@ -243,10 +259,10 @@ def point_unroll(box):
     s = math.sin(box.angle)
     hw = box.w / 2.0
     hh = box.h / 2.0
-    return Quad(tuple(
-        Point2(box.cx + c * dx - s * dy, box.cy + s * dx + c * dy)
-        for dx, dy in ((-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh))
-    ))
+    return Quad.from_flat([
+        v for dx, dy in ((-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh))
+        for v in (box.cx + c * dx - s * dy, box.cy + s * dx + c * dy)
+    ])
 
 
 def _half_hull(pts):
@@ -265,11 +281,11 @@ def _half_hull(pts):
 
 def point_quad_to_rotated(quad):
     """``quad_to_rotated``: the minimum-area box over the hull's edges."""
-    corners = quad.corners
-    area = point_area(corners)
+    points = corners(quad)
+    area = point_area(points)
     if area < DEGENERATE_AREA:
         raise DegenerateQuad(f"quad area {area!r} is below {DEGENERATE_AREA!r}")
-    pts = sorted({(p.x, p.y) for p in corners})
+    pts = sorted(set(points))
     hull = pts if len(pts) <= 2 else _half_hull(pts)[:-1] + _half_hull(pts[::-1])[:-1]
     if len(hull) < 3:
         raise DegenerateQuad("quad corners are collinear")
@@ -279,8 +295,8 @@ def point_quad_to_rotated(quad):
         (px, py), (qx, qy) = hull[i], hull[(i + 1) % n]
         theta = math.atan2(qy - py, qx - px)
         c, s = math.cos(theta), math.sin(theta)
-        us = [c * pt.x + s * pt.y for pt in corners]
-        vs = [-s * pt.x + c * pt.y for pt in corners]
+        us = [c * pt.x + s * pt.y for pt in points]
+        vs = [-s * pt.x + c * pt.y for pt in points]
         u0, u1 = min(us), max(us)
         v0, v1 = min(vs), max(vs)
         area = (u1 - u0) * (v1 - v0)
@@ -313,7 +329,7 @@ def point_quad_to_rotated(quad):
 # version of each: every pair is clipped on its own, each pass computes its
 # own overlaps, and each assignment flood-fills its gate components on a
 # dense table and fills each one's padded matrix by hand.
-# Unlike the oracles at the top, the overlaps use the Point2 geometry above,
+# Unlike the oracles at the top, the overlaps use the point geometry above,
 # which does the package's arithmetic, so that differential tests can
 # demand bit-equal results.
 
@@ -326,18 +342,18 @@ def _area_ratio(inter, union):
 
 def clip_quad_iou(a, b):
     """IoU of two convex quads, always by clipping."""
-    if a.corners == b.corners:
+    if corners(a) == corners(b):
         _require_convex(a)
-        return 1.0 if point_area(a.corners) > 0.0 else 0.0
+        return 1.0 if point_area(corners(a)) > 0.0 else 0.0
     inter = point_area(point_intersection(a, b))
-    return _area_ratio(inter, point_area(a.corners) + point_area(b.corners) - inter)
+    return _area_ratio(inter, point_area(corners(a)) + point_area(corners(b)) - inter)
 
 
 def clip_iou(a, b):
     """IoU of two rotated boxes, always by clipping their quads."""
     qa = point_unroll(a)
     qb = point_unroll(b)
-    if qa.corners == qb.corners:
+    if corners(qa) == corners(qb):
         return 1.0
     inter = point_area(point_intersection(qa, qb))
     return _area_ratio(inter, a.area + b.area - inter)
@@ -350,8 +366,8 @@ def clip_giou(a, b):
     qb = point_unroll(b)
     inter = point_area(point_intersection(qa, qb))
     union = a.area + b.area - inter
-    xs = [p.x for p in qa.corners + qb.corners]
-    ys = [p.y for p in qa.corners + qb.corners]
+    xs = [p.x for p in corners(qa) + corners(qb)]
+    ys = [p.y for p in corners(qa) + corners(qb)]
     hull = (max(xs) - min(xs)) * (max(ys) - min(ys))
     value = _area_ratio(inter, union)
     if hull <= 0.0:

@@ -264,9 +264,9 @@ def test_criterion_09_interpolation_round_trip():
             for f in range(frame_count):
                 got = {i.track_id: i for i in rebuilt.frames[f]}
                 for item in dense.frames[f]:
-                    for a, b in zip(item.quad.corners,
-                                    got[item.track_id].quad.corners):
-                        worst = max(worst, abs(a.x - b.x), abs(a.y - b.y))
+                    for a, b in zip(item.quad.as_flat(),
+                                    got[item.track_id].quad.as_flat()):
+                        worst = max(worst, abs(a - b))
             assert worst < 1e-9, f"frame_count {frame_count}: error {worst:.2e}"
 
 

@@ -33,11 +33,11 @@ from vtspot.errors import (
     OutOfRangeFrameIndex,
     SchemaError,
 )
-from vtspot.geometry import Point2, Quad, RotatedBox, rotated_to_quad
+from vtspot.geometry import Quad, RotatedBox, rotated_to_quad
 
 
 def rect(x0, y0, x1, y1) -> Quad:
-    return Quad((Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1)))
+    return Quad.from_flat([x0, y0, x1, y0, x1, y1, x0, y1])
 
 
 def inst(tid, quad, text="hello", category=TextCategory.SCENE) -> Instance:
@@ -158,8 +158,8 @@ def test_interpolate_linear_x():
         frames={0: [inst(0, a)], 3: [inst(0, b)]},
     )
     dense = interpolate(s, 4)
-    assert dense.frames[1][0].quad.corners[0].x == pytest.approx(12.0, abs=1e-12)
-    assert dense.frames[2][0].quad.corners[0].x == pytest.approx(14.0, abs=1e-12)
+    assert dense.frames[1][0].quad.as_flat()[0] == pytest.approx(12.0, abs=1e-12)
+    assert dense.frames[2][0].quad.as_flat()[0] == pytest.approx(14.0, abs=1e-12)
 
 
 def test_interpolate_preserves_endpoints_exactly():
@@ -224,8 +224,8 @@ def test_interpolate_translation_keeps_area_constant():
 def test_interpolate_detects_corner_mismatch():
     # endpoints are valid counter-clockwise quads, but the corner pairing
     # collapses to a bowtie halfway through
-    a = Quad((Point2(-5, -5), Point2(5, -5), Point2(5, 5), Point2(-5, 5)))
-    b = Quad((Point2(5, 5), Point2(-3, 5), Point2(-5, -3), Point2(7, -3)))
+    a = Quad.from_flat([-5, -5, 5, -5, 5, 5, -5, 5])
+    b = Quad.from_flat([5, 5, -3, 5, -5, -3, 7, -3])
     s = VideoAnnotation(
         video_id="v", width=100, height=100, frame_count=4,
         frames={0: [Instance(0, a, "x", TextCategory.OTHERS)],
@@ -245,7 +245,7 @@ def test_interpolate_bridges_skipped_sample():
     )
     dense = interpolate(s, 7)
     assert [f for f, items in sorted(dense.frames.items()) if items] == list(range(7))
-    assert dense.frames[3][0].quad.corners[0].x == pytest.approx(3.0)
+    assert dense.frames[3][0].quad.as_flat()[0] == pytest.approx(3.0)
 
 
 # ---------------------------------------------------------------------------

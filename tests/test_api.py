@@ -1,0 +1,38 @@
+"""The public surface: ``vtspot.__all__`` is exactly the names below, each
+resolves, and the retired corner type and its polygon helpers stay gone."""
+
+import vtspot
+import vtspot.geometry
+
+PUBLIC = [
+    "Assignment", "CornerCorrespondenceError", "CostWeights", "DataError",
+    "DegenerateQuad", "DetCounters", "Detection", "DetectionsFile",
+    "DuplicateTrackIdInFrame", "EmptyInput", "FrameDetections", "GeometryError",
+    "GroundTruthInstance", "IGNORE_MARK", "IdCounters", "Instance",
+    "LinkerConfig", "MatchingError", "MetricsError", "MetricsReport",
+    "MissingTranscription", "MotCounters", "NonConvexInput", "NonFiniteCost",
+    "NonMonotonicFrame", "OutOfRangeFrameIndex", "PredictedInstance", "Quad",
+    "RotatedBox", "SchemaError", "SelfIntersectingQuad", "SizeMismatch",
+    "SynthConfig", "TextCategory", "TrackState", "Tracker", "TrackerConfig",
+    "Trajectory", "TrajectoryPoint", "VideoAnnotation", "VideoMismatch",
+    "VtspotError", "__version__", "aggregate", "angle_loss",
+    "annotation_to_trajectories", "canonical_angle", "edit_distance",
+    "evaluate", "generate", "giou", "hungarian", "interpolate", "iou", "link",
+    "load_annotation", "load_detections", "match_sets",
+    "normalize_transcription", "pair_cost", "quad_iou", "quad_to_rotated",
+    "rotated_to_quad", "sample", "save_annotation", "save_detections",
+    "save_trajectories", "set_loss", "set_loss_terms", "track",
+    "trajectories_to_annotation",
+]
+
+
+def test_all_is_the_public_surface():
+    assert len(PUBLIC) == 71
+    assert sorted(vtspot.__all__) == PUBLIC
+    assert [name for name in PUBLIC if not hasattr(vtspot, name)] == []
+
+
+def test_retired_geometry_names_are_gone():
+    retired = ("Point2", "polygon_area", "polygon_intersection")
+    assert [(module.__name__, name) for module in (vtspot, vtspot.geometry)
+            for name in retired if hasattr(module, name)] == []

@@ -50,7 +50,7 @@ def axis_aligned_fixture(tmp_path, n_objects=3, n_frames=3):
             quad = rotated_to_quad(box)
             items.append(Instance(track_id=t, quad=quad, transcription=f"w{t}"))
             det_items.append({
-                "points": [c for p in quad.corners for c in (p.x, p.y)],
+                "points": list(quad.as_flat()),
                 "score": 1.0,
                 "transcription": f"w{t}",
             })
@@ -413,8 +413,8 @@ def test_sample_interpolate_round_trip(tmp_path):
     for f, items in original.frames.items():
         got = {i.track_id: i for i in rebuilt.frames[f]}
         for inst in items:
-            for a, b in zip(inst.quad.corners, got[inst.track_id].quad.corners):
-                worst = max(worst, abs(a.x - b.x), abs(a.y - b.y))
+            for a, b in zip(inst.quad.as_flat(), got[inst.track_id].quad.as_flat()):
+                worst = max(worst, abs(a - b))
     assert worst < 1e-9
 
 

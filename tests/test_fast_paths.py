@@ -1,6 +1,6 @@
 """Differential tests: the flat-float geometry kernel, the broad phase, the
 unrolled quads and extents the shapes keep, the shared per-frame IoU table
-and the tracker's component-wise gated assignment against the Point2
+and the tracker's component-wise gated assignment against the point
 geometry and clip-only overlaps, the per-pair cost matrix, the three
 separate metric passes and the dense-table tracker kept in ``oracles``.
 Results must be equal, not approximately equal."""
@@ -21,6 +21,7 @@ from oracles import (
     clip_giou,
     clip_iou,
     clip_quad_iou,
+    corners,
     dense_track,
     plain_cost_matrix,
     point_intersection,
@@ -38,12 +39,11 @@ from vtspot.annotations import (
 )
 from vtspot.errors import MissingTranscription, NonConvexInput, SelfIntersectingQuad
 from vtspot.geometry import (
-    Point2,
     Quad,
     RotatedBox,
+    _clip,
     giou,
     iou,
-    polygon_intersection,
     quad_iou,
     quad_to_rotated,
     rotated_to_quad,
@@ -76,14 +76,14 @@ def nudge(value: float, ulps: int) -> float:
 
 
 def shifted(quad: Quad, dx: float, dy: float) -> Quad:
-    return Quad(tuple(Point2(p.x + dx, p.y + dy) for p in quad.corners))
+    return Quad.from_flat([v for p in corners(quad) for v in (p.x + dx, p.y + dy)])
 
 
 def assert_box_iou_matches(a: RotatedBox, b: RotatedBox) -> None:
     """iou and giou equal the clip-only oracles both ways round, on fresh
     copies of the boxes (a cold call unrolls them) and again on the same
     copies (a warm call reads the quads they kept); each box unrolls to
-    the Point2 unroll's corners."""
+    the point unroll's corners."""
     for x, y in ((a, b), (b, a)):
         assert rotated_to_quad(replace(x)) == point_unroll(x)
         for overlap, oracle in ((iou, clip_iou), (giou, clip_giou)):
@@ -95,13 +95,13 @@ def assert_box_iou_matches(a: RotatedBox, b: RotatedBox) -> None:
 
 def assert_quad_iou_matches(a: Quad, b: Quad) -> None:
     """As ``assert_box_iou_matches``, for quad_iou on fresh quad copies;
-    polygon_intersection and quad_to_rotated equal the Point2 geometry's."""
+    the clip's vertices and quad_to_rotated equal the point geometry's."""
     for x, y in ((a, b), (b, a)):
         expected = clip_quad_iou(x, y)
-        cold_x, cold_y = Quad(x.corners), Quad(y.corners)
+        cold_x, cold_y = Quad.from_flat(x.as_flat()), Quad.from_flat(y.as_flat())
         assert quad_iou(cold_x, cold_y) == expected
         assert quad_iou(cold_x, cold_y) == expected
-        assert polygon_intersection(x, y) == point_intersection(x, y)
+        assert _clip(x.as_flat(), y.as_flat()) == point_intersection(x, y)
         assert quad_to_rotated(x) == point_quad_to_rotated(x)
 
 
@@ -176,8 +176,7 @@ def convex_quads(draw):
     quad = rotated_to_quad(draw(boxes))
     jitter = draw(st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8))
     try:
-        moved = Quad(tuple(Point2(p.x + jitter[2 * i], p.y + jitter[2 * i + 1])
-                           for i, p in enumerate(quad.corners)))
+        moved = Quad.from_flat([v + d for v, d in zip(quad.as_flat(), jitter)])
     except SelfIntersectingQuad:
         return quad
     return moved if moved.is_convex() else quad
@@ -195,10 +194,8 @@ def test_quad_iou_equals_clip_on_random_pairs(a, b):
        st.floats(-1.0, 1.0))
 def test_quad_iou_equals_clip_on_touching_and_ulp_gaps(a, b, ulps, in_x, slide):
     """b's extents start where a's end, then a few ulps apart or overlapped."""
-    ax = [p.x for p in a.corners]
-    ay = [p.y for p in a.corners]
-    bx = [p.x for p in b.corners]
-    by = [p.y for p in b.corners]
+    ax, ay = a.as_flat()[0::2], a.as_flat()[1::2]
+    bx, by = b.as_flat()[0::2], b.as_flat()[1::2]
     if in_x:
         dx = nudge(max(ax) - min(bx), ulps)
         dy = slide * (max(ay) - min(ay))
@@ -230,7 +227,7 @@ def test_quad_iou_axis_aligned_slivers(origin, ulps, in_x):
 
 @given(convex_quads())
 def test_quad_iou_identical_corners(a):
-    same = Quad(a.corners)
+    same = Quad.from_flat(a.as_flat())
     assert quad_iou(a, same) == clip_quad_iou(a, same) == 1.0
 
 
@@ -258,9 +255,8 @@ def normalized(box: RotatedBox, width: int, height: int) -> RotatedBox:
 
 
 def extents_of(box: RotatedBox) -> tuple[float, float, float, float]:
-    corners = rotated_to_quad(box).corners
-    xs = [p.x for p in corners]
-    ys = [p.y for p in corners]
+    xy = rotated_to_quad(box).as_flat()
+    xs, ys = xy[0::2], xy[1::2]
     return min(xs), min(ys), max(xs), max(ys)
 
 
@@ -318,7 +314,7 @@ def test_giou_rejects_nonconvex_unroll_even_when_disjoint(dx):
 
 
 # ---------------------------------------------------------------------------
-# the flat-float kernel against the Point2 geometry
+# the flat-float kernel against the point geometry
 # ---------------------------------------------------------------------------
 
 
@@ -358,8 +354,8 @@ def box_pairs(draw):
 @settings(max_examples=400, deadline=None)
 @given(box_pairs())
 def test_kernel_equals_point_geometry(pair):
-    """iou, giou, quad_iou, polygon_intersection and both conversions
-    equal the Point2 geometry in ``oracles``."""
+    """iou, giou, quad_iou, the clip and both conversions equal the point
+    geometry in ``oracles``."""
     a, b = pair
     assert_box_iou_matches(a, b)
     assert_quad_iou_matches(rotated_to_quad(a), rotated_to_quad(b))
@@ -443,8 +439,9 @@ def _roughened(pred: VideoAnnotation, rng: random.Random) -> VideoAnnotation:
             quad, text = i.quad, i.transcription
             if rng.random() < 0.3:
                 try:
-                    quad = Quad(tuple(Point2(p.x + rng.gauss(0, 8), p.y + rng.gauss(0, 8))
-                                      for p in quad.corners))
+                    quad = Quad.from_flat([v for p in corners(quad)
+                                           for v in (p.x + rng.gauss(0, 8),
+                                                     p.y + rng.gauss(0, 8))])
                 except SelfIntersectingQuad:
                     pass
             if rng.random() < 0.2:
@@ -589,7 +586,7 @@ def _clip_only(a, b):
 
 
 def _as_points(trajectories):
-    return [(t.track_id, sorted((f, p.quad.corners, p.transcription)
+    return [(t.track_id, sorted((f, p.quad.as_flat(), p.transcription)
                                 for f, p in t.frames.items()))
             for t in trajectories]
 

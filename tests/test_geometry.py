@@ -1,32 +1,43 @@
 import math
 import pickle
 import random
+import re
 from dataclasses import replace
 
 import pytest
 
 from vtspot.errors import DegenerateQuad, NonConvexInput, SelfIntersectingQuad
 from vtspot.geometry import (
-    Point2,
     Quad,
     RotatedBox,
+    _clip,
     canonical_angle,
     giou,
     iou,
-    polygon_area,
-    polygon_intersection,
     quad_iou,
     quad_to_rotated,
     rotated_to_quad,
 )
 
-from oracles import monte_carlo_iou, overlapping_box_pair, shoelace, signed_area
+from oracles import (
+    corners,
+    monte_carlo_iou,
+    overlapping_box_pair,
+    point_intersection,
+    shoelace,
+    signed_area,
+)
 
 HALF_PI = math.pi / 2
 
 
 def quad_of(*xy):
-    return Quad(tuple(Point2(x, y) for x, y in xy))
+    return Quad.from_flat([v for point in xy for v in point])
+
+
+def clipped_area(a, b):
+    """The area of the kernel's clip of quad ``a`` by quad ``b``."""
+    return shoelace(_clip(a.as_flat(), b.as_flat()))
 
 
 # ---------------------------------------------------------------------------
@@ -50,13 +61,6 @@ def test_canonical_angle_always_in_range():
         assert -HALF_PI <= a < HALF_PI
 
 
-def test_point_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Point2(math.nan, 0.0)
-    with pytest.raises(ValueError):
-        Point2(0.0, math.inf)
-
-
 def test_box_rejects_bad_sides():
     with pytest.raises(ValueError):
         RotatedBox(0, 0, 0.0, 1.0, 0.0)
@@ -73,12 +77,13 @@ def test_box_wraps_angle_on_construction():
 
 def test_quad_enforces_ccw():
     q = quad_of((0, 0), (0, 2), (4, 2), (4, 0))  # clockwise input
-    assert q.corners[0] == Point2(0, 0)
-    assert signed_area(q.corners) > 0
+    assert q.as_flat()[:2] == (0.0, 0.0)
+    assert signed_area(corners(q)) > 0
 
 
 def test_quad_rejects_bowtie():
-    with pytest.raises(SelfIntersectingQuad):
+    shown = re.escape("self-intersecting quad: (0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0)")
+    with pytest.raises(SelfIntersectingQuad, match=shown):
         quad_of((0, 0), (1, 0), (0, 1), (1, 1))
 
 
@@ -87,7 +92,9 @@ def test_quad_rejects_bowtie():
 def test_from_flat_rejects_non_finite(bad, at):
     values = [0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0]
     values[at] = bad
-    with pytest.raises(ValueError, match="point coordinates must be finite"):
+    x, y = values[at - at % 2:at - at % 2 + 2]
+    shown = re.escape(f"point coordinates must be finite, got ({x}, {y})")
+    with pytest.raises(ValueError, match=shown):
         Quad.from_flat(values)
 
 
@@ -107,14 +114,22 @@ def test_clip_vertex_that_overflows_is_rejected():
         quad_iou(square, diamond)
 
 
-def test_quad_value_is_its_point_view():
+def test_quad_value_is_its_flat_tuple():
     q = Quad.from_flat([0, 0, 0, 2, 4, 2, 4, 0])  # clockwise input
-    assert q.as_flat() == (0.0, 0.0, 4.0, 0.0, 4.0, 2.0, 0.0, 2.0)
-    assert q.corners == (Point2(0.0, 0.0), Point2(4.0, 0.0), Point2(4.0, 2.0), Point2(0.0, 2.0))
-    assert Quad(q.corners) == q == Quad.from_flat(q.as_flat())
-    assert hash(q) == hash((q.corners,))
-    assert repr(q) == f"Quad(corners={q.corners!r})"
-    assert Quad(corners=q.corners) == q
+    flat = (0.0, 0.0, 4.0, 0.0, 4.0, 2.0, 0.0, 2.0)
+    assert q.as_flat() == flat
+    assert q == Quad.from_flat(flat) == Quad.from_flat(iter(flat))
+    assert q != Quad.from_flat([0, 0, 4, 0, 4, 3, 0, 3])
+    assert hash(q) == hash((flat,))
+    assert repr(q) == f"Quad(_xy={flat!r})"
+    again = pickle.loads(pickle.dumps(q))
+    assert (again, hash(again), repr(again)) == (q, hash(q), repr(q))
+    warm = Quad.from_flat(flat)
+    assert quad_iou(warm, Quad.from_flat([1, 1, 5, 1, 5, 3, 1, 3])) > 0.0
+    assert warm._convex is True and warm._extents is not None
+    assert (warm, hash(warm), repr(warm)) == (q, hash(q), repr(q))
+    with pytest.raises(TypeError):
+        Quad(flat)
 
 
 def _value_facts(shape):
@@ -147,7 +162,7 @@ def test_box_quad_is_unrolled_once_and_kept():
 def test_replaced_box_unrolls_afresh():
     box = RotatedBox(1.0, 2.0, 5.0, 3.0, 0.7)
     moved = replace(box, cx=11.0)
-    assert box.quad.corners[0].x + 10.0 == pytest.approx(moved.quad.corners[0].x)
+    assert box.quad.as_flat()[0] + 10.0 == pytest.approx(moved.quad.as_flat()[0])
     assert moved.quad == rotated_to_quad(RotatedBox(11.0, 2.0, 5.0, 3.0, 0.7))
     assert iou(box, moved) == 0.0
     assert iou(moved, replace(moved)) == 1.0
@@ -216,8 +231,8 @@ def test_round_trip_many_random_boxes():
         back = quad_to_rotated(q1)
         q2 = rotated_to_quad(back)
         # corner sets must agree regardless of which edge was called "w"
-        for p in q1.corners:
-            d = min(math.hypot(p.x - r.x, p.y - r.y) for r in q2.corners)
+        for p in corners(q1):
+            d = min(math.hypot(p.x - r.x, p.y - r.y) for r in corners(q2))
             assert d < 1e-9
         assert back.area == pytest.approx(src.area, rel=1e-9)
         assert back.w >= back.h or abs(back.w - back.h) <= 1e-9 * back.w
@@ -230,29 +245,34 @@ def test_round_trip_many_random_boxes():
 
 def test_intersection_of_identical_quads_is_full_area():
     q = quad_of((0, 0), (4, 0), (4, 2), (0, 2))
-    poly = polygon_intersection(q, q)
-    assert polygon_area(poly) == pytest.approx(8.0, abs=1e-12)
+    assert quad_iou(q, q) == 1.0
+    assert clipped_area(q, q) == pytest.approx(8.0, abs=1e-12)
+    assert _clip(q.as_flat(), q.as_flat()) == point_intersection(q, q)
 
 
 def test_intersection_of_disjoint_quads_is_empty():
     a = quad_of((0, 0), (1, 0), (1, 1), (0, 1))
     b = quad_of((5, 5), (6, 5), (6, 6), (5, 6))
-    assert polygon_area(polygon_intersection(a, b)) == 0.0
+    assert quad_iou(a, b) == 0.0
+    assert clipped_area(a, b) == 0.0
 
 
 def test_half_overlap_rectangles():
     a = quad_of((0, 0), (2, 0), (2, 2), (0, 2))
     b = quad_of((1, 0), (3, 0), (3, 2), (1, 2))
-    assert polygon_area(polygon_intersection(a, b)) == pytest.approx(2.0, abs=1e-12)
+    assert quad_iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert clipped_area(a, b) == pytest.approx(2.0, abs=1e-12)
+    assert _clip(a.as_flat(), b.as_flat()) == point_intersection(a, b)
 
 
 def test_non_convex_input_rejected():
     bad = quad_of((0, 0), (4, 0), (1, 1), (0, 4))
     good = quad_of((10, 10), (12, 10), (12, 12), (10, 12))
-    with pytest.raises(NonConvexInput):
-        polygon_intersection(bad, good)
-    with pytest.raises(NonConvexInput):
-        polygon_intersection(good, bad)
+    shown = re.escape("convex input, got (0.0, 0.0, 4.0, 0.0, 1.0, 1.0, 0.0, 4.0)")
+    with pytest.raises(NonConvexInput, match=shown):
+        quad_iou(bad, good)
+    with pytest.raises(NonConvexInput, match=shown):
+        quad_iou(good, bad)
 
 
 def test_intersection_area_bounded_by_inputs():
@@ -261,7 +281,7 @@ def test_intersection_area_bounded_by_inputs():
         pa, pb = overlapping_box_pair(rng)
         qa = rotated_to_quad(RotatedBox(*pa))
         qb = rotated_to_quad(RotatedBox(*pb))
-        inter = polygon_area(polygon_intersection(qa, qb))
+        inter = clipped_area(qa, qb)
         assert inter <= min(qa.area, qb.area) + 1e-9
 
 
@@ -358,8 +378,8 @@ def test_giou_identical_tilted_pays_hull_penalty():
     b = RotatedBox(-2, 7, 3, 1, -0.4)
     g = giou(b, b)
     assert g < 1.0
-    xs = [p.x for p in rotated_to_quad(b).corners]
-    ys = [p.y for p in rotated_to_quad(b).corners]
+    xs = rotated_to_quad(b).as_flat()[0::2]
+    ys = rotated_to_quad(b).as_flat()[1::2]
     hull = (max(xs) - min(xs)) * (max(ys) - min(ys))
     assert g == pytest.approx(1.0 - (hull - b.area) / hull, abs=1e-12)
 
@@ -392,15 +412,14 @@ def test_giou_hull_term_against_direct_recomputation():
     a = RotatedBox(1.0, 2.0, 3.0, 1.5, 0.5)
     b = RotatedBox(2.0, 2.5, 2.0, 2.0, -0.3)
     qa, qb = rotated_to_quad(a), rotated_to_quad(b)
-    inter = polygon_area(polygon_intersection(qa, qb))
+    inter = clipped_area(qa, qb)
     union = a.area + b.area - inter
-    pts = [p.as_tuple() for p in qa.corners + qb.corners]
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
+    xs = qa.as_flat()[0::2] + qb.as_flat()[0::2]
+    ys = qa.as_flat()[1::2] + qb.as_flat()[1::2]
     hull = (max(xs) - min(xs)) * (max(ys) - min(ys))
     assert giou(a, b) == pytest.approx(inter / union - (hull - union) / hull, abs=1e-12)
 
 
 def test_shoelace_oracle_agrees_on_known_quad():
     q = quad_of((0, 0), (4, 0), (4, 2), (0, 2))
-    assert shoelace([p.as_tuple() for p in q.corners]) == pytest.approx(q.area)
+    assert shoelace(corners(q)) == pytest.approx(q.area)

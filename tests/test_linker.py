@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vtspot.errors import NonMonotonicFrame
-from vtspot.geometry import Point2, Quad, RotatedBox, rotated_to_quad
+from vtspot.geometry import Quad, RotatedBox, rotated_to_quad
 from vtspot.linker import LinkerConfig, edit_distance, link
 from vtspot.tracker import Tracker, TrackerConfig
 from vtspot.annotations import Detection, FrameDetections
@@ -136,7 +136,7 @@ def test_greedy_prefers_higher_iou():
     by_id = {t.track_id: t for t in trajs}
     assert len(trajs) == 2
     claimed = by_id[0].frames[1].quad
-    assert min(c.x for c in claimed.corners) == pytest.approx(0.1 - 2.0)
+    assert min(claimed.as_flat()[0::2]) == pytest.approx(0.1 - 2.0)
 
 
 def test_non_monotonic_frame_rejected():

@@ -16,7 +16,7 @@ from vtspot.errors import (
     MissingTranscription,
     VideoMismatch,
 )
-from vtspot.geometry import Point2, Quad, RotatedBox, rotated_to_quad
+from vtspot.geometry import Quad, RotatedBox, rotated_to_quad
 from vtspot.synth import SynthConfig, generate
 from vtspot.tracker import TrackerConfig
 from vtspot.tracker import run as run_tracker
@@ -141,7 +141,7 @@ def test_detection_video_mismatch():
 
 
 def test_nonconvex_quad_falls_back_to_enclosing_box():
-    dart = Quad((Point2(0, 0), Point2(4, 0), Point2(1, 1), Point2(0, 4)))
+    dart = Quad.from_flat([0, 0, 4, 0, 1, 1, 0, 4])
     gt = ann({0: [Instance(track_id=0, quad=dart, transcription="x")]}, 1)
     r = evaluate(gt, gt, "detection")
     assert r.det == DetCounters(tp=1, fp=0, fn=0) and r.fscore == 1.0
@@ -540,6 +540,14 @@ def test_report_to_dict_round_trips_counters():
     report = evaluate(gt, pred, "tracking")
     d = report.to_dict()
     assert d["counters"]["identity"]["id_tp"] == report.ids.id_tp
+    assert d["counters"]["mot"]["matched_iou_sum"] == report.mot.matched_iou_sum
+    # the counters' field names, in order, are the report's JSON keys
+    assert {name: list(keys) for name, keys in d["counters"].items()} == {
+        "detection": ["tp", "fp", "fn"],
+        "mot": ["misses", "false_positives", "mismatches", "matches", "gt_count",
+                "matched_iou_sum"],
+        "identity": ["id_tp", "id_fp", "id_fn", "gt_tracks"],
+    }
     assert d["task"] == "tracking"
     assert isinstance(d["degenerate"], list)
 

@@ -246,8 +246,8 @@ def test_carried_track_box_is_the_next_prediction():
 def test_trajectory_quads_match_boxes():
     trajs = run([frame(0, [det(3, 4, 6, 2)])])
     quad = trajs[0].frames[0].quad
-    xs = [c.x for c in quad.corners]
-    ys = [c.y for c in quad.corners]
+    xs = quad.as_flat()[0::2]
+    ys = quad.as_flat()[1::2]
     assert min(xs) == pytest.approx(0.0) and max(xs) == pytest.approx(6.0)
     assert min(ys) == pytest.approx(3.0) and max(ys) == pytest.approx(5.0)
     assert quad.area == pytest.approx(12.0)
