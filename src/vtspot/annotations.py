@@ -12,7 +12,8 @@ One JSON document describes one video:
       }
     }
 
-Frame indices are decimal strings; ``points`` lists the quad's four corners.
+Frame indices are decimal strings, and a frame the document does not list is
+empty; ``points`` lists the quad's four corners.
 A transcription of "###" marks an ignore region. Detection documents use the
 same shape with "score" (and optionally "track_box") per entry and no "id".
 Files whose name ends in ".gz" are read and written gzip-compressed.
@@ -37,6 +38,7 @@ from pathlib import Path
 from .errors import (
     CornerCorrespondenceError,
     DuplicateTrackIdInFrame,
+    NonMonotonicFrame,
     OutOfRangeFrameIndex,
     SchemaError,
     SelfIntersectingQuad,
@@ -79,6 +81,14 @@ class Instance:
         object.__setattr__(self, "ignore", self.transcription == IGNORE_MARK)
 
 
+def _check_extent(video) -> None:
+    """The header checks shared by annotations and detections files."""
+    if video.frame_count < 1:
+        raise ValueError(f"frame_count must be >= 1, got {video.frame_count}")
+    if video.width <= 0 or video.height <= 0:
+        raise ValueError(f"width/height must be positive, got {video.width}x{video.height}")
+
+
 @dataclass
 class VideoAnnotation:
     video_id: str
@@ -89,10 +99,7 @@ class VideoAnnotation:
     scenario: str | None = None
 
     def __post_init__(self):
-        if self.frame_count < 1:
-            raise ValueError(f"frame_count must be >= 1, got {self.frame_count}")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"width/height must be positive, got {self.width}x{self.height}")
+        _check_extent(self)
         for idx, instances in self.frames.items():
             if not (0 <= idx < self.frame_count):
                 raise OutOfRangeFrameIndex(
@@ -152,14 +159,27 @@ class FrameDetections:
 
 @dataclass
 class DetectionsFile:
-    """A whole detections document: video metadata plus one FrameDetections
-    per index in [0, frame_count), empty where the file listed none."""
+    """A whole detections document: video metadata plus the frames it
+    lists, in strictly increasing index order inside [0, frame_count).
+    A frame index that is not listed has no detections."""
 
     video_id: str
     width: int
     height: int
     frame_count: int
     frames: list[FrameDetections]
+
+    def __post_init__(self):
+        _check_extent(self)
+        last = -1
+        for i, frame in enumerate(self.frames):
+            if frame.frame_index >= self.frame_count:
+                raise OutOfRangeFrameIndex(
+                    f"frames[{i}]", f"frame index outside [0, {self.frame_count})"
+                )
+            if frame.frame_index <= last:
+                raise NonMonotonicFrame(f"frame {frame.frame_index} after frame {last}")
+            last = frame.frame_index
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +554,8 @@ def save_trajectories(
 def load_detections(source) -> DetectionsFile:
     """Parse a detections document into per-frame detection lists.
 
-    Every frame index in [0, frame_count) gets an entry; frames the document
-    does not mention come back empty.
+    Only the frames the document lists come back, in index order; a listed
+    frame may be empty, and an unlisted one has no detections.
     """
     doc = _load_json(source)
     video_id, width, height, frame_count, raw_frames, _ = _parse_header(doc)
@@ -573,10 +593,7 @@ def load_detections(source) -> DetectionsFile:
                 )
             )
         per_index[idx] = dets
-    frames = [
-        FrameDetections(frame_index=i, detections=per_index.get(i, []))
-        for i in range(frame_count)
-    ]
+    frames = [FrameDetections(frame_index=i, detections=d) for i, d in per_index.items()]
     return DetectionsFile(
         video_id=video_id, width=width, height=height, frame_count=frame_count, frames=frames
     )

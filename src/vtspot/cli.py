@@ -273,8 +273,8 @@ def cmd_loss(args) -> int:
     w = args.weights
     frames_out = []
     totals = {"cls": 0.0, "l1": 0.0, "giou": 0.0, "angle": 0.0}
-    for fd in preds.frames:
-        f = fd.frame_index
+    listed = {fd.frame_index: fd.detections for fd in preds.frames}
+    for f in range(gt.frame_count):
         gts = [
             GroundTruthInstance(box=_normalized_box(quad_to_rotated(inst.quad),
                                                     gt.width, gt.height))
@@ -285,7 +285,7 @@ def cmd_loss(args) -> int:
                 class_prob=d.score,
                 box=_normalized_box(d.box, gt.width, gt.height),
             )
-            for d in fd.detections
+            for d in listed.get(f, ())
         ]
         while len(gts) < len(predicted):
             gts.append(GroundTruthInstance.padding())

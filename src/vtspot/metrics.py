@@ -214,6 +214,7 @@ class _FrameTable:
     own gate; all gates are positive, so the absent pairs never pass one.
     """
 
+    frame: int
     gt: list[Instance]
     preds: list[Instance]
     ious: dict[tuple[int, int], float]
@@ -221,11 +222,11 @@ class _FrameTable:
 
 
 def _frame_tables(gt: VideoAnnotation, pred: VideoAnnotation) -> list[_FrameTable]:
-    """One table per frame of the video; ignored reference instances become
-    regions, ignored predictions are dropped."""
+    """One table per frame that either document lists, in index order;
+    ignored reference instances become regions, ignored predictions are dropped."""
     _check_same_video(gt, pred)
     tables = []
-    for f in range(gt.frame_count):
+    for f in sorted(gt.frames.keys() | pred.frames.keys()):
         active, ignored = [], []
         for inst in gt.frames.get(f, []):
             (ignored if inst.ignore else active).append(inst)
@@ -241,7 +242,7 @@ def _frame_tables(gt: VideoAnnotation, pred: VideoAnnotation) -> list[_FrameTabl
         ignore_iou = [0.0] * len(preds)
         for pi, ri in near_pairs(pred_quads, region_quads):
             ignore_iou[pi] = max(ignore_iou[pi], quad_iou(pred_quads[pi], region_quads[ri]))
-        tables.append(_FrameTable(active, preds, ious, ignore_iou))
+        tables.append(_FrameTable(f, active, preds, ious, ignore_iou))
     return tables
 
 
@@ -289,12 +290,16 @@ def _detection_counts(tables: list[_FrameTable], iou_thresh: float) -> DetCounte
 def eval_mot(tables: list[_FrameTable], iou_thresh: float) -> MotCounters:
     """CLEAR procedure: correspondences established frame by frame, kept
     while they stay above the gate, mismatches counted the first frame a
-    reference track's partner id changes versus its last established one."""
+    reference track's partner id changes versus its last established one.
+    A frame without a table is empty, so it ends every correspondence."""
     counters = MotCounters()
-    active_corr: dict[int, int] = {}
+    active_corr: dict[int, int] = {}  # established at frame corr_frame
+    corr_frame = -1
     last_match: dict[int, int] = {}
 
     for table in tables:
+        if table.frame != corr_frame + 1:
+            active_corr = {}
         kept = _kept_preds(table, iou_thresh)
         gt_index = {s.track_id: gi for gi, s in enumerate(table.gt)}
         pred_index = {table.preds[pi].track_id: pi for pi in kept}
@@ -336,7 +341,7 @@ def eval_mot(tables: list[_FrameTable], iou_thresh: float) -> MotCounters:
         counters.misses += len(table.gt) - len(matches)
         counters.false_positives += len(kept) - len(matches)
         counters.matched_iou_sum += sum(iou_of.values())
-        active_corr = matches
+        active_corr, corr_frame = matches, table.frame
 
     return counters
 
@@ -373,7 +378,7 @@ def eval_id(
     gt_len: dict[int, int] = {}
     pred_len: dict[int, int] = {}
     agree: dict[tuple[int, int], int] = {}
-    for f, table in enumerate(tables):
+    for table in tables:
         for slot in table.gt:
             gt_len[slot.track_id] = gt_len.get(slot.track_id, 0) + 1
         pred_text: dict[int, str | None] = {}
@@ -381,7 +386,7 @@ def eval_id(
             slot = table.preds[pi]
             if spotting and slot.transcription is None:
                 raise MissingTranscription(
-                    f"prediction track {slot.track_id} frame {f} has no "
+                    f"prediction track {slot.track_id} frame {table.frame} has no "
                     "transcription"
                 )
             pred_len[slot.track_id] = pred_len.get(slot.track_id, 0) + 1

@@ -69,40 +69,38 @@ class Tracker:
         self.tracks: list[TrackState] = []
         self._retired: list[TrackState] = []
         self._next_id = 0
-        self._last_frame: int | None = None
-        self._carried_boxes: dict[int, RotatedBox] = {}
+        self._last_frame = -1
 
     def step(
         self, frame: FrameDetections
     ) -> tuple[list[TrackState], list[int], list[int]]:
         """Associate one frame of detections with the live tracks.
 
+        Every live track misses the indices skipped since the last step.
         Returns the live track list after the update, the IDs born this
-        frame (in detection order), and the IDs that aged out.
+        frame (in detection order), and the IDs that aged out, those of the
+        skipped frames included.  Each track's ``predicted_box`` is then
+        the box the next step matches against.
         """
-        if self._last_frame is not None and frame.frame_index <= self._last_frame:
-            raise NonMonotonicFrame(
-                f"frame {frame.frame_index} after frame {self._last_frame}"
-            )
-        self._last_frame = frame.frame_index
+        index = frame.frame_index
+        skipped = index - self._last_frame - 1
+        if skipped < 0:
+            raise NonMonotonicFrame(f"frame {index} after frame {self._last_frame}")
+        self._last_frame = index
+        dead = self._age(skipped, set()) if skipped else []
 
         detections = [d for d in frame.detections if d.score >= self.cfg.min_score]
-
-        for track in self.tracks:
-            track.predicted_box = self._carried_boxes.get(track.track_id, track.last_box)
-
         matches = self._associate(detections)
         matched_tracks = {t for t, _ in matches}
         matched_dets = {d for _, d in matches}
 
-        self._carried_boxes = {}
         for ti, di in matches:
             track, det = self.tracks[ti], detections[di]
-            track.history.append((frame.frame_index, det.box, det.transcription))
+            track.history.append((index, det.box, det.transcription))
             track.last_box = det.box
+            track.predicted_box = det.box if det.track_box is None else det.track_box
             track.missed_frames = 0
-            if det.track_box is not None:
-                self._carried_boxes[track.track_id] = det.track_box
+        dead += self._age(1, matched_tracks)
 
         born: list[int] = []
         for di, det in enumerate(detections):
@@ -111,31 +109,30 @@ class Tracker:
             track = TrackState(
                 track_id=self._next_id,
                 last_box=det.box,
-                predicted_box=det.box,
-                history=[(frame.frame_index, det.box, det.transcription)],
+                predicted_box=det.box if det.track_box is None else det.track_box,
+                history=[(index, det.box, det.transcription)],
             )
             self._next_id += 1
             born.append(track.track_id)
             self.tracks.append(track)
-            if det.track_box is not None:
-                self._carried_boxes[track.track_id] = det.track_box
+        return self.tracks, born, dead
 
+    def _age(self, k: int, matched: set[int]) -> list[int]:
+        """Add ``k`` missed frames to each live track whose index is not in
+        ``matched``; retire those past ``max_age`` and return their IDs."""
         dead: list[int] = []
         survivors: list[TrackState] = []
-        n_prior = len(self.tracks) - len(born)
         for ti, track in enumerate(self.tracks):
-            if ti >= n_prior or ti in matched_tracks:
-                survivors.append(track)
-                continue
-            track.missed_frames += 1
-            if track.missed_frames > self.cfg.max_age:
-                dead.append(track.track_id)
-                self._retired.append(track)
-                self._carried_boxes.pop(track.track_id, None)
-            else:
-                survivors.append(track)
+            if ti not in matched:
+                track.missed_frames += k
+                track.predicted_box = track.last_box
+                if track.missed_frames > self.cfg.max_age:
+                    dead.append(track.track_id)
+                    self._retired.append(track)
+                    continue
+            survivors.append(track)
         self.tracks = survivors
-        return self.tracks, born, dead
+        return dead
 
     def _associate(self, detections: list[Detection]) -> list[tuple[int, int]]:
         """Gated max-IoU assignment between live tracks and detections: the

@@ -30,6 +30,7 @@ from vtspot.annotations import DetectionsFile
 from vtspot.errors import (
     CornerCorrespondenceError,
     DuplicateTrackIdInFrame,
+    NonMonotonicFrame,
     OutOfRangeFrameIndex,
     SchemaError,
 )
@@ -404,12 +405,19 @@ DETS_DOC = {
 }
 
 
-def test_load_detections_fills_empty_frames():
-    df = load_detections(io.StringIO(json.dumps(DETS_DOC)))
-    assert df.frame_count == 3
-    assert [f.frame_index for f in df.frames] == [0, 1, 2]
-    assert df.frames[0].detections == [] and df.frames[2].detections == []
-    det = df.frames[1].detections[0]
+def test_load_detections_returns_listed_frames():
+    """Only the listed frames come back, in index order; one listed with
+    no entries stays, as an empty frame."""
+    doc = json.loads(json.dumps(DETS_DOC))
+    doc["frame_count"] = 12
+    doc["frames"]["10"] = doc["frames"]["1"]
+    doc["frames"]["7"] = []
+    df = load_detections(io.StringIO(json.dumps(doc)))
+    assert df.frame_count == 12
+    assert [f.frame_index for f in df.frames] == [1, 7, 10]
+    assert df.frames[1].detections == []
+    assert df.frames[0].detections == df.frames[2].detections
+    det = df.frames[0].detections[0]
     assert det.score == 0.9
     assert det.transcription == "OPEN"
     assert det.box.w == pytest.approx(40.0)
@@ -436,7 +444,8 @@ def test_load_detections_track_box():
     doc = json.loads(json.dumps(DETS_DOC))
     doc["frames"]["1"][0]["track_box"] = [12.0, 10.0, 52.0, 10.0, 52.0, 30.0, 12.0, 30.0]
     df = load_detections(io.StringIO(json.dumps(doc)))
-    tb = df.frames[1].detections[0].track_box
+    assert [f.frame_index for f in df.frames] == [1]
+    tb = df.frames[0].detections[0].track_box
     assert tb is not None
     assert tb.cx == pytest.approx(32.0)
 
@@ -458,6 +467,43 @@ def test_save_detections_round_trip():
     assert got.box.cx == pytest.approx(50.0, abs=1e-9)
     assert got.box.angle == pytest.approx(0.2, abs=1e-9)
     assert again.frames[1].detections[0].track_box.cx == pytest.approx(50.0, abs=1e-9)
+
+
+def _dets_file(frames, frame_count=3, width=320):
+    return DetectionsFile(video_id="v", width=width, height=240,
+                          frame_count=frame_count, frames=frames)
+
+
+def test_detections_file_rejects_a_repeated_frame():
+    """Saving two frames of one index kept only the last one's detections."""
+    box = RotatedBox(50, 40, 30, 10, 0.2)
+    frames = [FrameDetections(0, [Detection(box=box, score=0.5)]),
+              FrameDetections(0, [Detection(box=box, score=0.75)])]
+    with pytest.raises(NonMonotonicFrame, match="frame 0 after frame 0"):
+        _dets_file(frames)
+
+
+def test_detections_file_rejects_frames_out_of_order():
+    with pytest.raises(NonMonotonicFrame, match="frame 1 after frame 2"):
+        _dets_file([FrameDetections(2, []), FrameDetections(1, [])])
+
+
+def test_detections_file_rejects_a_frame_past_the_count():
+    with pytest.raises(OutOfRangeFrameIndex, match=r"frames\[1\]: frame index outside \[0, 3\)"):
+        _dets_file([FrameDetections(0, []), FrameDetections(3, [])])
+
+
+@pytest.mark.parametrize("frame_count, width, message", [
+    (0, 320, "frame_count must be >= 1, got 0"),
+    (3, 0, "width/height must be positive, got 0x240"),
+])
+def test_detections_file_checks_its_header_like_an_annotation(frame_count, width, message):
+    """Such a file saved, and loading it back failed."""
+    with pytest.raises(ValueError, match=message):
+        _dets_file([], frame_count=frame_count, width=width)
+    with pytest.raises(ValueError, match=message):
+        VideoAnnotation(video_id="v", width=width, height=240,
+                        frame_count=frame_count, frames={})
 
 
 # ---------------------------------------------------------------------------

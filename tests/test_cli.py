@@ -2,6 +2,7 @@ import gzip
 import json
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -103,20 +104,23 @@ def load_toml(path):
         return tomllib.load(fh)
 
 
+def child_env() -> dict:
+    """An environment in which a child imports the same vtspot that pytest
+    imported, from src/ or from an install."""
+    package_root = str(Path(vtspot.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_root, inherited] if inherited else [package_root]))
+
+
 def test_console_script_version():
     """The `vtspot` entry point declared in pyproject.toml runs in a fresh
     interpreter, called the way pip's generated wrapper calls it."""
     entry = load_toml(REPO_ROOT / "pyproject.toml")["project"]["scripts"]["vtspot"]
     module, _, attr = entry.partition(":")
     code = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-    # the child imports the same vtspot that pytest imported, from src/ or
-    # from an install
-    package_root = str(Path(vtspot.__file__).resolve().parents[1])
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [package_root, inherited] if inherited else [package_root]))
     out = subprocess.run([sys.executable, "-c", code, "--version"],
-                         capture_output=True, text=True, env=env)
+                         capture_output=True, text=True, env=child_env())
     assert out.returncode == 0, out.stderr
     assert "vtspot" in out.stdout
 
@@ -370,6 +374,33 @@ def test_track_empty_detections(tmp_path, capsys):
     assert ann.frame_count == 4
 
 
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+SQUARE = [1, 1, 9, 1, 9, 5, 1, 5]
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("evaluate", {"video_id": "v", "width": 64, "height": 48, "frame_count": 2_000_000,
+                  "frames": {"1999999": [{"id": 1, "points": SQUARE,
+                                          "transcription": "ab"}]}}),
+    ("track", {"video_id": "v", "width": 64, "height": 48, "frame_count": 10 ** 9,
+               "frames": {"5": [{"points": SQUARE, "score": 0.9}],
+                          "999999999": [{"points": SQUARE, "score": 0.9}]}}),
+])
+def test_cost_follows_the_listed_frames(tmp_path, command, doc):
+    """A document that claims a huge frame_count but lists one or two
+    frames is handled in seconds inside a 1 GiB address space."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    paths = [str(path)] * (2 if command == "evaluate" else 1)
+    out = subprocess.run([sys.executable, "-m", "vtspot", command, *paths],
+                         capture_output=True, text=True, env=child_env(),
+                         preexec_fn=_limit_address_space, timeout=10)
+    assert out.returncode == 0, out.stderr
+
+
 @pytest.mark.parametrize("field", ["points", "track_box"])
 def test_track_degenerate_detection_quad_exits_two(tmp_path, capsys, field):
     square = [10.0, 10.0, 50.0, 10.0, 50.0, 50.0, 10.0, 50.0]
@@ -522,6 +553,18 @@ def test_loss_pads_uneven_sets(tmp_path, capsys):
     # the unmatched reference object pairs with a zero-probability pad
     assert payload["loss"] > 1.0
     assert len(payload["frames"][0]["pairs"]) == 2
+
+
+def test_loss_lists_a_frame_the_detections_skip(tmp_path, capsys):
+    gt_path, det_path = axis_aligned_fixture(tmp_path)
+    doc = json.loads(det_path.read_text())
+    del doc["frames"]["1"]
+    det_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("loss", str(gt_path), str(det_path)) == 0
+    frames = json.loads(capsys.readouterr().out)["frames"]
+    assert [frame["frame"] for frame in frames] == [0, 1, 2]
+    # every reference object of frame 1 pairs with a zero-probability pad
+    assert len(frames[1]["pairs"]) == 3 and frames[1]["loss"] > 1.0
 
 
 def test_loss_bad_weights_exits_one(tmp_path):

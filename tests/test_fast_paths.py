@@ -2,7 +2,9 @@
 unrolled quads and extents the shapes keep, the shared per-frame IoU table
 and the tracker's component-wise gated assignment against the point
 geometry and clip-only overlaps, the per-pair cost matrix, the three
-separate metric passes and the dense-table tracker kept in ``oracles``.
+separate metric passes and the dense-table tracker kept in ``oracles``;
+and the tracker, the linker and ``evaluate`` on inputs that skip frame
+indices against the same inputs with every skipped frame listed empty.
 Results must be equal, not approximately equal."""
 
 import math
@@ -659,3 +661,119 @@ def test_tracker_equals_dense_oracle_on_tied_frames(frames, gate, max_age, min_s
     stream = [FrameDetections(f, dets) for f, dets in enumerate(frames)]
     cfg = TrackerConfig(gate, max_age=max_age, min_score=min_score)
     assert run_tracker(stream, cfg) == dense_track(stream, cfg)
+
+
+# ---------------------------------------------------------------------------
+# an unlisted frame is empty: sparse input against the same input padded
+# ---------------------------------------------------------------------------
+
+
+def _padded(stream: list[FrameDetections]) -> list[FrameDetections]:
+    """``stream`` with every skipped index listed as an empty frame."""
+    listed = {fd.frame_index: fd for fd in stream}
+    last = stream[-1].frame_index if stream else -1
+    return [listed.get(f, FrameDetections(f, [])) for f in range(last + 1)]
+
+
+gap_dets = st.builds(
+    lambda x, y, carried, text: Detection(
+        RotatedBox(2.0 * x, 2.0 * y, 4.0, 4.0, 0.0), 1.0, text,
+        None if carried is None else RotatedBox(2.0 * carried, 2.0 * y, 4.0, 4.0, 0.0)),
+    st.integers(0, 3), st.integers(0, 1), st.one_of(st.none(), st.integers(0, 3)),
+    st.sampled_from(("", "ab", "abc")))
+
+
+@st.composite
+def gappy_streams(draw):
+    """Frames of lattice detections, some carrying a ``track_box``, with
+    gaps of up to 9 skipped indices between them."""
+    stream, f = [], draw(st.integers(0, 3))
+    for dets in draw(st.lists(st.lists(gap_dets, max_size=5), min_size=1, max_size=7)):
+        stream.append(FrameDetections(f, dets))
+        f += 1 + draw(st.sampled_from((0, 0, 1, 2, 4, 9)))
+    return stream
+
+
+@settings(max_examples=200, deadline=None)
+@given(gappy_streams(), st.sampled_from((0.1, 1.0 / 3.0, 1.0)), st.integers(0, 10))
+def test_tracker_on_a_gappy_stream_equals_it_padded(stream, gate, max_age):
+    cfg = TrackerConfig(gate, max_age=max_age)
+    assert run_tracker(stream, cfg) == run_tracker(_padded(stream), cfg)
+    # step by step: the same live tracks (predicted boxes included) after
+    # each listed frame, and the same tracks born and aged out on the way
+    sparse, padded = tracker_mod.Tracker(cfg), tracker_mod.Tracker(cfg)
+    padded_frames = iter(_padded(stream))
+    for fd in stream:
+        tracks, born, dead = sparse.step(fd)
+        padded_dead = []
+        for pf in padded_frames:
+            padded_tracks, padded_born, pf_dead = padded.step(pf)
+            padded_dead += pf_dead
+            if pf.frame_index == fd.frame_index:
+                break
+        assert (tracks, born, sorted(dead)) == (
+            padded_tracks, padded_born, sorted(padded_dead))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gappy_streams(), st.integers(1, 4))
+def test_linker_on_a_gappy_stream_equals_it_padded(stream, window):
+    def objects(frames):
+        return [(fd.frame_index, [(d.box.quad, d.transcription) for d in fd.detections])
+                for fd in frames]
+
+    cfg = linker_mod.LinkerConfig(window=window)
+    assert link(objects(stream), cfg) == link(objects(_padded(stream)), cfg)
+
+
+@st.composite
+def sparse_videos(draw):
+    """A ``videos()`` pair spread over a longer clip: frame f moves to
+    f * stride + offset, and some frames of either document are dropped
+    (unlisted) or emptied (listed with no instances)."""
+    gt, pred = draw(videos())
+    stride, offset = draw(st.sampled_from((1, 2, 5))), draw(st.integers(0, 2))
+    frame_count = (gt.frame_count - 1) * stride + offset + 1 + draw(st.integers(0, 3))
+
+    def spread(doc: VideoAnnotation) -> VideoAnnotation:
+        frames = {}
+        for f, instances in doc.frames.items():
+            fate = draw(st.sampled_from(("keep", "keep", "drop", "empty")))
+            if fate != "drop":
+                frames[f * stride + offset] = instances if fate == "keep" else []
+        return VideoAnnotation(doc.video_id, doc.width, doc.height, frame_count,
+                               frames, doc.scenario)
+
+    return spread(gt), spread(pred)
+
+
+def _filled(doc: VideoAnnotation) -> VideoAnnotation:
+    return replace(doc, frames={f: doc.frames.get(f, []) for f in range(doc.frame_count)})
+
+
+def _report(gt, pred, task, **kwargs):
+    try:
+        return evaluate(gt, pred, task, **kwargs).to_dict()
+    except MissingTranscription as exc:
+        return str(exc)
+
+
+def _correspondence_across_a_gap() -> tuple[VideoAnnotation, VideoAnnotation]:
+    """Prediction 5 covers reference 0 at frames 0 and 2; at frame 2
+    prediction 6 covers it better.  Frame 1 is unlisted, so it ends the
+    0-5 correspondence and frame 2 switches to 6."""
+    gt = VideoAnnotation("v", 100, 100, 3, {f: [_unit_square(0, 0.0)] for f in (0, 2)})
+    pred = VideoAnnotation("v", 100, 100, 3, {
+        0: [_unit_square(5, 0.2)], 2: [_unit_square(5, 0.2), _unit_square(6, 0.0)]})
+    return gt, pred
+
+
+@settings(max_examples=80, deadline=None)
+@example(_correspondence_across_a_gap(), "tracking", 0.5, 0.0)
+@given(sparse_videos(), st.sampled_from(("detection", "tracking", "spotting")),
+       st.sampled_from((0.3, 0.5, 1.0)), st.sampled_from((0.0, 0.6)))
+def test_evaluate_on_sparse_documents_equals_them_padded(video, task, iou_thresh, iou_floor):
+    gt, pred = video
+    kwargs = dict(iou_thresh=iou_thresh, iou_floor=iou_floor)
+    assert _report(gt, pred, task, **kwargs) == _report(
+        _filled(gt), _filled(pred), task, **kwargs)

@@ -398,6 +398,14 @@ def test_spotting_missing_transcription_raises():
     assert evaluate(gt, silent, "tracking").idf1 == 1.0
 
 
+def test_missing_transcription_names_the_real_frame_of_a_sparse_document():
+    gt = ann({0: [inst(1, 0.0)], 7: [inst(1, 0.0)]}, 1000)
+    pred = ann({0: [inst(5, 0.0)], 7: [inst(5, 0.0, text=None)]}, 1000)
+    with pytest.raises(MissingTranscription,
+                       match="prediction track 5 frame 7 has no transcription"):
+        evaluate(gt, pred, "spotting")
+
+
 def test_spotting_normalization_rules():
     gt = ann({0: [inst(0, 0.0, text="café")]}, 1)
     pred = ann({0: [inst(0, 0.0, text=" café ")]}, 1)  # decomposed + spaces

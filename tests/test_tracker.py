@@ -243,6 +243,32 @@ def test_carried_track_box_is_the_next_prediction():
     assert len(tracks[0].history) == 2
 
 
+@pytest.mark.parametrize("listed", [True, False])
+def test_a_missed_frame_drops_the_carried_track_box(listed):
+    """The track_box serves the next frame only: after a miss, listed
+    empty or skipped, the track is looked for at its last box."""
+    t = Tracker(TrackerConfig(max_age=1))
+    t.step(frame(0, [det(0, track_box=box(8))]))
+    assert t.tracks[0].predicted_box == box(8)
+    if listed:
+        t.step(frame(1, []))
+    _, born, _ = t.step(frame(2, [det(8), det(0)]))
+    assert born == [1]
+    assert [fi for fi, _, _ in t.tracks[0].history] == [0, 2]
+    assert t.tracks[0].predicted_box == box(0)
+
+
+def test_skipped_frames_age_every_live_track():
+    t = Tracker(TrackerConfig(max_age=2))
+    t.step(frame(0, [det(0)]))
+    t.step(frame(1, [det(0), det(20)]))
+    tracks, born, dead = t.step(frame(4, [det(20)]))
+    assert dead == [0] and born == []
+    assert [(tr.track_id, tr.missed_frames) for tr in tracks] == [(1, 0)]
+    tracks, _, dead = t.step(frame(8, []))
+    assert dead == [1] and tracks == []
+
+
 def test_trajectory_quads_match_boxes():
     trajs = run([frame(0, [det(3, 4, 6, 2)])])
     quad = trajs[0].frames[0].quad
