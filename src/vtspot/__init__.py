@@ -16,7 +16,6 @@ from .annotations import (
     Instance,
     TextCategory,
     Trajectory,
-    TrajectoryPoint,
     VideoAnnotation,
     annotation_to_trajectories,
     interpolate,
@@ -88,8 +87,8 @@ __all__ = [
     "__version__",
     # annotations
     "Detection", "DetectionsFile", "FrameDetections", "IGNORE_MARK",
-    "Instance", "TextCategory", "Trajectory", "TrajectoryPoint",
-    "VideoAnnotation", "annotation_to_trajectories", "interpolate",
+    "Instance", "TextCategory", "Trajectory", "VideoAnnotation",
+    "annotation_to_trajectories", "interpolate",
     "load_annotation", "load_detections", "sample", "save_annotation",
     "save_detections", "save_trajectories", "trajectories_to_annotation",
     # errors

@@ -16,7 +16,15 @@ Frame indices are decimal strings, and a frame the document does not list is
 empty; ``points`` lists the quad's four corners.
 A transcription of "###" marks an ignore region. Detection documents use the
 same shape with "score" (and optionally "track_box") per entry and no "id".
+Both formats share one frame walk (``_read_frames``) and one writer
+(``_write_document``); each supplies only how one entry is read and
+written. The writer lists every frame the model lists, empty ones too, so
+a save then a load gives the model back.
 Files whose name ends in ".gz" are read and written gzip-compressed.
+
+A text object in one frame is an ``Instance``, in an annotation and in a
+``Trajectory`` alike: a trajectory maps frame indices to the instances of
+one track id.
 
 This module also implements the sparse-annotation pipeline: ``sample`` keeps
 every k-th frame, and ``interpolate`` rebuilds the dense video by linearly
@@ -32,7 +40,7 @@ import gzip
 import json
 import re
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import (
@@ -65,20 +73,17 @@ class TextCategory(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class Instance:
-    """One labeled text object in one frame.
-
-    ``ignore`` is derived, never passed: an instance is an ignore region
-    exactly when its transcription is the "###" marker.
-    """
+    """One labeled text object in one frame."""
 
     track_id: int
     quad: Quad
     transcription: str | None
     category: TextCategory = TextCategory.OTHERS
-    ignore: bool = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "ignore", self.transcription == IGNORE_MARK)
+    @property
+    def ignore(self) -> bool:
+        """An ignore region: the transcription is the "###" marker."""
+        return self.transcription == IGNORE_MARK
 
 
 def _check_extent(video) -> None:
@@ -114,19 +119,13 @@ class VideoAnnotation:
                 seen.add(inst.track_id)
 
 
-@dataclass(frozen=True, slots=True)
-class TrajectoryPoint:
-    quad: Quad
-    transcription: str | None = None
-    category: TextCategory = TextCategory.OTHERS
-
-
 @dataclass
 class Trajectory:
-    """One identity over time: frame index -> where it is and what it reads."""
+    """One identity over time: frame index -> its instance in that frame,
+    whose ``track_id`` is the trajectory's."""
 
     track_id: int
-    frames: dict[int, TrajectoryPoint]
+    frames: dict[int, Instance]
 
     def lifespan(self) -> int:
         return len(self.frames)
@@ -257,16 +256,12 @@ def interpolate(sampled: VideoAnnotation, frame_count: int) -> VideoAnnotation:
 # ---------------------------------------------------------------------------
 
 
-def annotation_to_trajectories(ann: VideoAnnotation, include_ignored: bool = True) -> list[Trajectory]:
+def annotation_to_trajectories(ann: VideoAnnotation) -> list[Trajectory]:
     """Group a per-frame annotation into per-identity trajectories."""
-    by_id: dict[int, dict[int, TrajectoryPoint]] = {}
+    by_id: dict[int, dict[int, Instance]] = {}
     for idx in sorted(ann.frames):
         for inst in ann.frames[idx]:
-            if inst.ignore and not include_ignored:
-                continue
-            by_id.setdefault(inst.track_id, {})[idx] = TrajectoryPoint(
-                quad=inst.quad, transcription=inst.transcription, category=inst.category
-            )
+            by_id.setdefault(inst.track_id, {})[idx] = inst
     return [Trajectory(track_id=tid, frames=by_id[tid]) for tid in sorted(by_id)]
 
 
@@ -278,18 +273,21 @@ def trajectories_to_annotation(
     frame_count: int,
     scenario: str | None = None,
 ) -> VideoAnnotation:
+    """Regroup the trajectories' instances by frame, in track id order.
+
+    Raises ValueError when an instance's ``track_id`` is not its
+    trajectory's.
+    """
     frames: dict[int, list[Instance]] = {}
     for traj in sorted(trajectories, key=lambda t: t.track_id):
         for idx in sorted(traj.frames):
-            pt = traj.frames[idx]
-            frames.setdefault(idx, []).append(
-                Instance(
-                    track_id=traj.track_id,
-                    quad=pt.quad,
-                    transcription=pt.transcription,
-                    category=pt.category,
+            inst = traj.frames[idx]
+            if inst.track_id != traj.track_id:
+                raise ValueError(
+                    f"trajectory {traj.track_id} holds an instance of track "
+                    f"{inst.track_id} at frame {idx}"
                 )
-            )
+            frames.setdefault(idx, []).append(inst)
     return VideoAnnotation(
         video_id=video_id,
         width=width,
@@ -376,19 +374,42 @@ def _parse_header(doc):
 _FRAME_KEY = re.compile(r"-?[0-9]+")
 
 
-def _parse_frame_index(key: str, frame_count: int, parsed) -> int:
-    """The frame index a ``frames`` key names; ``parsed`` holds the indices
-    already read, which "1" and "01" must not both name."""
-    if not isinstance(key, str) or not _FRAME_KEY.fullmatch(key):
-        raise SchemaError(f"frames.{key}", "frame index must be a decimal string")
-    idx = int(key)
-    if not (0 <= idx < frame_count):
-        raise OutOfRangeFrameIndex(
-            f"frames.{key}", f"frame index outside [0, {frame_count})"
-        )
-    if idx in parsed:
-        raise SchemaError(f"frames.{key}", f"frame {idx} is listed twice")
-    return idx
+def _numeric_key(key) -> tuple:
+    s = str(key)
+    return (0, int(s)) if _FRAME_KEY.fullmatch(s) else (1, 0)
+
+
+def _read_frames(raw_frames: dict, frame_count: int, read_entry) -> dict[int, list]:
+    """The one walk over a document's ``frames`` object, for both formats.
+
+    Keys are read in numeric order.  Each must be an ASCII decimal index in
+    ``[0, frame_count)`` that no other key names ("1" and "01" collide),
+    and each frame a list of objects; ``read_entry(entry, path)`` reads one
+    object, ``path`` being its JSON path ``frames.K[i]``.  Returns index ->
+    the entries read, in index order.
+    """
+    frames: dict[int, list] = {}
+    for key in sorted(raw_frames, key=_numeric_key):
+        if not isinstance(key, str) or not _FRAME_KEY.fullmatch(key):
+            raise SchemaError(f"frames.{key}", "frame index must be a decimal string")
+        idx = int(key)
+        if not (0 <= idx < frame_count):
+            raise OutOfRangeFrameIndex(
+                f"frames.{key}", f"frame index outside [0, {frame_count})"
+            )
+        if idx in frames:
+            raise SchemaError(f"frames.{key}", f"frame {idx} is listed twice")
+        entries = raw_frames[key]
+        if not isinstance(entries, list):
+            raise SchemaError(f"frames.{key}", f"expected a list, got {type(entries).__name__}")
+        read = []
+        for i, entry in enumerate(entries):
+            path = f"frames.{key}[{i}]"
+            if not isinstance(entry, dict):
+                raise SchemaError(path, f"expected an object, got {type(entry).__name__}")
+            read.append(read_entry(entry, path))
+        frames[idx] = read
+    return frames
 
 
 def _parse_points(entry, path: str, key: str = "points", *,
@@ -453,73 +474,81 @@ def _naming_file(load):
     return wrapper
 
 
+def _read_instance(entry: dict, path: str) -> Instance:
+    return Instance(
+        track_id=_expect(entry, "id", int, path),
+        quad=_parse_points(entry, path),
+        transcription=_parse_transcription(entry, path),
+        category=_parse_category(entry, path),
+    )
+
+
+def _read_detection(entry: dict, path: str) -> Detection:
+    box = _parse_points(entry, path, as_box=True)
+    if "score" not in entry:
+        raise SchemaError(f"{path}.score", "missing required field")
+    score = entry["score"]
+    if isinstance(score, bool) or not isinstance(score, (int, float)):
+        raise SchemaError(f"{path}.score", f"expected a number, got {type(score).__name__}")
+    if not (0.0 <= score <= 1.0):
+        raise SchemaError(f"{path}.score", f"must be in [0,1], got {score}")
+    transcription = entry.get("transcription")
+    if transcription is not None and not isinstance(transcription, str):
+        raise SchemaError(
+            f"{path}.transcription",
+            f"expected string or null, got {type(transcription).__name__}",
+        )
+    track_box = None
+    if entry.get("track_box") is not None:
+        track_box = _parse_points(entry, path, "track_box", as_box=True)
+    return Detection(box=box, score=float(score), transcription=transcription, track_box=track_box)
+
+
 @_naming_file
 def load_annotation(source) -> VideoAnnotation:
     """Parse an annotation document from a path or an open text stream."""
-    doc = _load_json(source)
-    video_id, width, height, frame_count, raw_frames, scenario = _parse_header(doc)
-    frames: dict[int, list[Instance]] = {}
-    for key in sorted(raw_frames, key=_numeric_key):
-        idx = _parse_frame_index(key, frame_count, frames)
-        entries = raw_frames[key]
-        if not isinstance(entries, list):
-            raise SchemaError(f"frames.{key}", f"expected a list, got {type(entries).__name__}")
-        instances: list[Instance] = []
-        seen: set[int] = set()
-        for i, entry in enumerate(entries):
-            path = f"frames.{key}[{i}]"
-            if not isinstance(entry, dict):
-                raise SchemaError(path, f"expected an object, got {type(entry).__name__}")
-            track_id = _expect(entry, "id", int, path)
-            if track_id in seen:
-                raise DuplicateTrackIdInFrame(path, f"track id {track_id} repeated in frame {key}")
-            seen.add(track_id)
-            instances.append(
-                Instance(
-                    track_id=track_id,
-                    quad=_parse_points(entry, path),
-                    transcription=_parse_transcription(entry, path),
-                    category=_parse_category(entry, path),
-                )
-            )
-        frames[idx] = instances
+    video_id, width, height, frame_count, raw_frames, scenario = _parse_header(_load_json(source))
     return VideoAnnotation(
         video_id=video_id,
         width=width,
         height=height,
         frame_count=frame_count,
-        frames=frames,
+        frames=_read_frames(raw_frames, frame_count, _read_instance),
         scenario=scenario,
     )
 
 
-def _numeric_key(key) -> tuple:
-    s = str(key)
-    return (0, int(s)) if _FRAME_KEY.fullmatch(s) else (1, 0)
+@_naming_file
+def load_detections(source) -> DetectionsFile:
+    """Parse a detections document into per-frame detection lists.
+
+    Only the frames the document lists come back, in index order; a listed
+    frame may be empty, and an unlisted one has no detections.
+    """
+    video_id, width, height, frame_count, raw_frames, _ = _parse_header(_load_json(source))
+    frames = _read_frames(raw_frames, frame_count, _read_detection)
+    return DetectionsFile(
+        video_id=video_id, width=width, height=height, frame_count=frame_count,
+        frames=[FrameDetections(frame_index=i, detections=d) for i, d in frames.items()],
+    )
 
 
-def _annotation_payload(ann: VideoAnnotation) -> dict:
-    payload: dict = {
-        "video_id": ann.video_id,
-        "width": ann.width,
-        "height": ann.height,
-        "frame_count": ann.frame_count,
+def _write_instance(inst: Instance) -> dict:
+    return {
+        "id": inst.track_id,
+        "points": inst.quad.as_flat(),
+        "transcription": inst.transcription,
+        "category": inst.category.value,
     }
-    if ann.scenario is not None:
-        payload["scenario"] = ann.scenario
-    payload["frames"] = {
-        str(idx): [
-            {
-                "id": inst.track_id,
-                "points": inst.quad.as_flat(),
-                "transcription": inst.transcription,
-                "category": inst.category.value,
-            }
-            for inst in ann.frames[idx]
-        ]
-        for idx in sorted(ann.frames)
-    }
-    return payload
+
+
+def _write_detection(det: Detection) -> dict:
+    entry: dict = {"points": det.box.quad.as_flat(), "score": det.score}
+    if det.transcription is not None:
+        entry["transcription"] = det.transcription
+    if det.track_box is not None:
+        entry["track_box"] = det.track_box.quad.as_flat()
+    return entry
 
 
 def _dump_json(payload: dict, target) -> None:
@@ -532,9 +561,27 @@ def _dump_json(payload: dict, target) -> None:
             fh.close()
 
 
+def _write_document(video, frames, write_entry, target, scenario=None) -> None:
+    """The one writer for both formats: the header of ``video``,
+    ``scenario`` when set, then every (index, entries) pair of ``frames``,
+    empty ones too, each entry through ``write_entry``."""
+    payload: dict = {
+        "video_id": video.video_id,
+        "width": video.width,
+        "height": video.height,
+        "frame_count": video.frame_count,
+    }
+    if scenario is not None:
+        payload["scenario"] = scenario
+    payload["frames"] = {
+        str(idx): [write_entry(entry) for entry in entries] for idx, entries in frames
+    }
+    _dump_json(payload, target)
+
+
 def save_annotation(ann: VideoAnnotation, target) -> None:
     """Write an annotation document; canonical key order, UTF-8."""
-    _dump_json(_annotation_payload(ann), target)
+    _write_document(ann, sorted(ann.frames.items()), _write_instance, target, ann.scenario)
 
 
 def save_trajectories(
@@ -550,76 +597,7 @@ def save_trajectories(
     save_annotation(ann, target)
 
 
-@_naming_file
-def load_detections(source) -> DetectionsFile:
-    """Parse a detections document into per-frame detection lists.
-
-    Only the frames the document lists come back, in index order; a listed
-    frame may be empty, and an unlisted one has no detections.
-    """
-    doc = _load_json(source)
-    video_id, width, height, frame_count, raw_frames, _ = _parse_header(doc)
-    per_index: dict[int, list[Detection]] = {}
-    for key in sorted(raw_frames, key=_numeric_key):
-        idx = _parse_frame_index(key, frame_count, per_index)
-        entries = raw_frames[key]
-        if not isinstance(entries, list):
-            raise SchemaError(f"frames.{key}", f"expected a list, got {type(entries).__name__}")
-        dets: list[Detection] = []
-        for i, entry in enumerate(entries):
-            path = f"frames.{key}[{i}]"
-            if not isinstance(entry, dict):
-                raise SchemaError(path, f"expected an object, got {type(entry).__name__}")
-            box = _parse_points(entry, path, as_box=True)
-            if "score" not in entry:
-                raise SchemaError(f"{path}.score", "missing required field")
-            score = entry["score"]
-            if isinstance(score, bool) or not isinstance(score, (int, float)):
-                raise SchemaError(f"{path}.score", f"expected a number, got {type(score).__name__}")
-            if not (0.0 <= score <= 1.0):
-                raise SchemaError(f"{path}.score", f"must be in [0,1], got {score}")
-            transcription = entry.get("transcription")
-            if transcription is not None and not isinstance(transcription, str):
-                raise SchemaError(
-                    f"{path}.transcription",
-                    f"expected string or null, got {type(transcription).__name__}",
-                )
-            track_box = None
-            if entry.get("track_box") is not None:
-                track_box = _parse_points(entry, path, "track_box", as_box=True)
-            dets.append(
-                Detection(
-                    box=box, score=float(score), transcription=transcription, track_box=track_box
-                )
-            )
-        per_index[idx] = dets
-    frames = [FrameDetections(frame_index=i, detections=d) for i, d in per_index.items()]
-    return DetectionsFile(
-        video_id=video_id, width=width, height=height, frame_count=frame_count, frames=frames
-    )
-
-
 def save_detections(dets: DetectionsFile, target) -> None:
-    payload: dict = {
-        "video_id": dets.video_id,
-        "width": dets.width,
-        "height": dets.height,
-        "frame_count": dets.frame_count,
-        "frames": {},
-    }
-    for frame in dets.frames:
-        if not frame.detections:
-            continue
-        entries = []
-        for d in frame.detections:
-            entry: dict = {
-                "points": d.box.quad.as_flat(),
-                "score": d.score,
-            }
-            if d.transcription is not None:
-                entry["transcription"] = d.transcription
-            if d.track_box is not None:
-                entry["track_box"] = d.track_box.quad.as_flat()
-            entries.append(entry)
-        payload["frames"][str(frame.frame_index)] = entries
-    _dump_json(payload, target)
+    """Write a detections document, every listed frame included."""
+    frames = ((fd.frame_index, fd.detections) for fd in dets.frames)
+    _write_document(dets, frames, _write_detection, target)

@@ -274,7 +274,8 @@ def cmd_loss(args) -> int:
     frames_out = []
     totals = {"cls": 0.0, "l1": 0.0, "giou": 0.0, "angle": 0.0}
     listed = {fd.frame_index: fd.detections for fd in preds.frames}
-    for f in range(gt.frame_count):
+    # a frame that neither input lists adds exactly 0.0 to every term
+    for f in sorted(gt.frames.keys() | listed.keys()):
         gts = [
             GroundTruthInstance(box=_normalized_box(quad_to_rotated(inst.quad),
                                                     gt.width, gt.height))

@@ -5,13 +5,14 @@ object in the current frame is linked to the best open trajectory whose
 latest element is at most ``window`` frames old, provided the boxes
 overlap enough and the transcriptions are close in normalized Levenshtein
 distance.  Matching is greedy in descending IoU, not globally optimal.
+Each trajectory records its objects as ``Instance``s under its track id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .annotations import Trajectory, TrajectoryPoint
+from .annotations import Instance, Trajectory
 from .errors import NonMonotonicFrame
 from .geometry import Quad, iou, quad_to_rotated
 
@@ -65,13 +66,13 @@ class _OpenTrajectory:
 
     def __init__(self, track_id, frame_index, quad, box, text):
         self.track_id = track_id
-        self.frames: dict[int, TrajectoryPoint] = {}
+        self.frames: dict[int, Instance] = {}
         self.append(frame_index, quad, box, text)
 
     def append(self, frame_index, quad, box, text):
         """Record ``quad`` at ``frame_index``; ``box`` is its enclosing
         rotated box."""
-        self.frames[frame_index] = TrajectoryPoint(quad=quad, transcription=text)
+        self.frames[frame_index] = Instance(self.track_id, quad, text)
         self.last_frame = frame_index
         self.last_box = box
         self.last_text = text

@@ -12,18 +12,17 @@ Detections may carry a ``track_box``: an externally predicted box for the
 same object in the next frame.  When a detection with a ``track_box`` is
 matched, that box replaces the constant-position prediction on the
 following step.
+
+``trajectories`` returns every track as a ``Trajectory`` of ``Instance``s,
+one per frame in which the track took a detection: that detection's quad
+and transcription under the track's id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .annotations import (
-    Detection,
-    FrameDetections,
-    Trajectory,
-    TrajectoryPoint,
-)
+from .annotations import Detection, FrameDetections, Instance, Trajectory
 from .errors import NonMonotonicFrame
 from .geometry import RotatedBox, iou
 from .matching import gated_assign
@@ -154,11 +153,9 @@ class Tracker:
         """Every track ever born, dead or alive, sorted by ID."""
         out = []
         for track in sorted(self._retired + self.tracks, key=lambda t: t.track_id):
-            points = {
-                fi: TrajectoryPoint(quad=box.quad, transcription=text)
-                for fi, box, text in track.history
-            }
-            out.append(Trajectory(track_id=track.track_id, frames=points))
+            tid = track.track_id
+            instances = {fi: Instance(tid, box.quad, text) for fi, box, text in track.history}
+            out.append(Trajectory(track_id=tid, frames=instances))
         return out
 
 

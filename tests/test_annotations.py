@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import io
 import json
@@ -6,6 +7,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vtspot.annotations import (
     Detection,
@@ -14,7 +17,6 @@ from vtspot.annotations import (
     Instance,
     TextCategory,
     Trajectory,
-    TrajectoryPoint,
     VideoAnnotation,
     annotation_to_trajectories,
     interpolate,
@@ -34,7 +36,8 @@ from vtspot.errors import (
     OutOfRangeFrameIndex,
     SchemaError,
 )
-from vtspot.geometry import Quad, RotatedBox, rotated_to_quad
+from vtspot.geometry import Quad, RotatedBox, quad_to_rotated, rotated_to_quad
+from vtspot.synth import SynthConfig, generate
 
 
 def rect(x0, y0, x1, y1) -> Quad:
@@ -525,7 +528,7 @@ def test_trajectory_round_trip():
 
 def test_save_trajectories_writes_annotation_schema():
     q = rect(5, 5, 25, 15)
-    traj = Trajectory(track_id=2, frames={0: TrajectoryPoint(quad=q, transcription="go")})
+    traj = Trajectory(track_id=2, frames={0: Instance(2, q, "go")})
     buf = io.StringIO()
     save_trajectories([traj], "vid", 100, 100, 1, buf)
     ann = load_annotation(io.StringIO(buf.getvalue()))
@@ -717,3 +720,146 @@ def test_load_detections_checks_each_quad_once(monkeypatch):
     checked.clear()
     load_annotation(io.StringIO(json.dumps(MINIMAL_DOC)))
     assert len(checked) == sum(len(v) for v in MINIMAL_DOC["frames"].values())
+
+
+# ---------------------------------------------------------------------------
+# one reader and one writer for both formats, one record for a text slot
+# ---------------------------------------------------------------------------
+
+
+def test_ignore_is_a_read_only_view_of_the_transcription():
+    a = inst(1, rect(0, 0, 10, 10), IGNORE_MARK)
+    assert [f.name for f in dataclasses.fields(Instance)] == [
+        "track_id", "quad", "transcription", "category"]
+    assert "ignore" not in repr(a)
+    # a frozen slots dataclass refuses the write; for a name that is not a
+    # field, Python 3.11 raises TypeError from the generated __setattr__
+    with pytest.raises((AttributeError, TypeError)):
+        a.ignore = False
+    assert a.ignore and not dataclasses.replace(a, transcription="x").ignore
+
+
+def test_trajectories_hold_the_annotations_instances():
+    ann = make_linear_video(5, n_tracks=2)
+    trajs = annotation_to_trajectories(ann)
+    assert all(t.frames[f] is ann.frames[f][t.track_id] for t in trajs for f in t.frames)
+    back = trajectories_to_annotation(trajs, ann.video_id, ann.width, ann.height,
+                                      ann.frame_count)
+    assert back == ann
+
+
+def test_trajectories_to_annotation_rejects_an_instance_of_another_track():
+    q = rect(5, 5, 25, 15)
+    traj = Trajectory(track_id=2, frames={0: Instance(2, q, "go"), 3: Instance(5, q, "go")})
+    with pytest.raises(ValueError, match="^trajectory 2 holds an instance of track 5 at frame 3$"):
+        trajectories_to_annotation([traj], "vid", 100, 100, 4)
+
+
+def test_save_detections_writes_a_listed_empty_frame():
+    df = DetectionsFile(video_id="v", width=320, height=240, frame_count=4, frames=[
+        FrameDetections(1, []),
+        FrameDetections(2, [Detection(box=RotatedBox(50, 40, 30, 10, 0.0), score=0.5)]),
+        FrameDetections(3, []),
+    ])
+    buf = io.StringIO()
+    save_detections(df, buf)
+    assert list(json.loads(buf.getvalue())["frames"]) == ["1", "2", "3"]
+    again = load_detections(io.StringIO(buf.getvalue()))
+    assert [(f.frame_index, len(f.detections)) for f in again.frames] == [(1, 0), (2, 1), (3, 0)]
+
+
+def _saved(save, model) -> str:
+    buf = io.StringIO()
+    save(model, buf)
+    return buf.getvalue()
+
+
+def _refit(dets: DetectionsFile) -> DetectionsFile:
+    """``dets`` with every box replaced by the minimum-area box of its
+    corners: what loading its saved corners gives back."""
+    def box(b):
+        return None if b is None else quad_to_rotated(b.quad)
+    return dataclasses.replace(dets, frames=[
+        FrameDetections(f.frame_index, [dataclasses.replace(d, box=box(d.box),
+                                                            track_box=box(d.track_box))
+                                        for d in f.detections])
+        for f in dets.frames])
+
+
+synth_configs = st.builds(
+    SynthConfig,
+    n_objects=st.integers(1, 4),
+    n_frames=st.integers(2, 8),
+    motion=st.sampled_from(("static", "constant_velocity", "rotate")),
+    noise_sigma=st.sampled_from((0.0, 1.5)),
+    drop_prob=st.sampled_from((0.0, 0.5, 0.9)),
+    seed=st.integers(0, 10 ** 6),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(synth_configs)
+def test_save_then_load_gives_the_model_back(cfg):
+    """Every listed frame is written, empty ones included.  An annotation
+    comes back equal, and saving it again gives the same bytes.  A
+    detection's box comes back as the minimum-area box of its saved
+    corners, which is not the identity on floats, so a detections file
+    comes back equal to its refit boxes, with every other field exact."""
+    gt, dets = generate(cfg)
+    kept = {f.frame_index for f in dets.frames if f.detections}
+    gt = dataclasses.replace(gt, frames={f: gt.frames[f] if f in kept else []
+                                         for f in gt.frames})
+    text = _saved(save_annotation, gt)
+    again = load_annotation(io.StringIO(text))
+    assert again == gt
+    assert _saved(save_annotation, again) == text
+
+    text = _saved(save_detections, dets)
+    assert list(json.loads(text)["frames"]) == [str(f.frame_index) for f in dets.frames]
+    again = load_detections(io.StringIO(text))
+    assert again == _refit(dets)
+    assert load_detections(io.StringIO(_saved(save_detections, again))) == _refit(again)
+
+
+BOTH_FORMATS_DOC = {
+    "video_id": "v", "width": 64, "height": 48, "frame_count": 3,
+    "frames": {"1": [{"id": 0, "points": [1, 1, 9, 1, 9, 5, 1, 5], "transcription": "ab",
+                      "score": 0.5}]},
+}
+
+FRAME_DEFECTS = {
+    "key not decimal": (lambda frames: frames.__setitem__("x1", []),
+                        SchemaError, "frames.x1", "frame index must be a decimal string"),
+    "key collision": (lambda frames: frames.__setitem__("01", []),
+                      SchemaError, "frames.01", "frame 1 is listed twice"),
+    "index out of range": (lambda frames: frames.__setitem__("3", []),
+                           OutOfRangeFrameIndex, "frames.3", "frame index outside [0, 3)"),
+    "frame not a list": (lambda frames: frames.__setitem__("2", {}),
+                         SchemaError, "frames.2", "expected a list, got dict"),
+    "entry not an object": (lambda frames: frames["1"].append(7),
+                            SchemaError, "frames.1[1]", "expected an object, got int"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(FRAME_DEFECTS))
+def test_a_frame_defect_is_the_same_error_in_both_loaders(defect):
+    mutate, cls, path, message = FRAME_DEFECTS[defect]
+    doc = json.loads(json.dumps(BOTH_FORMATS_DOC))
+    mutate(doc["frames"])
+    raised = []
+    for load in (load_annotation, load_detections):
+        with pytest.raises(SchemaError) as exc_info:
+            load(io.StringIO(json.dumps(doc)))
+        raised.append((type(exc_info.value), exc_info.value.path, exc_info.value.message))
+    assert raised == [(cls, path, message)] * 2
+
+
+def test_a_repeated_id_is_named_by_the_frame_index():
+    """The model makes the check, so a repeated id under key "01" is
+    named ``frames.1[1]``, not by the key."""
+    doc = json.loads(json.dumps(BOTH_FORMATS_DOC))
+    entry = doc["frames"].pop("1")[0]
+    doc["frames"]["01"] = [entry, dict(entry)]
+    with pytest.raises(DuplicateTrackIdInFrame) as exc_info:
+        load_annotation(io.StringIO(json.dumps(doc)))
+    assert str(exc_info.value) == "frames.1[1]: track id 0 repeated in frame 1"

@@ -1,7 +1,9 @@
 """The public surface: ``vtspot.__all__`` is exactly the names below, each
-resolves, and the retired corner type and its polygon helpers stay gone."""
+resolves, and the retired corner type, its polygon helpers and the second
+text-slot record stay gone."""
 
 import vtspot
+import vtspot.annotations
 import vtspot.geometry
 
 PUBLIC = [
@@ -14,7 +16,7 @@ PUBLIC = [
     "NonMonotonicFrame", "OutOfRangeFrameIndex", "PredictedInstance", "Quad",
     "RotatedBox", "SchemaError", "SelfIntersectingQuad", "SizeMismatch",
     "SynthConfig", "TextCategory", "TrackState", "Tracker", "TrackerConfig",
-    "Trajectory", "TrajectoryPoint", "VideoAnnotation", "VideoMismatch",
+    "Trajectory", "VideoAnnotation", "VideoMismatch",
     "VtspotError", "__version__", "aggregate", "angle_loss",
     "annotation_to_trajectories", "canonical_angle", "edit_distance",
     "evaluate", "generate", "giou", "hungarian", "interpolate", "iou", "link",
@@ -27,7 +29,7 @@ PUBLIC = [
 
 
 def test_all_is_the_public_surface():
-    assert len(PUBLIC) == 71
+    assert len(PUBLIC) == 70
     assert sorted(vtspot.__all__) == PUBLIC
     assert [name for name in PUBLIC if not hasattr(vtspot, name)] == []
 
@@ -36,3 +38,8 @@ def test_retired_geometry_names_are_gone():
     retired = ("Point2", "polygon_area", "polygon_intersection")
     assert [(module.__name__, name) for module in (vtspot, vtspot.geometry)
             for name in retired if hasattr(module, name)] == []
+
+
+def test_a_trajectory_holds_instances_and_no_second_record():
+    assert [module.__name__ for module in (vtspot, vtspot.annotations)
+            if hasattr(module, "TrajectoryPoint")] == []

@@ -388,13 +388,17 @@ SQUARE = [1, 1, 9, 1, 9, 5, 1, 5]
     ("track", {"video_id": "v", "width": 64, "height": 48, "frame_count": 10 ** 9,
                "frames": {"5": [{"points": SQUARE, "score": 0.9}],
                           "999999999": [{"points": SQUARE, "score": 0.9}]}}),
+    # read as the reference and as the detections file alike
+    ("loss", {"video_id": "v", "width": 64, "height": 48, "frame_count": 2_000_000,
+              "frames": {"1999999": [{"id": 1, "points": SQUARE, "transcription": "ab",
+                                      "score": 0.9}]}}),
 ])
 def test_cost_follows_the_listed_frames(tmp_path, command, doc):
     """A document that claims a huge frame_count but lists one or two
     frames is handled in seconds inside a 1 GiB address space."""
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    paths = [str(path)] * (2 if command == "evaluate" else 1)
+    paths = [str(path)] * (1 if command == "track" else 2)
     out = subprocess.run([sys.executable, "-m", "vtspot", command, *paths],
                          capture_output=True, text=True, env=child_env(),
                          preexec_fn=_limit_address_space, timeout=10)
@@ -565,6 +569,33 @@ def test_loss_lists_a_frame_the_detections_skip(tmp_path, capsys):
     assert [frame["frame"] for frame in frames] == [0, 1, 2]
     # every reference object of frame 1 pairs with a zero-probability pad
     assert len(frames[1]["pairs"]) == 3 and frames[1]["loss"] > 1.0
+
+
+def test_loss_lists_the_frames_either_input_lists(tmp_path, capsys):
+    """Frames that neither input lists are left out, and the totals equal
+    those of the same inputs with every frame listed, empty or not."""
+    gt_path, det_path = axis_aligned_fixture(tmp_path, n_frames=7)
+    gt_doc = json.loads(gt_path.read_text())
+    det_doc = json.loads(det_path.read_text())
+    gt_doc["frames"] = {k: v for k, v in gt_doc["frames"].items() if k in ("0", "2", "3")}
+    det_doc["frames"] = {k: v for k, v in det_doc["frames"].items() if k in ("2", "4")}
+    det_doc["frames"]["3"] = []
+    outputs = []
+    for padded in (False, True):
+        for doc, path in ((gt_doc, gt_path), (det_doc, det_path)):
+            if padded:
+                doc["frames"] = {str(f): doc["frames"].get(str(f), []) for f in range(7)}
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("loss", str(gt_path), str(det_path)) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    sparse, dense = outputs
+    assert [frame["frame"] for frame in sparse["frames"]] == [0, 2, 3, 4]
+    assert [frame["frame"] for frame in dense["frames"]] == list(range(7))
+    assert sparse["frames"] == [frame for frame in dense["frames"] if frame["frame"] in (0, 2, 3, 4)]
+    assert all(frame["pairs"] == [] and frame["loss"] == 0.0
+               for frame in dense["frames"] if frame["frame"] in (1, 5, 6))
+    assert (sparse["totals"], sparse["loss"]) == (dense["totals"], dense["loss"])
+    assert sparse["totals"]["giou"] > 0.0
 
 
 def test_loss_bad_weights_exits_one(tmp_path):

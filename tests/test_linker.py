@@ -8,7 +8,7 @@ from vtspot.errors import NonMonotonicFrame
 from vtspot.geometry import Quad, RotatedBox, rotated_to_quad
 from vtspot.linker import LinkerConfig, edit_distance, link
 from vtspot.tracker import Tracker, TrackerConfig
-from vtspot.annotations import Detection, FrameDetections
+from vtspot.annotations import Detection, FrameDetections, Instance
 
 from oracles import levenshtein_ref
 
@@ -185,6 +185,15 @@ def test_window_one_matches_tracker_on_disjoint_sets():
         assert sorted(lt.frames) == sorted(tt.frames)
         for f in lt.frames:
             assert lt.frames[f].transcription == tt.frames[f].transcription
+
+
+def test_link_records_instances_under_the_track_id():
+    trajs = link([(0, [obj(0, "ab")]), (1, [obj(0.5, "ab"), obj(30, "cd")])])
+    assert [(t.track_id, f, i) for t in trajs for f, i in t.frames.items()] == [
+        (0, 0, Instance(0, quad_at(0), "ab")),
+        (0, 1, Instance(0, quad_at(0.5), "ab")),
+        (1, 1, Instance(1, quad_at(30), "cd")),
+    ]
 
 
 def test_config_validation():

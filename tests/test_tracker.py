@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from vtspot.annotations import Detection, FrameDetections
+from vtspot.annotations import Detection, FrameDetections, Instance
 from vtspot.errors import NonMonotonicFrame
 from vtspot.geometry import RotatedBox, iou
 from vtspot.tracker import Tracker, TrackerConfig, run
@@ -277,6 +277,15 @@ def test_trajectory_quads_match_boxes():
     assert min(xs) == pytest.approx(0.0) and max(xs) == pytest.approx(6.0)
     assert min(ys) == pytest.approx(3.0) and max(ys) == pytest.approx(5.0)
     assert quad.area == pytest.approx(12.0)
+
+
+def test_trajectories_hold_instances_under_the_track_id():
+    trajs = run([frame(0, [det(0, text="a"), det(20)]), frame(1, [det(0.5, text="b")])])
+    assert [(t.track_id, f, i) for t in trajs for f, i in t.frames.items()] == [
+        (0, 0, Instance(0, box(0).quad, "a")),
+        (0, 1, Instance(0, box(0.5).quad, "b")),
+        (1, 0, Instance(1, box(20).quad, None)),
+    ]
 
 
 def test_history_frame_indices_strictly_increase():
