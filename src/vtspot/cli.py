@@ -150,11 +150,11 @@ def cmd_evaluate(args) -> int:
     if not (0.0 < args.iou_thresh <= 1.0):
         print(f"vtspot: --iou-thresh must be in (0, 1], got {args.iou_thresh}",
               file=sys.stderr)
-        return 2
+        return 1
     if not (0.0 <= args.iou_floor < 1.0):
         print(f"vtspot: --iou-floor must be in [0, 1), got {args.iou_floor}",
               file=sys.stderr)
-        return 2
+        return 1
     if (args.gt_dir is None) != (args.pred_dir is None):
         args.parser.error("--gt-dir and --pred-dir must be used together")
     if args.gt_dir is not None:
@@ -202,23 +202,26 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_track(args) -> int:
+    # Both configurations are built before the file is read, so that every
+    # option is range-checked (a ValueError, exit 1) whatever the method.
+    tracker_cfg = TrackerConfig(
+        iou_threshold=0.5 if args.iou_thresh is None else args.iou_thresh,
+        max_age=args.max_age, min_score=args.min_score)
+    linker_cfg = LinkerConfig(
+        window=args.window,
+        iou_threshold=0.3 if args.iou_thresh is None else args.iou_thresh,
+        max_norm_edit=args.max_norm_edit)
     dets = load_detections(args.detections)
     if args.method == "transformer-assoc":
-        iou_thresh = args.iou_thresh if args.iou_thresh is not None else 0.5
-        cfg = TrackerConfig(iou_threshold=iou_thresh, max_age=args.max_age,
-                            min_score=args.min_score)
-        trajectories = run_tracker(dets.frames, cfg)
+        trajectories = run_tracker(dets.frames, tracker_cfg)
     else:
-        iou_thresh = args.iou_thresh if args.iou_thresh is not None else 0.3
-        cfg = LinkerConfig(window=args.window, iou_threshold=iou_thresh,
-                           max_norm_edit=args.max_norm_edit)
         frames = [
             (fd.frame_index,
              [(d.box.quad, d.transcription or "")
               for d in fd.detections if d.score >= args.min_score])
             for fd in dets.frames
         ]
-        trajectories = link(frames, cfg)
+        trajectories = link(frames, linker_cfg)
 
     save_trajectories(trajectories, dets.video_id, dets.width,
                       dets.height, dets.frame_count, args.out or sys.stdout)

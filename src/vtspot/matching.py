@@ -3,8 +3,9 @@
 A prediction is a rotated box plus the probability it is text; ground truth
 is a rotated box or a "no object" padding entry. The pair cost rewards
 confident predictions and penalizes L1 box error, the generalized-IoU gap,
-and the cosine angle gap. A hand-rolled O(n^3) shortest-augmenting-path
-solver finds the minimum-cost one-to-one matching, and the set loss scores a
+and the cosine angle gap. A hand-rolled shortest-augmenting-path solver
+finds the minimum-cost one-to-one matching, in O(n^2 m) for n rows and
+m >= n columns (a tall problem is padded with columns); the set loss scores a
 matched set with log-likelihood class terms plus the same box terms.  The
 tracker and the CLEAR and identity passes solve their gated max-weight
 assignments with ``gated_assign``, one connected component of admissible
@@ -102,48 +103,57 @@ def pair_cost(gt: GroundTruthInstance, pred: PredictedInstance, w: CostWeights) 
 
 
 def hungarian(cost) -> Assignment:
-    """Exact minimum-cost assignment on a square matrix.
+    """Exact minimum-cost assignment of every row of an n×m matrix, n <= m.
 
-    Shortest-augmenting-path formulation with row/column potentials, O(n^3).
-    Ties are broken by the lowest column index at every scan, so the result
-    is deterministic for equal-cost optima.
+    Shortest-augmenting-path formulation with row/column potentials: each
+    row is inserted in turn along a shortest path over the m columns, so
+    the solve costs O(n^2 m) and returns n pairs, one per row (Bourgeois &
+    Lassalle 1971; a square matrix is the case n = m).  A matrix with more
+    rows than columns, or a ragged one, raises ValueError.  Ties are
+    broken by the lowest column index at every scan, so the result is
+    deterministic for equal-cost optima.
     """
     n = len(cost)
     if n == 0:
         return Assignment((), 0.0)
+    m = len(cost[0])
+    if n > m:
+        raise ValueError(f"cost matrix has {n} rows but only {m} columns")
     for i, row in enumerate(cost):
-        if len(row) != n:
-            raise ValueError(f"cost matrix must be square, row {i} has {len(row)} entries")
+        if len(row) != m:
+            raise ValueError(f"cost matrix is ragged, row {i} has {len(row)} entries, not {m}")
         for j, value in enumerate(row):
             if not math.isfinite(value):
                 raise NonFiniteCost(f"cost[{i}][{j}] = {value!r}")
 
     inf = math.inf
     u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    col_to_row = [0] * (n + 1)  # 1-based; 0 means unassigned
-    way = [0] * (n + 1)
+    v = [0.0] * (m + 1)
+    col_to_row = [0] * (m + 1)  # 1-based; 0 means unassigned
+    way = [0] * (m + 1)
     for i in range(1, n + 1):
         col_to_row[0] = i
         j0 = 0
-        minv = [inf] * (n + 1)
-        used = [False] * (n + 1)
+        minv = [inf] * (m + 1)
+        used = [False] * (m + 1)
         while True:
             used[j0] = True
             i0 = col_to_row[j0]
+            row = cost[i0 - 1]
+            u_i0 = u[i0]
             delta = inf
             j1 = 0
-            for j in range(1, n + 1):
+            for j in range(1, m + 1):
                 if used[j]:
                     continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                cur = row[j - 1] - u_i0 - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
                 if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
-            for j in range(n + 1):
+            for j in range(m + 1):
                 if used[j]:
                     u[col_to_row[j]] += delta
                     v[j] -= delta
@@ -157,7 +167,7 @@ def hungarian(cost) -> Assignment:
             col_to_row[j0] = col_to_row[j1]
             j0 = j1
 
-    pairs = sorted((col_to_row[j] - 1, j - 1) for j in range(1, n + 1))
+    pairs = sorted((col_to_row[j] - 1, j - 1) for j in range(1, m + 1) if col_to_row[j])
     total = math.fsum(cost[r][c] for r, c in pairs)
     return Assignment(tuple(pairs), total)
 
@@ -165,12 +175,14 @@ def hungarian(cost) -> Assignment:
 def gated_cost(
     weights: dict[tuple[int, int], float], n_rows: int, n_cols: int
 ) -> list[list[float]]:
-    """Square cost matrix of a max-weight assignment over the admissible
-    (row, col) pairs in ``weights``: a listed pair costs ``1.0 - weight`` and
-    every other cell, padding included, costs 1.0.  Callers keep only the
+    """``n_rows`` × ``max(n_rows, n_cols)`` cost matrix of a max-weight
+    assignment over the admissible (row, col) pairs in ``weights``: a listed
+    pair costs ``1.0 - weight`` and every other cell, padding included,
+    costs 1.0.  A tall problem is padded with columns, so that ``hungarian``
+    can place every row; rows are never padded.  Callers keep only the
     solution pairs listed in ``weights``."""
     n = max(n_rows, n_cols)
-    cost = [[1.0] * n for _ in range(n)]
+    cost = [[1.0] * n for _ in range(n_rows)]
     for (r, c), weight in weights.items():
         cost[r][c] = 1.0 - weight
     return cost
@@ -187,7 +199,8 @@ def gated_assign(weights: dict[tuple[int, int], float]) -> list[tuple[int, int]]
     ``hungarian`` on ``gated_cost`` of its own submatrix, with its rows and
     its columns in ascending order.  A tie is therefore broken inside its
     own component, never by rows or columns that share no listed pair with
-    it.
+    it.  An r×c component costs O(r^2 c) when r <= c, so a star of one row
+    against many columns costs a single row scan.
     """
     row_cols: dict[int, list[int]] = {}
     col_rows: dict[int, list[int]] = {}

@@ -107,15 +107,17 @@ def monte_carlo_areas(a, b, n=1_000_000, seed=0):
 
 
 def brute_force_assignment(cost):
-    """Exact minimum-cost square assignment by enumerating all permutations.
+    """Exact minimum-cost assignment of every row of an n×m matrix, n <= m,
+    by enumerating all injections of the rows into the columns.
 
     Returns (best_total, best_columns) where best_columns[i] is the column
-    assigned to row i. Feasible up to about n=8.
+    assigned to row i. Feasible up to about m=8.
     """
     n = len(cost)
+    m = len(cost[0]) if n else 0
     best_total = math.inf
     best_perm = None
-    for perm in itertools.permutations(range(n)):
+    for perm in itertools.permutations(range(m), n):
         total = sum(cost[i][perm[i]] for i in range(n))
         if total < best_total:
             best_total = total

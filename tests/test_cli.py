@@ -374,6 +374,50 @@ def test_track_empty_detections(tmp_path, capsys):
     assert ann.frame_count == 4
 
 
+@pytest.mark.parametrize("method", ["transformer-assoc", "linker"])
+@pytest.mark.parametrize("flag,value,message", [
+    ("--min-score", "2", "min_score must be in [0,1], got 2.0"),
+    ("--min-score", "-5", "min_score must be in [0,1], got -5.0"),
+    ("--max-age", "-3", "max_age must be >= 0, got -3"),
+    ("--window", "-1", "window must be >= 1, got -1"),
+    ("--iou-thresh", "0", "iou_threshold must be in (0,1], got 0.0"),
+    ("--max-norm-edit", "1.5", "max_norm_edit must be in [0,1], got 1.5"),
+])
+def test_track_out_of_range_option_exits_one_whatever_the_method(
+        tmp_path, capsys, method, flag, value, message):
+    """An option is checked even where the chosen method does not use it,
+    and nothing is written."""
+    _, dets = make_synth(tmp_path, **{"--frames": 5, "--objects": 2})
+    out = tmp_path / "out.json"
+    assert run_cli("track", str(dets), "--method", method, flag, value,
+                   "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not out.exists()
+
+
+def test_track_checks_its_options_before_reading_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json", encoding="utf-8")
+    assert run_cli("track", str(path)) == 2
+    capsys.readouterr()
+    assert run_cli("track", str(path), "--max-age", "-1") == 1
+    assert run_cli("track", str(tmp_path / "missing.json"), "--method", "linker",
+                   "--max-age", "-1") == 1
+    err = capsys.readouterr().err
+    assert "max_age must be >= 0, got -1" in err and str(path) not in err
+
+
+def test_track_option_range_ends_accepted(tmp_path, capsys):
+    _, dets = make_synth(tmp_path, **{"--frames": 5, "--objects": 2})
+    for method in ("transformer-assoc", "linker"):
+        assert run_cli("track", str(dets), "--method", method, "--min-score", "1",
+                       "--max-age", "0", "--window", "1", "--iou-thresh", "1",
+                       "--max-norm-edit", "0") == 0
+        assert json.loads(capsys.readouterr().out)["video_id"] == "synth-7"
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -680,10 +724,13 @@ def test_python_dash_m_version():
     ("--iou-floor", "1"),
     ("--iou-floor", "nan"),
 ])
-def test_evaluate_gate_out_of_range_exits_two(tmp_path, capsys, flag, value):
+def test_evaluate_gate_out_of_range_exits_one(tmp_path, capsys, flag, value):
     gt, _ = make_synth(tmp_path)
-    assert run_cli("evaluate", flag, value, str(gt), str(gt)) == 2
+    assert run_cli("evaluate", flag, value, str(gt), str(gt)) == 1
     assert flag in capsys.readouterr().err
+    # checked before any file is read
+    assert run_cli("evaluate", flag, value, str(tmp_path / "missing.json"),
+                   str(gt)) == 1
 
 
 @pytest.mark.parametrize("flag,value", [("--iou-thresh", "1"),

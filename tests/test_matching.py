@@ -22,7 +22,7 @@ from vtspot.matching import (
     set_loss_terms,
 )
 
-from oracles import brute_force_assignment, random_box
+from oracles import brute_force_assignment, component_pairs, random_box
 
 UNIT = CostWeights(1.0, 1.0, 1.0, 1.0)
 
@@ -162,8 +162,65 @@ def test_hungarian_rejects_non_finite():
 
 
 def test_hungarian_rejects_ragged():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ragged"):
         hungarian([[1.0, 2.0], [3.0]])
+    with pytest.raises(ValueError, match="ragged"):
+        hungarian([[1.0, 2.0, 3.0], [3.0, 4.0]])
+
+
+def test_hungarian_rejects_more_rows_than_columns():
+    with pytest.raises(ValueError, match="2 rows but only 1 columns"):
+        hungarian([[1.0], [2.0]])
+    with pytest.raises(ValueError, match="3 rows but only 2 columns"):
+        hungarian([[1.0, 2.0]] * 3)
+    with pytest.raises(ValueError):
+        hungarian([[]])
+
+
+def test_hungarian_one_row_takes_the_cheapest_lowest_column():
+    assert hungarian([[3.0, 1.0, 2.0, 1.0]]) == Assignment(((0, 1),), 1.0)
+    assert hungarian([[0.5] * 5]).pairs == ((0, 0),)
+
+
+def _rectangular_cost(rng, n, m):
+    """A random n×m matrix, drawn either from a few values, so that optima
+    tie, or from a continuous range."""
+    if rng.random() < 0.5:
+        return [[rng.choice((-1.0, 0.0, 0.25, 0.5, 1.0)) for _ in range(m)]
+                for _ in range(n)]
+    return [[rng.uniform(-10, 10) for _ in range(m)] for _ in range(n)]
+
+
+def test_hungarian_rectangular_matches_enumeration_and_scipy():
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    rng = random.Random(102)
+    for _ in range(300):
+        m = rng.randint(1, 7)
+        n = rng.randint(1, m)
+        cost = _rectangular_cost(rng, n, m)
+        got = hungarian(cost)
+        assert [r for r, _ in got.pairs] == list(range(n))
+        assert len({c for _, c in got.pairs}) == n
+        assert all(0 <= c < m for _, c in got.pairs)
+        assert got.total_cost == math.fsum(cost[r][c] for r, c in got.pairs)
+        want_total, _ = brute_force_assignment(cost)
+        assert got.total_cost == pytest.approx(want_total, abs=1e-9)
+        rows, cols = scipy_opt.linear_sum_assignment(cost)
+        assert got.total_cost == pytest.approx(
+            math.fsum(cost[r][c] for r, c in zip(rows, cols)), abs=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 4), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from((-1.0, 0.0, 0.25, 0.5, 1.0, 2.0)))
+def test_hungarian_of_a_wide_matrix_is_its_dense_padded_solve(n, extra, seed, k):
+    """Rows of any constant k that pad an n×m matrix to a square one never
+    displace a real row: the square solve gives the real rows the same
+    columns as the rectangular one, ties included."""
+    cost = _rectangular_cost(random.Random(seed), n, n + extra)
+    padded = cost + [[k] * (n + extra) for _ in range(extra)]
+    dense = hungarian(padded).pairs
+    assert hungarian(cost).pairs == tuple(pair for pair in dense if pair[0] < n)
 
 
 def test_hungarian_matches_enumeration_small_sweep():
@@ -260,8 +317,13 @@ def test_gated_cost_solution_is_a_max_weight_matching(case):
 
 
 def test_gated_cost_prices_listed_pairs_and_pads_with_one():
+    """One row per problem row, and as many columns as the larger side:
+    a wide problem is not padded, a tall one is padded with columns."""
     assert gated_cost({}, 0, 0) == []
-    assert gated_cost({}, 1, 2) == [[1.0, 1.0], [1.0, 1.0]]
+    assert gated_cost({}, 0, 3) == []
+    assert gated_cost({}, 1, 2) == [[1.0, 1.0]]
+    assert gated_cost({(0, 2): 0.5, (1, 0): 1}, 2, 3) == [
+        [1.0, 1.0, 0.5], [0.0, 1.0, 1.0]]
     assert gated_cost({(0, 1): 0.75, (2, 0): 3}, 3, 2) == [
         [1.0, 0.25, 1.0], [1.0, 1.0, 1.0], [-2.0, 1.0, 1.0]]
 
@@ -308,6 +370,35 @@ def test_gated_assign_equals_dense_solve_when_the_optimum_is_unique(case):
     dense = [pair for pair in hungarian(gated_cost(weights, n_rows, n_cols)).pairs
              if pair in weights]
     assert gated_assign(weights) == dense
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_weights())
+def test_gated_assign_equals_the_padded_square_solve(case):
+    """The oracle solves each component on a square matrix padded with
+    rows or columns; ``gated_assign`` pads only tall components.  Padding
+    rows never displace a real row, so the two agree, ties included."""
+    weights, n_rows, n_cols = case
+    admissible = [[(r, c) in weights for c in range(n_cols)] for r in range(n_rows)]
+    table = [[weights.get((r, c), 0) for c in range(n_cols)] for r in range(n_rows)]
+    assert gated_assign(weights) == component_pairs(admissible, table)
+
+
+def test_gated_assign_solves_a_star_over_its_own_rows(monkeypatch):
+    """A 1×c star is one row scan, not a padded c×c solve; a c×1 star is
+    padded with columns, since the solver places every row."""
+    shapes = []
+
+    def recording_hungarian(cost):
+        shapes.append((len(cost), len(cost[0])))
+        return hungarian(cost)
+
+    monkeypatch.setattr("vtspot.matching.hungarian", recording_hungarian)
+    assert gated_assign({(3, c): 0.5 + c / 64 for c in range(32)}) == [(3, 31)]
+    assert shapes == [(1, 32)]
+    shapes.clear()
+    assert gated_assign({(r, 3): 0.5 for r in range(4)}) == [(0, 3)]
+    assert shapes == [(4, 4)]
 
 
 @settings(max_examples=300, deadline=None)
