@@ -45,6 +45,7 @@ from pathlib import Path
 
 from .errors import (
     CornerCorrespondenceError,
+    DegenerateQuad,
     DuplicateTrackIdInFrame,
     NonMonotonicFrame,
     OutOfRangeFrameIndex,
@@ -127,9 +128,6 @@ class Trajectory:
     track_id: int
     frames: dict[int, Instance]
 
-    def lifespan(self) -> int:
-        return len(self.frames)
-
 
 @dataclass(frozen=True, slots=True)
 class Detection:
@@ -194,8 +192,21 @@ def sample(dense: VideoAnnotation, k: int) -> VideoAnnotation:
     return replace(dense, frames=kept)
 
 
-def _lerp_quad(a: Quad, b: Quad, t: float) -> Quad:
-    return Quad.from_flat([p + t * (q - p) for p, q in zip(a.as_flat(), b.as_flat())])
+def _lerp_quad(a: Quad, b: Quad, t: float, track_id: int, f0: int, f1: int) -> Quad:
+    """The quad whose corners lie the fraction ``t`` of the way from those
+    of ``a``, track ``track_id``'s quad at frame ``f0``, to those of ``b``
+    at frame ``f1``.  A quad the loaders would refuse, self-intersecting or
+    collapsed (``nondegenerate_hull`` rejects it), means the two corner
+    orders do not correspond: CornerCorrespondenceError."""
+    try:
+        quad = Quad.from_flat([p + t * (q - p) for p, q in zip(a.as_flat(), b.as_flat())])
+        nondegenerate_hull(quad)
+    except (SelfIntersectingQuad, DegenerateQuad) as exc:
+        raise CornerCorrespondenceError(
+            f"track {track_id}: corner order of frames {f0} and {f1} does not "
+            f"correspond (the quad {t:.3g} of the way between them: {exc})"
+        ) from None
+    return quad
 
 
 def interpolate(sampled: VideoAnnotation, frame_count: int) -> VideoAnnotation:
@@ -206,8 +217,11 @@ def interpolate(sampled: VideoAnnotation, frame_count: int) -> VideoAnnotation:
     keyframe. Sampled frames are carried over untouched, so endpoints are
     preserved bit for bit. Tracks are never extended before their first or
     after their last appearance. If corner-wise interpolation of some segment
-    would self-intersect at the midpoint, the keyframes' corner orders do not
-    correspond and CornerCorrespondenceError is raised.
+    gives a quad the loaders would refuse, self-intersecting or collapsed, at
+    its midpoint or at any frame, the keyframes' corner orders do not
+    correspond and CornerCorrespondenceError is raised.  That catches
+    corners that cross or collapse, not every mismatched order: a quarter-turn
+    shift of the corners interpolates without complaint.
     """
     frames: dict[int, list[Instance]] = {
         idx: list(insts) for idx, insts in sorted(sampled.frames.items())
@@ -224,21 +238,9 @@ def interpolate(sampled: VideoAnnotation, frame_count: int) -> VideoAnnotation:
             span = f1 - f0
             if span <= 1:
                 continue
-            try:
-                _lerp_quad(inst0.quad, inst1.quad, 0.5)
-            except SelfIntersectingQuad:
-                raise CornerCorrespondenceError(
-                    f"track {track_id}: corner order of frames {f0} and {f1} "
-                    f"does not correspond (midpoint quad self-intersects)"
-                ) from None
+            _lerp_quad(inst0.quad, inst1.quad, 0.5, track_id, f0, f1)
             for f in range(f0 + 1, f1):
-                t = (f - f0) / span
-                try:
-                    quad = _lerp_quad(inst0.quad, inst1.quad, t)
-                except SelfIntersectingQuad:
-                    raise CornerCorrespondenceError(
-                        f"track {track_id}: interpolated quad at frame {f} self-intersects"
-                    ) from None
+                quad = _lerp_quad(inst0.quad, inst1.quad, (f - f0) / span, track_id, f0, f1)
                 frames.setdefault(f, []).append(
                     Instance(
                         track_id=track_id,
@@ -303,26 +305,20 @@ def trajectories_to_annotation(
 # ---------------------------------------------------------------------------
 
 
-def _open_read(source):
-    if hasattr(source, "read"):
-        return source, False
-    path = Path(source)
-    if path.suffix == ".gz":
-        return gzip.open(path, "rt", encoding="utf-8"), True
-    return open(path, "r", encoding="utf-8"), True
-
-
-def _open_write(target):
-    if hasattr(target, "write"):
+def _open(target, mode: str):
+    """``(stream, owned)`` for reading (``mode`` "r") or writing ("w")
+    UTF-8 text: an open stream is used as it is and stays the caller's;
+    a path is opened, through gzip when its name ends in ".gz", and the
+    caller closes it."""
+    if hasattr(target, "read" if mode == "r" else "write"):
         return target, False
     path = Path(target)
-    if path.suffix == ".gz":
-        return gzip.open(path, "wt", encoding="utf-8"), True
-    return open(path, "w", encoding="utf-8"), True
+    opener = gzip.open if path.suffix == ".gz" else open
+    return opener(path, mode + "t", encoding="utf-8"), True
 
 
 def _load_json(source):
-    fh, owned = _open_read(source)
+    fh, owned = _open(source, "r")
     try:
         try:
             return json.load(fh)
@@ -436,15 +432,12 @@ def _parse_points(entry, path: str, key: str = "points", *,
     return quad
 
 
-def _parse_transcription(entry, path: str) -> str | None:
-    if "transcription" not in entry:
-        raise SchemaError(f"{path}.transcription", "missing required field")
-    value = entry["transcription"]
-    if value is not None and not isinstance(value, str):
-        raise SchemaError(
-            f"{path}.transcription", f"expected string or null, got {type(value).__name__}"
-        )
-    return value
+def _parse_transcription(entry, path: str, required: bool = True) -> str | None:
+    """The entry's transcription, a string or null; an absent one is
+    None unless ``required``."""
+    if not required and "transcription" not in entry:
+        return None
+    return _expect(entry, "transcription", (str, type(None)), path, "string or null")
 
 
 def _parse_category(entry, path: str) -> TextCategory:
@@ -492,12 +485,7 @@ def _read_detection(entry: dict, path: str) -> Detection:
         raise SchemaError(f"{path}.score", f"expected a number, got {type(score).__name__}")
     if not (0.0 <= score <= 1.0):
         raise SchemaError(f"{path}.score", f"must be in [0,1], got {score}")
-    transcription = entry.get("transcription")
-    if transcription is not None and not isinstance(transcription, str):
-        raise SchemaError(
-            f"{path}.transcription",
-            f"expected string or null, got {type(transcription).__name__}",
-        )
+    transcription = _parse_transcription(entry, path, required=False)
     track_box = None
     if entry.get("track_box") is not None:
         track_box = _parse_points(entry, path, "track_box", as_box=True)
@@ -552,7 +540,7 @@ def _write_detection(det: Detection) -> dict:
 
 
 def _dump_json(payload: dict, target) -> None:
-    fh, owned = _open_write(target)
+    fh, owned = _open(target, "w")
     try:
         json.dump(payload, fh, ensure_ascii=False, indent=1)
         fh.write("\n")

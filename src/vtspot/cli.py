@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .annotations import (
     _dump_json,
-    _open_write,
+    _open,
     interpolate,
     load_annotation,
     load_detections,
@@ -28,7 +28,7 @@ from .annotations import (
     save_detections,
     save_trajectories,
 )
-from .errors import DataError, SchemaError, VideoMismatch
+from .errors import DataError, MetricsError, SchemaError, VideoMismatch
 from .geometry import quad_to_rotated
 from .linker import LinkerConfig, link
 from .matching import (
@@ -38,7 +38,13 @@ from .matching import (
     match_sets,
     set_loss_terms,
 )
-from .metrics import MetricsReport, _check_same_video, aggregate, evaluate
+from .metrics import (
+    _RATIO_NAMES,
+    MetricsReport,
+    _check_same_video,
+    aggregate,
+    evaluate,
+)
 from .synth import SynthConfig, generate
 from .tracker import TrackerConfig
 from .tracker import run as run_tracker
@@ -83,22 +89,18 @@ def _env_jobs(parser: argparse.ArgumentParser) -> int:
         parser.error(f"VTSPOT_JOBS must be an integer >= 1, got {raw!r}")
 
 
-_CSV_RATIOS = ("precision", "recall", "fscore", "mota", "motp",
-               "idp", "idr", "idf1")
-
-
 def _csv_rows(reports: list[MetricsReport], target) -> None:
-    stream, owned = _open_write(target)
+    stream, owned = _open(target, "w")
     try:
         writer = csv.writer(stream)
-        writer.writerow(["video_id", "scenario", "task", *_CSV_RATIOS,
+        writer.writerow(["video_id", "scenario", "task", *_RATIO_NAMES,
                          "mt", "ml", "degenerate"])
         for r in reports:
             writer.writerow([
                 r.video_id if r.video_id is not None else "ALL",
                 r.scenario or "",
                 r.task,
-                *(f"{getattr(r, name):.6f}" for name in _CSV_RATIOS),
+                *(f"{getattr(r, name):.6f}" for name in _RATIO_NAMES),
                 r.mt,
                 r.ml,
                 ";".join(r.degenerate),
@@ -120,8 +122,8 @@ def _eval_pair(job) -> MetricsReport:
     try:
         return evaluate(gt, pred, task, iou_thresh=iou_thresh,
                         iou_floor=iou_floor, case_insensitive=case_insensitive)
-    except VideoMismatch as exc:
-        raise VideoMismatch(f"{gt_path} vs {pred_path}: {exc}") from None
+    except MetricsError as exc:  # the same kind, so the same exit code
+        raise type(exc)(f"{gt_path} vs {pred_path}: {exc}") from None
 
 
 def _annotation_files(directory: str) -> dict[str, Path]:

@@ -362,9 +362,10 @@ def _clip(a: tuple[float, ...], b: tuple[float, ...]) -> list[tuple[float, float
     be convex.  Returns the intersection's vertices as ``(x, y)`` pairs,
     counter-clockwise, possibly empty or degenerate when the quads only touch.
 
-    Each vertex's side of the edge is computed once.  A crossing lands at
-    ``p + t * (q - p)`` with ``t = p_side / (p_side - q_side)``; one that
-    overflows raises ValueError, as a non-finite corner does.
+    Each vertex's side of the edge is computed once.  A crossing, inward
+    or outward, lands at ``p + t * (q - p)`` with ``t = p_side / (p_side -
+    q_side)`` and comes before ``q`` when ``q`` is kept; one that overflows
+    raises ValueError, as a non-finite corner does.
     """
     poly = [(a[0], a[1]), (a[2], a[3]), (a[4], a[5]), (a[6], a[7])]
     for k in (0, 2, 4, 6):
@@ -378,23 +379,19 @@ def _clip(a: tuple[float, ...], b: tuple[float, ...]) -> list[tuple[float, float
         for q in poly:
             qx, qy = q
             q_side = ex * (qy - ay) - ey * (qx - ax)
-            if q_side >= 0.0:
-                if p_side < 0.0:
-                    t = p_side / (p_side - q_side)
-                    hx = px + t * (qx - px)
-                    hy = py + t * (qy - py)
-                    # v - v is 0.0 for a finite v and nan (truthy) otherwise
-                    if hx - hx or hy - hy:
-                        raise _not_finite(hx, hy)
-                    out.append((hx, hy))
-                out.append(q)
-            elif p_side >= 0.0:
+            q_in = q_side >= 0.0
+            # p -> q crosses the edge's line, inward or outward; two tests,
+            # not q_in != (p_side >= 0.0), so a nan p_side crosses neither way
+            if (p_side < 0.0) if q_in else (p_side >= 0.0):
                 t = p_side / (p_side - q_side)
                 hx = px + t * (qx - px)
                 hy = py + t * (qy - py)
+                # v - v is 0.0 for a finite v and nan (truthy) otherwise
                 if hx - hx or hy - hy:
                     raise _not_finite(hx, hy)
                 out.append((hx, hy))
+            if q_in:
+                out.append(q)
             px = qx
             py = qy
             p_side = q_side

@@ -23,7 +23,7 @@ report's ``degenerate`` list.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .annotations import Instance, VideoAnnotation
 from .errors import EmptyInput, MissingTranscription, VideoMismatch
@@ -51,6 +51,11 @@ IGNORE_GATE = 0.5
 # ---------------------------------------------------------------------------
 
 
+# the report's ratios, in the order of its JSON keys and CSV columns
+_RATIO_NAMES = ("precision", "recall", "fscore", "mota", "motp",
+                "idp", "idr", "idf1")
+
+
 def _ratio(num: float, den: float, name: str, flags: list[str]) -> float:
     if den == 0:
         flags.append(name)
@@ -58,15 +63,22 @@ def _ratio(num: float, den: float, name: str, flags: list[str]) -> float:
     return num / den
 
 
+class _Counters:
+    """Raw counters that add field by field, so that pooled counters are
+    the counters of the pooled videos."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return type(self)(*(getattr(self, f.name) + getattr(other, f.name)
+                            for f in fields(self)))
+
+
 @dataclass(slots=True)
-class DetCounters:
+class DetCounters(_Counters):
     tp: int = 0
     fp: int = 0
     fn: int = 0
-
-    def __add__(self, other: "DetCounters") -> "DetCounters":
-        return DetCounters(self.tp + other.tp, self.fp + other.fp,
-                           self.fn + other.fn)
 
     def ratios(self, flags: list[str]) -> tuple[float, float, float]:
         """(precision, recall, F-score); each ratio with an empty
@@ -77,23 +89,13 @@ class DetCounters:
 
 
 @dataclass(slots=True)
-class MotCounters:
+class MotCounters(_Counters):
     misses: int = 0
     false_positives: int = 0
     mismatches: int = 0
     matches: int = 0
     gt_count: int = 0
     matched_iou_sum: float = 0.0
-
-    def __add__(self, other: "MotCounters") -> "MotCounters":
-        return MotCounters(
-            self.misses + other.misses,
-            self.false_positives + other.false_positives,
-            self.mismatches + other.mismatches,
-            self.matches + other.matches,
-            self.gt_count + other.gt_count,
-            self.matched_iou_sum + other.matched_iou_sum,
-        )
 
     def ratios(self, flags: list[str]) -> tuple[float, float]:
         """(MOTA, MOTP), flagged like ``DetCounters.ratios``."""
@@ -106,19 +108,11 @@ class MotCounters:
 
 
 @dataclass(slots=True)
-class IdCounters:
+class IdCounters(_Counters):
     id_tp: int = 0
     id_fp: int = 0
     id_fn: int = 0
     gt_tracks: int = 0
-
-    def __add__(self, other: "IdCounters") -> "IdCounters":
-        return IdCounters(
-            self.id_tp + other.id_tp,
-            self.id_fp + other.id_fp,
-            self.id_fn + other.id_fn,
-            self.gt_tracks + other.gt_tracks,
-        )
 
     def ratios(self, flags: list[str]) -> tuple[float, float, float]:
         """(IDP, IDR, IDF1), flagged like ``DetCounters.ratios``."""
@@ -154,14 +148,7 @@ class MetricsReport:
             "task": self.task,
             "video_id": self.video_id,
             "scenario": self.scenario,
-            "precision": self.precision,
-            "recall": self.recall,
-            "fscore": self.fscore,
-            "mota": self.mota,
-            "motp": self.motp,
-            "idp": self.idp,
-            "idr": self.idr,
-            "idf1": self.idf1,
+            **{name: getattr(self, name) for name in _RATIO_NAMES},
             "mt": self.mt,
             "ml": self.ml,
             "degenerate": list(self.degenerate),
@@ -318,18 +305,17 @@ def eval_mot(tables: list[_FrameTable], iou_thresh: float) -> MotCounters:
                     iou_of[gid] = overlap
 
         # assign the remainder, maximizing total IoU above the gate
-        rem_g = [gi for gi, s in enumerate(table.gt) if s.track_id not in matches]
-        rem_p = [pi for pi in kept if table.preds[pi].track_id not in matched_pred]
+        rem_p = {pi for pi in kept if table.preds[pi].track_id not in matched_pred}
         gated = {
-            (r, c): overlap
-            for r, gi in enumerate(rem_g) for c, pi in enumerate(rem_p)
-            if (overlap := table.ious.get((gi, pi), 0.0)) >= iou_thresh
+            (gi, pi): overlap for (gi, pi), overlap in table.ious.items()
+            if overlap >= iou_thresh and pi in rem_p
+            and table.gt[gi].track_id not in matches
         }
-        for r, c in gated_assign(gated):
-            gid = table.gt[rem_g[r]].track_id
-            pid = table.preds[rem_p[c]].track_id
+        for gi, pi in gated_assign(gated):
+            gid = table.gt[gi].track_id
+            pid = table.preds[pi].track_id
             matches[gid] = pid
-            iou_of[gid] = gated[r, c]
+            iou_of[gid] = gated[gi, pi]
             if gid in last_match and last_match[gid] != pid:
                 counters.mismatches += 1
 

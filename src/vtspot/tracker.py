@@ -13,9 +13,12 @@ same object in the next frame.  When a detection with a ``track_box`` is
 matched, that box replaces the constant-position prediction on the
 following step.
 
+A track's record, ``TrackState.frames``, maps each frame in which it took
+a detection to that ``Detection``, the shape of ``Trajectory.frames``; a
+match and a birth both take a detection through ``_take``.
 ``trajectories`` returns every track as a ``Trajectory`` of ``Instance``s,
-one per frame in which the track took a detection: that detection's quad
-and transcription under the track's id.
+one per recorded frame: that detection's quad and transcription under the
+track's id.
 """
 
 from __future__ import annotations
@@ -50,13 +53,23 @@ class TrackerConfig:
 
 @dataclass(slots=True)
 class TrackState:
-    """One live identity: where it was, where we expect it, and its record."""
+    """One live identity: where it was, where we expect it, and its record,
+    ``frames``: frame index -> the detection it took in that frame."""
 
     track_id: int
     last_box: RotatedBox
     predicted_box: RotatedBox
     missed_frames: int = 0
-    history: list[tuple[int, RotatedBox, str | None]] = field(default_factory=list)
+    frames: dict[int, Detection] = field(default_factory=dict)
+
+
+def _take(track: TrackState, index: int, det: Detection) -> None:
+    """``track`` takes ``det`` at frame ``index``: records it, moves there,
+    and next looks for itself at the detection's ``track_box``, if any."""
+    track.frames[index] = det
+    track.last_box = det.box
+    track.predicted_box = det.box if det.track_box is None else det.track_box
+    track.missed_frames = 0
 
 
 class Tracker:
@@ -94,23 +107,15 @@ class Tracker:
         matched_dets = {d for _, d in matches}
 
         for ti, di in matches:
-            track, det = self.tracks[ti], detections[di]
-            track.history.append((index, det.box, det.transcription))
-            track.last_box = det.box
-            track.predicted_box = det.box if det.track_box is None else det.track_box
-            track.missed_frames = 0
+            _take(self.tracks[ti], index, detections[di])
         dead += self._age(1, matched_tracks)
 
         born: list[int] = []
         for di, det in enumerate(detections):
             if di in matched_dets:
                 continue
-            track = TrackState(
-                track_id=self._next_id,
-                last_box=det.box,
-                predicted_box=det.box if det.track_box is None else det.track_box,
-                history=[(index, det.box, det.transcription)],
-            )
+            track = TrackState(self._next_id, det.box, det.box)
+            _take(track, index, det)
             self._next_id += 1
             born.append(track.track_id)
             self.tracks.append(track)
@@ -154,7 +159,8 @@ class Tracker:
         out = []
         for track in sorted(self._retired + self.tracks, key=lambda t: t.track_id):
             tid = track.track_id
-            instances = {fi: Instance(tid, box.quad, text) for fi, box, text in track.history}
+            instances = {fi: Instance(tid, det.box.quad, det.transcription)
+                         for fi, det in track.frames.items()}
             out.append(Trajectory(track_id=tid, frames=instances))
         return out
 

@@ -239,6 +239,36 @@ def test_interpolate_detects_corner_mismatch():
         interpolate(s, 4)
 
 
+@pytest.mark.parametrize("span", [2, 3, 4])
+def test_interpolate_refuses_corners_that_collapse(span):
+    """Swapping diagonal corners sends every corner through the centre, so
+    the quad halfway has no area; the loaders refuse such a quad, so
+    interpolation does too, whether or not a frame lands halfway."""
+    a = rect(0, 0, 10, 10)
+    b = Quad.from_flat([10, 10, 0, 10, 0, 0, 10, 0])
+    s = VideoAnnotation(
+        video_id="v", width=100, height=100, frame_count=span + 1,
+        frames={0: [Instance(0, a, "x")], span: [Instance(0, b, "x")]},
+    )
+    with pytest.raises(CornerCorrespondenceError, match="quad area 0.0 is below"):
+        interpolate(s, span + 1)
+
+
+def test_interpolate_quarter_turn_of_corners_is_not_caught():
+    """The check catches corners that cross or collapse, not every
+    mismatched order: shifting the corners by one keeps every
+    intermediate quad simple and non-degenerate."""
+    a = rect(0, 0, 10, 10)
+    b = Quad.from_flat([10, 0, 10, 10, 0, 10, 0, 0])
+    s = VideoAnnotation(
+        video_id="v", width=100, height=100, frame_count=5,
+        frames={0: [Instance(0, a, "x")], 4: [Instance(0, b, "x")]},
+    )
+    dense = interpolate(s, 5)
+    assert sorted(dense.frames) == [0, 1, 2, 3, 4]
+    assert dense.frames[2][0].quad == Quad.from_flat([5, 0, 10, 5, 5, 10, 0, 5])
+
+
 def test_interpolate_bridges_skipped_sample():
     # a track absent from one middle keyframe is treated as one instance
     q0 = rect(0, 0, 4, 2)
@@ -518,7 +548,7 @@ def test_trajectory_round_trip():
     ann = make_linear_video(6, n_tracks=3)
     trajs = annotation_to_trajectories(ann)
     assert [t.track_id for t in trajs] == [0, 1, 2]
-    assert all(t.lifespan() == 6 for t in trajs)
+    assert all(len(t.frames) == 6 for t in trajs)
     back = trajectories_to_annotation(trajs, ann.video_id, ann.width, ann.height, ann.frame_count)
     for f in ann.frames:
         assert sorted(back.frames[f], key=lambda i: i.track_id) == sorted(
@@ -676,6 +706,31 @@ def test_degenerate_quad_is_the_same_schema_error_in_both_loaders(load, points):
     with pytest.raises(SchemaError) as exc_info:
         load(io.StringIO(json.dumps(doc)))
     assert str(exc_info.value) == "frames.0[0].points: quad area 0.0 is below 1e-12"
+
+
+@pytest.mark.parametrize("value", [3, ["a"], {"text": "a"}, True])
+@pytest.mark.parametrize("load", [load_annotation, load_detections])
+def test_non_string_transcription_is_the_same_schema_error_in_both_loaders(load, value):
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["frames"]["0"][0]["score"] = 0.5
+    doc["frames"]["0"][0]["transcription"] = value
+    with pytest.raises(SchemaError) as exc_info:
+        load(io.StringIO(json.dumps(doc)))
+    assert str(exc_info.value) == (
+        f"frames.0[0].transcription: expected string or null, got {type(value).__name__}")
+
+
+def test_only_an_annotation_requires_a_transcription():
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["frames"]["0"][0]["score"] = 0.5
+    del doc["frames"]["0"][0]["transcription"]
+    with pytest.raises(SchemaError) as exc_info:
+        load_annotation(io.StringIO(json.dumps(doc)))
+    assert str(exc_info.value) == "frames.0[0].transcription: missing required field"
+    dets = load_detections(io.StringIO(json.dumps(doc)))
+    assert dets.frames[0].detections[0].transcription is None
+    doc["frames"]["0"][0]["transcription"] = None
+    assert load_annotation(io.StringIO(json.dumps(doc))).frames[0][0].transcription is None
 
 
 @pytest.mark.parametrize("field", ["points", "track_box"])

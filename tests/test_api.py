@@ -1,6 +1,7 @@
 """The public surface: ``vtspot.__all__`` is exactly the names below, each
-resolves, and the retired corner type, its polygon helpers and the second
-text-slot record stay gone."""
+resolves, and the retired corner type, its polygon helpers, the second
+text-slot record, the tracker's tuple history and ``Trajectory.lifespan``
+stay gone."""
 
 import vtspot
 import vtspot.annotations
@@ -43,3 +44,9 @@ def test_retired_geometry_names_are_gone():
 def test_a_trajectory_holds_instances_and_no_second_record():
     assert [module.__name__ for module in (vtspot, vtspot.annotations)
             if hasattr(module, "TrajectoryPoint")] == []
+
+
+def test_a_track_records_detections_and_a_trajectory_has_no_lifespan():
+    assert list(vtspot.TrackState.__dataclass_fields__) == [
+        "track_id", "last_box", "predicted_box", "missed_frames", "frames"]
+    assert not hasattr(vtspot.Trajectory, "lifespan")

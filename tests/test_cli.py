@@ -558,6 +558,32 @@ def test_interpolate_off_lattice_frame_exits_two(tmp_path, capsys):
             in captured.err)
 
 
+@pytest.mark.parametrize("end,message", [
+    # the corners swap diagonally: every one passes through the centre
+    ([10, 10, 0, 10, 0, 0, 10, 0], "quad area 0.0 is below"),
+    # the corner order crosses halfway
+    ([10, 10, 2, 10, 0, 2, 12, 2], "self-intersecting"),
+])
+def test_interpolate_refuses_a_quad_its_loaders_would_reject(tmp_path, capsys,
+                                                             end, message):
+    """Interpolation that collapses or crosses corners exits 1, as a
+    mismatched corner order, and writes nothing."""
+    keyed = tmp_path / "keyed.json"
+    keyed.write_text(json.dumps({
+        "video_id": "v", "width": 100, "height": 100, "frame_count": 5,
+        "frames": {
+            "0": [{"id": 0, "points": [0, 0, 10, 0, 10, 10, 0, 10], "transcription": "a"}],
+            "4": [{"id": 0, "points": end, "transcription": "a"}],
+        },
+    }))
+    dense = tmp_path / "dense.json"
+    assert run_cli("interpolate", str(keyed), "--out", str(dense)) == 1
+    err = capsys.readouterr().err
+    assert "track 0: corner order of frames 0 and 4 does not correspond" in err
+    assert message in err
+    assert not dense.exists()
+
+
 def test_sample_k2_then_interpolate_without_k(tmp_path):
     gt, _ = make_synth(tmp_path, **{"--frames": 9})
     sampled = tmp_path / "sampled.json"
@@ -765,6 +791,20 @@ def test_evaluate_corpus_video_mismatch_names_both_files(tmp_path, capsys, jobs)
                    "--pred-dir", str(pred_dir), "--jobs", jobs) == 3
     err = capsys.readouterr().err
     assert f"{gt_dir / 'video1.json'} vs {bad}: video_id differs" in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_evaluate_corpus_missing_transcription_names_both_files(tmp_path, capsys, jobs):
+    gt_dir, pred_dir = corpus_dirs(tmp_path, 3)
+    bad = pred_dir / "video1.json"
+    doc = json.loads(bad.read_text())
+    doc["frames"]["1"][0]["transcription"] = None
+    bad.write_text(json.dumps(doc))
+    assert run_cli("evaluate", "--task", "spotting", "--gt-dir", str(gt_dir),
+                   "--pred-dir", str(pred_dir), "--jobs", jobs) == 1
+    err = capsys.readouterr().err
+    assert f"{gt_dir / 'video1.json'} vs {bad}: prediction track" in err
+    assert "frame 1 has no transcription" in err
 
 
 # ---------------------------------------------------------------------------

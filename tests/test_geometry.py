@@ -265,6 +265,20 @@ def test_half_overlap_rectangles():
     assert _clip(a.as_flat(), b.as_flat()) == point_intersection(a, b)
 
 
+def test_clip_keeps_a_vertex_on_the_edge_and_crosses_out_from_it():
+    """Two corners of the square lie exactly on the diamond's lower-left
+    edge (side 0.0): each is kept, and leaving the edge from one of them
+    crosses at t = 0, which repeats that corner."""
+    square = quad_of((0, 0), (2, 0), (2, 2), (0, 2))
+    diamond = quad_of((2, 0), (4, 2), (2, 4), (0, 2))
+    want = [(0.0, 2.0), (2.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]
+    assert _clip(square.as_flat(), diamond.as_flat()) == want
+    assert point_intersection(square, diamond) == want
+    assert _clip(diamond.as_flat(), square.as_flat()) == point_intersection(diamond, square)
+    assert clipped_area(square, diamond) == 2.0
+    assert quad_iou(square, diamond) == 2.0 / 10.0
+
+
 def test_non_convex_input_rejected():
     bad = quad_of((0, 0), (4, 0), (1, 1), (0, 4))
     good = quad_of((10, 10), (12, 10), (12, 12), (10, 12))

@@ -72,7 +72,7 @@ def test_static_box_single_trajectory():
     frames = [(f, [obj(0.0, "WORD")]) for f in range(10)]
     trajs = link(frames)
     assert len(trajs) == 1
-    assert trajs[0].lifespan() == 10
+    assert len(trajs[0].frames) == 10
     assert sorted(trajs[0].frames) == list(range(10))
 
 
@@ -112,7 +112,7 @@ def test_every_object_appears_exactly_once():
         frames.append((f, [obj(rng.uniform(0, 30), rng.choice(["A", "B", "CC"]),
                                rng.uniform(0, 30)) for _ in range(n)]))
     trajs = link(frames)
-    seen = sum(t.lifespan() for t in trajs)
+    seen = sum(len(t.frames) for t in trajs)
     assert seen == total
     for t in trajs:
         assert len(t.frames) == len(set(t.frames))

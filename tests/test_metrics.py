@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -635,6 +636,22 @@ def test_counter_ratios_name_every_empty_denominator():
                        gt_count=4, matched_iou_sum=2.4).ratios(flags) == (
         1.0 - 4 / 4, 2.4 / 3)
     assert flags == []
+
+
+@pytest.mark.parametrize("a,b", [
+    (DetCounters(tp=3, fp=1, fn=2), DetCounters(tp=5, fp=7, fn=0)),
+    (MotCounters(misses=1, false_positives=2, mismatches=3, matches=4,
+                 gt_count=5, matched_iou_sum=0.1),
+     MotCounters(misses=6, false_positives=0, mismatches=1, matches=9,
+                 gt_count=15, matched_iou_sum=0.2)),
+    (IdCounters(id_tp=4, id_fp=3, id_fn=2, gt_tracks=1),
+     IdCounters(id_tp=1, id_fp=0, id_fn=5, gt_tracks=2)),
+])
+def test_counters_add_field_by_field(a, b):
+    total = a + b
+    assert type(total) is type(a)
+    assert asdict(total) == {name: value + getattr(b, name)
+                             for name, value in asdict(a).items()}
 
 
 @settings(max_examples=40, deadline=None)

@@ -73,7 +73,8 @@ def test_identity_match_no_birth_no_death():
     tracks, born, dead = t.step(frame(1, [det(5)]))
     assert born == [] and dead == []
     assert len(tracks) == 1
-    assert len(tracks[0].history) == 2
+    assert sorted(tracks[0].frames) == [0, 1]
+    assert tracks[0].last_box == box(5)
     assert tracks[0].missed_frames == 0
 
 
@@ -114,7 +115,7 @@ def test_vanish_beyond_max_age_splits_identity():
 def test_single_frame_stream():
     trajs = run([frame(0, [det(0), det(10)])])
     assert len(trajs) == 2
-    assert all(t.lifespan() == 1 for t in trajs)
+    assert all(len(t.frames) == 1 for t in trajs)
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +135,9 @@ def test_crossed_detections_get_globally_optimal_pairing():
     tracks, born, dead = t.step(frame(1, [d0, d1]))
     assert born == [] and dead == []
     by_id = {tr.track_id: tr for tr in tracks}
-    assert by_id[0].history[-1][1].cx == pytest.approx(0.1)
-    assert by_id[1].history[-1][1].cx == pytest.approx(2.9)
+    assert by_id[0].last_box.cx == pytest.approx(0.1)
+    assert by_id[1].last_box.cx == pytest.approx(2.9)
+    assert by_id[0].frames[1] is d1 and by_id[1].frames[1] is d0
 
 
 def test_accepted_matching_is_gate_optimal():
@@ -155,8 +157,9 @@ def test_accepted_matching_is_gate_optimal():
         tracks, _, _ = t.step(frame(1, cur))
         got = 0.0
         for tr in tracks:
-            if tr.history and tr.history[-1][0] == 1 and tr.track_id in live_before:
-                got += iou(live_before[tr.track_id], tr.history[-1][1])
+            if 1 in tr.frames and tr.track_id in live_before:
+                assert tr.last_box is tr.frames[1].box
+                got += iou(live_before[tr.track_id], tr.frames[1].box)
         ious = [[iou(p, d.box) for d in cur] for p in prev]
         want = best_gated_total(ious, thresh)
         assert got == pytest.approx(want, abs=1e-9), f"trial {trial}"
@@ -206,7 +209,7 @@ def test_constant_velocity_keeps_four_identities():
     trajs = run(constant_velocity_stream())
     assert len(trajs) == 4
     for t in trajs:
-        assert t.lifespan() == 30
+        assert len(t.frames) == 30
         texts = {p.transcription for p in t.frames.values()}
         assert len(texts) == 1  # never swapped objects
 
@@ -240,7 +243,8 @@ def test_carried_track_box_is_the_next_prediction():
     tracks, born, dead = t.step(frame(1, [det(8)]))
     assert born == [] and dead == []
     assert tracks[0].predicted_box == box(8)
-    assert len(tracks[0].history) == 2
+    assert sorted(tracks[0].frames) == [0, 1]
+    assert tracks[0].last_box == box(8)
 
 
 @pytest.mark.parametrize("listed", [True, False])
@@ -254,7 +258,8 @@ def test_a_missed_frame_drops_the_carried_track_box(listed):
         t.step(frame(1, []))
     _, born, _ = t.step(frame(2, [det(8), det(0)]))
     assert born == [1]
-    assert [fi for fi, _, _ in t.tracks[0].history] == [0, 2]
+    assert sorted(t.tracks[0].frames) == [0, 2]
+    assert t.tracks[0].last_box == box(0)
     assert t.tracks[0].predicted_box == box(0)
 
 
@@ -294,6 +299,6 @@ def test_history_frame_indices_strictly_increase():
     for fr in stream:
         t.step(fr)
     for tr in t.tracks:
-        idxs = [fi for fi, _, _ in tr.history]
-        assert idxs == sorted(set(idxs))
+        idxs = list(tr.frames)
+        assert idxs == sorted(idxs)
         assert math.inf not in idxs
