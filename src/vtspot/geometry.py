@@ -21,6 +21,12 @@ shape, outside its value: a box keeps its unrolled quad (``RotatedBox.quad``)
 and a quad its convexity and axis-aligned extents, so a shape scored against
 many others is prepared once, whoever calls.
 
+There is one broad-phase rule: two quads whose axis-aligned extents, each
+padded by ``_BROAD_SLACK`` of its coordinates' magnitude, are apart cannot
+overlap.  ``iou``, ``quad_iou`` and ``giou`` skip the clip for such a pair,
+and ``near_pairs`` leaves it out of the pairs a caller scores: the tracker,
+the linker and the metrics score only the pairs it returns.
+
 Units are whatever the caller uses (pixels throughout this package); nothing
 here assumes an image size.
 """
@@ -181,7 +187,9 @@ class Quad:
         for a non-convex one, since overlap math cannot use it."""
         extents = self._extents
         if extents is None:
-            _require_convex(self)
+            if not self.is_convex():
+                raise NonConvexInput(
+                    f"polygon clipping needs convex input, got {self._xy}")
             xy = self._xy
             xs = xy[0::2]
             ys = xy[1::2]
@@ -351,11 +359,6 @@ def quad_to_rotated(quad: Quad) -> RotatedBox:
     return RotatedBox(cx, cy, w, h, angle)
 
 
-def _require_convex(quad: Quad) -> None:
-    if not quad.is_convex():
-        raise NonConvexInput(f"polygon clipping needs convex input, got {quad._xy}")
-
-
 def _clip(a: tuple[float, ...], b: tuple[float, ...]) -> list[tuple[float, float]]:
     """Sutherland-Hodgman: clip flat quad ``a`` against each edge of flat
     quad ``b`` in turn, keeping the part on or left of the edge; both must
@@ -416,29 +419,36 @@ def _apart(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
             or a[3] + a[4] < b[1] - b[4] or b[3] + b[4] < a[1] - a[4])
 
 
+def _overlap(qa: Quad, qb: Quad, area_a: float, area_b: float) -> float:
+    """IoU of two convex quads whose areas are ``area_a`` and ``area_b``.
+    Raises NonConvexInput for a non-convex quad, even when the two are far
+    apart; quads whose padded extents are apart score 0 unclipped."""
+    if _apart(qa._convex_extents(), qb._convex_extents()):
+        return 0.0
+    if qa._xy == qb._xy:
+        # identical shapes overlap fully by definition; skipping the clip
+        # keeps the result exact where round-off would wobble it
+        return 1.0 if area_a > 0.0 else 0.0
+    inter = _area(_clip(qa._xy, qb._xy))
+    return _area_ratio(inter, area_a + area_b - inter)
+
+
 def quad_iou(a: Quad, b: Quad) -> float:
     """Exact intersection-over-union of two convex quads.
 
     Raises NonConvexInput for a non-convex argument, even when the two quads
     are far apart.  Quads whose padded extents are apart score 0 unclipped.
     """
-    ea = a._convex_extents()
-    eb = b._convex_extents()
-    if _apart(ea, eb):
-        return 0.0
-    if a._xy == b._xy:
-        # identical shapes overlap fully by definition; skipping the clip
-        # keeps the result exact where round-off would wobble it
-        return 1.0 if a.area > 0.0 else 0.0
-    inter = _area(_clip(a._xy, b._xy))
-    return _area_ratio(inter, a.area + b.area - inter)
+    return _overlap(a, b, a.area, b.area)
 
 
 def near_pairs(a: list[Quad], b: list[Quad]) -> list[tuple[int, int]]:
     """The index pairs ``(i, j)``, in order, for which ``quad_iou(a[i],
-    b[j])`` can be nonzero: every pair but those whose padded extents are
-    apart.  A table of IoUs needs to score only these pairs.  Raises
-    NonConvexInput for a non-convex quad, as quad_iou does.
+    b[j])``, or ``iou`` of the boxes these quads unroll, can be nonzero:
+    every pair but those whose padded extents are apart, the one reject
+    rule of the overlap functions.  A table of IoUs needs to score only
+    these pairs.  Raises NonConvexInput for a non-convex quad, as quad_iou
+    does.
     """
     extents_b = [q._convex_extents() for q in b]
     pairs: list[tuple[int, int]] = []
@@ -451,25 +461,12 @@ def near_pairs(a: list[Quad], b: list[Quad]) -> list[tuple[int, int]]:
 def iou(a: RotatedBox, b: RotatedBox) -> float:
     """Intersection-over-union of two rotated boxes, in [0, 1].
 
-    Boxes whose circumscribed circles are apart, by more than
-    ``_BROAD_SLACK`` of the boxes' size and position, score 0 before any
-    corner is unrolled.  Nearer pairs are clipped, each box unrolled only
-    on its first use (``RotatedBox.quad``).
+    ``quad_iou`` of the boxes' unrolled quads (``RotatedBox.quad``), over
+    the boxes' own ``w * h`` areas: boxes whose padded extents are apart
+    score 0 unclipped.  Raises NonConvexInput when rounding left a box's
+    unrolled corners non-convex, even when the boxes are far apart.
     """
-    reach = 0.5 * (math.hypot(a.w, a.h) + math.hypot(b.w, b.h))
-    reach += _BROAD_SLACK * (reach + abs(a.cx) + abs(a.cy) + abs(b.cx) + abs(b.cy))
-    dx = a.cx - b.cx
-    dy = a.cy - b.cy
-    if dx * dx + dy * dy > reach * reach:
-        return 0.0
-    qa = a.quad
-    qb = b.quad
-    if qa._xy == qb._xy:
-        return 1.0
-    _require_convex(qa)
-    _require_convex(qb)
-    inter = _area(_clip(qa._xy, qb._xy))
-    return _area_ratio(inter, a.area + b.area - inter)
+    return _overlap(a.quad, b.quad, a.area, b.area)
 
 
 def giou(a: RotatedBox, b: RotatedBox) -> float:

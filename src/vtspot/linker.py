@@ -4,7 +4,9 @@ A deliberately simple baseline for detectors with no tracking head: each
 object in the current frame is linked to the best open trajectory whose
 latest element is at most ``window`` frames old, provided the boxes
 overlap enough and the transcriptions are close in normalized Levenshtein
-distance.  Matching is greedy in descending IoU, not globally optimal.
+distance.  Only the object/trajectory pairs that ``geometry.near_pairs``
+returns for their enclosing boxes are scored; every other pair has IoU 0.
+Matching is greedy in descending IoU, not globally optimal.
 Each trajectory records its objects as ``Instance``s under its track id.
 """
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 from .annotations import Instance, Trajectory
 from .errors import NonMonotonicFrame
-from .geometry import Quad, iou, quad_to_rotated
+from .geometry import Quad, iou, near_pairs, quad_to_rotated
 
 __all__ = ["LinkerConfig", "edit_distance", "link"]
 
@@ -106,17 +108,16 @@ def link(
         boxes = [quad_to_rotated(q) for q, _ in objects]
 
         # score every admissible (object, trajectory) pair once
-        scored: list[list[tuple[float, int]]] = []
-        for oi, (quad, text) in enumerate(objects):
-            row = []
-            for ci, traj in enumerate(live):
-                overlap = iou(boxes[oi], traj.last_box)
-                if overlap < cfg.iou_threshold:
-                    continue
-                if _norm_edit(text or "", traj.last_text or "") > cfg.max_norm_edit:
-                    continue
-                row.append((overlap, ci))
-            scored.append(row)
+        scored: list[list[tuple[float, int]]] = [[] for _ in objects]
+        for oi, ci in near_pairs([b.quad for b in boxes],
+                                 [t.last_box.quad for t in live]):
+            traj = live[ci]
+            overlap = iou(boxes[oi], traj.last_box)
+            if overlap < cfg.iou_threshold:
+                continue
+            if _norm_edit(objects[oi][1] or "", traj.last_text or "") > cfg.max_norm_edit:
+                continue
+            scored[oi].append((overlap, ci))
 
         # greedy: objects claim trajectories in descending best-IoU order
         order = sorted(

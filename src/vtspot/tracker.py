@@ -2,9 +2,10 @@
 
 The tracker is a sequential state machine over a stream of per-frame
 detections.  Each step it predicts where every live track should be (a
-constant-position guess unless a carried ``track_box`` applies), scores every
-track/detection pair by rotated-box IoU, and solves the resulting
-assignment problem exactly.  Pairs below the IoU gate never match;
+constant-position guess unless a carried ``track_box`` applies), scores by
+rotated-box IoU the track/detection pairs that ``geometry.near_pairs``
+returns (every other pair has IoU 0), and solves the resulting assignment
+problem exactly.  Pairs below the IoU gate never match;
 unmatched detections become new tracks and unmatched tracks age out after
 ``max_age`` missed frames.
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .annotations import Detection, FrameDetections, Instance, Trajectory
 from .errors import NonMonotonicFrame
-from .geometry import RotatedBox, iou
+from .geometry import RotatedBox, iou, near_pairs
 from .matching import gated_assign
 from .matching import hungarian  # noqa: F401  bench/layers.py wraps this name
 
@@ -142,16 +143,14 @@ class Tracker:
         """Gated max-IoU assignment between live tracks and detections: the
         accepted matching maximizes total IoU among the pairs at or above
         the gate."""
-        if not self.tracks or not detections:
-            return []
         gate = self.cfg.iou_threshold
         gated: dict[tuple[int, int], float] = {}
-        for ti, track in enumerate(self.tracks):
-            box = track.predicted_box
-            for di, det in enumerate(detections):
-                overlap = iou(box, det.box)
-                if overlap >= gate:
-                    gated[ti, di] = overlap
+        tracks = self.tracks
+        for ti, di in near_pairs([t.predicted_box.quad for t in tracks],
+                                 [d.box.quad for d in detections]):
+            overlap = iou(tracks[ti].predicted_box, detections[di].box)
+            if overlap >= gate:
+                gated[ti, di] = overlap
         return gated_assign(gated)
 
     def trajectories(self) -> list[Trajectory]:

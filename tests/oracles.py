@@ -356,6 +356,7 @@ def clip_iou(a, b):
     qa = point_unroll(a)
     qb = point_unroll(b)
     if corners(qa) == corners(qb):
+        _require_convex(qa)
         return 1.0
     inter = point_area(point_intersection(qa, qb))
     return _area_ratio(inter, a.area + b.area - inter)

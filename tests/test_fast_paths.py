@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import vtspot
 import vtspot.linker as linker_mod
 import vtspot.tracker as tracker_mod
 import vtspot.matching as matching_mod
@@ -108,7 +109,7 @@ def assert_quad_iou_matches(a: Quad, b: Quad) -> None:
 
 
 # ---------------------------------------------------------------------------
-# iou: circumscribed-circle reject (and giou on the same pairs)
+# iou: the extents reject quad_iou uses (and giou on the same pairs)
 # ---------------------------------------------------------------------------
 
 
@@ -141,7 +142,8 @@ def test_box_iou_equals_clip_on_touching_and_ulp_gaps(a, w, h, turn, ulps, along
 @given(boxes, st.floats(0.0, 1.0))
 def test_box_iou_equals_clip_at_circle_contact(a, ratio):
     """Centers exactly the sum of the circumscribed radii apart, or a few
-    ulps either side of it: the reject must leave these to the clip."""
+    ulps either side of it: near misses, which the extents reject or the
+    clip must score as the clip-only oracle does."""
     rb = math.hypot(a.w, a.h) / 2.0 * (0.5 + ratio)
     b_w = 2.0 * rb * math.cos(0.4)
     b_h = 2.0 * rb * math.sin(0.4)
@@ -159,12 +161,14 @@ def test_box_iou_identical_boxes(a):
     assert_box_iou_matches(a, swapped)
 
 
-def test_far_apart_boxes_score_zero_without_unrolling(monkeypatch):
-    def refuse(box):
-        raise AssertionError("a far-apart pair was unrolled")
+def test_far_apart_boxes_score_zero_without_clipping(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("a far-apart pair was clipped")
 
-    monkeypatch.setattr("vtspot.geometry.rotated_to_quad", refuse)
-    assert iou(RotatedBox(0, 0, 10, 4, 0.3), RotatedBox(100, 0, 10, 4, -1.0)) == 0.0
+    monkeypatch.setattr("vtspot.geometry._clip", refuse)
+    a, b = RotatedBox(0, 0, 10, 4, 0.3), RotatedBox(100, 0, 10, 4, -1.0)
+    assert iou(a, b) == 0.0
+    assert quad_iou(a.quad, b.quad) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +310,25 @@ def test_giou_rejects_nonconvex_unroll_even_when_disjoint(dx):
     for a, b in ((SLIVER, other), (other, SLIVER)) * 2:
         with pytest.raises(NonConvexInput):
             clip_giou(a, b)
+        for overlap in (giou, iou):
+            with pytest.raises(NonConvexInput):
+                overlap(a, b)
+    for overlap in (clip_iou, iou):
         with pytest.raises(NonConvexInput):
-            giou(a, b)
+            overlap(SLIVER, SLIVER)
     w = CostWeights()
     with pytest.raises(NonConvexInput):
         match_sets([GroundTruthInstance(SLIVER)], [PredictedInstance(0.5, other)], w)
     with pytest.raises(NonConvexInput):
         match_sets([GroundTruthInstance(other)], [PredictedInstance(0.5, SLIVER)], w)
+
+
+def test_track_rejects_nonconvex_unroll_even_when_disjoint():
+    far = RotatedBox(SLIVER.cx + 1e9, SLIVER.cy, 10.0, 4.0, 0.3)
+    stream = [FrameDetections(0, [Detection(SLIVER, 1.0)]),
+              FrameDetections(1, [Detection(far, 1.0)])]
+    with pytest.raises(NonConvexInput):
+        vtspot.track(stream)
 
 
 # ---------------------------------------------------------------------------
@@ -593,15 +609,26 @@ def _as_points(trajectories):
             for t in trajectories]
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_tracker_and_linker_equal_clip_only(seed, monkeypatch):
-    _, dets = generate(SynthConfig(n_objects=20, n_frames=6, noise_sigma=2.0,
-                                   drop_prob=0.1, motion="rotate", seed=seed))
+def _every_pair(a, b):
+    return [(i, j) for i in range(len(a)) for j in range(len(b))]
+
+
+@pytest.mark.parametrize("synth", [
+    *(SynthConfig(n_objects=20, n_frames=6, noise_sigma=2.0, drop_prob=0.1,
+                  motion="rotate", seed=seed) for seed in (1, 2, 3)),
+    SynthConfig(n_objects=50, n_frames=8, noise_sigma=1.0, drop_prob=0.05,
+                motion="constant_velocity", seed=1),
+], ids=["1", "2", "3", "crowded"])
+def test_tracker_and_linker_equal_clip_only(synth, monkeypatch):
+    """The tracker and the linker score the pairs ``near_pairs`` picks with
+    ``iou``; scoring every pair with the clip-only IoU links the same."""
+    _, dets = generate(synth)
     frames = [(fd.frame_index, [(rotated_to_quad(d.box), d.transcription or "")
                                 for d in fd.detections]) for fd in dets.frames]
     fast = (_as_points(run_tracker(dets.frames)), _as_points(link(frames)))
-    monkeypatch.setattr(tracker_mod, "iou", _clip_only)
-    monkeypatch.setattr(linker_mod, "iou", _clip_only)
+    for mod in (tracker_mod, linker_mod):
+        monkeypatch.setattr(mod, "iou", _clip_only)
+        monkeypatch.setattr(mod, "near_pairs", _every_pair)
     plain = (_as_points(run_tracker(dets.frames)), _as_points(link(frames)))
     assert fast == plain
 
