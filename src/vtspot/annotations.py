@@ -52,7 +52,13 @@ from .errors import (
     SchemaError,
     SelfIntersectingQuad,
 )
-from .geometry import Quad, RotatedBox, nondegenerate_hull, quad_to_rotated
+from .geometry import (
+    Quad,
+    RotatedBox,
+    _finite_floats,
+    nondegenerate_hull,
+    quad_to_rotated,
+)
 
 IGNORE_MARK = "###"
 
@@ -227,13 +233,9 @@ def interpolate(sampled: VideoAnnotation, frame_count: int) -> VideoAnnotation:
         idx: list(insts) for idx, insts in sorted(sampled.frames.items())
     }
 
-    per_track: dict[int, list[tuple[int, Instance]]] = {}
-    for idx in sorted(sampled.frames):
-        for inst in sampled.frames[idx]:
-            per_track.setdefault(inst.track_id, []).append((idx, inst))
-
-    for track_id in sorted(per_track):
-        appearances = per_track[track_id]
+    for traj in annotation_to_trajectories(sampled):
+        track_id = traj.track_id
+        appearances = list(traj.frames.items())
         for (f0, inst0), (f1, inst1) in zip(appearances, appearances[1:]):
             span = f1 - f0
             if span <= 1:
@@ -370,9 +372,8 @@ def _parse_header(doc):
 _FRAME_KEY = re.compile(r"-?[0-9]+")
 
 
-def _numeric_key(key) -> tuple:
-    s = str(key)
-    return (0, int(s)) if _FRAME_KEY.fullmatch(s) else (1, 0)
+def _numeric_key(key: str) -> tuple:
+    return (0, int(key)) if _FRAME_KEY.fullmatch(key) else (1, 0)
 
 
 def _read_frames(raw_frames: dict, frame_count: int, read_entry) -> dict[int, list]:
@@ -386,7 +387,7 @@ def _read_frames(raw_frames: dict, frame_count: int, read_entry) -> dict[int, li
     """
     frames: dict[int, list] = {}
     for key in sorted(raw_frames, key=_numeric_key):
-        if not isinstance(key, str) or not _FRAME_KEY.fullmatch(key):
+        if not _FRAME_KEY.fullmatch(key):
             raise SchemaError(f"frames.{key}", "frame index must be a decimal string")
         idx = int(key)
         if not (0 <= idx < frame_count):
@@ -421,7 +422,7 @@ def _parse_points(entry, path: str, key: str = "points", *,
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise SchemaError(f"{path}[{i}]", f"expected a number, got {type(v).__name__}")
     try:
-        quad = Quad.from_flat(pts)
+        quad = Quad._of_flat(_finite_floats(pts))
         if as_box:
             return quad_to_rotated(quad)
         nondegenerate_hull(quad)

@@ -13,8 +13,8 @@ y3)``: that tuple is the quad's value (its equality, hash and repr), what
 ``Quad.from_flat`` takes and ``Quad.as_flat`` gives back, and what every
 kernel here (the clip, the areas, the orientation, bowtie and convexity
 tests, the extents and the box fit) reads.  Coordinates are checked to be
-finite once, where a quad is made: in ``Quad.from_flat`` and
-``rotated_to_quad``.
+finite once, where a quad is made, by ``_finite_floats``: in
+``Quad.from_flat``, in ``rotated_to_quad`` and in the loaders.
 
 The overlap functions take plain shapes.  What they prepare is kept on the
 shape, outside its value: a box keeps its unrolled quad (``RotatedBox.quad``)
@@ -77,23 +77,17 @@ def _not_finite(x, y) -> ValueError:
 
 
 def _finite_floats(values) -> tuple[float, ...]:
-    """``values``, a flat corner list, as a tuple of floats.  The first
-    corner with a value ``float()`` refuses, or one that is not finite,
-    raises."""
-    try:
-        xy = tuple(map(float, values))
-    except (TypeError, ValueError, OverflowError):
-        xy = None
+    """``values``, a flat corner list, as a tuple of floats.  A value
+    ``float()`` refuses raises its error; otherwise the first corner that
+    is not finite raises."""
+    xy = tuple(map(float, values))
     # an inf or a nan anywhere makes the sum non-finite
-    if xy is not None and math.isfinite(sum(xy)):
-        return xy
-    out: list[float] = []
-    for i in range(0, len(values), 2):
-        x, y = float(values[i]), float(values[i + 1])
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise _not_finite(x, y)
-        out += (x, y)
-    return tuple(out)
+    if not math.isfinite(sum(xy)):
+        for i in range(0, len(xy), 2):
+            x, y = xy[i], xy[i + 1]
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise _not_finite(x, y)
+    return xy
 
 
 def _area(poly: list[tuple[float, float]]) -> float:
@@ -205,9 +199,14 @@ class Quad:
 
     @classmethod
     def from_flat(cls, values) -> "Quad":
+        """The quad of eight numbers, ``int`` or ``float`` (not ``bool``),
+        reordered counter-clockwise."""
         vals = list(values)
         if len(vals) != 8:
             raise ValueError(f"flat quad needs 8 numbers, got {len(vals)}")
+        for v in vals:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise TypeError(f"flat quad needs numbers, got {type(v).__name__}")
         return cls._of_flat(_finite_floats(vals))
 
 
@@ -472,7 +471,9 @@ def iou(a: RotatedBox, b: RotatedBox) -> float:
 def giou(a: RotatedBox, b: RotatedBox) -> float:
     """Generalized IoU: IoU minus the hull penalty, in (-1, 1].
 
-    The enclosing hull is the axis-aligned bounding box of both corner sets.
+    The enclosing hull is the axis-aligned bounding box of both corner sets,
+    not their convex hull.  So a rotated box scores below 1 against itself:
+    ``giou(b, b)`` is about 0.55 for ``RotatedBox(0.3, 0.4, 0.05, 0.02, 0.3)``.
     Raises NonConvexInput when rounding left a box's unrolled corners
     non-convex, even when the boxes are far apart.  Boxes whose padded
     extents are apart are not clipped: their overlap is 0.

@@ -6,7 +6,9 @@ latest element is at most ``window`` frames old, provided the boxes
 overlap enough and the transcriptions are close in normalized Levenshtein
 distance.  Only the object/trajectory pairs that ``geometry.near_pairs``
 returns for their enclosing boxes are scored; every other pair has IoU 0.
-Matching is greedy in descending IoU, not globally optimal.
+Matching is greedy, not globally optimal: objects claim trajectories in
+descending order of their best IoU, and each takes its highest-IoU
+trajectory not yet taken, the lowest trajectory index among equal IoUs.
 Each trajectory records its objects as ``Instance``s under its track id.
 """
 
@@ -94,7 +96,6 @@ def link(
     # trajectories still inside the window, in creation order; one that
     # falls out can never match again, since frame indices only grow
     live: list[_OpenTrajectory] = []
-    next_id = 0
     last_index: int | None = None
 
     for frame_index, objects in frames:
@@ -107,8 +108,9 @@ def link(
         live = [t for t in live if frame_index - t.last_frame <= cfg.window]
         boxes = [quad_to_rotated(q) for q, _ in objects]
 
-        # score every admissible (object, trajectory) pair once
-        scored: list[list[tuple[float, int]]] = [[] for _ in objects]
+        # score every admissible (object, trajectory) pair once; each row
+        # sorted best first: highest IoU, then lowest trajectory index
+        rows: list[list[tuple[float, int]]] = [[] for _ in objects]
         for oi, ci in near_pairs([b.quad for b in boxes],
                                  [t.last_box.quad for t in live]):
             traj = live[ci]
@@ -117,35 +119,28 @@ def link(
                 continue
             if _norm_edit(objects[oi][1] or "", traj.last_text or "") > cfg.max_norm_edit:
                 continue
-            scored[oi].append((overlap, ci))
+            rows[oi].append((-overlap, ci))
+        for row in rows:
+            row.sort()
 
-        # greedy: objects claim trajectories in descending best-IoU order
-        order = sorted(
-            range(len(objects)),
-            key=lambda oi: (-(max(scored[oi])[0] if scored[oi] else -1.0), oi),
-        )
+        # greedy: objects claim trajectories in descending best-IoU order,
+        # each its best one not yet taken; a newborn lands past every index
+        # scored in this frame
+        order = sorted(range(len(objects)),
+                       key=lambda oi: (rows[oi][0][0] if rows[oi] else 1.0, oi))
         taken: set[int] = set()
-        born: list[_OpenTrajectory] = []
         for oi in order:
             quad, text = objects[oi]
-            best = None
-            for overlap, ci in scored[oi]:
-                if ci in taken:
-                    continue
-                if best is None or overlap > best[0] or (
-                    overlap == best[0] and ci < best[1]
-                ):
-                    best = (overlap, ci)
-            if best is not None:
-                ci = best[1]
-                taken.add(ci)
-                live[ci].append(frame_index, quad, boxes[oi], text)
+            for _, ci in rows[oi]:
+                if ci not in taken:
+                    taken.add(ci)
+                    live[ci].append(frame_index, quad, boxes[oi], text)
+                    break
             else:
-                traj = _OpenTrajectory(next_id, frame_index, quad, boxes[oi], text)
+                traj = _OpenTrajectory(len(open_trajs), frame_index, quad,
+                                       boxes[oi], text)
                 open_trajs.append(traj)
-                born.append(traj)
-                next_id += 1
-        live += born
+                live.append(traj)
 
     # trajectories are born in id order and frame indices only grow, so
     # both are already sorted

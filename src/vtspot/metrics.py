@@ -125,23 +125,35 @@ class IdCounters(_Counters):
 
 @dataclass(slots=True)
 class MetricsReport:
+    """A task's counters and, computed from them when the report is made,
+    its ratios and ``degenerate`` flags.  The CLEAR and identity ratios
+    stay 0 for the detection task."""
+
     task: str
-    precision: float = 0.0
-    recall: float = 0.0
-    fscore: float = 0.0
-    mota: float = 0.0
-    motp: float = 0.0
-    idp: float = 0.0
-    idr: float = 0.0
-    idf1: float = 0.0
+    precision: float = field(default=0.0, init=False)
+    recall: float = field(default=0.0, init=False)
+    fscore: float = field(default=0.0, init=False)
+    mota: float = field(default=0.0, init=False)
+    motp: float = field(default=0.0, init=False)
+    idp: float = field(default=0.0, init=False)
+    idr: float = field(default=0.0, init=False)
+    idf1: float = field(default=0.0, init=False)
     mt: int = 0
     ml: int = 0
     det: DetCounters = field(default_factory=DetCounters)
     mot: MotCounters = field(default_factory=MotCounters)
     ids: IdCounters = field(default_factory=IdCounters)
-    degenerate: tuple[str, ...] = ()
+    degenerate: tuple[str, ...] = field(default=(), init=False)
     video_id: str | None = None
     scenario: str | None = None
+
+    def __post_init__(self):
+        flags: list[str] = []
+        self.precision, self.recall, self.fscore = self.det.ratios(flags)
+        if self.task != "detection":
+            self.mota, self.motp = self.mot.ratios(flags)
+            self.idp, self.idr, self.idf1 = self.ids.ratios(flags)
+        self.degenerate = tuple(flags)
 
     def to_dict(self) -> dict:
         return {
@@ -402,9 +414,8 @@ def eval_id(
 
     mt = ml = 0
     for gi, g in enumerate(g_ids):
-        lifespan = gt_len[g]
         covered = weights[gi, assigned[gi]] if gi in assigned else 0
-        coverage = covered / lifespan if lifespan else 0.0
+        coverage = covered / gt_len[g]
         if coverage >= 0.8:
             mt += 1
         elif coverage < 0.2:
@@ -415,18 +426,6 @@ def eval_id(
 # ---------------------------------------------------------------------------
 # composite reports
 # ---------------------------------------------------------------------------
-
-
-def _ratios_from_counters(report: MetricsReport) -> MetricsReport:
-    """Recompute every ratio belonging to the report's task from its raw
-    counters; used both for fresh reports and for aggregation."""
-    flags: list[str] = []
-    report.precision, report.recall, report.fscore = report.det.ratios(flags)
-    if report.task != "detection":
-        report.mota, report.motp = report.mot.ratios(flags)
-        report.idp, report.idr, report.idf1 = report.ids.ratios(flags)
-    report.degenerate = tuple(flags)
-    return report
 
 
 def evaluate(
@@ -452,14 +451,13 @@ def evaluate(
     if not (0.0 <= iou_floor < 1.0):
         raise ValueError(f"iou_floor must be in [0,1), got {iou_floor}")
     tables = _frame_tables(gt, pred)
-    report = MetricsReport(task=task, video_id=gt.video_id,
-                           scenario=gt.scenario)
-    report.det = _detection_counts(tables, iou_thresh)
+    det = _detection_counts(tables, iou_thresh)
+    mot, ids, mt, ml = MotCounters(), IdCounters(), 0, 0
     if task != "detection":
-        report.mot = eval_mot(tables, iou_thresh)
-        report.ids, report.mt, report.ml = eval_id(
-            tables, task == "spotting", iou_floor, case_insensitive)
-    return _ratios_from_counters(report)
+        mot = eval_mot(tables, iou_thresh)
+        ids, mt, ml = eval_id(tables, task == "spotting", iou_floor, case_insensitive)
+    return MetricsReport(task, mt=mt, ml=ml, det=det, mot=mot, ids=ids,
+                         video_id=gt.video_id, scenario=gt.scenario)
 
 
 def aggregate(reports: list[MetricsReport]) -> MetricsReport:
@@ -470,14 +468,13 @@ def aggregate(reports: list[MetricsReport]) -> MetricsReport:
     tasks = {r.task for r in reports}
     if len(tasks) > 1:
         raise ValueError(f"cannot aggregate mixed tasks: {sorted(tasks)}")
-    out = MetricsReport(task=reports[0].task)
-    for r in reports:
-        out.det = out.det + r.det
-        out.mot = out.mot + r.mot
-        out.ids = out.ids + r.ids
-        out.mt += r.mt
-        out.ml += r.ml
     scenarios = {r.scenario for r in reports}
-    if len(scenarios) == 1:
-        out.scenario = reports[0].scenario
-    return _ratios_from_counters(out)
+    return MetricsReport(
+        reports[0].task,
+        mt=sum(r.mt for r in reports),
+        ml=sum(r.ml for r in reports),
+        det=sum((r.det for r in reports), DetCounters()),
+        mot=sum((r.mot for r in reports), MotCounters()),
+        ids=sum((r.ids for r in reports), IdCounters()),
+        scenario=reports[0].scenario if len(scenarios) == 1 else None,
+    )

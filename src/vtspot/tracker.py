@@ -80,8 +80,8 @@ class Tracker:
     def __init__(self, cfg: TrackerConfig | None = None):
         self.cfg = cfg if cfg is not None else TrackerConfig()
         self.tracks: list[TrackState] = []
-        self._retired: list[TrackState] = []
-        self._next_id = 0
+        # every track ever born, in birth order: a track's id is its rank
+        self._all: list[TrackState] = []
         self._last_frame = -1
 
     def step(
@@ -115,10 +115,10 @@ class Tracker:
         for di, det in enumerate(detections):
             if di in matched_dets:
                 continue
-            track = TrackState(self._next_id, det.box, det.box)
+            track = TrackState(len(self._all), det.box, det.box)
             _take(track, index, det)
-            self._next_id += 1
             born.append(track.track_id)
+            self._all.append(track)
             self.tracks.append(track)
         return self.tracks, born, dead
 
@@ -133,7 +133,6 @@ class Tracker:
                 track.predicted_box = track.last_box
                 if track.missed_frames > self.cfg.max_age:
                     dead.append(track.track_id)
-                    self._retired.append(track)
                     continue
             survivors.append(track)
         self.tracks = survivors
@@ -154,9 +153,9 @@ class Tracker:
         return gated_assign(gated)
 
     def trajectories(self) -> list[Trajectory]:
-        """Every track ever born, dead or alive, sorted by ID."""
+        """Every track ever born, dead or alive, in ID order."""
         out = []
-        for track in sorted(self._retired + self.tracks, key=lambda t: t.track_id):
+        for track in self._all:
             tid = track.track_id
             instances = {fi: Instance(tid, det.box.quad, det.transcription)
                          for fi, det in track.frames.items()}

@@ -16,7 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from vtspot.errors import DegenerateQuad, MissingTranscription, NonConvexInput
+from vtspot.annotations import Instance, Trajectory
+from vtspot.errors import (
+    DegenerateQuad,
+    MissingTranscription,
+    NonConvexInput,
+    NonMonotonicFrame,
+)
 from vtspot.geometry import (
     DEGENERATE_AREA,
     Quad,
@@ -24,6 +30,7 @@ from vtspot.geometry import (
     canonical_angle,
     iou,
 )
+from vtspot.linker import LinkerConfig
 from vtspot.matching import hungarian
 from vtspot.metrics import (
     IGNORE_GATE,
@@ -31,7 +38,6 @@ from vtspot.metrics import (
     IdCounters,
     MetricsReport,
     MotCounters,
-    _ratios_from_counters,
     normalize_transcription,
 )
 from vtspot.tracker import Tracker
@@ -330,7 +336,9 @@ def point_quad_to_rotated(quad):
 # assignments price only the listed pairs.  What follows is the plain
 # version of each: every pair is clipped on its own, each pass computes its
 # own overlaps, and each assignment flood-fills its gate components on a
-# dense table and fills each one's padded matrix by hand.
+# dense table and fills each one's padded matrix by hand.  The linker's
+# greedy, which sorts each object's candidates once, is kept as a
+# best-IoU scan with an explicit tie rule.
 # Unlike the oracles at the top, the overlaps use the point geometry above,
 # which does the package's arithmetic, so that differential tests can
 # demand bit-equal results.
@@ -592,13 +600,14 @@ def three_pass_report(gt, pred, task, *, iou_thresh=0.5, iou_floor=0.0,
                       case_insensitive=False):
     """``evaluate(...).to_dict()`` computed by three independent passes,
     each clipping every gt x pred pair it looks at."""
-    report = MetricsReport(task=task, video_id=gt.video_id, scenario=gt.scenario)
-    report.det = _detection_pass(gt, pred, iou_thresh)
+    det = _detection_pass(gt, pred, iou_thresh)
+    mot, ids, mt, ml = MotCounters(), IdCounters(), 0, 0
     if task != "detection":
-        report.mot = _clear_pass(gt, pred, iou_thresh)
-        report.mt, report.ml, report.ids = _identity_pass(
-            gt, pred, task == "spotting", iou_floor, case_insensitive)
-    return _ratios_from_counters(report).to_dict()
+        mot = _clear_pass(gt, pred, iou_thresh)
+        mt, ml, ids = _identity_pass(gt, pred, task == "spotting", iou_floor,
+                                     case_insensitive)
+    return MetricsReport(task, mt=mt, ml=ml, det=det, mot=mot, ids=ids,
+                         video_id=gt.video_id, scenario=gt.scenario).to_dict()
 
 
 def _dense_associate(tracker, detections):
@@ -622,3 +631,81 @@ def dense_track(stream, cfg=None):
     for frame in stream:
         tracker.step(frame)
     return tracker.trajectories()
+
+
+class _GreedyTrajectory:
+    def __init__(self, track_id, frame_index, quad, box, text):
+        self.track_id = track_id
+        self.frames = {}
+        self.append(frame_index, quad, box, text)
+
+    def append(self, frame_index, quad, box, text):
+        self.frames[frame_index] = Instance(self.track_id, quad, text)
+        self.last_frame = frame_index
+        self.last_box = box
+        self.last_text = text
+
+
+def _norm_edit_ref(a, b):
+    return levenshtein_ref(a, b) / max(len(a), len(b), 1)
+
+
+def greedy_link(frames, cfg=None):
+    """``linker.link`` with every object/trajectory pair scored by
+    ``clip_iou``: the claim order comes from each object's best IoU, and a
+    separate scan picks each object's trajectory, higher IoU first, then
+    the lower index."""
+    cfg = cfg if cfg is not None else LinkerConfig()
+    open_trajs = []
+    live = []
+    next_id = 0
+    last_index = None
+
+    for frame_index, objects in frames:
+        if last_index is not None and frame_index <= last_index:
+            raise NonMonotonicFrame(
+                f"frame {frame_index} after frame {last_index}"
+            )
+        last_index = frame_index
+
+        live = [t for t in live if frame_index - t.last_frame <= cfg.window]
+        boxes = [point_quad_to_rotated(q) for q, _ in objects]
+
+        scored = [[] for _ in objects]
+        for oi in range(len(objects)):
+            for ci, traj in enumerate(live):
+                overlap = clip_iou(boxes[oi], traj.last_box)
+                if overlap < cfg.iou_threshold:
+                    continue
+                if _norm_edit_ref(objects[oi][1] or "", traj.last_text or "") > cfg.max_norm_edit:
+                    continue
+                scored[oi].append((overlap, ci))
+
+        order = sorted(
+            range(len(objects)),
+            key=lambda oi: (-(max(scored[oi])[0] if scored[oi] else -1.0), oi),
+        )
+        taken = set()
+        born = []
+        for oi in order:
+            quad, text = objects[oi]
+            best = None
+            for overlap, ci in scored[oi]:
+                if ci in taken:
+                    continue
+                if best is None or overlap > best[0] or (
+                    overlap == best[0] and ci < best[1]
+                ):
+                    best = (overlap, ci)
+            if best is not None:
+                ci = best[1]
+                taken.add(ci)
+                live[ci].append(frame_index, quad, boxes[oi], text)
+            else:
+                traj = _GreedyTrajectory(next_id, frame_index, quad, boxes[oi], text)
+                open_trajs.append(traj)
+                born.append(traj)
+                next_id += 1
+        live += born
+
+    return [Trajectory(track_id=t.track_id, frames=t.frames) for t in open_trajs]

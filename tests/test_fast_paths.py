@@ -2,7 +2,8 @@
 unrolled quads and extents the shapes keep, the shared per-frame IoU table
 and the tracker's component-wise gated assignment against the point
 geometry and clip-only overlaps, the per-pair cost matrix, the three
-separate metric passes and the dense-table tracker kept in ``oracles``;
+separate metric passes, the dense-table tracker and the linker's best-IoU
+scan kept in ``oracles``;
 and the tracker, the linker and ``evaluate`` on inputs that skip frame
 indices against the same inputs with every skipped frame listed empty.
 Results must be equal, not approximately equal."""
@@ -26,6 +27,7 @@ from oracles import (
     clip_quad_iou,
     corners,
     dense_track,
+    greedy_link,
     plain_cost_matrix,
     point_intersection,
     point_quad_to_rotated,
@@ -751,6 +753,42 @@ def test_linker_on_a_gappy_stream_equals_it_padded(stream, window):
 
     cfg = linker_mod.LinkerConfig(window=window)
     assert link(objects(stream), cfg) == link(objects(_padded(stream)), cfg)
+
+
+# ---------------------------------------------------------------------------
+# linker: one sorted candidate row per object against a best-IoU scan
+# ---------------------------------------------------------------------------
+
+
+# Squares of side 4 on a lattice of step 2, often repeated: trajectories
+# whose last boxes are identical meet an object at equal IoU (as do the
+# boxes at x = 0 and x = 4 an object at x = 2), and transcriptions from a
+# two-letter alphabet keep many pairs inside the edit gate.
+tied_objects = st.tuples(
+    st.builds(lambda x, y: RotatedBox(2.0 * x, 2.0 * y, 4.0, 4.0, 0.0).quad,
+              st.integers(0, 3), st.integers(0, 1)),
+    st.text("ab", max_size=3))
+
+
+@st.composite
+def tied_link_frames(draw):
+    """Frames of lattice objects, with up to 3 dropped indices between them."""
+    frames, f = [], draw(st.integers(0, 2))
+    for objects in draw(st.lists(st.lists(tied_objects, max_size=6),
+                                 min_size=1, max_size=7)):
+        frames.append((f, objects))
+        f += 1 + draw(st.sampled_from((0, 0, 1, 3)))
+    return frames
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_link_frames(), st.integers(1, 3), st.sampled_from((0.1, 1.0 / 3.0, 1.0)),
+       st.sampled_from((0.0, 0.5, 1.0)))
+def test_linker_equals_greedy_scan_on_tied_frames(frames, window, gate, max_edit):
+    """Highest IoU first, then the lowest trajectory index: the sorted rows
+    pick what the scan with its explicit tie rule picks."""
+    cfg = linker_mod.LinkerConfig(window, gate, max_edit)
+    assert link(frames, cfg) == greedy_link(frames, cfg)
 
 
 @st.composite

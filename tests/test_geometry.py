@@ -98,6 +98,19 @@ def test_from_flat_rejects_non_finite(bad, at):
         Quad.from_flat(values)
 
 
+@pytest.mark.parametrize("bad", ["1", True, False, None, b"1"])
+def test_from_flat_rejects_non_numbers(bad):
+    values = [0, 0, 1, 0, 1, 1, 0, 1]
+    values[5] = bad
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        Quad.from_flat(values)
+
+
+def test_from_flat_reports_a_value_past_the_float_range_before_a_nan():
+    with pytest.raises(OverflowError):
+        Quad.from_flat([math.nan, 0, 1, 0, 1, 10**400, 0, 1])
+
+
 def test_unroll_that_overflows_is_rejected():
     # 1.7e308 plus half of a 1e308 side is past the float range
     with pytest.raises(ValueError, match="point coordinates must be finite"):

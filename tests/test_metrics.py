@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from dataclasses import asdict
 
@@ -458,7 +459,8 @@ def test_aggregate_single_report_is_identity():
     report = evaluate(gt, pred, "tracking")
     agg = aggregate([report])
     for name in ("precision", "recall", "fscore", "mota", "motp",
-                 "idp", "idr", "idf1", "mt", "ml"):
+                 "idp", "idr", "idf1", "mt", "ml", "det", "mot", "ids",
+                 "degenerate"):
         assert getattr(agg, name) == getattr(report, name)
 
 
@@ -559,6 +561,36 @@ def test_report_to_dict_round_trips_counters():
     }
     assert d["task"] == "tracking"
     assert isinstance(d["degenerate"], list)
+
+
+def test_report_computes_its_ratios_from_its_counters():
+    det = DetCounters(tp=3, fp=1, fn=2)
+    mot = MotCounters(misses=1, false_positives=2, mismatches=1, matches=3,
+                      gt_count=4, matched_iou_sum=2.4)
+    ids = IdCounters(id_tp=0, id_fp=2, id_fn=0, gt_tracks=1)
+    report = MetricsReport("tracking", det=det, mot=mot, ids=ids)
+    flags = []
+    assert (report.precision, report.recall, report.fscore) == det.ratios(flags)
+    assert (report.mota, report.motp) == mot.ratios(flags)
+    assert (report.idp, report.idr, report.idf1) == ids.ratios(flags)
+    assert report.degenerate == tuple(flags) == ("idr",)
+    detection = MetricsReport("detection", det=det, mot=mot, ids=ids)
+    assert (detection.mota, detection.idf1, detection.degenerate) == (0.0, 0.0, ())
+
+
+def test_report_takes_no_ratio_arguments():
+    with pytest.raises(TypeError):
+        MetricsReport("tracking", precision=1.0)
+    with pytest.raises(TypeError):
+        MetricsReport("tracking", degenerate=("mota",))
+
+
+def test_pickled_report_keeps_its_ratios():
+    gt, pred = identity_fixture()
+    report = evaluate(gt, pred, "spotting")
+    copy = pickle.loads(pickle.dumps(report))
+    assert copy == report
+    assert copy.to_dict() == report.to_dict()
 
 
 def test_evaluate_rejects_unknown_task():

@@ -103,6 +103,23 @@ def test_ids_never_reused_after_death():
     assert born == [1]
 
 
+def test_trajectories_keep_birth_order_when_early_tracks_retire():
+    """With max_age 0, tracks 0 and 1 retire while later ones live on; the
+    trajectories still come back as ids 0 to n-1, each with its frames."""
+    stream = [
+        frame(0, [det(0), det(20)]),
+        frame(1, [det(40)]),
+        frame(2, [det(40), det(60)]),
+        frame(3, [det(60), det(0)]),
+    ]
+    trajs = run(stream, TrackerConfig(max_age=0))
+    assert [(t.track_id, sorted(t.frames)) for t in trajs] == [
+        (0, [0]), (1, [0]), (2, [1, 2]), (3, [2, 3]), (4, [3])]
+    assert [t.frames[f].quad for t in trajs for f in sorted(t.frames)] == [
+        box(0).quad, box(20).quad, box(40).quad, box(40).quad,
+        box(60).quad, box(60).quad, box(0).quad]
+
+
 def test_vanish_beyond_max_age_splits_identity():
     stream = [frame(f, [det(0)] if f not in (4, 5) else []) for f in range(10)]
     short = run(stream, TrackerConfig(max_age=1))
