@@ -34,6 +34,7 @@ appearances (never extrapolating past the first or last one).
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import gzip
@@ -229,9 +230,7 @@ def interpolate(sampled: VideoAnnotation, frame_count: int) -> VideoAnnotation:
     corners that cross or collapse, not every mismatched order: a quarter-turn
     shift of the corners interpolates without complaint.
     """
-    frames: dict[int, list[Instance]] = {
-        idx: list(insts) for idx, insts in sorted(sampled.frames.items())
-    }
+    frames = {idx: list(insts) for idx, insts in sampled.frames.items()}
 
     for traj in annotation_to_trajectories(sampled):
         track_id = traj.track_id
@@ -307,21 +306,22 @@ def trajectories_to_annotation(
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
 def _open(target, mode: str):
-    """``(stream, owned)`` for reading (``mode`` "r") or writing ("w")
-    UTF-8 text: an open stream is used as it is and stays the caller's;
-    a path is opened, through gzip when its name ends in ".gz", and the
-    caller closes it."""
+    """A UTF-8 text stream to read (``mode`` "r") or write ("w"): a caller's
+    stream as it is, left open, or a path opened, through gzip when its name
+    ends in ".gz", and closed on exit, also when the body raises."""
     if hasattr(target, "read" if mode == "r" else "write"):
-        return target, False
+        yield target
+        return
     path = Path(target)
     opener = gzip.open if path.suffix == ".gz" else open
-    return opener(path, mode + "t", encoding="utf-8"), True
+    with opener(path, mode + "t", encoding="utf-8") as stream:
+        yield stream
 
 
 def _load_json(source):
-    fh, owned = _open(source, "r")
-    try:
+    with _open(source, "r") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -330,13 +330,17 @@ def _load_json(source):
             raise SchemaError("$", f"not UTF-8 text: {exc}") from None
         except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
             raise SchemaError("$", f"not a readable gzip stream: {exc}") from None
-    finally:
-        if owned:
-            fh.close()
 
 
-def _expect(doc, key, kind, path, kind_name=None):
+_REQUIRED = object()
+
+
+def _expect(doc, key, kind, path, kind_name=None, default=_REQUIRED):
+    """``doc[key]``, a ``kind`` (``kind_name`` in errors) at JSON path ``path``;
+    an absent key gives ``default``, or without one is a missing required field."""
     if key not in doc:
+        if default is not _REQUIRED:
+            return default
         raise SchemaError(f"{path}.{key}" if path else key, "missing required field")
     value = doc[key]
     if kind is int and isinstance(value, bool):
@@ -362,9 +366,7 @@ def _parse_header(doc):
         raise SchemaError("frame_count", f"must be >= 1, got {frame_count}")
     if width <= 0 or height <= 0:
         raise SchemaError("width", f"dimensions must be positive, got {width}x{height}")
-    scenario = doc.get("scenario")
-    if scenario is not None and not isinstance(scenario, str):
-        raise SchemaError("scenario", f"expected string, got {type(scenario).__name__}")
+    scenario = _expect(doc, "scenario", (str, type(None)), "", "string", None)
     return video_id, width, height, frame_count, frames, scenario
 
 
@@ -433,20 +435,13 @@ def _parse_points(entry, path: str, key: str = "points", *,
     return quad
 
 
-def _parse_transcription(entry, path: str, required: bool = True) -> str | None:
-    """The entry's transcription, a string or null; an absent one is
-    None unless ``required``."""
-    if not required and "transcription" not in entry:
-        return None
-    return _expect(entry, "transcription", (str, type(None)), path, "string or null")
+def _parse_transcription(entry, path: str, default=_REQUIRED) -> str | None:
+    """The entry's transcription, a string or null; ``default`` as in ``_expect``."""
+    return _expect(entry, "transcription", (str, type(None)), path, "string or null", default)
 
 
 def _parse_category(entry, path: str) -> TextCategory:
-    if "category" not in entry:
-        return TextCategory.OTHERS
-    raw = entry["category"]
-    if not isinstance(raw, str):
-        raise SchemaError(f"{path}.category", f"expected string, got {type(raw).__name__}")
+    raw = _expect(entry, "category", str, path, "string", TextCategory.OTHERS.value)
     try:
         return TextCategory.parse(raw)
     except ValueError as exc:
@@ -479,14 +474,12 @@ def _read_instance(entry: dict, path: str) -> Instance:
 
 def _read_detection(entry: dict, path: str) -> Detection:
     box = _parse_points(entry, path, as_box=True)
-    if "score" not in entry:
-        raise SchemaError(f"{path}.score", "missing required field")
-    score = entry["score"]
-    if isinstance(score, bool) or not isinstance(score, (int, float)):
-        raise SchemaError(f"{path}.score", f"expected a number, got {type(score).__name__}")
+    score = _expect(entry, "score", (int, float), path, "a number")
+    if isinstance(score, bool):
+        raise SchemaError(f"{path}.score", "expected a number, got bool")
     if not (0.0 <= score <= 1.0):
         raise SchemaError(f"{path}.score", f"must be in [0,1], got {score}")
-    transcription = _parse_transcription(entry, path, required=False)
+    transcription = _parse_transcription(entry, path, default=None)
     track_box = None
     if entry.get("track_box") is not None:
         track_box = _parse_points(entry, path, "track_box", as_box=True)
@@ -541,13 +534,9 @@ def _write_detection(det: Detection) -> dict:
 
 
 def _dump_json(payload: dict, target) -> None:
-    fh, owned = _open(target, "w")
-    try:
+    with _open(target, "w") as fh:
         json.dump(payload, fh, ensure_ascii=False, indent=1)
         fh.write("\n")
-    finally:
-        if owned:
-            fh.close()
 
 
 def _write_document(video, frames, write_entry, target, scenario=None) -> None:

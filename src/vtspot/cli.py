@@ -1,15 +1,18 @@
 """Command-line surface: evaluate, track, interpolate, sample, loss, synth.
 
 Exit codes: 0 success, 1 usage error, 2 malformed or unreadable input,
-3 mismatched inputs (different videos).  Reports go to stdout unless
-``--out`` is given (a name ending in ".gz" is written gzip-compressed);
-diagnostics go to stderr.
+3 mismatched inputs (different videos).  Reports go to stdout, in UTF-8
+whatever the locale, unless ``--out`` is given (a name ending in ".gz" is
+written gzip-compressed); diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
+import functools
 import math
 import os
 import sys
@@ -32,6 +35,7 @@ from .errors import DataError, MetricsError, SchemaError, VideoMismatch
 from .geometry import quad_to_rotated
 from .linker import LinkerConfig, link
 from .matching import (
+    _TERM_NAMES,
     CostWeights,
     GroundTruthInstance,
     PredictedInstance,
@@ -45,7 +49,7 @@ from .metrics import (
     aggregate,
     evaluate,
 )
-from .synth import SynthConfig, generate
+from .synth import MOTIONS, SynthConfig, generate
 from .tracker import TrackerConfig
 from .tracker import run as run_tracker
 
@@ -89,9 +93,16 @@ def _env_jobs(parser: argparse.ArgumentParser) -> int:
         parser.error(f"VTSPOT_JOBS must be an integer >= 1, got {raw!r}")
 
 
+def _config(cls, args):
+    """The ``cls`` of the options given, each stored under its field's name;
+    the parser's ``argument_default=SUPPRESS`` omits the rest, so defaults hold."""
+    given = vars(args)
+    return cls(**{f.name: given[f.name] for f in dataclasses.fields(cls)
+                  if f.name in given})
+
+
 def _csv_rows(reports: list[MetricsReport], target) -> None:
-    stream, owned = _open(target, "w")
-    try:
+    with _open(target, "w") as stream:
         writer = csv.writer(stream)
         writer.writerow(["video_id", "scenario", "task", *_RATIO_NAMES,
                          "mt", "ml", "degenerate"])
@@ -105,9 +116,6 @@ def _csv_rows(reports: list[MetricsReport], target) -> None:
                 r.ml,
                 ";".join(r.degenerate),
             ])
-    finally:
-        if owned:
-            stream.close()
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +123,12 @@ def _csv_rows(reports: list[MetricsReport], target) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _eval_pair(job) -> MetricsReport:
-    gt_path, pred_path, task, iou_thresh, iou_floor, case_insensitive = job
+def _eval_pair(pair: tuple[str, str], **settings) -> MetricsReport:
+    gt_path, pred_path = pair
     gt = load_annotation(gt_path)
     pred = load_annotation(pred_path)
     try:
-        return evaluate(gt, pred, task, iou_thresh=iou_thresh,
-                        iou_floor=iou_floor, case_insensitive=case_insensitive)
+        return evaluate(gt, pred, **settings)
     except MetricsError as exc:  # the same kind, so the same exit code
         raise type(exc)(f"{gt_path} vs {pred_path}: {exc}") from None
 
@@ -150,13 +157,9 @@ def _corpus_pairs(gt_dir: str, pred_dir: str) -> list[tuple[str, str]]:
 def cmd_evaluate(args) -> int:
     n_workers = args.jobs if args.jobs is not None else _env_jobs(args.parser)
     if not (0.0 < args.iou_thresh <= 1.0):
-        print(f"vtspot: --iou-thresh must be in (0, 1], got {args.iou_thresh}",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"--iou-thresh must be in (0, 1], got {args.iou_thresh}")
     if not (0.0 <= args.iou_floor < 1.0):
-        print(f"vtspot: --iou-floor must be in [0, 1), got {args.iou_floor}",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"--iou-floor must be in [0, 1), got {args.iou_floor}")
     if (args.gt_dir is None) != (args.pred_dir is None):
         args.parser.error("--gt-dir and --pred-dir must be used together")
     if args.gt_dir is not None:
@@ -170,31 +173,25 @@ def cmd_evaluate(args) -> int:
             args.parser.error("need a reference and a prediction file")
         pairs = [(args.gt, args.pred)]
 
-    jobs = [(g, p, args.task, args.iou_thresh, args.iou_floor,
-             args.case_insensitive) for g, p in pairs]
-    if n_workers > 1 and len(jobs) > 1:
+    score = functools.partial(
+        _eval_pair, task=args.task, iou_thresh=args.iou_thresh,
+        iou_floor=args.iou_floor, case_insensitive=args.case_insensitive)
+    if n_workers > 1 and len(pairs) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            reports = list(pool.map(_eval_pair, jobs))
+            reports = list(pool.map(score, pairs))
     else:
-        reports = [_eval_pair(job) for job in jobs]
+        reports = [score(pair) for pair in pairs]
 
-    out = args.out or sys.stdout
-    if len(reports) == 1 and args.gt_dir is None:
-        if args.format == "json":
-            _dump_json(reports[0].to_dict(), out)
-        else:
-            _csv_rows(reports, out)
-        return 0
-
-    summary = aggregate(reports)
-    if args.format == "json":
-        _dump_json(
-            {"videos": [r.to_dict() for r in reports],
-             "aggregate": summary.to_dict()},
-            out,
-        )
+    # a pair of files gives its own report; a corpus adds the pooled one
+    summary = [] if args.gt_dir is None else [aggregate(reports)]
+    if args.format == "csv":
+        write, doc = _csv_rows, reports + summary
+    elif summary:
+        write, doc = _dump_json, {"videos": [r.to_dict() for r in reports],
+                                  "aggregate": summary[0].to_dict()}
     else:
-        _csv_rows(reports + [summary], out)
+        write, doc = _dump_json, reports[0].to_dict()
+    write(doc, args.out or sys.stdout)
     return 0
 
 
@@ -206,13 +203,8 @@ def cmd_evaluate(args) -> int:
 def cmd_track(args) -> int:
     # Both configurations are built before the file is read, so that every
     # option is range-checked (a ValueError, exit 1) whatever the method.
-    tracker_cfg = TrackerConfig(
-        iou_threshold=0.5 if args.iou_thresh is None else args.iou_thresh,
-        max_age=args.max_age, min_score=args.min_score)
-    linker_cfg = LinkerConfig(
-        window=args.window,
-        iou_threshold=0.3 if args.iou_thresh is None else args.iou_thresh,
-        max_norm_edit=args.max_norm_edit)
+    tracker_cfg = _config(TrackerConfig, args)
+    linker_cfg = _config(LinkerConfig, args)
     dets = load_detections(args.detections)
     if args.method == "transformer-assoc":
         trajectories = run_tracker(dets.frames, tracker_cfg)
@@ -220,7 +212,7 @@ def cmd_track(args) -> int:
         frames = [
             (fd.frame_index,
              [(d.box.quad, d.transcription or "")
-              for d in fd.detections if d.score >= args.min_score])
+              for d in fd.detections if d.score >= tracker_cfg.min_score])
             for fd in dets.frames
         ]
         trajectories = link(frames, linker_cfg)
@@ -277,7 +269,7 @@ def cmd_loss(args) -> int:
     _check_same_video(gt, preds)
     w = args.weights
     frames_out = []
-    totals = {"cls": 0.0, "l1": 0.0, "giou": 0.0, "angle": 0.0}
+    totals = dict.fromkeys(_TERM_NAMES, 0.0)
     listed = {fd.frame_index: fd.detections for fd in preds.frames}
     # a frame that neither input lists adds exactly 0.0 to every term
     for f in sorted(gt.frames.keys() | listed.keys()):
@@ -311,8 +303,7 @@ def cmd_loss(args) -> int:
         })
     payload = {
         "video_id": gt.video_id,
-        "weights": {"w_cls": w.w_cls, "w_l1": w.w_l1, "w_giou": w.w_giou,
-                    "w_angle": w.w_angle},
+        "weights": dataclasses.asdict(w),
         "frames": frames_out,
         "totals": totals,
         "loss": math.fsum(totals.values()),
@@ -327,12 +318,7 @@ def cmd_loss(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = SynthConfig(
-        n_objects=args.objects, n_frames=args.frames, motion=args.motion,
-        noise_sigma=args.noise_sigma, drop_prob=args.drop_prob,
-        seed=args.seed,
-    )
-    gt, dets = generate(cfg)
+    gt, dets = generate(_config(SynthConfig, args))
     save_annotation(gt, args.gt_out)
     save_detections(dets, args.dets_out)
     return 0
@@ -373,21 +359,23 @@ def _build_parser() -> _Parser:
                              "(default: VTSPOT_JOBS or 1)")
     p_eval.set_defaults(func=cmd_evaluate, parser=p_eval)
 
-    p_track = sub.add_parser("track", help="link detections into trajectories")
+    p_track = sub.add_parser("track", help="link detections into trajectories",
+                             argument_default=argparse.SUPPRESS)
     p_track.add_argument("detections", help="detections JSON")
     p_track.add_argument("--method",
                          choices=("transformer-assoc", "linker"),
                          default="transformer-assoc")
-    p_track.add_argument("--iou-thresh", type=float, default=None,
+    p_track.add_argument("--iou-thresh", dest="iou_threshold", metavar="IOU_THRESH",
+                         type=float,
                          help="association gate (default 0.5, linker 0.3)")
-    p_track.add_argument("--max-age", type=int, default=0,
+    p_track.add_argument("--max-age", type=int,
                          help="frames a track survives unmatched")
-    p_track.add_argument("--min-score", type=float, default=0.0)
-    p_track.add_argument("--window", type=int, default=3,
+    p_track.add_argument("--min-score", type=float)
+    p_track.add_argument("--window", type=int,
                          help="linker: how many past frames to search")
-    p_track.add_argument("--max-norm-edit", type=float, default=0.3,
+    p_track.add_argument("--max-norm-edit", type=float,
                          help="linker: normalized edit-distance gate")
-    p_track.add_argument("--out")
+    p_track.add_argument("--out", default=None)
     p_track.set_defaults(func=cmd_track, parser=p_track)
 
     p_interp = sub.add_parser("interpolate",
@@ -419,15 +407,16 @@ def _build_parser() -> _Parser:
     p_loss.add_argument("--out")
     p_loss.set_defaults(func=cmd_loss, parser=p_loss)
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic video world")
-    p_synth.add_argument("--objects", type=_positive_int, default=4)
-    p_synth.add_argument("--frames", type=_positive_int, default=30)
-    p_synth.add_argument("--motion",
-                         choices=("static", "constant_velocity", "rotate"),
-                         default="constant_velocity")
-    p_synth.add_argument("--noise-sigma", type=float, default=0.0)
-    p_synth.add_argument("--drop-prob", type=float, default=0.0)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth = sub.add_parser("synth", help="generate a synthetic video world",
+                             argument_default=argparse.SUPPRESS)
+    p_synth.add_argument("--objects", dest="n_objects", metavar="OBJECTS",
+                         type=_positive_int)
+    p_synth.add_argument("--frames", dest="n_frames", metavar="FRAMES",
+                         type=_positive_int)
+    p_synth.add_argument("--motion", choices=MOTIONS)
+    p_synth.add_argument("--noise-sigma", type=float)
+    p_synth.add_argument("--drop-prob", type=float)
+    p_synth.add_argument("--seed", type=int)
     p_synth.add_argument("--gt-out", required=True)
     p_synth.add_argument("--dets-out", required=True)
     p_synth.set_defaults(func=cmd_synth, parser=p_synth)
@@ -435,11 +424,29 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@contextlib.contextmanager
+def _utf8_stdout():
+    """Stdout is UTF-8, like both formats, while a command runs, whatever the
+    locale, and is restored after; a stream without ``reconfigure`` is left be."""
+    stream = sys.stdout
+    reconfigure = getattr(stream, "reconfigure", None)
+    if reconfigure is None:
+        yield
+        return
+    encoding, errors = stream.encoding, stream.errors
+    reconfigure(encoding="utf-8", errors="strict")
+    try:
+        yield
+    finally:
+        reconfigure(encoding=encoding, errors=errors)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _utf8_stdout():
+            return args.func(args)
     except VideoMismatch as exc:
         print(f"vtspot: mismatched inputs: {exc}", file=sys.stderr)
         return 3

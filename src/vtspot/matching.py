@@ -15,12 +15,15 @@ pairs at a time, each priced for the same solver by ``gated_cost``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import NonFiniteCost, SizeMismatch
 from .geometry import RotatedBox, giou
 
 _PROB_EPS = 1e-12
+
+# the set-loss terms in report order, "cls" then the box terms; weight: w_<term>
+_TERM_NAMES = ("cls", "l1", "giou", "angle")
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,10 +63,10 @@ class CostWeights:
     w_angle: float = 2.0
 
     def __post_init__(self):
-        for name in ("w_cls", "w_l1", "w_giou", "w_angle"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+                raise ValueError(f"{f.name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -263,13 +266,13 @@ def set_loss_terms(gts, preds, assignment: Assignment, w: CostWeights) -> dict[s
     contribute to. No-object pairs pay -log of the predicted no-object
     probability instead.
     """
-    terms = {"cls": 0.0, "l1": 0.0, "giou": 0.0, "angle": 0.0}
+    terms = dict.fromkeys(_TERM_NAMES, 0.0)
     for gi, pi in assignment.pairs:
         gt = gts[gi]
         pred = preds[pi]
         if gt.is_object:
             terms["cls"] += -math.log(_clamp_prob(pred.class_prob))
-            for key, value in zip(("l1", "giou", "angle"), _box_terms(gt.box, pred.box, w)):
+            for key, value in zip(_TERM_NAMES[1:], _box_terms(gt.box, pred.box, w)):
                 terms[key] += value
         else:
             terms["cls"] += -math.log(_clamp_prob(1.0 - pred.class_prob))

@@ -1,10 +1,13 @@
 import dataclasses
+import gc
 import gzip
 import io
 import json
 import math
 import pickle
 import random
+import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -918,3 +921,99 @@ def test_a_repeated_id_is_named_by_the_frame_index():
     with pytest.raises(DuplicateTrackIdInFrame) as exc_info:
         load_annotation(io.StringIO(json.dumps(doc)))
     assert str(exc_info.value) == "frames.1[1]: track id 0 repeated in frame 1"
+
+
+# ---------------------------------------------------------------------------
+# optional and typed entry fields: exact loader messages
+# ---------------------------------------------------------------------------
+
+_ABSENT = object()
+
+# (loader, where, field, value, message); ``where`` is "header" or "entry",
+# and a value of _ABSENT deletes the field.
+FIELD_MESSAGES = [
+    (load_annotation, "header", "scenario", 3, "scenario: expected string, got int"),
+    (load_annotation, "header", "scenario", ["a"], "scenario: expected string, got list"),
+    (load_annotation, "header", "scenario", True, "scenario: expected string, got bool"),
+    (load_detections, "header", "scenario", 1.5, "scenario: expected string, got float"),
+    (load_annotation, "entry", "category", None,
+     "frames.1[0].category: expected string, got NoneType"),
+    (load_annotation, "entry", "category", 3, "frames.1[0].category: expected string, got int"),
+    (load_annotation, "entry", "category", "banner",
+     "frames.1[0].category: unknown category 'banner'; "
+     "expected one of caption, title, scene, others"),
+    (load_annotation, "entry", "transcription", _ABSENT,
+     "frames.1[0].transcription: missing required field"),
+    (load_annotation, "entry", "transcription", 3,
+     "frames.1[0].transcription: expected string or null, got int"),
+    (load_annotation, "entry", "transcription", False,
+     "frames.1[0].transcription: expected string or null, got bool"),
+    (load_detections, "entry", "transcription", 3,
+     "frames.1[0].transcription: expected string or null, got int"),
+    (load_detections, "entry", "transcription", {"text": "ab"},
+     "frames.1[0].transcription: expected string or null, got dict"),
+    (load_detections, "entry", "score", _ABSENT, "frames.1[0].score: missing required field"),
+    (load_detections, "entry", "score", None, "frames.1[0].score: expected a number, got NoneType"),
+    (load_detections, "entry", "score", "0.5", "frames.1[0].score: expected a number, got str"),
+    (load_detections, "entry", "score", True, "frames.1[0].score: expected a number, got bool"),
+    (load_detections, "entry", "score", False, "frames.1[0].score: expected a number, got bool"),
+    (load_detections, "entry", "score", [0.5], "frames.1[0].score: expected a number, got list"),
+    (load_detections, "entry", "score", 1.5, "frames.1[0].score: must be in [0,1], got 1.5"),
+    (load_detections, "entry", "score", -1, "frames.1[0].score: must be in [0,1], got -1"),
+]
+
+
+@pytest.mark.parametrize("load, where, field, value, message", FIELD_MESSAGES,
+                         ids=[f"{c[0].__name__}-{c[2]}-{c[3]!r}" for c in FIELD_MESSAGES])
+def test_field_schema_messages_are_exact(load, where, field, value, message):
+    doc = json.loads(json.dumps(BOTH_FORMATS_DOC))
+    target = doc if where == "header" else doc["frames"]["1"][0]
+    if value is _ABSENT:
+        del target[field]
+    else:
+        target[field] = value
+    with pytest.raises(SchemaError) as exc_info:
+        load(io.StringIO(json.dumps(doc)))
+    assert str(exc_info.value) == message
+
+
+@pytest.mark.parametrize("value", [_ABSENT, None])
+def test_absent_or_null_scenario_loads_as_none(value):
+    doc = json.loads(json.dumps(BOTH_FORMATS_DOC))
+    if value is not _ABSENT:
+        doc["scenario"] = value
+    assert load_annotation(io.StringIO(json.dumps(doc))).scenario is None
+
+
+# ---------------------------------------------------------------------------
+# stream ownership
+# ---------------------------------------------------------------------------
+
+
+def test_a_callers_stream_stays_open():
+    gt, dets = generate(SynthConfig(n_objects=2, n_frames=3))
+    for save, load, value in ((save_annotation, load_annotation, gt),
+                              (save_detections, load_detections, dets)):
+        stream = io.StringIO()
+        save(value, stream)
+        assert not stream.closed
+        stream.seek(0)
+        load(stream)
+        assert not stream.closed
+
+
+@pytest.mark.parametrize("load", [load_annotation, load_detections])
+def test_a_path_is_closed_when_its_parse_raises(tmp_path, load):
+    path = tmp_path / "bad.json"
+    path.write_text('{"video_id": ', encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        unraisable = []
+        hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
+        try:
+            with pytest.raises(SchemaError):
+                load(path)
+            gc.collect()
+        finally:
+            sys.unraisablehook = hook
+    assert not unraisable

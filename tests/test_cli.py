@@ -1,4 +1,6 @@
+import dataclasses
 import gzip
+import io
 import json
 import math
 import os
@@ -15,11 +17,16 @@ from vtspot.annotations import (
     Instance,
     VideoAnnotation,
     load_annotation,
+    load_detections,
     save_annotation,
+    save_detections,
+    save_trajectories,
 )
 from vtspot.cli import main
 from vtspot.geometry import RotatedBox, rotated_to_quad
+from vtspot.linker import LinkerConfig, link
 from vtspot.metrics import evaluate
+from vtspot.synth import SynthConfig, generate
 
 
 def run_cli(*argv):
@@ -864,3 +871,91 @@ def test_gz_sample_feeds_interpolate(tmp_path):
     assert run_cli("interpolate", str(sampled), "--k", "3", "--frames", "9",
                    "--out", str(dense)) == 0
     assert load_annotation(dense).frame_count == 9
+
+
+# ---------------------------------------------------------------------------
+# library defaults and the stdout encoding
+# ---------------------------------------------------------------------------
+
+
+def test_track_defaults_are_the_library_defaults(tmp_path):
+    """Without options, each method runs with its config's defaults."""
+    _, synth_path = make_synth(tmp_path, **{"--objects": 6, "--noise-sigma": 3,
+                                            "--drop-prob": 0.3, "--motion": "rotate"})
+    # spread the scores and misspell some words, so that every gate counts
+    dets = load_detections(synth_path)
+    for fd in dets.frames:
+        fd.detections = [
+            dataclasses.replace(d, score=(fd.frame_index + i) % 10 / 10,
+                                transcription=d.transcription[:-1] + "#"
+                                if (fd.frame_index + i) % 3 == 0 else d.transcription)
+            for i, d in enumerate(fd.detections)]
+    dets_path = tmp_path / "dets.json"
+    save_detections(dets, dets_path)
+    dets = load_detections(dets_path)
+    linked = link([(fd.frame_index, [(d.box.quad, d.transcription or "")
+                                     for d in fd.detections])
+                   for fd in dets.frames], LinkerConfig())
+    for argv, trajectories in (([], vtspot.track(dets.frames)),
+                               (["--method", "linker"], linked)):
+        out, expected = tmp_path / "out.json", tmp_path / "expected.json"
+        assert run_cli("track", str(dets_path), *argv, "--out", str(out)) == 0
+        save_trajectories(trajectories, dets.video_id, dets.width, dets.height,
+                          dets.frame_count, expected)
+        assert out.read_bytes() == expected.read_bytes()
+
+
+def test_synth_defaults_are_the_library_defaults(tmp_path):
+    paths = {name: tmp_path / f"{name}.json" for name in ("gt", "dets", "ref-gt", "ref-dets")}
+    assert run_cli("synth", "--gt-out", str(paths["gt"]),
+                   "--dets-out", str(paths["dets"])) == 0
+    gt, dets = generate(SynthConfig())
+    save_annotation(gt, paths["ref-gt"])
+    save_detections(dets, paths["ref-dets"])
+    assert paths["gt"].read_bytes() == paths["ref-gt"].read_bytes()
+    assert paths["dets"].read_bytes() == paths["ref-dets"].read_bytes()
+
+
+def bilingual_clip(tmp_path) -> Path:
+    """A clip that both loaders read, with Chinese and English text."""
+    path = tmp_path / "clip.json"
+    path.write_text(json.dumps({
+        "video_id": "出口-exit", "width": 64, "height": 48, "frame_count": 4,
+        "frames": {str(f): [
+            {"id": 0, "points": [1, 1, 9, 1, 9, 5, 1, 5], "transcription": "出口",
+             "score": 0.9},
+            {"id": 1, "points": [20, 20, 40, 20, 40, 30, 20, 30], "transcription": "EXIT",
+             "score": 0.8},
+        ] for f in range(4)},
+    }, ensure_ascii=False), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+@pytest.mark.parametrize("command", ["track", "sample"])
+def test_stdout_is_utf8_whatever_the_locale(tmp_path, command, encoding):
+    clip = bilingual_clip(tmp_path)
+    out = tmp_path / "out.json"
+    assert run_cli(command, str(clip), "--out", str(out)) == 0
+    proc = subprocess.run([sys.executable, "-m", "vtspot", command, str(clip)],
+                          capture_output=True, timeout=60,
+                          env=dict(child_env(), PYTHONIOENCODING=encoding))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.read_bytes()
+
+
+def test_main_restores_the_stdout_it_found(tmp_path, monkeypatch):
+    clip = bilingual_clip(tmp_path)
+    out = tmp_path / "out.json"
+    assert run_cli("sample", str(clip), "--out", str(out)) == 0
+    stream = io.TextIOWrapper(io.BytesIO(), encoding="latin-1", errors="backslashreplace")
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert run_cli("sample", str(clip)) == 0
+    assert (stream.encoding, stream.errors) == ("latin-1", "backslashreplace")
+    stream.flush()
+    assert stream.buffer.getvalue() == out.read_bytes()
+    # a stream that cannot be reconfigured is written as it is
+    text = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", text)
+    assert run_cli("sample", str(clip)) == 0
+    assert text.getvalue() == out.read_text(encoding="utf-8")
