@@ -38,7 +38,9 @@ import contextlib
 import enum
 import functools
 import gzip
+import io
 import json
+import os
 import re
 import zlib
 from dataclasses import dataclass, replace
@@ -310,14 +312,33 @@ def trajectories_to_annotation(
 def _open(target, mode: str):
     """A UTF-8 text stream to read (``mode`` "r") or write ("w"): a caller's
     stream as it is, left open, or a path opened, through gzip when its name
-    ends in ".gz", and closed on exit, also when the body raises."""
+    ends in ".gz", and closed on exit, also when the body raises.
+
+    A path that names a regular file, or nothing yet, is written whole or
+    not at all: into a temporary file beside it with the same suffix, which
+    replaces it when the body returns and is removed when the body raises.
+    Any other path (a device such as /dev/stdout, a pipe) is written in place.
+    """
     if hasattr(target, "read" if mode == "r" else "write"):
         yield target
         return
     path = Path(target)
-    opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, mode + "t", encoding="utf-8") as stream:
-        yield stream
+    gz = path.suffix == ".gz"
+    if mode == "r" or (path.exists() and not path.is_file()):
+        with (gzip.open if gz else open)(path, mode + "t", encoding="utf-8") as stream:
+            yield stream
+        return
+    tmp = path.with_name(f".{path.stem}.{os.urandom(4).hex()}.tmp{path.suffix}")
+    try:
+        with open(tmp, "xb") as raw, io.TextIOWrapper(
+                # the gzip header names the target, not the temporary file
+                gzip.GzipFile(str(path), "wb", fileobj=raw) if gz else raw,
+                encoding="utf-8") as stream:
+            yield stream
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _load_json(source):
@@ -436,8 +457,18 @@ def _parse_points(entry, path: str, key: str = "points", *,
 
 
 def _parse_transcription(entry, path: str, default=_REQUIRED) -> str | None:
-    """The entry's transcription, a string or null; ``default`` as in ``_expect``."""
-    return _expect(entry, "transcription", (str, type(None)), path, "string or null", default)
+    """The entry's transcription, a string or null; ``default`` as in ``_expect``.
+    A string that no UTF-8 writer can encode (a lone surrogate, which a JSON
+    escape such as ``"\\udc80"`` yields) is refused here, not at the next save."""
+    text = _expect(entry, "transcription", (str, type(None)), path, "string or null", default)
+    if isinstance(text, str) and not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise SchemaError(f"{path}.transcription",
+                              f"not encodable as UTF-8: {exc.reason} at index {exc.start}"
+                              ) from None
+    return text
 
 
 def _parse_category(entry, path: str) -> TextCategory:

@@ -476,16 +476,37 @@ def giou(a: RotatedBox, b: RotatedBox) -> float:
     ``giou(b, b)`` is about 0.55 for ``RotatedBox(0.3, 0.4, 0.05, 0.02, 0.3)``.
     Raises NonConvexInput when rounding left a box's unrolled corners
     non-convex, even when the boxes are far apart.  Boxes whose padded
-    extents are apart are not clipped: their overlap is 0.
+    extents are apart are not clipped: their IoU is 0, so their score is
+    ``0.0 - (hull - union) / hull``, taken without a helper call.
     """
-    qa = a.quad
-    qb = b.quad
-    ea = qa._convex_extents()
-    eb = qb._convex_extents()
-    inter = 0.0 if _apart(ea, eb) else _area(_clip(qa._xy, qb._xy))
-    union = a.area + b.area - inter
-    hull = ((max(ea[2], eb[2]) - min(ea[0], eb[0]))
-            * (max(ea[3], eb[3]) - min(ea[1], eb[1])))
+    qa = a._quad
+    if qa is None:
+        qa = rotated_to_quad(a)
+    qb = b._quad
+    if qb is None:
+        qb = rotated_to_quad(b)
+    ea = qa._extents
+    if ea is None:
+        ea = qa._convex_extents()
+    eb = qb._extents
+    if eb is None:
+        eb = qb._convex_extents()
+    a_lo_x, a_lo_y, a_hi_x, a_hi_y, a_pad = ea
+    b_lo_x, b_lo_y, b_hi_x, b_hi_y, b_pad = eb
+    # max(p, q) and min(p, q) keep p on a tie, and so do these
+    hull = (((b_hi_x if b_hi_x > a_hi_x else a_hi_x) - (b_lo_x if b_lo_x < a_lo_x else a_lo_x))
+            * ((b_hi_y if b_hi_y > a_hi_y else a_hi_y) - (b_lo_y if b_lo_y < a_lo_y else a_lo_y)))
+    union = a.w * a.h + b.w * b.h
+    # _apart(ea, eb), spelled out
+    if (a_hi_x + a_pad < b_lo_x - b_pad or b_hi_x + b_pad < a_lo_x - a_pad
+            or a_hi_y + a_pad < b_lo_y - b_pad or b_hi_y + b_pad < a_lo_y - a_pad):
+        if hull <= 0.0:
+            return 0.0
+        gap = hull - union
+        # max(0.0, gap): 0.0 on a tie, and for a nan gap
+        return 0.0 - (gap if gap > 0.0 else 0.0) / hull
+    inter = _area(_clip(qa._xy, qb._xy))
+    union -= inter
     value = _area_ratio(inter, union)
     if hull <= 0.0:
         return value

@@ -96,13 +96,38 @@ def _box_terms(a: RotatedBox, b: RotatedBox, w: CostWeights) -> tuple[float, flo
     )
 
 
-def pair_cost(gt: GroundTruthInstance, pred: PredictedInstance, w: CostWeights) -> float:
-    """Matching cost of one (gt, pred) pair; 0 for no-object gt entries,
-    whose boxes are therefore never unrolled."""
+def _flat_preds(preds, w: CostWeights) -> list[tuple]:
+    """What a cost row reads of each prediction, read once: its weighted
+    class term ``-w_cls * p``, its box, and the box's cx, cy, w, h, angle."""
+    out = []
+    for p in preds:
+        b = p.box
+        out.append((-w.w_cls * p.class_prob, b, b.cx, b.cy, b.w, b.h, b.angle))
+    return out
+
+
+def _cost_row(gt: GroundTruthInstance, flat: list[tuple], w: CostWeights) -> list[float]:
+    """The matching cost of ``gt`` against each prediction of ``flat``
+    (``_flat_preds``), in one loop: ``cls + w_l1*l1 + w_giou*(1 - giou) +
+    w_angle*(1 - cos(pred angle - gt angle))``, summed in that order.  A
+    no-object entry costs 0 against every prediction and is never unrolled."""
     if not gt.is_object:
-        return 0.0
-    l1, giou_gap, angle = _box_terms(gt.box, pred.box, w)
-    return -w.w_cls * pred.class_prob + l1 + giou_gap + angle
+        return [0.0] * len(flat)
+    a = gt.box
+    a_cx, a_cy, a_w, a_h, a_angle = a.cx, a.cy, a.w, a.h, a.angle
+    w_l1, w_giou, w_angle = w.w_l1, w.w_giou, w.w_angle
+    # read here, not at import, so that a rebound module global is called
+    score, cos = giou, math.cos
+    return [cls + w_l1 * (abs(a_cx - cx) + abs(a_cy - cy) + abs(a_w - bw) + abs(a_h - bh))
+            + w_giou * (1.0 - score(a, b)) + w_angle * (1.0 - cos(angle - a_angle))
+            for cls, b, cx, cy, bw, bh, angle in flat]
+
+
+def pair_cost(gt: GroundTruthInstance, pred: PredictedInstance, w: CostWeights) -> float:
+    """Matching cost of one (gt, pred) pair, the one-prediction row of
+    ``match_sets``' cost matrix; 0 for no-object gt entries, whose boxes
+    are therefore never unrolled."""
+    return _cost_row(gt, _flat_preds((pred,), w), w)[0]
 
 
 def hungarian(cost) -> Assignment:
@@ -111,10 +136,14 @@ def hungarian(cost) -> Assignment:
     Shortest-augmenting-path formulation with row/column potentials: each
     row is inserted in turn along a shortest path over the m columns, so
     the solve costs O(n^2 m) and returns n pairs, one per row (Bourgeois &
-    Lassalle 1971; a square matrix is the case n = m).  A matrix with more
-    rows than columns, or a ragged one, raises ValueError.  Ties are
-    broken by the lowest column index at every scan, so the result is
-    deterministic for equal-cost optima.
+    Lassalle 1971; a square matrix is the case n = m).  Each step of a path
+    scans only the columns the path has not reached yet, kept in ascending
+    order, and shifts the potentials of those it has.  A matrix with more
+    rows than columns, or a ragged one, raises ValueError; a nan or an
+    infinity raises NonFiniteCost naming its first cell in row-major order
+    (finite cells whose sum overflows are accepted).  Ties are broken by
+    the lowest column index at every scan, so the result is deterministic
+    for equal-cost optima.
     """
     n = len(cost)
     if n == 0:
@@ -122,12 +151,16 @@ def hungarian(cost) -> Assignment:
     m = len(cost[0])
     if n > m:
         raise ValueError(f"cost matrix has {n} rows but only {m} columns")
+    rows = []  # 1-based: rows[i][j] is cost[i][j - 1]
     for i, row in enumerate(cost):
         if len(row) != m:
             raise ValueError(f"cost matrix is ragged, row {i} has {len(row)} entries, not {m}")
-        for j, value in enumerate(row):
-            if not math.isfinite(value):
-                raise NonFiniteCost(f"cost[{i}][{j}] = {value!r}")
+        # an inf or a nan anywhere makes the sum non-finite
+        if not math.isfinite(sum(row)):
+            for j, value in enumerate(row):
+                if not math.isfinite(value):
+                    raise NonFiniteCost(f"cost[{i}][{j}] = {value!r}")
+        rows.append((0.0, *row))
 
     inf = math.inf
     u = [0.0] * (n + 1)
@@ -138,33 +171,37 @@ def hungarian(cost) -> Assignment:
         col_to_row[0] = i
         j0 = 0
         minv = [inf] * (m + 1)
-        used = [False] * (m + 1)
+        free = list(range(1, m + 1))
+        used = [0]
+        # the last step's delta, still to be taken off each free minv: the
+        # scan takes it off as it reads, the same subtraction a separate
+        # pass would make (x - 0.0 is x, so the first step is unchanged)
+        shift = 0.0
         while True:
-            used[j0] = True
             i0 = col_to_row[j0]
-            row = cost[i0 - 1]
+            row = rows[i0 - 1]
             u_i0 = u[i0]
             delta = inf
             j1 = 0
-            for j in range(1, m + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - u_i0 - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
+            for j in free:
+                cur = row[j] - u_i0 - v[j]
+                best = minv[j] - shift
+                if cur < best:
+                    best = cur
                     way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
+                minv[j] = best
+                if best < delta:
+                    delta = best
                     j1 = j
-            for j in range(m + 1):
-                if used[j]:
-                    u[col_to_row[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            for j in used:
+                u[col_to_row[j]] += delta
+                v[j] -= delta
+            shift = delta
             j0 = j1
             if col_to_row[j0] == 0:
                 break
+            free.remove(j0)
+            used.append(j0)
         while j0 != 0:
             j1 = way[j0]
             col_to_row[j0] = col_to_row[j1]
@@ -246,12 +283,16 @@ def match_sets(gts, preds, w: CostWeights = CostWeights()) -> Assignment:
     """Optimal one-to-one matching between equal-size gt and pred sets.
 
     Callers pad the ground truth with no-object entries up front; unequal
-    sizes raise SizeMismatch.  The cost matrix is ``pair_cost`` of every
-    pair; ``giou`` unrolls each box once, on its first pair.
+    sizes raise SizeMismatch.  Each prediction's class term and box fields
+    are read once; each gt's row of ``pair_cost``s is then built in one
+    loop over them, calling ``giou`` once per (object, prediction) pair,
+    and a padding row is all zeros.  ``giou`` unrolls each box once, on
+    its first pair.
     """
     if len(gts) != len(preds):
         raise SizeMismatch(f"{len(gts)} ground-truth entries vs {len(preds)} predictions")
-    return hungarian([[pair_cost(g, p, w) for p in preds] for g in gts])
+    flat = _flat_preds(preds, w)
+    return hungarian([_cost_row(g, flat, w) for g in gts])
 
 
 def _clamp_prob(p: float) -> float:

@@ -256,19 +256,23 @@ def _kept_preds(table: _FrameTable, gate: float) -> list[int]:
 
 
 def _detection_counts(tables: list[_FrameTable], iou_thresh: float) -> DetCounters:
-    """Per-frame greedy one-to-one matching, best IoU first."""
+    """Per-frame greedy one-to-one matching, best IoU first; equal IoUs are
+    taken in order of the reference's, then the prediction's track id, so
+    the count does not depend on the order of the instances in a frame."""
     counters = DetCounters()
     for table in tables:
         kept = _kept_preds(table, iou_thresh)
         usable = set(kept)
+        gt, preds = table.gt, table.preds
         pairs = sorted(
-            (-overlap, gi, pi) for (gi, pi), overlap in table.ious.items()
+            (-overlap, gt[gi].track_id, preds[pi].track_id, gi, pi)
+            for (gi, pi), overlap in table.ious.items()
             if overlap >= iou_thresh and pi in usable
         )
         used_g: set[int] = set()
         used_p: set[int] = set()
         tp = 0
-        for _, gi, pi in pairs:
+        for _, _, _, gi, pi in pairs:
             if gi in used_g or pi in used_p:
                 continue
             used_g.add(gi)

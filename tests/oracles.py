@@ -21,6 +21,7 @@ from vtspot.errors import (
     DegenerateQuad,
     MissingTranscription,
     NonConvexInput,
+    NonFiniteCost,
     NonMonotonicFrame,
 )
 from vtspot.geometry import (
@@ -31,7 +32,7 @@ from vtspot.geometry import (
     iou,
 )
 from vtspot.linker import LinkerConfig
-from vtspot.matching import hungarian
+from vtspot.matching import Assignment, hungarian
 from vtspot.metrics import (
     IGNORE_GATE,
     DetCounters,
@@ -400,6 +401,69 @@ def plain_cost_matrix(gts, preds, w):
                 + w.w_angle * (1.0 - math.cos(b.angle - a.angle)))
 
     return [[cost(g, p) for p in preds] for g in gts]
+
+
+def plain_hungarian(cost):
+    """The shortest-augmenting-path solver as ``hungarian`` first wrote
+    it: every scan tests each of the m + 1 columns for use, and every cell
+    is checked finite on its own."""
+    n = len(cost)
+    if n == 0:
+        return Assignment((), 0.0)
+    m = len(cost[0])
+    if n > m:
+        raise ValueError(f"cost matrix has {n} rows but only {m} columns")
+    for i, row in enumerate(cost):
+        if len(row) != m:
+            raise ValueError(f"cost matrix is ragged, row {i} has {len(row)} entries, not {m}")
+        for j, value in enumerate(row):
+            if not math.isfinite(value):
+                raise NonFiniteCost(f"cost[{i}][{j}] = {value!r}")
+
+    inf = math.inf
+    u = [0.0] * (n + 1)
+    v = [0.0] * (m + 1)
+    col_to_row = [0] * (m + 1)  # 1-based; 0 means unassigned
+    way = [0] * (m + 1)
+    for i in range(1, n + 1):
+        col_to_row[0] = i
+        j0 = 0
+        minv = [inf] * (m + 1)
+        used = [False] * (m + 1)
+        while True:
+            used[j0] = True
+            i0 = col_to_row[j0]
+            row = cost[i0 - 1]
+            u_i0 = u[i0]
+            delta = inf
+            j1 = 0
+            for j in range(1, m + 1):
+                if used[j]:
+                    continue
+                cur = row[j - 1] - u_i0 - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(m + 1):
+                if used[j]:
+                    u[col_to_row[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if col_to_row[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = way[j0]
+            col_to_row[j0] = col_to_row[j1]
+            j0 = j1
+
+    pairs = sorted((col_to_row[j] - 1, j - 1) for j in range(1, m + 1) if col_to_row[j])
+    total = math.fsum(cost[r][c] for r, c in pairs)
+    return Assignment(tuple(pairs), total)
 
 
 def _usable_quad(quad):

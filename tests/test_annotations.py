@@ -4,9 +4,12 @@ import gzip
 import io
 import json
 import math
+import os
 import pickle
 import random
+import stat
 import sys
+import threading
 import warnings
 
 import pytest
@@ -690,6 +693,74 @@ def test_damaged_gzip_is_schema_error_naming_the_file(tmp_path, load, damage):
         load(path)
     assert exc_info.value.source == str(path)
     assert exc_info.value.path == "$"
+
+
+@pytest.mark.parametrize("load,doc,frame", [(load_annotation, MINIMAL_DOC, "0"),
+                                             (load_detections, DETS_DOC, "1")])
+@pytest.mark.parametrize("text", ["\udc80", "ok \ud800 then"])
+def test_lone_surrogate_transcription_is_schema_error_naming_the_file(
+        tmp_path, load, doc, frame, text):
+    # json.dumps escapes the surrogate, so the file itself is valid UTF-8
+    doc = json.loads(json.dumps(doc))
+    doc["frames"][frame][0]["transcription"] = text
+    path = tmp_path / "video.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(SchemaError) as exc_info:
+        load(path)
+    assert exc_info.value.source == str(path)
+    assert exc_info.value.path == f"frames.{frame}[0].transcription"
+    assert exc_info.value.message.startswith("not encodable as UTF-8")
+
+
+@pytest.mark.parametrize("name", ["video.json", "video.json.gz", "video"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_save_leaves_the_target_as_it_was(tmp_path, monkeypatch, name, existing):
+    path = tmp_path / name
+    if existing:
+        path.write_bytes(b"old bytes")
+
+    def failing_dump(obj, fh, **kwargs):
+        fh.write('{"video_id": "cl')
+        raise RuntimeError("write failed partway")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(RuntimeError, match="partway"):
+        save_annotation(make_linear_video(3), path)
+    assert [p.name for p in tmp_path.iterdir()] == ([name] if existing else [])
+    if existing:
+        assert path.read_bytes() == b"old bytes"
+
+
+@pytest.mark.parametrize("name", ["video.json", "video.json.gz"])
+def test_save_replaces_the_target_whole(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"old bytes")
+    ann = make_linear_video(3)
+    save_annotation(ann, path)
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    data = path.read_bytes()
+    assert (data[:2] == b"\x1f\x8b") == name.endswith(".gz")
+    if name.endswith(".gz"):
+        # the header's FNAME field names the target, not a temporary file
+        assert data[10:data.index(b"\0", 10)] == b"video.json"
+    assert load_annotation(path).frames == ann.frames
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_save_to_a_pipe_writes_in_place(tmp_path):
+    """A path that is not a regular file, such as a pipe or /dev/stdout,
+    is written through, not replaced by a temporary file."""
+    path = tmp_path / "pipe.json"
+    os.mkfifo(path)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(path.read_bytes()), daemon=True)
+    reader.start()
+    ann = make_linear_video(3)
+    save_annotation(ann, path)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(path.stat().st_mode)
+    assert load_annotation(io.StringIO(received[0].decode("utf-8"))).frames == ann.frames
 
 
 def test_non_utf8_file_is_schema_error(tmp_path):

@@ -565,6 +565,17 @@ def test_interpolate_off_lattice_frame_exits_two(tmp_path, capsys):
             in captured.err)
 
 
+def test_sample_of_a_lone_surrogate_transcription_exits_two(tmp_path, capsys):
+    gt, _ = make_synth(tmp_path, **{"--frames": 4})
+    doc = json.loads(gt.read_text(encoding="utf-8"))
+    doc["frames"]["0"][0]["transcription"] = "\udc80"
+    gt.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "o.json"
+    assert run_cli("sample", str(gt), "--k", "1", "--out", str(out)) == 2
+    assert f"{gt}: frames.0[0].transcription: not encodable" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v-dets.json", "v-gt.json"]
+
+
 @pytest.mark.parametrize("end,message", [
     # the corners swap diagonally: every one passes through the centre
     ([10, 10, 0, 10, 0, 0, 10, 0], "quad area 0.0 is below"),

@@ -381,6 +381,25 @@ def test_kernel_equals_point_geometry(pair):
     assert_quad_iou_matches(rotated_to_quad(a), rotated_to_quad(b))
 
 
+def hex_rows(matrix) -> list[list[str]]:
+    return [[value.hex() for value in row] for row in matrix]
+
+
+def match_sets_checking_cost(gts, preds, w):
+    """``match_sets(gts, preds, w)``, after checking that the matrix it
+    hands to ``hungarian`` equals the per-pair oracle's bit for bit."""
+    seen = []
+
+    def recording_hungarian(cost):
+        seen.append(cost)
+        return hungarian(cost)
+
+    with unittest.mock.patch.object(matching_mod, "hungarian", recording_hungarian):
+        got = match_sets(gts, preds, w)
+    assert [hex_rows(cost) for cost in seen] == [hex_rows(plain_cost_matrix(gts, preds, w))]
+    return got
+
+
 @st.composite
 def loss_frames(draw):
     """A padded (gts, preds) frame as `vtspot loss` builds it: predictions
@@ -420,17 +439,79 @@ weights = st.sampled_from((CostWeights(), CostWeights(1.0, 1.0, 1.0, 1.0),
 @given(loss_frames(), weights)
 def test_match_sets_equals_per_pair_oracle(frame, w):
     gts, preds = frame
-    seen = []
+    got = match_sets_checking_cost(gts, preds, w)
+    assert got == hungarian(plain_cost_matrix(gts, preds, w))
 
-    def recording_hungarian(cost):
-        seen.append(cost)
-        return hungarian(cost)
 
-    with unittest.mock.patch.object(matching_mod, "hungarian", recording_hungarian):
-        got = match_sets(gts, preds, w)
-    plain = plain_cost_matrix(gts, preds, w)
-    assert seen == [plain]
-    assert got == hungarian(plain)
+def steps_between(x: float, y: float, limit: int = 4) -> int | None:
+    """How many ulps ``y`` lies above (positive) or below ``x``, if at most ``limit``."""
+    for k in range(limit + 1):
+        for signed in (k, -k):
+            if nudge(x, signed) == y:
+                return signed
+    return None
+
+
+def touching_pairs() -> list[tuple[RotatedBox, RotatedBox, int]]:
+    """(gt box, pred box, gap): axis-aligned boxes on one row whose padded
+    x-extents meet, the pred's starting ``gap`` ulps after the gt's ends
+    (0 touches, a positive gap is apart, a negative one overlaps)."""
+    out = []
+    for cx, w, w_b in ((10.0, 4.0, 6.0), (0.3, 0.05, 0.02), (1e6 + 0.5, 40.0, 12.0),
+                       (-250.0, 7.0, 3.0), (-1e6, 3.0, 30.0)):
+        a = RotatedBox(cx, 5.0, w, 2.0, 0.0)
+        _, _, hi_x, _, pad = rotated_to_quad(a)._convex_extents()
+        end = hi_x + pad
+        guess = end + w_b / 2.0
+        for _ in range(3):
+            lo_x, _, _, _, pad_b = rotated_to_quad(RotatedBox(guess, 5.0, w_b, 2.0, 0.0))._convex_extents()
+            guess += end - (lo_x - pad_b)
+        for k in range(-12, 13):
+            b = RotatedBox(nudge(guess, k), 5.0, w_b, 2.0, 0.0)
+            lo_x, _, _, _, pad_b = rotated_to_quad(b)._convex_extents()
+            gap = steps_between(end, lo_x - pad_b)
+            if gap is not None:
+                out.append((a, b, gap))
+    return out
+
+
+def test_touching_pairs_straddle_the_broad_phase():
+    gaps = {gap for _, _, gap in touching_pairs()}
+    assert 0 in gaps and min(gaps) < 0 < max(gaps)
+
+
+@pytest.mark.parametrize("w", [CostWeights(), CostWeights(0.5, 0.0, 3.0, 0.25)])
+def test_match_sets_equals_per_pair_oracle_at_the_edges(w):
+    """Cost rows where the fast paths could part from the plain formula:
+    padded extents that touch or lie a few ulps apart either way, boxes
+    around 1e6 from the origin, and extents with equal minima or maxima
+    (the hull's tie rule)."""
+    rng = random.Random(5)
+    frames = []
+    pairs = touching_pairs()
+    for start in range(0, len(pairs), 4):
+        chunk = pairs[start:start + 4]
+        frames.append(([a for a, _, _ in chunk], [b for _, b, _ in chunk]))
+        # the same pairs seen from the other side
+        frames.append(([b for _, b, _ in chunk], [a for a, _, _ in chunk]))
+    for centre in (1e6, -1e6, 3e6):
+        gt = [RotatedBox(centre + rng.uniform(-50, 50), centre + rng.uniform(-50, 50),
+                         rng.uniform(1, 30), rng.uniform(1, 30), rng.uniform(-2, 2))
+              for _ in range(4)]
+        near = [RotatedBox(b.cx + rng.uniform(-3, 3), b.cy + rng.uniform(-3, 3),
+                           b.w, b.h, b.angle + rng.uniform(-0.2, 0.2)) for b in gt]
+        frames.append((gt, near + [RotatedBox(centre, -centre, 5.0, 2.0, 0.5)]))
+    # equal x minima (8) or maxima (12 and 14), and one box inside another
+    same = [RotatedBox(10.0, 0.0, 4.0, 2.0, 0.0), RotatedBox(11.0, 1.0, 6.0, 2.0, 0.0),
+            RotatedBox(9.0, -1.0, 6.0, 2.0, 0.0), RotatedBox(10.0, 0.0, 4.0, 1.0, 0.0),
+            RotatedBox(10.0, 40.0, 4.0, 2.0, 0.0), RotatedBox(11.0, 0.5, 6.0, 3.0, 0.0)]
+    frames.append((same, same[::-1]))
+    frames.append((same[:3], same[3:]))
+    for gt_boxes, pred_boxes in frames:
+        gts = [GroundTruthInstance(b) for b in gt_boxes]
+        gts += [GroundTruthInstance.padding()] * (len(pred_boxes) - len(gts))
+        preds = [PredictedInstance(rng.random(), b) for b in pred_boxes]
+        match_sets_checking_cost(gts, preds, w)
 
 
 # ---------------------------------------------------------------------------

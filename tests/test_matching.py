@@ -22,7 +22,7 @@ from vtspot.matching import (
     set_loss_terms,
 )
 
-from oracles import brute_force_assignment, component_pairs, random_box
+from oracles import brute_force_assignment, component_pairs, plain_hungarian, random_box
 
 UNIT = CostWeights(1.0, 1.0, 1.0, 1.0)
 
@@ -159,6 +159,40 @@ def test_hungarian_rejects_non_finite():
         hungarian([[0.0, math.nan], [1.0, 2.0]])
     with pytest.raises(NonFiniteCost):
         hungarian([[math.inf]])
+
+
+def test_hungarian_solves_a_finite_row_whose_sum_overflows():
+    assert hungarian([[1e308, 1e308]]) == Assignment(((0, 0),), 1e308)
+    assert hungarian([[1e308, 1e308], [1e308, 0.0]]).pairs == ((0, 0), (1, 1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hungarian_names_the_first_non_finite_cell_in_row_major_order(bad):
+    for n, m in ((1, 1), (2, 3), (3, 3)):
+        for first in range(n * m):
+            cost = [[float(i * m + j) for j in range(m)] for i in range(n)]
+            for k in (first, n * m - 1):
+                cost[k // m][k % m] = bad
+            i, j = divmod(first, m)
+            with pytest.raises(NonFiniteCost, match=rf"^cost\[{i}\]\[{j}\] = "):
+                hungarian(cost)
+
+
+def test_hungarian_equals_the_all_columns_solver():
+    """The free-column scan against ``plain_hungarian``, which tests every
+    column for use at every step: equal pairs and a bit-identical total,
+    half of the matrices tie-heavy, the other half drawn from a wide range."""
+    rng = random.Random(121)
+    for k in range(4000):
+        m = rng.randint(1, 9)
+        n = rng.randint(1, m)
+        if k % 2:
+            cost = [[float(rng.randint(0, 3)) for _ in range(m)] for _ in range(n)]
+        else:
+            cost = [[rng.uniform(-1e3, 1e3) for _ in range(m)] for _ in range(n)]
+        got, want = hungarian(cost), plain_hungarian(cost)
+        assert got.pairs == want.pairs, cost
+        assert got.total_cost.hex() == want.total_cost.hex(), cost
 
 
 def test_hungarian_rejects_ragged():

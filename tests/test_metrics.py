@@ -113,6 +113,43 @@ def test_detection_two_tp_one_fp_one_fn():
     assert r.fscore == pytest.approx(2 / 3)
 
 
+def test_detection_counts_do_not_depend_on_prediction_order():
+    # three pairs tie at IoU 2/3; on a tie the lower track ids match first
+    gt = ann({0: [inst(1, 10.0, w=10.0, h=10.0), inst(2, 6.0, w=10.0, h=10.0)]}, 1)
+    a, b = inst(1, 8.0, w=10.0, h=10.0), inst(2, 12.0, w=10.0, h=10.0)
+    forward = evaluate(gt, ann({0: [a, b]}, 1), "detection").det
+    backward = evaluate(gt, ann({0: [b, a]}, 1), "detection").det
+    assert forward == backward == DetCounters(tp=1, fp=1, fn=1)
+
+
+@st.composite
+def lattice_pair(draw):
+    """A reference and a prediction document of 10×10 squares on one row,
+    centred on a 2-unit lattice so that many pairs tie in IoU, each with
+    its frames' instances also drawn in a second order."""
+    def frame_of():
+        xs = draw(st.lists(st.integers(0, 8), max_size=5))
+        ids = draw(st.permutations(range(len(xs))))
+        items = [inst(tid, 2.0 * x, 0.0, 10.0, 10.0) for tid, x in zip(ids, xs)]
+        return items, draw(st.permutations(items))
+
+    n_frames = draw(st.integers(1, 3))
+    docs = []
+    for _ in range(2):
+        frames = [frame_of() for _ in range(n_frames)]
+        docs.append(tuple(ann({f: frame[k] for f, frame in enumerate(frames)}, n_frames)
+                          for k in (0, 1)))
+    return docs
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_pair())
+def test_detection_counts_are_invariant_to_instance_order(docs):
+    (gt, gt_moved), (pred, pred_moved) = docs
+    assert (evaluate(gt_moved, pred_moved, "detection").det
+            == evaluate(gt, pred, "detection").det)
+
+
 def test_detection_threshold_gates_matches():
     # offset 0.25 on unit squares: IoU = 0.75/1.25 = 0.6
     gt = ann({0: [inst(0, 0.0)]}, 1)
