@@ -40,6 +40,7 @@ import functools
 import gzip
 import io
 import json
+import math
 import os
 import re
 import zlib
@@ -375,10 +376,25 @@ def _expect(doc, key, kind, path, kind_name=None, default=_REQUIRED):
     return value
 
 
+def _expect_text(doc, key, kind, path, kind_name=None, default=_REQUIRED):
+    """``_expect`` for a string field.  A string that no UTF-8 writer can
+    encode (a lone surrogate, which a JSON escape such as ``"\\udc80"``
+    yields) is refused here, not at the next save."""
+    text = _expect(doc, key, kind, path, kind_name, default)
+    if isinstance(text, str) and not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise SchemaError(f"{path}.{key}" if path else key,
+                              f"not encodable as UTF-8: {exc.reason} at index {exc.start}"
+                              ) from None
+    return text
+
+
 def _parse_header(doc):
     if not isinstance(doc, dict):
         raise SchemaError("$", f"expected an object, got {type(doc).__name__}")
-    video_id = _expect(doc, "video_id", str, "")
+    video_id = _expect_text(doc, "video_id", str, "")
     width = _expect(doc, "width", int, "")
     height = _expect(doc, "height", int, "")
     frame_count = _expect(doc, "frame_count", int, "")
@@ -387,7 +403,7 @@ def _parse_header(doc):
         raise SchemaError("frame_count", f"must be >= 1, got {frame_count}")
     if width <= 0 or height <= 0:
         raise SchemaError("width", f"dimensions must be positive, got {width}x{height}")
-    scenario = _expect(doc, "scenario", (str, type(None)), "", "string", None)
+    scenario = _expect_text(doc, "scenario", (str, type(None)), "", "string", None)
     return video_id, width, height, frame_count, frames, scenario
 
 
@@ -432,6 +448,9 @@ def _read_frames(raw_frames: dict, frame_count: int, read_entry) -> dict[int, li
     return frames
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _parse_points(entry, path: str, key: str = "points", *,
                   as_box: bool = False) -> Quad | RotatedBox:
     """The quad at ``entry[key]``, or with ``as_box`` its enclosing rotated
@@ -441,9 +460,11 @@ def _parse_points(entry, path: str, key: str = "points", *,
     path = f"{path}.{key}"
     if len(pts) != 8:
         raise SchemaError(path, f"expected 8 numbers, got {len(pts)}")
-    for i, v in enumerate(pts):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError(f"{path}[{i}]", f"expected a number, got {type(v).__name__}")
+    if not _NUMBER_TYPES.issuperset(map(type, pts)):
+        # name the first value that is no number; an int subclass passes
+        for i, v in enumerate(pts):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise SchemaError(f"{path}[{i}]", f"expected a number, got {type(v).__name__}")
     try:
         quad = Quad._of_flat(_finite_floats(pts))
         if as_box:
@@ -456,23 +477,14 @@ def _parse_points(entry, path: str, key: str = "points", *,
     return quad
 
 
-def _parse_transcription(entry, path: str, default=_REQUIRED) -> str | None:
-    """The entry's transcription, a string or null; ``default`` as in ``_expect``.
-    A string that no UTF-8 writer can encode (a lone surrogate, which a JSON
-    escape such as ``"\\udc80"`` yields) is refused here, not at the next save."""
-    text = _expect(entry, "transcription", (str, type(None)), path, "string or null", default)
-    if isinstance(text, str) and not text.isascii():
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise SchemaError(f"{path}.transcription",
-                              f"not encodable as UTF-8: {exc.reason} at index {exc.start}"
-                              ) from None
-    return text
+_CATEGORIES = {c.value: c for c in TextCategory}  # labels parse() would not fold
 
 
 def _parse_category(entry, path: str) -> TextCategory:
     raw = _expect(entry, "category", str, path, "string", TextCategory.OTHERS.value)
+    category = _CATEGORIES.get(raw)
+    if category is not None:
+        return category
     try:
         return TextCategory.parse(raw)
     except ValueError as exc:
@@ -498,7 +510,8 @@ def _read_instance(entry: dict, path: str) -> Instance:
     return Instance(
         track_id=_expect(entry, "id", int, path),
         quad=_parse_points(entry, path),
-        transcription=_parse_transcription(entry, path),
+        transcription=_expect_text(entry, "transcription", (str, type(None)), path,
+                                   "string or null"),
         category=_parse_category(entry, path),
     )
 
@@ -510,7 +523,8 @@ def _read_detection(entry: dict, path: str) -> Detection:
         raise SchemaError(f"{path}.score", "expected a number, got bool")
     if not (0.0 <= score <= 1.0):
         raise SchemaError(f"{path}.score", f"must be in [0,1], got {score}")
-    transcription = _parse_transcription(entry, path, default=None)
+    transcription = _expect_text(entry, "transcription", (str, type(None)), path,
+                                 "string or null", None)
     track_box = None
     if entry.get("track_box") is not None:
         track_box = _parse_points(entry, path, "track_box", as_box=True)
@@ -564,16 +578,121 @@ def _write_detection(det: Detection) -> dict:
     return entry
 
 
-def _dump_json(payload: dict, target) -> None:
+# ---------------------------------------------------------------------------
+# the JSON emitter: the json module's indent=1 bytes, written faster
+# ---------------------------------------------------------------------------
+
+_quote = json.encoder.encode_basestring  # the C codec when CPython has it
+
+
+def _float_text(x: float) -> str:
+    """A float as json writes it: its repr, or NaN, Infinity, -Infinity."""
+    if x - x == 0.0:  # finite
+        return float.__repr__(x)
+    if x != x:
+        return "NaN"
+    return "Infinity" if x > 0.0 else "-Infinity"
+
+
+# The writer of each scalar type, by exact type; a subclass takes the
+# isinstance chain of ``_encode``, in json's order.
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+_FLOAT_ONLY = frozenset((float,))
+
+
+def _key_text(key) -> str:
+    """A dict key, which must be a string, quoted as json writes it."""
+    if isinstance(key, str):
+        return _quote(key)
+    raise TypeError(f"keys must be str, not {type(key).__name__}")
+
+
+def _encode(value, indent: str, default) -> str:
+    """``value`` as json writes it with ``ensure_ascii=False, indent=1`` at
+    the depth whose line break and indent are ``indent``.  A value of no
+    JSON type is written as ``default(value)`` is, as json's ``default``;
+    without one it raises TypeError, as does a dict key that is not a
+    string.  No type is both a container and a scalar, so testing
+    containers first changes no output."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + " "
+        # a flat corner tuple: finite floats all, so each is its repr
+        if _FLOAT_ONLY.issuperset(map(type, value)) and math.isfinite(sum(value)):
+            return "[" + inner + ("," + inner).join(map(float.__repr__, value)) + indent + "]"
+        get = _SCALARS.get
+        return ("[" + inner
+                + ("," + inner).join([f(v) if (f := get(type(v))) else _encode(v, inner, default)
+                                      for v in value])
+                + indent + "]")
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + " "
+        get = _SCALARS.get
+        return ("{" + inner
+                + ("," + inner).join([
+                    _key_text(k) + ": "
+                    + (f(v) if (f := get(type(v))) else _encode(v, inner, default))
+                    for k, v in value.items()])
+                + indent + "}")
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    if default is None:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return _encode(default(value), indent, default)
+
+
+def _write_json(value, fh, default=None, indent: str = "\n", depth: int = 0) -> None:
+    """Write ``value`` to the text stream ``fh`` byte for byte as the json
+    module's ``dump(value, fh, ensure_ascii=False, indent=1,
+    default=default)`` does, without its pure-Python encoder.
+    The outer two levels of dicts and lists (a document and its
+    ``frames``) are written a member at a time and each deeper value as
+    one string, so a document is never held whole as text."""
+    if depth < 2 and isinstance(value, (dict, list, tuple)) and value:
+        inner = indent + " "
+        if isinstance(value, dict):
+            opening, closing = "{", "}"
+            members = ((_key_text(k) + ": ", v) for k, v in value.items())
+        else:
+            opening, closing = "[", "]"
+            members = (("", v) for v in value)
+        for prefix, member in members:
+            fh.write(opening + inner + prefix)
+            _write_json(member, fh, default, inner, depth + 1)
+            opening = ","
+        fh.write(indent + closing)
+    else:
+        fh.write(_encode(value, indent, default))
+
+
+def _dump_json(payload, target, default=None) -> None:
+    """Write ``payload`` and a line break to ``target``, a path or a text
+    stream: one-space indent, non-ASCII as UTF-8, ``default`` as json's."""
     with _open(target, "w") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=1)
+        _write_json(payload, fh, default)
         fh.write("\n")
 
 
 def _write_document(video, frames, write_entry, target, scenario=None) -> None:
     """The one writer for both formats: the header of ``video``,
     ``scenario`` when set, then every (index, entries) pair of ``frames``,
-    empty ones too, each entry through ``write_entry``."""
+    empty ones too, each entry through ``write_entry`` as it is written."""
     payload: dict = {
         "video_id": video.video_id,
         "width": video.width,
@@ -582,10 +701,8 @@ def _write_document(video, frames, write_entry, target, scenario=None) -> None:
     }
     if scenario is not None:
         payload["scenario"] = scenario
-    payload["frames"] = {
-        str(idx): [write_entry(entry) for entry in entries] for idx, entries in frames
-    }
-    _dump_json(payload, target)
+    payload["frames"] = {str(idx): entries for idx, entries in frames}
+    _dump_json(payload, target, write_entry)
 
 
 def save_annotation(ann: VideoAnnotation, target) -> None:

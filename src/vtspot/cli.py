@@ -329,7 +329,11 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process.  ``parse_args`` leaves it as it was,
+    and each subcommand's ``func`` looks the loaders and writers up as
+    module globals when it runs, so a rebound global is still called."""
     parser = _Parser(prog="vtspot",
                      description="video text tracking and spotting toolkit")
     parser.add_argument("--version", action="version",

@@ -322,7 +322,7 @@ def quad_to_rotated(quad: Quad) -> RotatedBox:
     hull = nondegenerate_hull(quad)
     x0, y0, x1, y1, x2, y2, x3, y3 = quad._xy
 
-    best = None  # (area, theta, u extents, v extents)
+    best = None  # (area, theta, cos, sin, u extents, v extents)
     n = len(hull)
     for i in range(n):
         (px, py), (qx, qy) = hull[i], hull[(i + 1) % n]
@@ -336,10 +336,9 @@ def quad_to_rotated(quad: Quad) -> RotatedBox:
         v0, v1 = min(v_0, v_1, v_2, v_3), max(v_0, v_1, v_2, v_3)
         area = (u1 - u0) * (v1 - v0)
         if best is None or area < best[0]:
-            best = (area, theta, u0, u1, v0, v1)
+            best = (area, theta, c, s, u0, u1, v0, v1)
 
-    _, theta, u0, u1, v0, v1 = best
-    c, s = math.cos(theta), math.sin(theta)
+    _, theta, c, s, u0, u1, v0, v1 = best
     uc = (u0 + u1) / 2.0
     vc = (v0 + v1) / 2.0
     cx = c * uc - s * vc

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import NonFiniteCost, SizeMismatch
+from .errors import MatchingError, NonFiniteCost, SizeMismatch
 from .geometry import RotatedBox, giou
 
 _PROB_EPS = 1e-12
@@ -141,7 +141,8 @@ def hungarian(cost) -> Assignment:
     order, and shifts the potentials of those it has.  A matrix with more
     rows than columns, or a ragged one, raises ValueError; a nan or an
     infinity raises NonFiniteCost naming its first cell in row-major order
-    (finite cells whose sum overflows are accepted).  Ties are broken by
+    (finite cells whose sum overflows are accepted, but an optimal total
+    past the float range raises MatchingError).  Ties are broken by
     the lowest column index at every scan, so the result is deterministic
     for equal-cost optima.
     """
@@ -208,7 +209,11 @@ def hungarian(cost) -> Assignment:
             j0 = j1
 
     pairs = sorted((col_to_row[j] - 1, j - 1) for j in range(1, m + 1) if col_to_row[j])
-    total = math.fsum(cost[r][c] for r, c in pairs)
+    try:
+        total = math.fsum(cost[r][c] for r, c in pairs)
+    except OverflowError:
+        raise MatchingError(f"the optimal total of the {n}x{m} cost matrix "
+                            "overflows the float range") from None
     return Assignment(tuple(pairs), total)
 
 

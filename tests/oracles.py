@@ -10,6 +10,7 @@ package's fast paths, for differential tests.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from typing import NamedTuple
@@ -30,6 +31,7 @@ from vtspot.geometry import (
     RotatedBox,
     canonical_angle,
     iou,
+    nondegenerate_hull,
 )
 from vtspot.linker import LinkerConfig
 from vtspot.matching import Assignment, hungarian
@@ -773,3 +775,61 @@ def greedy_link(frames, cfg=None):
         live += born
 
     return [Trajectory(track_id=t.track_id, frames=t.frames) for t in open_trajs]
+
+
+# ---------------------------------------------------------------------------
+# the json module's writer, the per-value points check and the box fit
+# as the loaders first ran them
+# ---------------------------------------------------------------------------
+
+
+def json_text(value, default=None) -> str:
+    """The bytes the package's writer must emit for ``value``: the json
+    module's own ``indent=1`` form, non-ASCII kept as it is."""
+    return json.dumps(value, ensure_ascii=False, indent=1, default=default)
+
+
+def first_non_number(values):
+    """``(index, type name)`` of the first of ``values`` that is not an
+    ``int`` or ``float`` (a ``bool`` is not a number), or None."""
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            return i, type(v).__name__
+    return None
+
+
+def flat_quad_to_rotated(quad):
+    """``quad_to_rotated`` as it was: the winning edge's cos and sin are
+    computed again from its angle after the loop."""
+    hull = nondegenerate_hull(quad)
+    x0, y0, x1, y1, x2, y2, x3, y3 = quad.as_flat()
+    best = None
+    n = len(hull)
+    for i in range(n):
+        (px, py), (qx, qy) = hull[i], hull[(i + 1) % n]
+        theta = math.atan2(qy - py, qx - px)
+        c, s = math.cos(theta), math.sin(theta)
+        ns = -s
+        u_0, u_1, u_2, u_3 = c * x0 + s * y0, c * x1 + s * y1, c * x2 + s * y2, c * x3 + s * y3
+        v_0, v_1, v_2, v_3 = (ns * x0 + c * y0, ns * x1 + c * y1,
+                              ns * x2 + c * y2, ns * x3 + c * y3)
+        u0, u1 = min(u_0, u_1, u_2, u_3), max(u_0, u_1, u_2, u_3)
+        v0, v1 = min(v_0, v_1, v_2, v_3), max(v_0, v_1, v_2, v_3)
+        area = (u1 - u0) * (v1 - v0)
+        if best is None or area < best[0]:
+            best = (area, theta, u0, u1, v0, v1)
+    _, theta, u0, u1, v0, v1 = best
+    c, s = math.cos(theta), math.sin(theta)
+    uc = (u0 + u1) / 2.0
+    vc = (v0 + v1) / 2.0
+    w0 = u1 - u0
+    h0 = v1 - v0
+    if abs(w0 - h0) <= 1e-9 * max(w0, h0):
+        cand = [(canonical_angle(theta), w0, h0),
+                (canonical_angle(theta + math.pi / 2.0), h0, w0)]
+        angle, w, h = min(cand, key=lambda t: (abs(t[0]), t[0]))
+    elif h0 > w0:
+        angle, w, h = canonical_angle(theta + math.pi / 2.0), h0, w0
+    else:
+        angle, w, h = canonical_angle(theta), w0, h0
+    return RotatedBox(c * uc - s * vc, s * uc + c * vc, w, h, angle)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vtspot.annotations as annotations_mod
 from vtspot.annotations import (
     Detection,
     FrameDetections,
@@ -44,6 +45,8 @@ from vtspot.errors import (
 )
 from vtspot.geometry import Quad, RotatedBox, quad_to_rotated, rotated_to_quad
 from vtspot.synth import SynthConfig, generate
+
+from oracles import first_non_number, json_text
 
 
 def rect(x0, y0, x1, y1) -> Quad:
@@ -712,6 +715,23 @@ def test_lone_surrogate_transcription_is_schema_error_naming_the_file(
     assert exc_info.value.message.startswith("not encodable as UTF-8")
 
 
+@pytest.mark.parametrize("load,doc", [(load_annotation, MINIMAL_DOC),
+                                      (load_detections, DETS_DOC)])
+@pytest.mark.parametrize("field", ["video_id", "scenario"])
+@pytest.mark.parametrize("text", ["\udc80", "v\udc80"])
+def test_lone_surrogate_header_string_is_schema_error_naming_the_file(
+        tmp_path, load, doc, field, text):
+    doc = dict(doc, **{field: text})
+    path = tmp_path / "video.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(SchemaError) as exc_info:
+        load(path)
+    assert exc_info.value.source == str(path)
+    assert exc_info.value.path == field
+    assert exc_info.value.message == (
+        f"not encodable as UTF-8: surrogates not allowed at index {len(text) - 1}")
+
+
 @pytest.mark.parametrize("name", ["video.json", "video.json.gz", "video"])
 @pytest.mark.parametrize("existing", [False, True])
 def test_failed_save_leaves_the_target_as_it_was(tmp_path, monkeypatch, name, existing):
@@ -719,13 +739,27 @@ def test_failed_save_leaves_the_target_as_it_was(tmp_path, monkeypatch, name, ex
     if existing:
         path.write_bytes(b"old bytes")
 
-    def failing_dump(obj, fh, **kwargs):
-        fh.write('{"video_id": "cl')
-        raise RuntimeError("write failed partway")
+    # the emitter's fourth write to the stream fails, after three went through
+    real = annotations_mod._write_json
+    written = []
 
-    monkeypatch.setattr(json, "dump", failing_dump)
+    class FailingStream:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            if len(written) == 3:
+                raise RuntimeError("write failed partway")
+            written.append(text)
+            return self.fh.write(text)
+
+    def failing_write_json(value, fh, *args):
+        real(value, fh if isinstance(fh, FailingStream) else FailingStream(fh), *args)
+
+    monkeypatch.setattr(annotations_mod, "_write_json", failing_write_json)
     with pytest.raises(RuntimeError, match="partway"):
         save_annotation(make_linear_video(3), path)
+    assert "".join(written) == '{\n "video_id": "v0",\n "width": '
     assert [p.name for p in tmp_path.iterdir()] == ([name] if existing else [])
     if existing:
         assert path.read_bytes() == b"old bytes"
@@ -1088,3 +1122,250 @@ def test_a_path_is_closed_when_its_parse_raises(tmp_path, load):
         finally:
             sys.unraisablehook = hook
     assert not unraisable
+
+
+# ---------------------------------------------------------------------------
+# the writer: the json module's indent=1 bytes; the entry readers: the
+# per-value loop's errors
+# ---------------------------------------------------------------------------
+
+
+class Wrapped:
+    """A value of no JSON type, written as the value it holds."""
+
+    def __init__(self, value):
+        self.value = value
+
+
+def unwrap(obj):
+    return obj.value
+
+
+class Count(int):
+    """An int subclass: a number to the loaders, written as the int it is,
+    whatever its own repr."""
+
+    def __repr__(self):
+        return f"Count({int(self)})"
+
+
+class Ratio(float):
+    def __repr__(self):
+        return f"Ratio({float(self)})"
+
+
+class Label(str):
+    pass
+
+
+json_strings = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",))),
+    st.sampled_from(["", "\u2028\u2029", "\x00\x1f\x7f\x80", 'q"b\\s/', "é 漢字 🙂", "###"]),
+)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2 ** 64, max_value=10 ** 40),
+    st.integers(max_value=-(2 ** 64)),
+    st.floats(),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308,
+                     1e16, 1e-7]),
+    json_strings,
+    st.integers().map(Count),
+    st.floats().map(Ratio),
+    json_strings.map(Label),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        # flat corner tuples, finite, overflowing when summed, or not finite
+        st.lists(st.floats(), min_size=1, max_size=8).map(tuple),
+        st.dictionaries(st.one_of(json_strings, json_strings.map(Label)), inner, max_size=4),
+        inner.map(Wrapped),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(json_values)
+def test_writer_emits_the_json_modules_bytes(value):
+    stream = io.StringIO()
+    annotations_mod._dump_json(value, stream, unwrap)
+    assert stream.getvalue() == json_text(value, unwrap) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, (), [[]], [{}], {"a": []}, {"a": {"b": ()}},
+    (1.0, 2.0, 1e308, 1e308),  # finite corners whose sum overflows
+    (0.5, math.nan), [-0.0, 0.0, Ratio(-0.0)],
+    {"": "", Label("k"): Label("v"), "\u2028": "\x00"},
+    [[[[{"deep": [Count(7), Label("x")]}]]]],
+])
+def test_writer_emits_the_json_modules_bytes_at_the_edges(value):
+    stream = io.StringIO()
+    annotations_mod._dump_json(value, stream)
+    assert stream.getvalue() == json_text(value) + "\n"
+
+
+@pytest.mark.parametrize("value", [[object()], {"a": {1, 2}}, b"raw", [1j]])
+def test_writer_refuses_what_the_json_module_refuses(value):
+    with pytest.raises(TypeError) as theirs:
+        json_text(value)
+    with pytest.raises(TypeError) as ours:
+        annotations_mod._dump_json(value, io.StringIO())
+    assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("value", [{1: 0}, {"a": {None: 0}}, [{2.5: 0}], {(1, 2): 0}])
+def test_writer_keys_are_strings(value):
+    """The json module would write 1, None or 2.5 as a key's text; no
+    document has such keys, and the writer refuses them."""
+    with pytest.raises(TypeError, match="keys must be str, not "):
+        annotations_mod._dump_json(value, io.StringIO())
+
+
+def instance_entry(inst):
+    return {"id": inst.track_id, "points": list(inst.quad.as_flat()),
+            "transcription": inst.transcription, "category": inst.category.value}
+
+
+def detection_entry(det):
+    entry = {"points": list(det.box.quad.as_flat()), "score": det.score}
+    if det.transcription is not None:
+        entry["transcription"] = det.transcription
+    if det.track_box is not None:
+        entry["track_box"] = list(det.track_box.quad.as_flat())
+    return entry
+
+
+def document(video, frames, scenario=None):
+    """The document the writers promise, as a plain JSON value."""
+    doc = {"video_id": video.video_id, "width": video.width, "height": video.height,
+           "frame_count": video.frame_count}
+    if scenario is not None:
+        doc["scenario"] = scenario
+    doc["frames"] = frames
+    return doc
+
+
+def varied_clip(seed, text, scenario):
+    """A synth clip whose every other object reads ``text``, with an empty
+    listed frame, a null transcription and a detection with a track box."""
+    gt, dets = generate(SynthConfig(seed=seed, n_objects=3, n_frames=6))
+    frames = {}
+    for idx, insts in sorted(gt.frames.items()):
+        frames[idx] = [dataclasses.replace(inst, transcription=text) if i % 2 else inst
+                       for i, inst in enumerate(insts)]
+    frames[0] = []
+    if frames.get(1):
+        frames[1][0] = dataclasses.replace(frames[1][0], transcription=None)
+    gt = dataclasses.replace(gt, frames=frames, scenario=scenario, video_id=f"{text}-{seed}")
+    det_frames = []
+    for fd in dets.frames:
+        found = [dataclasses.replace(det, transcription=text) if i % 2 else det
+                 for i, det in enumerate(fd.detections)]
+        if found and fd.frame_index == 2:
+            found[0] = dataclasses.replace(found[0], transcription=None, track_box=found[0].box)
+        det_frames.append(FrameDetections(fd.frame_index, [] if fd.frame_index == 3 else found))
+    return gt, dataclasses.replace(dets, frames=det_frames, video_id=gt.video_id)
+
+
+def expected_bytes(gt, dets):
+    """What save_annotation, save_trajectories and save_detections must write."""
+    ann = {str(i): [instance_entry(x) for x in insts] for i, insts in sorted(gt.frames.items())}
+    traj = {str(i): [instance_entry(x) for x in sorted(insts, key=lambda x: x.track_id)]
+            for i, insts in sorted(gt.frames.items()) if insts}
+    det = {str(fd.frame_index): [detection_entry(d) for d in fd.detections] for fd in dets.frames}
+    return {
+        "annotation": json_text(document(gt, ann, gt.scenario)) + "\n",
+        "trajectories": json_text(document(gt, traj)) + "\n",
+        "detections": json_text(document(dets, det)) + "\n",
+    }
+
+
+def save_all(gt, dets, target):
+    """Each writer's output to ``target(name)``."""
+    save_annotation(gt, target("annotation"))
+    save_trajectories(annotation_to_trajectories(gt), gt.video_id, gt.width, gt.height,
+                      gt.frame_count, target("trajectories"))
+    save_detections(dets, target("detections"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), json_strings, st.none() | json_strings)
+def test_saved_documents_are_the_json_modules_bytes(seed, text, scenario):
+    gt, dets = varied_clip(seed, text, scenario)
+    streams = {}
+    save_all(gt, dets, lambda name: streams.setdefault(name, io.StringIO()))
+    assert {name: s.getvalue() for name, s in streams.items()} == expected_bytes(gt, dets)
+
+
+@pytest.mark.parametrize("suffix", [".json", ".json.gz"])
+def test_saved_files_are_the_json_modules_bytes_in_utf8(tmp_path, suffix):
+    gt, dets = varied_clip(5, "出口 \u2028 é", "crowd\tscene")
+    save_all(gt, dets, lambda name: tmp_path / f"{name}{suffix}")
+    for name, text in expected_bytes(gt, dets).items():
+        data = (tmp_path / f"{name}{suffix}").read_bytes()
+        assert (gzip.decompress(data) if suffix.endswith(".gz") else data) == text.encode("utf-8")
+
+
+RECT = [10, 10, 50, 10, 50, 30, 10, 30]
+not_numbers = st.one_of(st.booleans(), st.text(max_size=2), st.none(),
+                        st.lists(st.integers(), max_size=2),
+                        st.lists(st.lists(st.floats(), max_size=1), max_size=1))
+
+
+def read_outcome(read, entry):
+    try:
+        return "ok", read(entry, "frames.0[0]")
+    except SchemaError as exc:
+        return "error", exc.path, exc.message
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 7), st.one_of(not_numbers, st.just("int subclass"))),
+                max_size=3),
+       st.sampled_from(["instance points", "detection points", "detection track_box"]))
+def test_points_refusals_are_the_per_value_loops(changes, where):
+    values = list(RECT)
+    for i, bad in changes:
+        values[i] = Count(RECT[i]) if bad == "int subclass" else bad
+    kind, key = where.split()
+    if kind == "instance":
+        read, entry = annotations_mod._read_instance, {"id": 1, key: values, "transcription": "x"}
+    else:
+        read, entry = annotations_mod._read_detection, {"points": list(RECT), "score": 0.5}
+        entry[key] = values
+    outcome = read_outcome(read, entry)
+    bad = first_non_number(values)
+    if bad is not None:
+        i, name = bad
+        assert outcome == ("error", f"frames.0[0].{key}[{i}]", f"expected a number, got {name}")
+    else:
+        # an int subclass reads as the int it is
+        assert outcome == read_outcome(read, dict(entry, **{key: [int(v) for v in values]}))
+        assert outcome[0] == "ok"
+    if not any(isinstance(v, Count) for v in values):
+        # the same refusal through a whole document, named by its frame
+        doc = json.loads(json.dumps(MINIMAL_DOC if kind == "instance" else DETS_DOC))
+        frame = "0" if kind == "instance" else "1"
+        doc["frames"][frame][0][key] = values
+        load = load_annotation if kind == "instance" else load_detections
+        try:
+            load(io.StringIO(json.dumps(doc)))
+        except SchemaError as exc:
+            assert bad is not None
+            assert (exc.path, exc.message) == (f"frames.{frame}[0].{key}[{bad[0]}]",
+                                               f"expected a number, got {bad[1]}")
+        else:
+            assert bad is None
+
+
+@pytest.mark.parametrize("label", ["scene", "SCENE", "Caption", "others", "title"])
+def test_category_labels_parse_as_before(label):
+    entry = {"id": 1, "points": RECT, "transcription": "x", "category": label}
+    assert annotations_mod._read_instance(entry, "p").category == TextCategory.parse(label)

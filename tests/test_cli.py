@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import vtspot
+import vtspot.cli as cli
 from vtspot.annotations import (
     Instance,
     VideoAnnotation,
@@ -139,6 +140,55 @@ def test_installed_console_script_version():
                          text=True)
     assert out.returncode == 0
     assert "vtspot" in out.stdout
+
+
+def test_the_parser_is_built_once_per_process(tmp_path):
+    cli._build_parser.cache_clear()
+    _, dets = make_synth(tmp_path, **{"--frames": 5, "--objects": 2})
+    assert run_cli("track", str(dets), "--out", str(tmp_path / "p.json")) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_a_plain_track_after_a_linker_track_is_the_fresh_process_output(tmp_path, capsys):
+    """No option of one call reaches the next one through the shared parser."""
+    # dropped detections: the linker's window of 3 and the tracker's ages differ
+    _, dets = make_synth(tmp_path, **{"--frames": 12, "--objects": 4, "--drop-prob": 0.3})
+    fresh = subprocess.run([sys.executable, "-m", "vtspot", "track", str(dets)],
+                           capture_output=True, env=child_env())
+    assert fresh.returncode == 0, fresh.stderr
+    assert run_cli("track", str(dets), "--method", "linker", "--window", "3") == 0
+    linked = capsys.readouterr().out.encode("utf-8")
+    assert run_cli("track", str(dets)) == 0
+    assert capsys.readouterr().out.encode("utf-8") == fresh.stdout != linked
+
+
+def test_evaluate_without_jobs_reads_the_environment_again(tmp_path, capsys, monkeypatch):
+    gt_dir, pred_dir = corpus_dirs(tmp_path, 2)
+    dirs = ("--gt-dir", str(gt_dir), "--pred-dir", str(pred_dir))
+    assert run_cli("evaluate", *dirs, "--jobs", "2") == 0
+    capsys.readouterr()
+    monkeypatch.setenv("VTSPOT_JOBS", "abc")
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("evaluate", *dirs)
+    assert exc_info.value.code == 1
+    assert "VTSPOT_JOBS must be an integer >= 1, got 'abc'" in capsys.readouterr().err
+
+
+def test_a_global_rebound_after_the_first_call_is_reached(tmp_path, capsys, monkeypatch):
+    """A timing wrapper that rebinds the CLI's loaders and writer, as a
+    traced benchmark does, sees every call made after it is put in."""
+    gt, dets = make_synth(tmp_path, **{"--frames": 5, "--objects": 2})
+    calls = []
+    for name in ("load_annotation", "load_detections", "save_trajectories"):
+        def wrapper(*args, _real=getattr(cli, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(cli, name, wrapper)
+    pred = tmp_path / "p.json"
+    assert run_cli("track", str(dets), "--out", str(pred)) == 0
+    assert run_cli("evaluate", str(gt), str(pred)) == 0
+    assert calls == ["load_detections", "save_trajectories", "load_annotation", "load_annotation"]
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +626,19 @@ def test_sample_of_a_lone_surrogate_transcription_exits_two(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["v-dets.json", "v-gt.json"]
 
 
+@pytest.mark.parametrize("field", ["video_id", "scenario"])
+def test_sample_of_a_lone_surrogate_header_string_exits_two(tmp_path, capsys, field):
+    gt, _ = make_synth(tmp_path, **{"--frames": 4})
+    doc = json.loads(gt.read_text(encoding="utf-8"))
+    doc[field] = "v\udc80"
+    gt.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "o.json"
+    assert run_cli("sample", str(gt), "--k", "1", "--out", str(out)) == 2
+    assert (f"{gt}: {field}: not encodable as UTF-8: surrogates not allowed at index 1"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v-dets.json", "v-gt.json"]
+
+
 @pytest.mark.parametrize("end,message", [
     # the corners swap diagonally: every one passes through the centre
     ([10, 10, 0, 10, 0, 0, 10, 0], "quad area 0.0 is below"),
@@ -684,6 +747,25 @@ def test_loss_lists_the_frames_either_input_lists(tmp_path, capsys):
                for frame in dense["frames"] if frame["frame"] in (1, 5, 6))
     assert (sparse["totals"], sparse["loss"]) == (dense["totals"], dense["loss"])
     assert sparse["totals"]["giou"] > 0.0
+
+
+def test_loss_whose_optimal_total_overflows_exits_one(tmp_path, capsys):
+    """Every cost is finite, but any matching of the two references to the
+    two far detections totals past the float range."""
+    def entry(x, y, **fields):
+        return dict(fields, points=[x, y, x + 10, y, x + 10, y + 10, x, y + 10])
+
+    header = {"video_id": "v", "width": 100, "height": 100, "frame_count": 1}
+    gt, dets = tmp_path / "gt.json", tmp_path / "dets.json"
+    gt.write_text(json.dumps(dict(header, frames={"0": [
+        entry(5, 5, id=1, transcription="a"), entry(7, 5, id=2, transcription="b")]})))
+    dets.write_text(json.dumps(dict(header, frames={"0": [
+        entry(65, 65, score=0.5), entry(67, 65, score=0.5)]})))
+    assert run_cli("loss", str(gt), str(dets), "--weights", "0,1.4e308,0,0") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("vtspot: the optimal total of the 2x2 cost matrix "
+                            "overflows the float range\n")
 
 
 def test_loss_bad_weights_exits_one(tmp_path):

@@ -27,6 +27,7 @@ from oracles import (
     clip_quad_iou,
     corners,
     dense_track,
+    flat_quad_to_rotated,
     greedy_link,
     plain_cost_matrix,
     point_intersection,
@@ -42,7 +43,12 @@ from vtspot.annotations import (
     VideoAnnotation,
     trajectories_to_annotation,
 )
-from vtspot.errors import MissingTranscription, NonConvexInput, SelfIntersectingQuad
+from vtspot.errors import (
+    GeometryError,
+    MissingTranscription,
+    NonConvexInput,
+    SelfIntersectingQuad,
+)
 from vtspot.geometry import (
     Quad,
     RotatedBox,
@@ -249,6 +255,55 @@ def test_quad_iou_rejects_nonconvex_even_when_disjoint(offset):
             clip_quad_iou(a, b)
         with pytest.raises(NonConvexInput):
             quad_iou(a, b)
+
+
+# ---------------------------------------------------------------------------
+# quad_to_rotated: the winning edge's cos and sin kept from the loop
+# ---------------------------------------------------------------------------
+
+
+def assert_fit_matches(quad: Quad) -> None:
+    """quad_to_rotated gives the box the fit as it was gives, field for
+    field by ``.hex()``, or raises the same error."""
+    try:
+        expected = flat_quad_to_rotated(quad)
+    except GeometryError as exc:
+        with pytest.raises(type(exc)) as exc_info:
+            quad_to_rotated(quad)
+        assert str(exc_info.value) == str(exc)
+        return
+    got = quad_to_rotated(quad)
+    fields = ("cx", "cy", "w", "h", "angle")
+    assert [getattr(got, f).hex() for f in fields] == [getattr(expected, f).hex() for f in fields]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.floats(-100.0, 100.0), min_size=8, max_size=8),
+       st.sampled_from([0.0, 1e6, -1e6]))
+def test_quad_to_rotated_equals_the_fit_as_it_was_on_random_quads(values, offset):
+    try:
+        quad = Quad.from_flat([v + offset for v in values])
+    except SelfIntersectingQuad:
+        return
+    assert_fit_matches(quad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(convex_quads(), st.sampled_from([0.0, 1e6, -1e6]))
+def test_quad_to_rotated_equals_the_fit_as_it_was_on_convex_quads(quad, offset):
+    assert_fit_matches(shifted(quad, offset, offset))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coord, coord, side, angle, st.sampled_from([0.0, 1e6, -1e6]), st.integers(-2, 2))
+def test_quad_to_rotated_equals_the_fit_as_it_was_on_squares(cx, cy, s, turn, offset, ulps):
+    """A square, or a side a few ulps off one: the 1e-9 tie branch."""
+    square = rotated_to_quad(RotatedBox(cx + offset, cy + offset, s, nudge(s, ulps), turn))
+    assert_fit_matches(square)
+    if offset == 0.0:
+        # far from the origin the corners' rounding can pass the tolerance
+        box = quad_to_rotated(square)
+        assert abs(box.w - box.h) <= 1e-9 * max(box.w, box.h)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vtspot.errors import NonFiniteCost, SizeMismatch
+from vtspot.errors import MatchingError, NonFiniteCost, SizeMismatch
 from vtspot.geometry import RotatedBox, giou
 from vtspot.matching import (
     Assignment,
@@ -164,6 +164,18 @@ def test_hungarian_rejects_non_finite():
 def test_hungarian_solves_a_finite_row_whose_sum_overflows():
     assert hungarian([[1e308, 1e308]]) == Assignment(((0, 0),), 1e308)
     assert hungarian([[1e308, 1e308], [1e308, 0.0]]).pairs == ((0, 0), (1, 1))
+
+
+@pytest.mark.parametrize("cost", [
+    [[1e308, -1e308], [-1e308, 1e308]],
+    [[1e308, 1e308], [1e308, 1e308]],
+    [[-1.5e308, 0.0, 0.0], [0.0, -1.5e308, 0.0]],
+])
+def test_hungarian_refuses_an_optimal_total_past_the_float_range(cost):
+    with pytest.raises(MatchingError, match="optimal total .* overflows the float range") as exc_info:
+        hungarian(cost)
+    assert not isinstance(exc_info.value, NonFiniteCost)
+    assert isinstance(exc_info.value, ValueError)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
