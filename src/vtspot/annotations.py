@@ -448,9 +448,6 @@ def _read_frames(raw_frames: dict, frame_count: int, read_entry) -> dict[int, li
     return frames
 
 
-_NUMBER_TYPES = frozenset((int, float))
-
-
 def _parse_points(entry, path: str, key: str = "points", *,
                   as_box: bool = False) -> Quad | RotatedBox:
     """The quad at ``entry[key]``, or with ``as_box`` its enclosing rotated
@@ -460,11 +457,9 @@ def _parse_points(entry, path: str, key: str = "points", *,
     path = f"{path}.{key}"
     if len(pts) != 8:
         raise SchemaError(path, f"expected 8 numbers, got {len(pts)}")
-    if not _NUMBER_TYPES.issuperset(map(type, pts)):
-        # name the first value that is no number; an int subclass passes
-        for i, v in enumerate(pts):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise SchemaError(f"{path}[{i}]", f"expected a number, got {type(v).__name__}")
+    for i, v in enumerate(pts):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise SchemaError(f"{path}[{i}]", f"expected a number, got {type(v).__name__}")
     try:
         quad = Quad._of_flat(_finite_floats(pts))
         if as_box:
@@ -477,14 +472,8 @@ def _parse_points(entry, path: str, key: str = "points", *,
     return quad
 
 
-_CATEGORIES = {c.value: c for c in TextCategory}  # labels parse() would not fold
-
-
 def _parse_category(entry, path: str) -> TextCategory:
     raw = _expect(entry, "category", str, path, "string", TextCategory.OTHERS.value)
-    category = _CATEGORIES.get(raw)
-    if category is not None:
-        return category
     try:
         return TextCategory.parse(raw)
     except ValueError as exc:
@@ -583,27 +572,7 @@ def _write_detection(det: Detection) -> dict:
 # ---------------------------------------------------------------------------
 
 _quote = json.encoder.encode_basestring  # the C codec when CPython has it
-
-
-def _float_text(x: float) -> str:
-    """A float as json writes it: its repr, or NaN, Infinity, -Infinity."""
-    if x - x == 0.0:  # finite
-        return float.__repr__(x)
-    if x != x:
-        return "NaN"
-    return "Infinity" if x > 0.0 else "-Infinity"
-
-
-# The writer of each scalar type, by exact type; a subclass takes the
-# isinstance chain of ``_encode``, in json's order.
-_SCALARS = {
-    str: _quote,
-    int: int.__repr__,
-    float: _float_text,
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
-}
-_FLOAT_ONLY = frozenset((float,))
+_FLOAT = frozenset((float,))
 
 
 def _key_text(key) -> str:
@@ -615,68 +584,62 @@ def _key_text(key) -> str:
 
 def _encode(value, indent: str, default) -> str:
     """``value`` as json writes it with ``ensure_ascii=False, indent=1`` at
-    the depth whose line break and indent are ``indent``.  A value of no
-    JSON type is written as ``default(value)`` is, as json's ``default``;
-    without one it raises TypeError, as does a dict key that is not a
-    string.  No type is both a container and a scalar, so testing
-    containers first changes no output."""
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + " "
-        # a flat corner tuple: finite floats all, so each is its repr
-        if _FLOAT_ONLY.issuperset(map(type, value)) and math.isfinite(sum(value)):
-            return "[" + inner + ("," + inner).join(map(float.__repr__, value)) + indent + "]"
-        get = _SCALARS.get
-        return ("[" + inner
-                + ("," + inner).join([f(v) if (f := get(type(v))) else _encode(v, inner, default)
-                                      for v in value])
-                + indent + "]")
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + " "
-        get = _SCALARS.get
-        return ("{" + inner
-                + ("," + inner).join([
-                    _key_text(k) + ": "
-                    + (f(v) if (f := get(type(v))) else _encode(v, inner, default))
-                    for k, v in value.items()])
-                + indent + "}")
-    scalar = _SCALARS.get(type(value))
-    if scalar is not None:
-        return scalar(value)
+    the depth whose line break and indent are ``indent``, testing types in
+    json's order.  A value of no JSON type is written as ``default(value)``
+    is, as json's ``default``; without one it raises TypeError, as does a
+    dict key that is not a string."""
     if isinstance(value, str):
         return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        return _float_text(value)
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0.0 else "-Infinity"
+        return float.__repr__(value)
+    inner = indent + " "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if _FLOAT.issuperset(map(type, value)) and math.isfinite(sum(value)):
+            # a corner tuple: finite floats all, each written as its repr
+            items = map(float.__repr__, value)
+        else:
+            items = [_encode(v, inner, default) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return ("{" + inner
+                + ("," + inner).join([_key_text(k) + ": " + _encode(v, inner, default)
+                                      for k, v in value.items()])
+                + indent + "}")
     if default is None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     return _encode(default(value), indent, default)
 
 
-def _write_json(value, fh, default=None, indent: str = "\n", depth: int = 0) -> None:
+def _write_json(value, fh, default=None, indent: str = "\n", depth: int = 2) -> None:
     """Write ``value`` to the text stream ``fh`` byte for byte as the json
     module's ``dump(value, fh, ensure_ascii=False, indent=1,
-    default=default)`` does, without its pure-Python encoder.
-    The outer two levels of dicts and lists (a document and its
-    ``frames``) are written a member at a time and each deeper value as
-    one string, so a document is never held whole as text."""
-    if depth < 2 and isinstance(value, (dict, list, tuple)) and value:
+    default=default)`` does, without its pure-Python encoder.  The outer
+    ``depth`` levels of dicts (a document and its ``frames``) are written
+    a member at a time, so a document is never held whole as text."""
+    if depth and isinstance(value, dict) and value:
         inner = indent + " "
-        if isinstance(value, dict):
-            opening, closing = "{", "}"
-            members = ((_key_text(k) + ": ", v) for k, v in value.items())
-        else:
-            opening, closing = "[", "]"
-            members = (("", v) for v in value)
-        for prefix, member in members:
-            fh.write(opening + inner + prefix)
-            _write_json(member, fh, default, inner, depth + 1)
+        opening = "{"
+        for k, v in value.items():
+            fh.write(opening + inner + _key_text(k) + ": ")
+            _write_json(v, fh, default, inner, depth - 1)
             opening = ","
-        fh.write(indent + closing)
+        fh.write(indent + "}")
     else:
         fh.write(_encode(value, indent, default))
 

@@ -778,8 +778,7 @@ def greedy_link(frames, cfg=None):
 
 
 # ---------------------------------------------------------------------------
-# the json module's writer, the per-value points check and the box fit
-# as the loaders first ran them
+# the json module's writer and the box fit as it was
 # ---------------------------------------------------------------------------
 
 
@@ -787,15 +786,6 @@ def json_text(value, default=None) -> str:
     """The bytes the package's writer must emit for ``value``: the json
     module's own ``indent=1`` form, non-ASCII kept as it is."""
     return json.dumps(value, ensure_ascii=False, indent=1, default=default)
-
-
-def first_non_number(values):
-    """``(index, type name)`` of the first of ``values`` that is not an
-    ``int`` or ``float`` (a ``bool`` is not a number), or None."""
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            return i, type(v).__name__
-    return None
 
 
 def flat_quad_to_rotated(quad):

@@ -46,7 +46,7 @@ from vtspot.errors import (
 from vtspot.geometry import Quad, RotatedBox, quad_to_rotated, rotated_to_quad
 from vtspot.synth import SynthConfig, generate
 
-from oracles import first_non_number, json_text
+from oracles import json_text
 
 
 def rect(x0, y0, x1, y1) -> Quad:
@@ -1311,61 +1311,3 @@ def test_saved_files_are_the_json_modules_bytes_in_utf8(tmp_path, suffix):
     for name, text in expected_bytes(gt, dets).items():
         data = (tmp_path / f"{name}{suffix}").read_bytes()
         assert (gzip.decompress(data) if suffix.endswith(".gz") else data) == text.encode("utf-8")
-
-
-RECT = [10, 10, 50, 10, 50, 30, 10, 30]
-not_numbers = st.one_of(st.booleans(), st.text(max_size=2), st.none(),
-                        st.lists(st.integers(), max_size=2),
-                        st.lists(st.lists(st.floats(), max_size=1), max_size=1))
-
-
-def read_outcome(read, entry):
-    try:
-        return "ok", read(entry, "frames.0[0]")
-    except SchemaError as exc:
-        return "error", exc.path, exc.message
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 7), st.one_of(not_numbers, st.just("int subclass"))),
-                max_size=3),
-       st.sampled_from(["instance points", "detection points", "detection track_box"]))
-def test_points_refusals_are_the_per_value_loops(changes, where):
-    values = list(RECT)
-    for i, bad in changes:
-        values[i] = Count(RECT[i]) if bad == "int subclass" else bad
-    kind, key = where.split()
-    if kind == "instance":
-        read, entry = annotations_mod._read_instance, {"id": 1, key: values, "transcription": "x"}
-    else:
-        read, entry = annotations_mod._read_detection, {"points": list(RECT), "score": 0.5}
-        entry[key] = values
-    outcome = read_outcome(read, entry)
-    bad = first_non_number(values)
-    if bad is not None:
-        i, name = bad
-        assert outcome == ("error", f"frames.0[0].{key}[{i}]", f"expected a number, got {name}")
-    else:
-        # an int subclass reads as the int it is
-        assert outcome == read_outcome(read, dict(entry, **{key: [int(v) for v in values]}))
-        assert outcome[0] == "ok"
-    if not any(isinstance(v, Count) for v in values):
-        # the same refusal through a whole document, named by its frame
-        doc = json.loads(json.dumps(MINIMAL_DOC if kind == "instance" else DETS_DOC))
-        frame = "0" if kind == "instance" else "1"
-        doc["frames"][frame][0][key] = values
-        load = load_annotation if kind == "instance" else load_detections
-        try:
-            load(io.StringIO(json.dumps(doc)))
-        except SchemaError as exc:
-            assert bad is not None
-            assert (exc.path, exc.message) == (f"frames.{frame}[0].{key}[{bad[0]}]",
-                                               f"expected a number, got {bad[1]}")
-        else:
-            assert bad is None
-
-
-@pytest.mark.parametrize("label", ["scene", "SCENE", "Caption", "others", "title"])
-def test_category_labels_parse_as_before(label):
-    entry = {"id": 1, "points": RECT, "transcription": "x", "category": label}
-    assert annotations_mod._read_instance(entry, "p").category == TextCategory.parse(label)
