@@ -263,6 +263,19 @@ def _normalized_box(box, width, height):
                      box.w / width, box.h / height, box.angle)
 
 
+def _loss_sum(terms: dict[str, float], whose: str) -> float:
+    """``math.fsum`` of the loss terms of ``whose`` (``"frame 3's"`` or
+    ``"the video's"``).  A term or a sum past the float range raises
+    ValueError naming it."""
+    for key, value in terms.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{whose} {key} total overflows the float range")
+    try:
+        return math.fsum(terms.values())
+    except OverflowError:
+        raise ValueError(f"{whose} loss total overflows the float range") from None
+
+
 def cmd_loss(args) -> int:
     gt = load_annotation(args.gt)
     preds = load_detections(args.pred)
@@ -299,14 +312,14 @@ def cmd_loss(args) -> int:
             "pairs": [list(p) for p in assignment.pairs],
             "match_cost": assignment.total_cost,
             "terms": terms,
-            "loss": math.fsum(terms.values()),
+            "loss": _loss_sum(terms, f"frame {f}'s"),
         })
     payload = {
         "video_id": gt.video_id,
         "weights": dataclasses.asdict(w),
         "frames": frames_out,
         "totals": totals,
-        "loss": math.fsum(totals.values()),
+        "loss": _loss_sum(totals, "the video's"),
     }
     _dump_json(payload, args.out or sys.stdout)
     return 0

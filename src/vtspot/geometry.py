@@ -23,9 +23,11 @@ many others is prepared once, whoever calls.
 
 There is one broad-phase rule: two quads whose axis-aligned extents, each
 padded by ``_BROAD_SLACK`` of its coordinates' magnitude, are apart cannot
-overlap.  ``iou``, ``quad_iou`` and ``giou`` skip the clip for such a pair,
-and ``near_pairs`` leaves it out of the pairs a caller scores: the tracker,
-the linker and the metrics score only the pairs it returns.
+overlap.  ``_apart`` states the rule.  ``iou``, ``quad_iou`` and ``giou``
+skip the clip for such a pair, and ``near_pairs`` leaves it out of the
+pairs a caller scores: the tracker, the linker and the metrics score only
+the pairs it returns.  ``near_pairs`` pads each quad's bounds once per
+call and compares them inline, pair by pair, with no call per pair.
 
 Units are whatever the caller uses (pixels throughout this package); nothing
 here assumes an image size.
@@ -446,13 +448,22 @@ def near_pairs(a: list[Quad], b: list[Quad]) -> list[tuple[int, int]]:
     every pair but those whose padded extents are apart, the one reject
     rule of the overlap functions.  A table of IoUs needs to score only
     these pairs.  Raises NonConvexInput for a non-convex quad, as quad_iou
-    does.
+    does, checking every quad of ``b`` first, even when ``a`` is empty.
+
+    Each quad's padded bounds, ``(lo_x - pad, lo_y - pad, hi_x + pad, hi_y
+    + pad)`` of its ``_extents``, are taken once per call, and each pair's
+    four comparisons run inline: the floats and the rule of ``_apart``,
+    without a call per pair.
     """
-    extents_b = [q._convex_extents() for q in b]
+    bounds_b = [(lo_x - pad, lo_y - pad, hi_x + pad, hi_y + pad)
+                for lo_x, lo_y, hi_x, hi_y, pad in map(Quad._convex_extents, b)]
     pairs: list[tuple[int, int]] = []
     for i, q in enumerate(a):
-        ea = q._convex_extents()
-        pairs += [(i, j) for j, eb in enumerate(extents_b) if not _apart(ea, eb)]
+        lo_x, lo_y, hi_x, hi_y, pad = q._convex_extents()
+        a_lo_x, a_lo_y, a_hi_x, a_hi_y = lo_x - pad, lo_y - pad, hi_x + pad, hi_y + pad
+        pairs += [(i, j) for j, (b_lo_x, b_lo_y, b_hi_x, b_hi_y) in enumerate(bounds_b)
+                  if not (a_hi_x < b_lo_x or b_hi_x < a_lo_x
+                          or a_hi_y < b_lo_y or b_hi_y < a_lo_y)]
     return pairs
 
 

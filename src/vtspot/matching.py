@@ -142,7 +142,8 @@ def hungarian(cost) -> Assignment:
     rows than columns, or a ragged one, raises ValueError; a nan or an
     infinity raises NonFiniteCost naming its first cell in row-major order
     (finite cells whose sum overflows are accepted, but an optimal total
-    past the float range raises MatchingError).  Ties are broken by
+    past the float range raises MatchingError, as do potentials that
+    overflow so far that a scan can pick no column).  Ties are broken by
     the lowest column index at every scan, so the result is deterministic
     for equal-cost optima.
     """
@@ -194,6 +195,10 @@ def hungarian(cost) -> Assignment:
                 if best < delta:
                     delta = best
                     j1 = j
+            if j1 == 0:
+                # every reduced cost was inf or nan: the potentials overflowed
+                raise MatchingError(f"the row and column potentials of the {n}x{m} "
+                                    "cost matrix overflow the float range")
             for j in used:
                 u[col_to_row[j]] += delta
                 v[j] -= delta

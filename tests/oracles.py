@@ -29,6 +29,7 @@ from vtspot.geometry import (
     DEGENERATE_AREA,
     Quad,
     RotatedBox,
+    _apart,
     canonical_angle,
     iou,
     nondegenerate_hull,
@@ -335,13 +336,14 @@ def point_quad_to_rotated(quad):
 # ---------------------------------------------------------------------------
 # The package scores far-apart pairs 0 without clipping (for GIoU, their
 # overlap), keeps each shape's unrolled quad and extents for all of its
-# pairs, its metric passes share one IoU table per frame, and its gated
-# assignments price only the listed pairs.  What follows is the plain
-# version of each: every pair is clipped on its own, each pass computes its
-# own overlaps, and each assignment flood-fills its gate components on a
-# dense table and fills each one's padded matrix by hand.  The linker's
-# greedy, which sorts each object's candidates once, is kept as a
-# best-IoU scan with an explicit tie rule.
+# pairs, its broad phase compares padded bounds inline, its metric passes
+# share one IoU table per frame, and its gated assignments price only the
+# listed pairs.  What follows is the plain version of each: every pair is
+# clipped on its own, the broad phase calls ``_apart`` on every pair, each
+# pass computes its own overlaps, and each assignment flood-fills its gate
+# components on a dense table and fills each one's padded matrix by hand.
+# The linker's greedy, which sorts each object's candidates once, is kept
+# as a best-IoU scan with an explicit tie rule.
 # Unlike the oracles at the top, the overlaps use the point geometry above,
 # which does the package's arithmetic, so that differential tests can
 # demand bit-equal results.
@@ -387,6 +389,19 @@ def clip_giou(a, b):
     if hull <= 0.0:
         return value
     return value - max(0.0, hull - union) / hull
+
+
+def plain_near_pairs(a, b):
+    """``near_pairs`` as a double loop calling ``_apart`` on every pair's
+    extents; every quad of ``b`` is checked for convexity first."""
+    extents_b = [q._convex_extents() for q in b]
+    pairs = []
+    for i, q in enumerate(a):
+        ea = q._convex_extents()
+        for j, eb in enumerate(extents_b):
+            if not _apart(ea, eb):
+                pairs.append((i, j))
+    return pairs
 
 
 def plain_cost_matrix(gts, preds, w):

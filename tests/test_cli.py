@@ -768,6 +768,43 @@ def test_loss_whose_optimal_total_overflows_exits_one(tmp_path, capsys):
                             "overflows the float range\n")
 
 
+def _loss_inputs(tmp_path, *detections):
+    """One 20x10 box in each frame of a 100x100 video, and one detection
+    per frame with the given points."""
+    header = {"video_id": "v", "width": 100, "height": 100, "frame_count": len(detections)}
+    box = [10, 10, 30, 10, 30, 20, 10, 20]
+    gt, dets = tmp_path / "gt.json", tmp_path / "dets.json"
+    gt.write_text(json.dumps(dict(header, frames={
+        str(f): [{"id": 1, "points": box, "transcription": "a"}] for f in range(len(detections))})))
+    dets.write_text(json.dumps(dict(header, frames={
+        str(f): [{"score": 0.9, "points": points}] for f, points in enumerate(detections)})))
+    return gt, dets
+
+
+MOVED = [60, 10, 80, 10, 80, 20, 60, 20]  # 50 px to the right
+TURNED = [25, 5, 25, 25, 15, 25, 15, 5]  # a quarter turn in place
+MOVED_AND_TURNED = [75, 5, 75, 25, 65, 25, 65, 5]
+
+
+@pytest.mark.parametrize("detections,weights,message", [
+    # each frame's matching total is finite, and so are the l1 total (frame
+    # 0) and the angle total (frame 1), but not their sum
+    ((MOVED, TURNED), "0,1.7e308,0,1e308", "the video's loss total overflows the float range"),
+    # the l1 total overflows when the third frame's term is added
+    ((MOVED, MOVED, MOVED), "0,1.7e308,0,0", "the video's l1 total overflows the float range"),
+    # the matching cost, offset by -w_cls * 0.9, is finite; the frame's
+    # loss, whose class term is -log(0.9), is not
+    ((MOVED_AND_TURNED,), "1.7e308,1.7e308,0,1e308", "frame 0's loss total overflows the float range"),
+])
+def test_loss_whose_totals_overflow_exits_one(tmp_path, capsys, detections, weights, message):
+    gt, dets = _loss_inputs(tmp_path, *detections)
+    out = tmp_path / "loss.json"
+    assert run_cli("loss", str(gt), str(dets), "--weights", weights, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"vtspot: {message}\n")
+    assert not out.exists()
+
+
 def test_loss_bad_weights_exits_one(tmp_path):
     gt_path, det_path = axis_aligned_fixture(tmp_path)
     with pytest.raises(SystemExit) as exc_info:

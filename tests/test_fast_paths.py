@@ -10,6 +10,7 @@ Results must be equal, not approximately equal."""
 
 import math
 import random
+import sys
 import unittest.mock
 from dataclasses import replace
 
@@ -30,6 +31,7 @@ from oracles import (
     flat_quad_to_rotated,
     greedy_link,
     plain_cost_matrix,
+    plain_near_pairs,
     point_intersection,
     point_quad_to_rotated,
     point_unroll,
@@ -55,6 +57,7 @@ from vtspot.geometry import (
     _clip,
     giou,
     iou,
+    near_pairs,
     quad_iou,
     quad_to_rotated,
     rotated_to_quad,
@@ -567,6 +570,115 @@ def test_match_sets_equals_per_pair_oracle_at_the_edges(w):
         gts += [GroundTruthInstance.padding()] * (len(pred_boxes) - len(gts))
         preds = [PredictedInstance(rng.random(), b) for b in pred_boxes]
         match_sets_checking_cost(gts, preds, w)
+
+
+# ---------------------------------------------------------------------------
+# near_pairs: padded bounds compared inline vs _apart on every pair
+# ---------------------------------------------------------------------------
+
+TOUCHING = touching_pairs()
+
+
+def transposed(quad: Quad) -> Quad:
+    """``quad`` mirrored across the line y = x: its x-extents become its
+    y-extents, exactly."""
+    xy = quad.as_flat()
+    return Quad.from_flat([v for k in range(0, 8, 2) for v in (xy[k + 1], xy[k])])
+
+
+def rectangle(x0: float, y0: float, x1: float, y1: float) -> Quad:
+    return Quad.from_flat([x0, y0, x1, y0, x1, y1, x0, y1])
+
+
+# coordinates within 1e-9 of the float maximum: the pad added to the
+# largest of them takes the padded bound past the float range, to +-inf
+near_max = st.floats(sys.float_info.max * (1.0 - 1e-9), sys.float_info.max)
+
+
+@st.composite
+def edge_of_range_quads(draw):
+    """Axis-aligned rectangles whose corners lie within 1e-9 of the float
+    maximum, on either side of zero in each axis."""
+    sx, sy = draw(st.sampled_from((1.0, -1.0))), draw(st.sampled_from((1.0, -1.0)))
+    x0, x1 = sorted((sx * draw(near_max), sx * draw(near_max)))
+    y0, y1 = sorted((sy * draw(near_max), sy * draw(near_max)))
+    return rectangle(x0, y0, x1, y1)
+
+
+@st.composite
+def broad_phase_inputs(draw):
+    """Two quad lists, either of them possibly empty: rotated quads near
+    the origin or around +-1e6 to 3e6, quads at the edge of the float
+    range, and boxes whose padded extents touch or lie a few ulps apart
+    (``touching_pairs``, in x or, transposed, in y), split across the
+    lists."""
+    centre = draw(st.sampled_from((0.0, 1e6, -1e6, 3e6, -3e6)))
+    spread = st.builds(lambda b: rotated_to_quad(replace(b, cx=b.cx + centre, cy=b.cy - centre)),
+                       boxes)
+    quads = st.one_of(spread, edge_of_range_quads())
+    a = draw(st.lists(quads, max_size=6))
+    b = draw(st.lists(quads, max_size=6))
+    for box_a, box_b, _ in draw(st.lists(st.sampled_from(TOUCHING), max_size=4)):
+        qa, qb = rotated_to_quad(box_a), rotated_to_quad(box_b)
+        if draw(st.booleans()):
+            qa, qb = transposed(qa), transposed(qb)
+        if draw(st.booleans()):
+            qa, qb = qb, qa
+        a.insert(draw(st.integers(0, len(a))), qa)
+        b.insert(draw(st.integers(0, len(b))), qb)
+    return a, b
+
+
+def fresh(quads: list[Quad]) -> list[Quad]:
+    """Copies of ``quads`` that have not computed their extents yet."""
+    return [Quad.from_flat(q.as_flat()) for q in quads]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_edge_of_range_quads_pad_to_infinity(sign):
+    """The pad takes a bound within 1e-9 of the float maximum past it."""
+    edge, inner = sign * sys.float_info.max, sign * sys.float_info.max * (1.0 - 1e-9)
+    lo, hi = min(edge, inner), max(edge, inner)
+    quad = rectangle(lo, lo, hi, hi)
+    lo_x, lo_y, hi_x, hi_y, pad = quad._convex_extents()
+    if sign > 0.0:
+        assert hi_x + pad == hi_y + pad == math.inf
+    else:
+        assert lo_x - pad == lo_y - pad == -math.inf
+    assert near_pairs([quad], [quad]) == [(0, 0)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(broad_phase_inputs())
+@example(([], []))
+@example(([], [rectangle(0.0, 0.0, 1.0, 1.0)]))
+@example(([rectangle(0.0, 0.0, 1.0, 1.0)], []))
+def test_near_pairs_equals_apart_on_every_pair(lists):
+    """The same pairs in the same order as ``_apart`` on every pair, on
+    fresh quads (the call computes their extents) and again on the same
+    ones (it reads the extents they kept)."""
+    a, b = fresh(lists[0]), fresh(lists[1])
+    expected = plain_near_pairs(fresh(a), fresh(b))
+    assert near_pairs(a, b) == expected
+    assert near_pairs(a, b) == expected
+
+
+DART = [0, 0, 4, 0, 1, 1, 0, 4]
+
+
+@pytest.mark.parametrize("a,b", [
+    ([DART], []),
+    ([], [DART]),
+    ([DART], [[0, 0, 1, 0, 1, 1, 0, 1]]),
+    ([[100, 0, 101, 0, 101, 1, 100, 1]], [[0, 0, 1, 0, 1, 1, 0, 1], DART]),
+    ([[0, 0, 1, 0, 1, 1, 0, 1], [1e6, 0, 1e6 + 1, 0, 1e6 + 1, 1, 1e6, 1], DART], [DART]),
+])
+def test_near_pairs_rejects_a_nonconvex_quad_in_either_list(a, b):
+    """A non-convex quad raises wherever it is, even when no pair is
+    tested: one in ``b`` when ``a`` is empty, one in ``a`` when ``b`` is."""
+    for pairs in (near_pairs, plain_near_pairs):
+        with pytest.raises(NonConvexInput):
+            pairs([Quad.from_flat(q) for q in a], [Quad.from_flat(q) for q in b])
 
 
 # ---------------------------------------------------------------------------

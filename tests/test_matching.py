@@ -178,6 +178,16 @@ def test_hungarian_refuses_an_optimal_total_past_the_float_range(cost):
     assert isinstance(exc_info.value, ValueError)
 
 
+def test_hungarian_refuses_potentials_past_the_float_range():
+    """Both assignments total 0.0, but inserting the second row shifts the
+    potentials past the float range: every reduced cost of the scan is inf
+    or nan, and no column can be picked."""
+    with pytest.raises(MatchingError, match="potentials of the 2x2 cost matrix "
+                                            "overflow the float range") as exc_info:
+        hungarian([[-1.5e308, 1.5e308], [-1.5e308, 1.5e308]])
+    assert not isinstance(exc_info.value, NonFiniteCost)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_hungarian_names_the_first_non_finite_cell_in_row_major_order(bad):
     for n, m in ((1, 1), (2, 3), (3, 3)):
