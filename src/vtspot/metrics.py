@@ -206,11 +206,14 @@ def _usable_quad(quad: Quad) -> Quad:
 class _FrameTable:
     """One frame's overlaps, computed once and read by every metric pass.
 
-    ``ious`` maps (gt index, pred index) to ``quad_iou(gt, pred)`` for the
-    ``near_pairs`` whose IoU is not 0; every other pair has IoU 0.
+    ``ious`` maps (gt track id, pred track id) to ``quad_iou(gt, pred)``
+    for the ``near_pairs`` whose IoU is not 0; every other pair has IoU 0.
+    Track ids are unique within a frame, so every pass reads the keys as
+    they are, whatever order the documents list the instances in.
     ``ignore_iou`` holds each prediction's largest IoU with an ignored
-    reference region (0 when there is none).  Each pass applies its
-    own gate; all gates are positive, so the absent pairs never pass one.
+    reference region (0 when there is none), in the order of ``preds``.
+    Each pass applies its own gate; all gates are positive, so the absent
+    pairs never pass one.
     """
 
     frame: int
@@ -236,7 +239,7 @@ def _frame_tables(gt: VideoAnnotation, pred: VideoAnnotation) -> list[_FrameTabl
         for gi, pi in near_pairs(gt_quads, pred_quads):
             overlap = quad_iou(gt_quads[gi], pred_quads[pi])
             if overlap:
-                ious[gi, pi] = overlap
+                ious[active[gi].track_id, preds[pi].track_id] = overlap
         region_quads = [_usable_quad(r.quad) for r in ignored]
         ignore_iou = [0.0] * len(preds)
         for pi, ri in near_pairs(pred_quads, region_quads):
@@ -245,9 +248,9 @@ def _frame_tables(gt: VideoAnnotation, pred: VideoAnnotation) -> list[_FrameTabl
     return tables
 
 
-def _kept_preds(table: _FrameTable, gate: float) -> list[int]:
-    """Indices of the predictions not lying on an ignored region."""
-    return [pi for pi, overlap in enumerate(table.ignore_iou) if overlap < gate]
+def _kept_preds(table: _FrameTable, gate: float) -> list[Instance]:
+    """The predictions not lying on an ignored region."""
+    return [p for p, overlap in zip(table.preds, table.ignore_iou) if overlap < gate]
 
 
 # ---------------------------------------------------------------------------
@@ -262,22 +265,19 @@ def _detection_counts(tables: list[_FrameTable], iou_thresh: float) -> DetCounte
     counters = DetCounters()
     for table in tables:
         kept = _kept_preds(table, iou_thresh)
-        usable = set(kept)
-        gt, preds = table.gt, table.preds
+        usable = {p.track_id for p in kept}
         pairs = sorted(
-            (-overlap, gt[gi].track_id, preds[pi].track_id, gi, pi)
-            for (gi, pi), overlap in table.ious.items()
-            if overlap >= iou_thresh and pi in usable
+            (-overlap, gid, pid)
+            for (gid, pid), overlap in table.ious.items()
+            if overlap >= iou_thresh and pid in usable
         )
         used_g: set[int] = set()
         used_p: set[int] = set()
-        tp = 0
-        for _, _, _, gi, pi in pairs:
-            if gi in used_g or pi in used_p:
-                continue
-            used_g.add(gi)
-            used_p.add(pi)
-            tp += 1
+        for _, gid, pid in pairs:
+            if gid not in used_g and pid not in used_p:
+                used_g.add(gid)
+                used_p.add(pid)
+        tp = len(used_g)
         counters.tp += tp
         counters.fn += len(table.gt) - tp
         counters.fp += len(kept) - tp
@@ -294,6 +294,8 @@ def eval_mot(tables: list[_FrameTable], iou_thresh: float) -> MotCounters:
     """CLEAR procedure: correspondences established frame by frame, kept
     while they stay above the gate, mismatches counted the first frame a
     reference track's partner id changes versus its last established one.
+    Correspondences are keyed by track id, and new ones are assigned with
+    ties in ascending reference, then prediction, track id.
     A frame without a table is empty, so it ends every correspondence."""
     counters = MotCounters()
     active_corr: dict[int, int] = {}  # established at frame corr_frame
@@ -303,46 +305,31 @@ def eval_mot(tables: list[_FrameTable], iou_thresh: float) -> MotCounters:
     for table in tables:
         if table.frame != corr_frame + 1:
             active_corr = {}
-        kept = _kept_preds(table, iou_thresh)
-        gt_index = {s.track_id: gi for gi, s in enumerate(table.gt)}
-        pred_index = {table.preds[pi].track_id: pi for pi in kept}
-
-        matches: dict[int, int] = {}
-        matched_pred: set[int] = set()
-        iou_of: dict[int, float] = {}
+        kept = {p.track_id for p in _kept_preds(table, iou_thresh)}
+        ious = table.ious
 
         # keep still-valid correspondences from the previous frame
-        for gid, pid in active_corr.items():
-            if gid in gt_index and pid in pred_index:
-                overlap = table.ious.get((gt_index[gid], pred_index[pid]), 0.0)
-                if overlap >= iou_thresh:
-                    matches[gid] = pid
-                    matched_pred.add(pid)
-                    iou_of[gid] = overlap
+        matches = {gid: pid for gid, pid in active_corr.items()
+                   if pid in kept and ious.get((gid, pid), 0.0) >= iou_thresh}
 
         # assign the remainder, maximizing total IoU above the gate
-        rem_p = {pi for pi in kept if table.preds[pi].track_id not in matched_pred}
+        matched_pred = set(matches.values())
         gated = {
-            (gi, pi): overlap for (gi, pi), overlap in table.ious.items()
-            if overlap >= iou_thresh and pi in rem_p
-            and table.gt[gi].track_id not in matches
+            (gid, pid): overlap for (gid, pid), overlap in ious.items()
+            if overlap >= iou_thresh and pid in kept
+            and gid not in matches and pid not in matched_pred
         }
-        for gi, pi in gated_assign(gated):
-            gid = table.gt[gi].track_id
-            pid = table.preds[pi].track_id
+        for gid, pid in gated_assign(gated):
             matches[gid] = pid
-            iou_of[gid] = gated[gi, pi]
             if gid in last_match and last_match[gid] != pid:
                 counters.mismatches += 1
 
-        for gid, pid in matches.items():
-            last_match[gid] = pid
-
+        last_match.update(matches)
         counters.gt_count += len(table.gt)
         counters.matches += len(matches)
         counters.misses += len(table.gt) - len(matches)
         counters.false_positives += len(kept) - len(matches)
-        counters.matched_iou_sum += sum(iou_of.values())
+        counters.matched_iou_sum += sum(ious[pair] for pair in matches.items())
         active_corr, corr_frame = matches, table.frame
 
     return counters
@@ -381,45 +368,36 @@ def eval_id(
     pred_len: dict[int, int] = {}
     agree: dict[tuple[int, int], int] = {}
     for table in tables:
+        gt_text: dict[int, str | None] = {}
         for slot in table.gt:
             gt_len[slot.track_id] = gt_len.get(slot.track_id, 0) + 1
+            gt_text[slot.track_id] = text_of(slot)
         pred_text: dict[int, str | None] = {}
-        for pi in _kept_preds(table, IGNORE_GATE):
-            slot = table.preds[pi]
+        for slot in _kept_preds(table, IGNORE_GATE):
             if spotting and slot.transcription is None:
                 raise MissingTranscription(
                     f"prediction track {slot.track_id} frame {table.frame} has no "
                     "transcription"
                 )
             pred_len[slot.track_id] = pred_len.get(slot.track_id, 0) + 1
-            pred_text[pi] = text_of(slot)
-        gt_text = [text_of(slot) for slot in table.gt]
-        for (gi, pi), overlap in table.ious.items():
-            if (pi in pred_text and overlap > iou_floor
-                    and gt_text[gi] == pred_text[pi]):
-                key = (table.gt[gi].track_id, table.preds[pi].track_id)
-                agree[key] = agree.get(key, 0) + 1
+            pred_text[slot.track_id] = text_of(slot)
+        for (gid, pid), overlap in table.ious.items():
+            if (pid in pred_text and overlap > iou_floor
+                    and gt_text[gid] == pred_text[pid]):
+                agree[gid, pid] = agree.get((gid, pid), 0) + 1
 
-    g_ids = sorted(gt_len)
-    p_ids = sorted(pred_len)
-    g_row = {g: r for r, g in enumerate(g_ids)}
-    p_col = {p: c for c, p in enumerate(p_ids)}
-    weights = {(g_row[g], p_col[p]): n for (g, p), n in agree.items()}
-
-    assigned = dict(gated_assign(weights))
-
-    id_tp = sum(weights[pair] for pair in assigned.items())
+    assigned = dict(gated_assign(agree))
+    id_tp = sum(agree[pair] for pair in assigned.items())
     counters = IdCounters(
         id_tp=id_tp,
         id_fp=sum(pred_len.values()) - id_tp,
         id_fn=sum(gt_len.values()) - id_tp,
-        gt_tracks=len(g_ids),
+        gt_tracks=len(gt_len),
     )
 
     mt = ml = 0
-    for gi, g in enumerate(g_ids):
-        covered = weights[gi, assigned[gi]] if gi in assigned else 0
-        coverage = covered / gt_len[g]
+    for gid, length in gt_len.items():
+        coverage = agree[gid, assigned[gid]] / length if gid in assigned else 0.0
         if coverage >= 0.8:
             mt += 1
         elif coverage < 0.2:

@@ -504,10 +504,12 @@ def _on_ignored_region(quad, ignored, gate):
 def component_pairs(admissible, weight):
     """Gated max-weight assignment on dense tables, one gate component at a
     time: flood-fill the components of the bipartite graph whose edges are
-    the admissible cells, then solve each on its own padded square
-    submatrix, rows and columns in their original order (an admissible cell
-    costs 1 - weight, any other cell 1).  Returns the admissible pairs
-    chosen, sorted by row."""
+    the admissible cells, then solve each on its own hand-built submatrix,
+    rows and columns in their original order (an admissible cell costs
+    1 - weight, any other cell 1).  The submatrix has one row per component
+    row and as many columns as the larger side, so only a tall component
+    is padded, with columns: equal optima are settled by the component's
+    own shape.  Returns the admissible pairs chosen, sorted by row."""
     n_r = len(admissible)
     n_c = len(admissible[0]) if n_r else 0
     row_comp, col_comp = [None] * n_r, [None] * n_c
@@ -534,14 +536,13 @@ def component_pairs(admissible, weight):
     for k in range(n_comps):
         rows = [r for r in range(n_r) if row_comp[r] == k]
         cols = [c for c in range(n_c) if col_comp[c] == k]
-        n = max(len(rows), len(cols))
-        cost = [[1.0] * n for _ in range(n)]
+        cost = [[1.0] * max(len(rows), len(cols)) for _ in rows]
         for i, r in enumerate(rows):
             for j, c in enumerate(cols):
                 if admissible[r][c]:
                     cost[i][j] = 1.0 - weight[r][c]
         for i, j in hungarian(cost).pairs:
-            if i < len(rows) and j < len(cols) and admissible[rows[i]][cols[j]]:
+            if j < len(cols) and admissible[rows[i]][cols[j]]:
                 pairs.append((rows[i], cols[j]))
     return sorted(pairs)
 
@@ -562,17 +563,17 @@ def _detection_pass(gt, pred, iou_thresh):
     for f in range(gt.frame_count):
         gt_active, preds = _frame_preds(gt, pred, f, iou_thresh)
         pairs = []
-        for gi, g in enumerate(gt_active):
-            for pi, p in enumerate(preds):
-                overlap = clip_quad_iou(g[1], p[1])
+        for gid, g_quad, _ in gt_active:
+            for pid, p_quad, _ in preds:
+                overlap = clip_quad_iou(g_quad, p_quad)
                 if overlap >= iou_thresh:
-                    pairs.append((-overlap, gi, pi))
-        pairs.sort()
+                    pairs.append((-overlap, gid, pid))
+        pairs.sort()  # equal IoUs in (gt track id, pred track id) order
         used_g, used_p = set(), set()
-        for _, gi, pi in pairs:
-            if gi not in used_g and pi not in used_p:
-                used_g.add(gi)
-                used_p.add(pi)
+        for _, gid, pid in pairs:
+            if gid not in used_g and pid not in used_p:
+                used_g.add(gid)
+                used_p.add(pid)
         tp = len(used_g)
         counters.tp += tp
         counters.fn += len(gt_active) - tp
@@ -595,8 +596,9 @@ def _clear_pass(gt, pred, iou_thresh):
                     matches[gid] = pid
                     matched_pred.add(pid)
                     iou_of[gid] = overlap
-        rem_g = [g for g in gt_active if g[0] not in matches]
-        rem_p = [p for p in preds if p[0] not in matched_pred]
+        # the remainder in track-id order, the order that breaks CLEAR's ties
+        rem_g = sorted((g for g in gt_active if g[0] not in matches), key=lambda g: g[0])
+        rem_p = sorted((p for p in preds if p[0] not in matched_pred), key=lambda p: p[0])
         ious = [[clip_quad_iou(g[1], p[1]) for p in rem_p] for g in rem_g]
         for gi, pi in _gated_max_iou_pairs(ious, iou_thresh):
             gid, pid = rem_g[gi][0], rem_p[pi][0]

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vtspot.errors import MatchingError, NonFiniteCost, SizeMismatch
@@ -428,12 +428,23 @@ def test_gated_assign_equals_dense_solve_when_the_optimum_is_unique(case):
     assert gated_assign(weights) == dense
 
 
+# Two matchings tie at 5.49999 here; padding this 4×5 component to a
+# square with a fifth row would settle the tie on (1, 3), (3, 4) instead.
+PADDING_ROW_MOVES_A_TIE = {
+    (0, 0): .25, (0, 1): .25, (0, 2): .25, (0, 3): .25, (0, 4): .25,
+    (1, 0): .25, (1, 1): .25, (1, 2): .99999, (1, 3): 4, (1, 4): .25,
+    (2, 0): .25, (2, 1): .25, (2, 2): .25, (3, 3): 4, (3, 4): .99999,
+}
+
+
 @settings(max_examples=300, deadline=None)
 @given(sparse_weights())
+@example((PADDING_ROW_MOVES_A_TIE, 4, 5))
 def test_gated_assign_equals_the_padded_square_solve(case):
-    """The oracle solves each component on a square matrix padded with
-    rows or columns; ``gated_assign`` pads only tall components.  Padding
-    rows never displace a real row, so the two agree, ties included."""
+    """The oracle flood-fills each component of a dense table and solves
+    it on a hand-built rows × max(rows, cols) matrix, the shape
+    ``gated_assign`` documents.  The two reach the same optimum, and ties
+    are settled by the component's own shape, so they agree pair for pair."""
     weights, n_rows, n_cols = case
     admissible = [[(r, c) in weights for c in range(n_cols)] for r in range(n_rows)]
     table = [[weights.get((r, c), 0) for c in range(n_cols)] for r in range(n_rows)]

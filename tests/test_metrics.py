@@ -1,7 +1,8 @@
+import itertools
 import math
 import pickle
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -122,11 +123,26 @@ def test_detection_counts_do_not_depend_on_prediction_order():
     assert forward == backward == DetCounters(tp=1, fp=1, fn=1)
 
 
+def test_clear_ties_do_not_depend_on_prediction_order():
+    # two stacked references and two stacked predictions tie in frame 0 and
+    # split apart in frame 1; the lower ids pair up whatever the file order
+    def square(tid, x):
+        return inst(tid, x, w=10.0, h=10.0)
+
+    gt = {0: [square(0, 0.0), square(1, 0.0)], 1: [square(0, 0.0), square(1, 40.0)]}
+    split = [square(5, 0.0), square(6, 40.0)]
+    want = MotCounters(matches=4, mismatches=0, gt_count=4, matched_iou_sum=4.0)
+    for stacked in ([square(5, 0.0), square(6, 0.0)], [square(6, 0.0), square(5, 0.0)]):
+        pred = ann({0: stacked, 1: split}, 2)
+        assert evaluate(ann(gt, 2), pred, "tracking").mot == want
+
+
 @st.composite
 def lattice_pair(draw):
     """A reference and a prediction document of 10×10 squares on one row,
     centred on a 2-unit lattice so that many pairs tie in IoU, each with
-    its frames' instances also drawn in a second order."""
+    its frames' instances also drawn in a second order; the predictions
+    come a third time, their track ids relabeled by an increasing map."""
     def frame_of():
         xs = draw(st.lists(st.integers(0, 8), max_size=5))
         ids = draw(st.permutations(range(len(xs))))
@@ -139,15 +155,22 @@ def lattice_pair(draw):
         frames = [frame_of() for _ in range(n_frames)]
         docs.append(tuple(ann({f: frame[k] for f, frame in enumerate(frames)}, n_frames)
                           for k in (0, 1)))
-    return docs
+    new_id = list(itertools.accumulate(draw(st.lists(st.integers(1, 4), min_size=5,
+                                                     max_size=5))))
+    pred = docs[1][0]
+    relabeled_pred = ann({f: [replace(i, track_id=new_id[i.track_id]) for i in items]
+                          for f, items in pred.frames.items()}, n_frames)
+    return docs[0], docs[1] + (relabeled_pred,)
 
 
 @settings(max_examples=300, deadline=None)
 @given(lattice_pair())
-def test_detection_counts_are_invariant_to_instance_order(docs):
-    (gt, gt_moved), (pred, pred_moved) = docs
-    assert (evaluate(gt_moved, pred_moved, "detection").det
-            == evaluate(gt, pred, "detection").det)
+def test_reports_are_invariant_to_instance_order(docs):
+    (gt, gt_moved), (pred, pred_moved, pred_relabeled) = docs
+    for task in ("detection", "tracking", "spotting"):
+        want = evaluate(gt, pred, task).to_dict()
+        assert evaluate(gt_moved, pred_moved, task).to_dict() == want, task
+        assert evaluate(gt, pred_relabeled, task).to_dict() == want, task
 
 
 def test_detection_threshold_gates_matches():
