@@ -352,6 +352,11 @@ def _load_json(source):
             raise SchemaError("$", f"not UTF-8 text: {exc}") from None
         except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
             raise SchemaError("$", f"not a readable gzip stream: {exc}") from None
+        except (ValueError, RecursionError) as exc:
+            # the decoder's other refusals: an integer literal past the
+            # int-to-string digit limit, arrays or objects nested deeper
+            # than it recurses
+            raise SchemaError("$", f"not valid JSON: {exc}") from None
 
 
 _REQUIRED = object()
@@ -420,9 +425,11 @@ def _read_frames(raw_frames: dict, frame_count: int, read_entry) -> dict[int, li
 
     Keys are read in numeric order.  Each must be an ASCII decimal index in
     ``[0, frame_count)`` that no other key names ("1" and "01" collide),
-    and each frame a list of objects; ``read_entry(entry, path)`` reads one
-    object, ``path`` being its JSON path ``frames.K[i]``.  Returns index ->
-    the entries read, in index order.
+    and each frame a list of objects; ``read_entry(entry)`` reads one
+    object.  A SchemaError it raises names a path inside the object, such
+    as ``points[3]``, and leaves here with the object's own JSON path
+    ``frames.K[i]`` in front, the only place that path is built.  Returns
+    index -> the entries read, in index order.
     """
     frames: dict[int, list] = {}
     for key in sorted(raw_frames, key=_numeric_key):
@@ -439,45 +446,59 @@ def _read_frames(raw_frames: dict, frame_count: int, read_entry) -> dict[int, li
         if not isinstance(entries, list):
             raise SchemaError(f"frames.{key}", f"expected a list, got {type(entries).__name__}")
         read = []
-        for i, entry in enumerate(entries):
-            path = f"frames.{key}[{i}]"
+        for entry in entries:
             if not isinstance(entry, dict):
-                raise SchemaError(path, f"expected an object, got {type(entry).__name__}")
-            read.append(read_entry(entry, path))
+                raise SchemaError(f"frames.{key}[{len(read)}]",
+                                  f"expected an object, got {type(entry).__name__}")
+            try:
+                read.append(read_entry(entry))
+            except SchemaError as exc:
+                raise type(exc)(f"frames.{key}[{len(read)}].{exc.path}", exc.message) from None
         frames[idx] = read
     return frames
 
 
-def _parse_points(entry, path: str, key: str = "points", *,
-                  as_box: bool = False) -> Quad | RotatedBox:
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _parse_points(entry, key: str = "points", *, as_box: bool = False) -> Quad | RotatedBox:
     """The quad at ``entry[key]``, or with ``as_box`` its enclosing rotated
     box.  Either way its hull is checked once, by ``nondegenerate_hull``
     or inside ``quad_to_rotated``."""
-    pts = _expect(entry, key, list, path)
-    path = f"{path}.{key}"
+    pts = _expect(entry, key, list, "")
     if len(pts) != 8:
-        raise SchemaError(path, f"expected 8 numbers, got {len(pts)}")
-    for i, v in enumerate(pts):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError(f"{path}[{i}]", f"expected a number, got {type(v).__name__}")
+        raise SchemaError(key, f"expected 8 numbers, got {len(pts)}")
+    if not _NUMBER_TYPES.issuperset(map(type, pts)):
+        # a value other than a plain int or float: name the first one
+        # that is not a number (a bool is not)
+        for i, v in enumerate(pts):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise SchemaError(f"{key}[{i}]", f"expected a number, got {type(v).__name__}")
     try:
         quad = Quad._of_flat(_finite_floats(pts))
         if as_box:
             return quad_to_rotated(quad)
         nondegenerate_hull(quad)
     except SelfIntersectingQuad:
-        raise SchemaError(path, "corners describe a self-intersecting quad") from None
+        raise SchemaError(key, "corners describe a self-intersecting quad") from None
     except (ValueError, OverflowError) as exc:  # non-finite, past float range, degenerate
-        raise SchemaError(path, str(exc)) from None
+        raise SchemaError(key, str(exc)) from None
     return quad
 
 
-def _parse_category(entry, path: str) -> TextCategory:
-    raw = _expect(entry, "category", str, path, "string", TextCategory.OTHERS.value)
+# the labels as written, each the category TextCategory.parse gives it
+_CATEGORY_OF = {c.value: c for c in TextCategory}
+
+
+def _parse_category(entry) -> TextCategory:
+    raw = _expect(entry, "category", str, "", "string", TextCategory.OTHERS.value)
+    category = _CATEGORY_OF.get(raw)
+    if category is not None:
+        return category
     try:
         return TextCategory.parse(raw)
     except ValueError as exc:
-        raise SchemaError(f"{path}.category", str(exc)) from None
+        raise SchemaError("category", str(exc)) from None
 
 
 def _naming_file(load):
@@ -495,28 +516,28 @@ def _naming_file(load):
     return wrapper
 
 
-def _read_instance(entry: dict, path: str) -> Instance:
+def _read_instance(entry: dict) -> Instance:
     return Instance(
-        track_id=_expect(entry, "id", int, path),
-        quad=_parse_points(entry, path),
-        transcription=_expect_text(entry, "transcription", (str, type(None)), path,
+        track_id=_expect(entry, "id", int, ""),
+        quad=_parse_points(entry),
+        transcription=_expect_text(entry, "transcription", (str, type(None)), "",
                                    "string or null"),
-        category=_parse_category(entry, path),
+        category=_parse_category(entry),
     )
 
 
-def _read_detection(entry: dict, path: str) -> Detection:
-    box = _parse_points(entry, path, as_box=True)
-    score = _expect(entry, "score", (int, float), path, "a number")
+def _read_detection(entry: dict) -> Detection:
+    box = _parse_points(entry, as_box=True)
+    score = _expect(entry, "score", (int, float), "", "a number")
     if isinstance(score, bool):
-        raise SchemaError(f"{path}.score", "expected a number, got bool")
+        raise SchemaError("score", "expected a number, got bool")
     if not (0.0 <= score <= 1.0):
-        raise SchemaError(f"{path}.score", f"must be in [0,1], got {score}")
-    transcription = _expect_text(entry, "transcription", (str, type(None)), path,
+        raise SchemaError("score", f"must be in [0,1], got {score}")
+    transcription = _expect_text(entry, "transcription", (str, type(None)), "",
                                  "string or null", None)
     track_box = None
     if entry.get("track_box") is not None:
-        track_box = _parse_points(entry, path, "track_box", as_box=True)
+        track_box = _parse_points(entry, "track_box", as_box=True)
     return Detection(box=box, score=float(score), transcription=transcription, track_box=track_box)
 
 

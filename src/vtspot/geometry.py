@@ -121,19 +121,23 @@ def _orient(ax, ay, bx, by, cx, cy) -> float:
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
-def _segments_cross(ax, ay, bx, by, cx, cy, dx, dy) -> bool:
-    """True when segments ab and cd properly cross (shared endpoints do not count)."""
-    return (_orient(ax, ay, bx, by, cx, cy) * _orient(ax, ay, bx, by, dx, dy) < 0.0
-            and _orient(cx, cy, dx, dy, ax, ay) * _orient(cx, cy, dx, dy, bx, by) < 0.0)
-
-
 def _ccw(xy: tuple[float, ...]) -> tuple[float, ...]:
     """A flat quad in counter-clockwise order.  Raises SelfIntersectingQuad
     for a bowtie."""
     x0, y0, x1, y1, x2, y2, x3, y3 = xy
-    # A four-gon self-intersects iff a pair of opposite edges crosses.
-    if (_segments_cross(x0, y0, x1, y1, x2, y2, x3, y3)
-            or _segments_cross(x1, y1, x2, y2, x3, y3, x0, y0)):
+    # A four-gon self-intersects iff a pair of opposite edges crosses: edges
+    # ab and cd properly cross (a shared endpoint does not count) when c and
+    # d lie strictly on opposite sides of ab, and a and b of cd.  Each side
+    # is the sign of _orient, written out here.
+    ex, ey = x1 - x0, y1 - y0
+    fx, fy = x3 - x2, y3 - y2
+    if ((ex * (y2 - y0) - ey * (x2 - x0)) * (ex * (y3 - y0) - ey * (x3 - x0)) < 0.0
+            and (fx * (y0 - y2) - fy * (x0 - x2)) * (fx * (y1 - y2) - fy * (x1 - x2)) < 0.0):
+        raise SelfIntersectingQuad(f"corner order describes a self-intersecting quad: {xy}")
+    ex, ey = x2 - x1, y2 - y1
+    fx, fy = x0 - x3, y0 - y3
+    if ((ex * (y3 - y1) - ey * (x3 - x1)) * (ex * (y0 - y1) - ey * (x0 - x1)) < 0.0
+            and (fx * (y1 - y3) - fy * (x1 - x3)) * (fx * (y2 - y3) - fy * (x2 - x3)) < 0.0):
         raise SelfIntersectingQuad(f"corner order describes a self-intersecting quad: {xy}")
     if _quad_signed_area(xy) < 0.0:
         return (x0, y0, x3, y3, x2, y2, x1, y1)
@@ -229,12 +233,22 @@ class RotatedBox:
     _quad: Quad | None = _cache()
 
     def __post_init__(self):
-        for name in ("cx", "cy", "w", "h", "angle"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"box field {name} must be finite")
+        angle = self.angle
+        # an inf or a nan in any field makes the sum non-finite; a sum past
+        # the float range, or a field the sum refuses, goes field by field
+        try:
+            finite = math.isfinite(self.cx + self.cy + self.w + self.h + angle)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            for name in ("cx", "cy", "w", "h", "angle"):
+                if not math.isfinite(getattr(self, name)):
+                    raise ValueError(f"box field {name} must be finite")
         if self.w <= 0.0 or self.h <= 0.0:
             raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
-        object.__setattr__(self, "angle", canonical_angle(self.angle))
+        # canonical_angle returns a float already in range as it is
+        if type(angle) is not float or not -_HALF_PI <= angle < _HALF_PI:
+            object.__setattr__(self, "angle", canonical_angle(angle))
 
     @property
     def area(self) -> float:
@@ -276,22 +290,6 @@ def rotated_to_quad(box: RotatedBox) -> Quad:
     return quad
 
 
-def _half_hull(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """One monotone chain over ``pts``, popping right turns and collinear
-    points."""
-    out: list[tuple[float, float]] = []
-    for p in pts:
-        while len(out) >= 2:
-            ox, oy = out[-2]
-            ax, ay = out[-1]
-            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= 0.0:
-                out.pop()
-            else:
-                break
-        out.append(p)
-    return out
-
-
 def nondegenerate_hull(quad: Quad) -> list[tuple[float, float]]:
     """The convex hull of a quad's corners as ``(x, y)`` pairs,
     counter-clockwise.
@@ -299,15 +297,47 @@ def nondegenerate_hull(quad: Quad) -> list[tuple[float, float]]:
     Raises DegenerateQuad when the quad's own area is below
     ``DEGENERATE_AREA`` or its corners are collinear: the quads that
     ``quad_to_rotated`` cannot enclose and the loaders refuse.
+
+    The hull is Andrew's monotone chain over the distinct corners in sorted
+    order, a lower then an upper half, each dropping its last point.  A
+    half pops its last point while the turn ``o -> a -> p`` onto the next
+    point ``p`` is not strictly left, ``(ax - ox) * (py - oy) - (ay - oy) *
+    (px - ox) <= 0.0``.  With three or four corners the chain is written
+    out, case by case.  Of corners that compare equal (``0.0`` and
+    ``-0.0``), the first in corner order stands for them all.
     """
     area = quad.area
     if area < DEGENERATE_AREA:
         raise DegenerateQuad(f"quad area {area!r} is below {DEGENERATE_AREA!r}")
     x0, y0, x1, y1, x2, y2, x3, y3 = quad._xy
-    hull = sorted({(x0, y0), (x1, y1), (x2, y2), (x3, y3)})
-    if len(hull) > 2:
-        # monotone chain: lower then upper half, collinear points dropped
-        hull = _half_hull(hull)[:-1] + _half_hull(hull[::-1])[:-1]
+    # a stable sort puts equal corners side by side, the first one first
+    pts = sorted([(x0, y0), (x1, y1), (x2, y2), (x3, y3)])
+    a, b, c, d = pts
+    if a == b or b == c or c == d:
+        pts = list(dict.fromkeys(pts))
+    if len(pts) == 4:
+        (ax, ay), (bx, by), (cx, cy), (dx, dy) = pts
+        # lower half over a, b, c, d
+        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0.0:
+            hull = [a] if (cx - ax) * (dy - ay) - (cy - ay) * (dx - ax) <= 0.0 else [a, c]
+        elif (cx - bx) * (dy - by) - (cy - by) * (dx - bx) <= 0.0:
+            hull = [a] if (bx - ax) * (dy - ay) - (by - ay) * (dx - ax) <= 0.0 else [a, b]
+        else:
+            hull = [a, b, c]
+        # upper half over d, c, b, a
+        if (cx - dx) * (by - dy) - (cy - dy) * (bx - dx) <= 0.0:
+            hull += [d] if (bx - dx) * (ay - dy) - (by - dy) * (ax - dx) <= 0.0 else [d, b]
+        elif (bx - cx) * (ay - cy) - (by - cy) * (ax - cx) <= 0.0:
+            hull += [d] if (cx - dx) * (ay - dy) - (cy - dy) * (ax - dx) <= 0.0 else [d, c]
+        else:
+            hull += [d, c, b]
+    elif len(pts) == 3:
+        a, b, c = pts
+        (ax, ay), (bx, by), (cx, cy) = pts
+        hull = [a] if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0.0 else [a, b]
+        hull += [c] if (bx - cx) * (ay - cy) - (by - cy) * (ax - cx) <= 0.0 else [c, b]
+    else:
+        hull = pts
     if len(hull) < 3:
         raise DegenerateQuad("quad corners are collinear")
     return hull
@@ -320,22 +350,57 @@ def quad_to_rotated(quad: Quad) -> RotatedBox:
     edge's direction in ``angle``. For a square (sides equal within 1e-9
     relative) the candidate angle closest to zero wins. Raises
     DegenerateQuad for the quads ``nondegenerate_hull`` rejects.
+
+    One side of the minimum-area rectangle lies on a hull edge (Freeman and
+    Shapira, 1975), so each edge in hull order is tried and the first of
+    equal areas wins.  The extents along an edge are the first minimum and
+    maximum of the four corners' projections, as ``min`` and ``max`` pick
+    them, found by comparisons in line.
     """
     hull = nondegenerate_hull(quad)
     x0, y0, x1, y1, x2, y2, x3, y3 = quad._xy
+    atan2, cos, sin = math.atan2, math.cos, math.sin
 
     best = None  # (area, theta, cos, sin, u extents, v extents)
-    n = len(hull)
-    for i in range(n):
-        (px, py), (qx, qy) = hull[i], hull[(i + 1) % n]
-        theta = math.atan2(qy - py, qx - px)
-        c, s = math.cos(theta), math.sin(theta)
+    for (px, py), (qx, qy) in zip(hull, hull[1:] + hull[:1]):
+        theta = atan2(qy - py, qx - px)
+        c = cos(theta)
+        s = sin(theta)
         ns = -s
-        u_0, u_1, u_2, u_3 = c * x0 + s * y0, c * x1 + s * y1, c * x2 + s * y2, c * x3 + s * y3
-        v_0, v_1, v_2, v_3 = (ns * x0 + c * y0, ns * x1 + c * y1,
-                              ns * x2 + c * y2, ns * x3 + c * y3)
-        u0, u1 = min(u_0, u_1, u_2, u_3), max(u_0, u_1, u_2, u_3)
-        v0, v1 = min(v_0, v_1, v_2, v_3), max(v_0, v_1, v_2, v_3)
+        # the minimum never passes the maximum, so a value below the one is
+        # not above the other: one if/elif per projection
+        u0 = u1 = c * x0 + s * y0
+        u = c * x1 + s * y1
+        if u < u0:
+            u0 = u
+        elif u > u1:
+            u1 = u
+        u = c * x2 + s * y2
+        if u < u0:
+            u0 = u
+        elif u > u1:
+            u1 = u
+        u = c * x3 + s * y3
+        if u < u0:
+            u0 = u
+        elif u > u1:
+            u1 = u
+        v0 = v1 = ns * x0 + c * y0
+        v = ns * x1 + c * y1
+        if v < v0:
+            v0 = v
+        elif v > v1:
+            v1 = v
+        v = ns * x2 + c * y2
+        if v < v0:
+            v0 = v
+        elif v > v1:
+            v1 = v
+        v = ns * x3 + c * y3
+        if v < v0:
+            v0 = v
+        elif v > v1:
+            v1 = v
         area = (u1 - u0) * (v1 - v0)
         if best is None or area < best[0]:
             best = (area, theta, c, s, u0, u1, v0, v1)

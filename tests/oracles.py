@@ -24,6 +24,7 @@ from vtspot.errors import (
     NonConvexInput,
     NonFiniteCost,
     NonMonotonicFrame,
+    SelfIntersectingQuad,
 )
 from vtspot.geometry import (
     DEGENERATE_AREA,
@@ -32,7 +33,6 @@ from vtspot.geometry import (
     _apart,
     canonical_angle,
     iou,
-    nondegenerate_hull,
 )
 from vtspot.linker import LinkerConfig
 from vtspot.matching import Assignment, hungarian
@@ -291,16 +291,25 @@ def _half_hull(pts):
     return out
 
 
-def point_quad_to_rotated(quad):
-    """``quad_to_rotated``: the minimum-area box over the hull's edges."""
+def plain_hull(quad):
+    """``nondegenerate_hull``: the generic monotone chain (Andrew, 1979) over
+    the distinct sorted corners, as ``(x, y)`` tuples.  Of equal corners
+    (``0.0`` and ``-0.0``) the set keeps the first in corner order."""
     points = corners(quad)
     area = point_area(points)
     if area < DEGENERATE_AREA:
         raise DegenerateQuad(f"quad area {area!r} is below {DEGENERATE_AREA!r}")
-    pts = sorted(set(points))
+    pts = sorted({(p.x, p.y) for p in points})
     hull = pts if len(pts) <= 2 else _half_hull(pts)[:-1] + _half_hull(pts[::-1])[:-1]
     if len(hull) < 3:
         raise DegenerateQuad("quad corners are collinear")
+    return hull
+
+
+def point_quad_to_rotated(quad):
+    """``quad_to_rotated``: the minimum-area box over the hull's edges."""
+    points = corners(quad)
+    hull = plain_hull(quad)
     best = None
     n = len(hull)
     for i in range(n):
@@ -795,8 +804,37 @@ def greedy_link(frames, cfg=None):
 
 
 # ---------------------------------------------------------------------------
-# the json module's writer and the box fit as it was
+# the json module's writer, the loaders' number test, the bowtie test
+# and the box fit as they were
 # ---------------------------------------------------------------------------
+
+
+def first_non_number(values):
+    """``(index, type name)`` of the first of ``values`` that is not an
+    ``int`` or ``float`` (a ``bool`` is not a number), or None."""
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            return i, type(v).__name__
+    return None
+
+
+def plain_ccw(values):
+    """The corners ``Quad.from_flat`` stores for eight numbers: refused as a
+    bowtie when a pair of opposite edges properly crosses, each side test
+    a call of ``_orient``; else reversed after the first corner when the
+    shoelace sum is negative."""
+    p = [Pt(float(values[i]), float(values[i + 1])) for i in range(0, 8, 2)]
+
+    def cross(a, b, c, d):
+        return (_orient(a, b, c) * _orient(a, b, d) < 0.0
+                and _orient(c, d, a) * _orient(c, d, b) < 0.0)
+
+    xy = tuple(v for q in p for v in q)
+    if cross(p[0], p[1], p[2], p[3]) or cross(p[1], p[2], p[3], p[0]):
+        raise SelfIntersectingQuad(f"corner order describes a self-intersecting quad: {xy}")
+    if signed_area(p) < 0.0:
+        return tuple(v for q in (p[0], p[3], p[2], p[1]) for v in q)
+    return xy
 
 
 def json_text(value, default=None) -> str:
@@ -806,9 +844,10 @@ def json_text(value, default=None) -> str:
 
 
 def flat_quad_to_rotated(quad):
-    """``quad_to_rotated`` as it was: the winning edge's cos and sin are
+    """``quad_to_rotated`` as it was: the hull from ``plain_hull``, the
+    extents from ``min`` and ``max``, and the winning edge's cos and sin
     computed again from its angle after the loop."""
-    hull = nondegenerate_hull(quad)
+    hull = plain_hull(quad)
     x0, y0, x1, y1, x2, y2, x3, y3 = quad.as_flat()
     best = None
     n = len(hull)

@@ -46,7 +46,7 @@ from vtspot.errors import (
 from vtspot.geometry import Quad, RotatedBox, quad_to_rotated, rotated_to_quad
 from vtspot.synth import SynthConfig, generate
 
-from oracles import json_text
+from oracles import first_non_number, json_text
 
 
 def rect(x0, y0, x1, y1) -> Quad:
@@ -411,6 +411,29 @@ def test_not_json_is_schema_error():
         load_annotation(io.StringIO("not json at all {"))
 
 
+# Two inputs the json decoder refuses with something other than a
+# JSONDecodeError: an integer literal past CPython's int-to-string digit
+# limit (a ValueError) and nesting deeper than it recurses (RecursionError).
+UNDECODABLE = {
+    "long integer": '{"video_id": "v", "width": ' + "1" * 5000 + "}",
+    "deep nesting": "[" * 200_000 + "]" * 200_000,
+}
+
+
+@pytest.mark.parametrize("text", UNDECODABLE.values(), ids=UNDECODABLE.keys())
+@pytest.mark.parametrize("load", [load_annotation, load_detections])
+def test_undecodable_json_is_a_schema_error_naming_the_file(tmp_path, load, text):
+    with pytest.raises(SchemaError) as exc_info:
+        load(io.StringIO(text))
+    assert exc_info.value.path == "$"
+    assert exc_info.value.message.startswith("not valid JSON: ")
+    path = tmp_path / "video.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaError) as exc_info:
+        load(path)
+    assert str(exc_info.value).startswith(f"{path}: $: not valid JSON: ")
+
+
 def test_bowtie_points_rejected():
     doc = json.loads(json.dumps(MINIMAL_DOC))
     doc["frames"]["0"][0]["points"] = [0, 0, 10, 0, 0, 10, 10, 10]
@@ -424,6 +447,41 @@ def test_missing_category_defaults_to_others():
     doc["frames"]["0"][0].pop("category")
     ann = load_from_dict(doc)
     assert ann.frames[0][0].category is TextCategory.OTHERS
+
+
+CATEGORY_LABELS = ["caption", "title", "scene", "others", "SCENE", "Caption", "oThErS",
+                   "subtitle", "", "scene ", "scène", "OTHERS\u0130", "\u212aaption"]
+
+
+def assert_category_reads_as_parse(label):
+    """An entry's ``category`` gives TextCategory.parse's category, or its
+    message at the field's path."""
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["frames"]["0"][0]["category"] = label
+    try:
+        expected = TextCategory.parse(label)
+    except ValueError as exc:
+        with pytest.raises(SchemaError) as exc_info:
+            load_from_dict(doc)
+        assert (exc_info.value.path, exc_info.value.message) == ("frames.0[0].category", str(exc))
+    else:
+        assert load_from_dict(doc).frames[0][0].category is expected
+
+
+@pytest.mark.parametrize("label", CATEGORY_LABELS)
+def test_category_label_reads_as_text_category_parse(label):
+    assert_category_reads_as_parse(label)
+
+
+def any_casing(label):
+    return st.lists(st.booleans(), min_size=len(label), max_size=len(label)).map(
+        lambda upper: "".join(c.upper() if u else c for c, u in zip(label, upper)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=8) | st.sampled_from([c.value for c in TextCategory]).flatmap(any_casing))
+def test_any_category_label_reads_as_text_category_parse(label):
+    assert_category_reads_as_parse(label)
 
 
 # ---------------------------------------------------------------------------
@@ -883,6 +941,79 @@ def test_load_detections_checks_each_quad_once(monkeypatch):
     checked.clear()
     load_annotation(io.StringIO(json.dumps(MINIMAL_DOC)))
     assert len(checked) == sum(len(v) for v in MINIMAL_DOC["frames"].values())
+
+
+# ---------------------------------------------------------------------------
+# the number test on points and track_box: one pass over the types, the
+# per-value loop naming the first value that is not a number
+# ---------------------------------------------------------------------------
+
+RECT = [10, 10, 50, 10, 50, 30, 10, 30]
+NUMBER_FIELDS = ["annotation points", "detections points", "detections track_box"]
+
+
+def loaded_with(where, values):
+    """The SchemaError's (path, message) when a one-entry document of the
+    ``where`` kind holds ``values`` in that field, or None when it loads."""
+    kind, field = where.split()
+    if kind == "annotation":
+        doc, frame, load = json.loads(json.dumps(MINIMAL_DOC)), "0", load_annotation
+    else:
+        doc, frame, load = json.loads(json.dumps(DETS_DOC)), "1", load_detections
+    doc["frames"][frame][0][field] = values
+    try:
+        load(io.StringIO(json.dumps(doc)))
+    except SchemaError as exc:
+        return exc.path, exc.message
+    return None
+
+
+def field_path(where):
+    kind, field = where.split()
+    return f"frames.{'0' if kind == 'annotation' else '1'}[0].{field}"
+
+
+def refusal_of(where, values):
+    """What the per-value loop refuses: the first value that is not a
+    number, named by index; failing that, an int past the float range."""
+    path = field_path(where)
+    bad = first_non_number(values)
+    if bad is not None:
+        return f"{path}[{bad[0]}]", f"expected a number, got {bad[1]}"
+    if any(abs(v) > 2 ** 1024 for v in values):
+        return path, "int too large to convert to float"
+    return None
+
+
+@pytest.mark.parametrize("where", NUMBER_FIELDS)
+@pytest.mark.parametrize("at", range(8))
+@pytest.mark.parametrize("bad", [True, False, "1", None, [1.0], {"x": 1}, 10 ** 400],
+                         ids=["true", "false", "str", "null", "list", "object", "10**400"])
+def test_a_bad_value_at_each_position_is_named_as_before(where, at, bad):
+    values = list(RECT)
+    values[at] = bad
+    assert loaded_with(where, values) == refusal_of(where, values) is not None
+
+
+bad_values = st.one_of(st.booleans(), st.text(max_size=2), st.none(),
+                       st.lists(st.integers(), max_size=2), st.just(10 ** 400),
+                       st.integers(-5, 60), st.floats(-5.0, 60.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 7), bad_values), max_size=3),
+       st.sampled_from(NUMBER_FIELDS))
+def test_number_refusals_are_the_per_value_loops(changes, where):
+    values = list(RECT)
+    for i, bad in changes:
+        values[i] = bad
+    expected = refusal_of(where, values)
+    got = loaded_with(where, values)
+    if expected is not None:
+        assert got == expected
+    elif got is not None:
+        # all numbers: any refusal is the quad's own, at the field's path
+        assert got[0] == field_path(where)
 
 
 # ---------------------------------------------------------------------------

@@ -626,6 +626,20 @@ def test_sample_of_a_lone_surrogate_transcription_exits_two(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["v-dets.json", "v-gt.json"]
 
 
+@pytest.mark.parametrize("text", ['{"frame_count": ' + "7" * 5000 + "}",
+                                  "[" * 200_000 + "]" * 200_000],
+                         ids=["long integer", "deep nesting"])
+def test_sample_of_json_the_decoder_refuses_exits_two(tmp_path, capsys, text):
+    """An integer literal past the int-to-string digit limit and nesting
+    past the decoder's recursion limit are data errors naming the file."""
+    big = tmp_path / "big.json"
+    big.write_text(text, encoding="utf-8")
+    assert run_cli("sample", str(big), "--k", "2") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"vtspot: bad input: {big}: $: not valid JSON: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("field", ["video_id", "scenario"])
 def test_sample_of_a_lone_surrogate_header_string_exits_two(tmp_path, capsys, field):
     gt, _ = make_synth(tmp_path, **{"--frames": 4})

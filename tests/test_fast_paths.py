@@ -1,5 +1,7 @@
 """Differential tests: the flat-float geometry kernel, the broad phase, the
-unrolled quads and extents the shapes keep, the shared per-frame IoU table
+unrolled quads and extents the shapes keep, the written-out hull chain and
+bowtie test against the generic chain and a call per side test, the shared
+per-frame IoU table
 and the tracker's component-wise gated assignment against the point
 geometry and clip-only overlaps, the per-pair cost matrix, the three
 separate metric passes, the dense-table tracker and the linker's best-IoU
@@ -8,6 +10,7 @@ and the tracker, the linker and ``evaluate`` on inputs that skip frame
 indices against the same inputs with every skipped frame listed empty.
 Results must be equal, not approximately equal."""
 
+import itertools
 import math
 import random
 import sys
@@ -30,7 +33,9 @@ from oracles import (
     dense_track,
     flat_quad_to_rotated,
     greedy_link,
+    plain_ccw,
     plain_cost_matrix,
+    plain_hull,
     plain_near_pairs,
     point_intersection,
     point_quad_to_rotated,
@@ -46,6 +51,7 @@ from vtspot.annotations import (
     trajectories_to_annotation,
 )
 from vtspot.errors import (
+    DegenerateQuad,
     GeometryError,
     MissingTranscription,
     NonConvexInput,
@@ -58,6 +64,7 @@ from vtspot.geometry import (
     giou,
     iou,
     near_pairs,
+    nondegenerate_hull,
     quad_iou,
     quad_to_rotated,
     rotated_to_quad,
@@ -307,6 +314,80 @@ def test_quad_to_rotated_equals_the_fit_as_it_was_on_squares(cx, cy, s, turn, of
         # far from the origin the corners' rounding can pass the tolerance
         box = quad_to_rotated(square)
         assert abs(box.w - box.h) <= 1e-9 * max(box.w, box.h)
+
+
+# ---------------------------------------------------------------------------
+# the bowtie test and the hull: orientation products and the monotone chain
+# written out, against a call per side test and the generic chain
+# ---------------------------------------------------------------------------
+
+# Lattice corners repeat and line up often; -0.0 is there to tell which of
+# two equal corners the hull keeps.
+lattice = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, -1.0])
+
+
+@st.composite
+def hull_corners(draw):
+    """Eight corner values: lattice points, some nudged a few ulps off a
+    line, and all shifted by 1e6 or -1e6 or not at all (unshifted, a
+    signed zero stays as it is)."""
+    values = draw(st.lists(lattice, min_size=8, max_size=8))
+    ulps = draw(st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3]), min_size=8, max_size=8))
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6]))
+    return [nudge(v + offset if offset else v, k) for v, k in zip(values, ulps)]
+
+
+def hexed(points):
+    return [(x.hex(), y.hex()) for x, y in points]
+
+
+def assert_hull_matches(quad: Quad) -> None:
+    """nondegenerate_hull gives plain_hull's corners, signed zeros
+    included, or raises its error with the same message; and the fit
+    agrees with the fit as it was."""
+    try:
+        expected = plain_hull(quad)
+    except DegenerateQuad as exc:
+        with pytest.raises(DegenerateQuad) as exc_info:
+            nondegenerate_hull(quad)
+        assert str(exc_info.value) == str(exc)
+    else:
+        assert hexed(nondegenerate_hull(quad)) == hexed(expected)
+    assert_fit_matches(quad)
+
+
+def stored_or_refused(make, values):
+    try:
+        return "ok", make(values)
+    except SelfIntersectingQuad as exc:
+        return "bowtie", str(exc)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(hull_corners())
+@example([0.0, 0.0, 2.0, 0.0, 1.0, 1.0, -0.0, 0.0])   # -0.0 after its equal
+@example([-0.0, 0.0, 2.0, 0.0, 1.0, 1.0, 0.0, 0.0])   # -0.0 first
+@example([0.0, 0.0, 2.0, -0.0, 2.0, 0.0, 0.0, -0.0])  # all collinear, repeats
+@example([-1.0, -0.0, -0.0, -0.0, -0.0, 0.0, -0.0, 1.0])  # equal corners mid-sort
+@example([1e6, 1e6, 1e6 + 1, 1e6, 1e6 + 2, 1e6, nudge(1e6 + 1, 1), nudge(1e6, 1)])
+def test_hull_and_bowtie_test_equal_the_generic_ones(values):
+    outcome = stored_or_refused(lambda v: Quad.from_flat(v).as_flat(), values)
+    assert outcome == stored_or_refused(plain_ccw, values)
+    if outcome[0] == "ok":
+        assert_hull_matches(Quad.from_flat(values))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6, -1e6])
+def test_hull_equals_the_generic_chain_on_every_small_lattice_quad(offset):
+    """Every simple quad with corners on the 3x3 lattice, repeated and
+    collinear corners included (6,561 corner lists)."""
+    grid = [(x + offset, y + offset) for x in (0.0, 1.0, 2.0) for y in (0.0, 1.0, 2.0)]
+    for corners4 in itertools.product(grid, repeat=4):
+        values = [v for point in corners4 for v in point]
+        outcome = stored_or_refused(lambda v: Quad.from_flat(v).as_flat(), values)
+        assert outcome == stored_or_refused(plain_ccw, values)
+        if outcome[0] == "ok":
+            assert_hull_matches(Quad.from_flat(values))
 
 
 # ---------------------------------------------------------------------------

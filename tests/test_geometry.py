@@ -75,6 +75,45 @@ def test_box_wraps_angle_on_construction():
     assert b.angle == pytest.approx(-HALF_PI)
 
 
+def test_box_stores_an_int_angle_as_a_float():
+    for given, stored in ((0, 0.0), (1, 1.0), (-1, -1.0), (True, 1.0)):
+        angle = RotatedBox(0, 0, 2, 1, given).angle
+        assert type(angle) is float and angle.hex() == stored.hex()
+
+
+@pytest.mark.parametrize("given", [-0.0, 0.0, -HALF_PI, HALF_PI, 3.0, -3.0, math.pi,
+                                   math.nextafter(HALF_PI, 0.0), 1e300, 5e-324])
+def test_box_angle_is_canonical_angles_value_bit_for_bit(given):
+    angle = RotatedBox(0, 0, 2, 1, given).angle
+    assert type(angle) is float and angle.hex() == canonical_angle(given).hex()
+
+
+def test_box_angle_edges_of_the_interval():
+    assert RotatedBox(0, 0, 2, 1, -0.0).angle.hex() == "-0x0.0p+0"
+    assert RotatedBox(0, 0, 2, 1, HALF_PI).angle == -HALF_PI
+    assert RotatedBox(0, 0, 2, 1, -HALF_PI).angle == -HALF_PI
+
+
+@pytest.mark.parametrize("field", ["cx", "cy", "w", "h", "angle"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_box_names_its_first_non_finite_field(field, bad):
+    values = {**dict(cx=1.0, cy=2.0, w=3.0, h=2.0, angle=0.5), field: bad}
+    with pytest.raises(ValueError, match=f"^box field {field} must be finite$"):
+        RotatedBox(**values)
+    # an earlier bad field is the one named
+    with pytest.raises(ValueError, match="^box field cx must be finite$"):
+        RotatedBox(**dict(values, cx=math.nan))
+
+
+def test_box_fields_whose_sum_overflows_are_finite():
+    box = RotatedBox(1.7e308, 1.7e308, 1.0, 1.0, 3.0)
+    assert (box.cx, box.angle) == (1.7e308, canonical_angle(3.0))
+    with pytest.raises(OverflowError, match="int too large to convert to float"):
+        RotatedBox(10**400, 0.0, 1.0, 1.0, 0.0)
+    with pytest.raises(TypeError):
+        RotatedBox(0.0, "1", 1.0, 1.0, 0.0)
+
+
 def test_quad_enforces_ccw():
     q = quad_of((0, 0), (0, 2), (4, 2), (4, 0))  # clockwise input
     assert q.as_flat()[:2] == (0.0, 0.0)
