@@ -572,7 +572,8 @@ def giou(a: RotatedBox, b: RotatedBox) -> float:
     hull = (((b_hi_x if b_hi_x > a_hi_x else a_hi_x) - (b_lo_x if b_lo_x < a_lo_x else a_lo_x))
             * ((b_hi_y if b_hi_y > a_hi_y else a_hi_y) - (b_lo_y if b_lo_y < a_lo_y else a_lo_y)))
     union = a.w * a.h + b.w * b.h
-    # _apart(ea, eb), spelled out
+    # _apart(ea, eb), spelled out; matching._cost_row repeats this test and
+    # the closed form below with the same floats, so change both together
     if (a_hi_x + a_pad < b_lo_x - b_pad or b_hi_x + b_pad < a_lo_x - a_pad
             or a_hi_y + a_pad < b_lo_y - b_pad or b_hi_y + b_pad < a_lo_y - a_pad):
         if hull <= 0.0:

@@ -6,7 +6,8 @@ confident predictions and penalizes L1 box error, the generalized-IoU gap,
 and the cosine angle gap. A hand-rolled shortest-augmenting-path solver
 finds the minimum-cost one-to-one matching, in O(n^2 m) for n rows and
 m >= n columns (a tall problem is padded with columns); the set loss scores a
-matched set with log-likelihood class terms plus the same box terms.  The
+matched set with log-likelihood class terms plus the same box terms, reading
+each matched pair's GIoU from the matching that priced it.  The
 tracker and the CLEAR and identity passes solve their gated max-weight
 assignments with ``gated_assign``, one connected component of admissible
 pairs at a time, each priced for the same solver by ``gated_cost``.
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import MatchingError, NonFiniteCost, SizeMismatch
-from .geometry import RotatedBox, giou
+from .geometry import RotatedBox, giou, rotated_to_quad
 
 _PROB_EPS = 1e-12
 
@@ -75,6 +76,9 @@ class Assignment:
 
     pairs: tuple[tuple[int, int], ...]
     total_cost: float
+    # not a field: per pair, the (gt box, pred box, GIoU) that match_sets
+    # scored for a matched object pair, or None; None on a built Assignment
+    _scored = None
 
 
 def angle_loss(a_gt: float, a_pred: float) -> float:
@@ -86,48 +90,66 @@ def angle_loss(a_gt: float, a_pred: float) -> float:
     return 1.0 - math.cos(a_pred - a_gt)
 
 
-def _box_terms(a: RotatedBox, b: RotatedBox, w: CostWeights) -> tuple[float, float, float]:
-    """The weighted L1, GIoU-gap and angle terms of a (gt, pred) box pair."""
-    l1 = abs(a.cx - b.cx) + abs(a.cy - b.cy) + abs(a.w - b.w) + abs(a.h - b.h)
-    return (
-        w.w_l1 * l1,
-        w.w_giou * (1.0 - giou(a, b)),
-        w.w_angle * angle_loss(a.angle, b.angle),
-    )
-
-
-def _flat_preds(preds, w: CostWeights) -> list[tuple]:
+def _flat_preds(a: RotatedBox, preds, w: CostWeights) -> list[tuple]:
     """What a cost row reads of each prediction, read once: its weighted
-    class term ``-w_cls * p``, its box, and the box's cx, cy, w, h, angle."""
+    class term ``-w_cls * p``, its box, the box's cx, cy, w, h, angle and
+    area, then its quad's extents and their padded bounds (``giou``'s
+    broad phase).  Built at the first object row, ``a``, it unrolls the
+    boxes in the order of that row's ``giou`` calls: ``a``, the first
+    prediction, ``a``'s extents, then each prediction's extents, so that a
+    refused set raises what ``giou`` would have raised first."""
+    qa = rotated_to_quad(a)
+    rotated_to_quad(preds[0].box)
+    qa._convex_extents()
     out = []
     for p in preds:
         b = p.box
-        out.append((-w.w_cls * p.class_prob, b, b.cx, b.cy, b.w, b.h, b.angle))
+        lo_x, lo_y, hi_x, hi_y, pad = rotated_to_quad(b)._convex_extents()
+        out.append((-w.w_cls * p.class_prob, b, b.cx, b.cy, b.w, b.h, b.angle, b.w * b.h,
+                    lo_x, lo_y, hi_x, hi_y, lo_x - pad, lo_y - pad, hi_x + pad, hi_y + pad))
     return out
 
 
-def _cost_row(gt: GroundTruthInstance, flat: list[tuple], w: CostWeights) -> list[float]:
-    """The matching cost of ``gt`` against each prediction of ``flat``
-    (``_flat_preds``), in one loop: ``cls + w_l1*l1 + w_giou*(1 - giou) +
-    w_angle*(1 - cos(pred angle - gt angle))``, summed in that order.  A
-    no-object entry costs 0 against every prediction and is never unrolled."""
-    if not gt.is_object:
-        return [0.0] * len(flat)
-    a = gt.box
+def _cost_row(a: RotatedBox, flat: list[tuple], w: CostWeights) -> tuple[list[float], list[float]]:
+    """The matching costs of object box ``a`` against each prediction of
+    ``flat`` (``_flat_preds``), ``cls + w_l1*l1 + w_giou*(1 - giou) +
+    w_angle*(1 - cos(pred angle - gt angle))`` summed in that order, and
+    the GIoU each cost used.  A pair whose padded extents are apart takes
+    ``giou``'s closed form, ``0.0 - max(0, hull - union) / hull``, with
+    its floats and operations; only the other pairs call ``giou``."""
+    lo_x, lo_y, hi_x, hi_y, pad = rotated_to_quad(a)._convex_extents()
+    p_lo_x, p_lo_y, p_hi_x, p_hi_y = lo_x - pad, lo_y - pad, hi_x + pad, hi_y + pad
     a_cx, a_cy, a_w, a_h, a_angle = a.cx, a.cy, a.w, a.h, a.angle
+    a_area = a_w * a_h
     w_l1, w_giou, w_angle = w.w_l1, w.w_giou, w.w_angle
     # read here, not at import, so that a rebound module global is called
     score, cos = giou, math.cos
-    return [cls + w_l1 * (abs(a_cx - cx) + abs(a_cy - cy) + abs(a_w - bw) + abs(a_h - bh))
-            + w_giou * (1.0 - score(a, b)) + w_angle * (1.0 - cos(angle - a_angle))
-            for cls, b, cx, cy, bw, bh, angle in flat]
+    costs, scores = [], []
+    for (cls, b, cx, cy, bw, bh, angle, area, b_lo_x, b_lo_y, b_hi_x, b_hi_y,
+         bp_lo_x, bp_lo_y, bp_hi_x, bp_hi_y) in flat:
+        if p_hi_x < bp_lo_x or bp_hi_x < p_lo_x or p_hi_y < bp_lo_y or bp_hi_y < p_lo_y:
+            hull = (((b_hi_x if b_hi_x > hi_x else hi_x) - (b_lo_x if b_lo_x < lo_x else lo_x))
+                    * ((b_hi_y if b_hi_y > hi_y else hi_y) - (b_lo_y if b_lo_y < lo_y else lo_y)))
+            if hull <= 0.0:
+                g = 0.0
+            else:
+                gap = hull - (a_area + area)
+                g = 0.0 - (gap if gap > 0.0 else 0.0) / hull
+        else:
+            g = score(a, b)
+        scores.append(g)
+        costs.append(cls + w_l1 * (abs(a_cx - cx) + abs(a_cy - cy) + abs(a_w - bw) + abs(a_h - bh))
+                     + w_giou * (1.0 - g) + w_angle * (1.0 - cos(angle - a_angle)))
+    return costs, scores
 
 
 def pair_cost(gt: GroundTruthInstance, pred: PredictedInstance, w: CostWeights) -> float:
     """Matching cost of one (gt, pred) pair, the one-prediction row of
     ``match_sets``' cost matrix; 0 for no-object gt entries, whose boxes
     are therefore never unrolled."""
-    return _cost_row(gt, _flat_preds((pred,), w), w)[0]
+    if not gt.is_object:
+        return 0.0
+    return _cost_row(gt.box, _flat_preds(gt.box, (pred,), w), w)[0][0]
 
 
 def hungarian(cost) -> Assignment:
@@ -142,8 +164,9 @@ def hungarian(cost) -> Assignment:
     rows than columns, or a ragged one, raises ValueError; a nan or an
     infinity raises NonFiniteCost naming its first cell in row-major order
     (finite cells whose sum overflows are accepted, but an optimal total
-    past the float range raises MatchingError, as do potentials that
-    overflow so far that a scan can pick no column).  Ties are broken by
+    past the float range raises MatchingError, as does a row or column
+    potential that overflows it, since a scan that read it may have taken
+    a worse path).  Ties are broken by
     the lowest column index at every scan, so the result is deterministic
     for equal-cost optima.
     """
@@ -197,8 +220,7 @@ def hungarian(cost) -> Assignment:
                     j1 = j
             if j1 == 0:
                 # every reduced cost was inf or nan: the potentials overflowed
-                raise MatchingError(f"the row and column potentials of the {n}x{m} "
-                                    "cost matrix overflow the float range")
+                raise _potentials_overflow(n, m)
             for j in used:
                 u[col_to_row[j]] += delta
                 v[j] -= delta
@@ -219,7 +241,17 @@ def hungarian(cost) -> Assignment:
     except OverflowError:
         raise MatchingError(f"the optimal total of the {n}x{m} cost matrix "
                             "overflows the float range") from None
+    # a potential past the float range stays inf or nan, and the scans that
+    # read it may have taken a worse path (v[0], the dummy column's, sums
+    # the path lengths and may overflow harmlessly)
+    if not (all(map(math.isfinite, u)) and all(map(math.isfinite, v[1:]))):
+        raise _potentials_overflow(n, m)
     return Assignment(tuple(pairs), total)
+
+
+def _potentials_overflow(n: int, m: int) -> MatchingError:
+    return MatchingError(f"the row and column potentials of the {n}x{m} "
+                         "cost matrix overflow the float range")
 
 
 def gated_cost(
@@ -295,16 +327,35 @@ def match_sets(gts, preds, w: CostWeights = CostWeights()) -> Assignment:
     """Optimal one-to-one matching between equal-size gt and pred sets.
 
     Callers pad the ground truth with no-object entries up front; unequal
-    sizes raise SizeMismatch.  Each prediction's class term and box fields
-    are read once; each gt's row of ``pair_cost``s is then built in one
-    loop over them, calling ``giou`` once per (object, prediction) pair,
-    and a padding row is all zeros.  ``giou`` unrolls each box once, on
-    its first pair.
+    sizes raise SizeMismatch.  A padding row is all zeros and unrolls
+    nothing, so an all-padding frame unrolls no box.  At the first object
+    row each prediction's class term, box fields and padded extents are
+    read once (``_flat_preds``); each object's row of ``pair_cost``s is
+    then built in one loop over them.  A pair whose padded extents are
+    apart is scored in ``giou``'s closed form inside the loop, and every
+    other pair calls ``giou`` once.  The result keeps each matched object
+    pair's GIoU for ``set_loss_terms``.
     """
     if len(gts) != len(preds):
         raise SizeMismatch(f"{len(gts)} ground-truth entries vs {len(preds)} predictions")
-    flat = _flat_preds(preds, w)
-    return hungarian([_cost_row(g, flat, w) for g in gts])
+    flat = None
+    zeros = [0.0] * len(preds)
+    rows, scores = [], []
+    for g in gts:
+        if g.is_object:
+            if flat is None:
+                flat = _flat_preds(g.box, preds, w)
+            row, row_scores = _cost_row(g.box, flat, w)
+            rows.append(row)
+            scores.append(row_scores)
+        else:
+            rows.append(zeros)
+            scores.append(None)
+    assignment = hungarian(rows)
+    object.__setattr__(assignment, "_scored", tuple(
+        None if scores[gi] is None else (gts[gi].box, preds[pi].box, scores[gi][pi])
+        for gi, pi in assignment.pairs))
+    return assignment
 
 
 def _clamp_prob(p: float) -> float:
@@ -318,18 +369,30 @@ def set_loss_terms(gts, preds, assignment: Assignment, w: CostWeights) -> dict[s
     the weighted "l1", "giou", "angle" box terms, which only real objects
     contribute to. No-object pairs pay -log of the predicted no-object
     probability instead.
+
+    A matched pair's GIoU is read from ``assignment`` when ``match_sets``
+    scored these very boxes (``is``) for it; any other pair, or a built
+    ``Assignment``, calls ``giou``.  The floats are the same either way.
     """
-    terms = dict.fromkeys(_TERM_NAMES, 0.0)
-    for gi, pi in assignment.pairs:
+    w_l1, w_giou, w_angle = w.w_l1, w.w_giou, w.w_angle
+    scored = assignment._scored or (None,) * len(assignment.pairs)
+    cls = l1 = giou_term = angle = 0.0
+    for (gi, pi), seen in zip(assignment.pairs, scored):
         gt = gts[gi]
         pred = preds[pi]
         if gt.is_object:
-            terms["cls"] += -math.log(_clamp_prob(pred.class_prob))
-            for key, value in zip(_TERM_NAMES[1:], _box_terms(gt.box, pred.box, w)):
-                terms[key] += value
+            cls += -math.log(_clamp_prob(pred.class_prob))
+            a, b = gt.box, pred.box
+            l1 += w_l1 * (abs(a.cx - b.cx) + abs(a.cy - b.cy) + abs(a.w - b.w) + abs(a.h - b.h))
+            if seen is not None and seen[0] is a and seen[1] is b:
+                g = seen[2]
+            else:
+                g = giou(a, b)
+            giou_term += w_giou * (1.0 - g)
+            angle += w_angle * angle_loss(a.angle, b.angle)
         else:
-            terms["cls"] += -math.log(_clamp_prob(1.0 - pred.class_prob))
-    return terms
+            cls += -math.log(_clamp_prob(1.0 - pred.class_prob))
+    return dict(zip(_TERM_NAMES, (cls, l1, giou_term, angle)))
 
 
 def set_loss(gts, preds, assignment: Assignment, w: CostWeights = CostWeights()) -> float:

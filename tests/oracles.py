@@ -429,6 +429,25 @@ def plain_cost_matrix(gts, preds, w):
     return [[cost(g, p) for p in preds] for g in gts]
 
 
+def plain_loss_terms(gts, preds, assignment, w):
+    """The set-loss terms of ``assignment``, each matched pair scored on its
+    own with the clip-only GIoU: per pair the class term, then the weighted
+    L1, GIoU-gap and angle terms, each added to its running total."""
+    terms = {"cls": 0.0, "l1": 0.0, "giou": 0.0, "angle": 0.0}
+    for gi, pi in assignment.pairs:
+        gt, pred = gts[gi], preds[pi]
+        if gt.is_object:
+            a, b = gt.box, pred.box
+            terms["cls"] += -math.log(min(max(pred.class_prob, 1e-12), 1.0 - 1e-12))
+            l1 = abs(a.cx - b.cx) + abs(a.cy - b.cy) + abs(a.w - b.w) + abs(a.h - b.h)
+            terms["l1"] += w.w_l1 * l1
+            terms["giou"] += w.w_giou * (1.0 - clip_giou(a, b))
+            terms["angle"] += w.w_angle * (1.0 - math.cos(b.angle - a.angle))
+        else:
+            terms["cls"] += -math.log(min(max(1.0 - pred.class_prob, 1e-12), 1.0 - 1e-12))
+    return terms
+
+
 def plain_hungarian(cost):
     """The shortest-augmenting-path solver as ``hungarian`` first wrote
     it: every scan tests each of the m + 1 columns for use, and every cell

@@ -36,6 +36,7 @@ from oracles import (
     plain_ccw,
     plain_cost_matrix,
     plain_hull,
+    plain_loss_terms,
     plain_near_pairs,
     point_intersection,
     point_quad_to_rotated,
@@ -71,11 +72,13 @@ from vtspot.geometry import (
 )
 from vtspot.linker import link
 from vtspot.matching import (
+    Assignment,
     CostWeights,
     GroundTruthInstance,
     PredictedInstance,
     hungarian,
     match_sets,
+    set_loss_terms,
 )
 from vtspot.metrics import evaluate
 from vtspot.synth import SynthConfig, generate
@@ -464,6 +467,29 @@ def test_giou_rejects_nonconvex_unroll_even_when_disjoint(dx):
         match_sets([GroundTruthInstance(other)], [PredictedInstance(0.5, SLIVER)], w)
 
 
+def test_match_sets_refuses_what_its_first_giou_call_would():
+    """Of two boxes that cannot be scored, ``match_sets`` raises for the
+    one that ``giou``, called row by row, meets first: the first object,
+    its first prediction, the object's extents, then each prediction."""
+    huge = RotatedBox(1.7e308, 0.0, 1e308, 1.0, 0.3)  # its unroll overflows
+    box = RotatedBox(1.0, 2.0, 3.0, 1.0, 0.3)
+    cases = [
+        ([SLIVER, None], [huge, box], ValueError),
+        ([SLIVER, None], [box, huge], NonConvexInput),
+        ([box, None], [SLIVER, huge], NonConvexInput),
+        ([box, None], [huge, SLIVER], ValueError),
+        ([None, box], [SLIVER, huge], NonConvexInput),
+        ([box, SLIVER], [box, huge], ValueError),
+    ]
+    for gt_boxes, pred_boxes, error in cases:
+        gts = [GroundTruthInstance.padding() if b is None else GroundTruthInstance(replace(b))
+               for b in gt_boxes]
+        preds = [PredictedInstance(0.5, replace(b)) for b in pred_boxes]
+        with pytest.raises(ValueError) as info:
+            match_sets(gts, preds, CostWeights())
+        assert type(info.value) is error
+
+
 def test_track_rejects_nonconvex_unroll_even_when_disjoint():
     far = RotatedBox(SLIVER.cx + 1e9, SLIVER.cy, 10.0, 4.0, 0.3)
     stream = [FrameDetections(0, [Detection(SLIVER, 1.0)]),
@@ -619,9 +645,8 @@ def test_touching_pairs_straddle_the_broad_phase():
     assert 0 in gaps and min(gaps) < 0 < max(gaps)
 
 
-@pytest.mark.parametrize("w", [CostWeights(), CostWeights(0.5, 0.0, 3.0, 0.25)])
-def test_match_sets_equals_per_pair_oracle_at_the_edges(w):
-    """Cost rows where the fast paths could part from the plain formula:
+def edge_frames() -> list[tuple[list[GroundTruthInstance], list[PredictedInstance]]]:
+    """Padded frames whose cost rows could part from the plain formula:
     padded extents that touch or lie a few ulps apart either way, boxes
     around 1e6 from the origin, and extents with equal minima or maxima
     (the hull's tie rule)."""
@@ -646,11 +671,42 @@ def test_match_sets_equals_per_pair_oracle_at_the_edges(w):
             RotatedBox(10.0, 40.0, 4.0, 2.0, 0.0), RotatedBox(11.0, 0.5, 6.0, 3.0, 0.0)]
     frames.append((same, same[::-1]))
     frames.append((same[:3], same[3:]))
+    out = []
     for gt_boxes, pred_boxes in frames:
         gts = [GroundTruthInstance(b) for b in gt_boxes]
         gts += [GroundTruthInstance.padding()] * (len(pred_boxes) - len(gts))
-        preds = [PredictedInstance(rng.random(), b) for b in pred_boxes]
+        out.append((gts, [PredictedInstance(rng.random(), b) for b in pred_boxes]))
+    return out
+
+
+@pytest.mark.parametrize("w", [CostWeights(), CostWeights(0.5, 0.0, 3.0, 0.25)])
+def test_match_sets_equals_per_pair_oracle_at_the_edges(w):
+    for gts, preds in edge_frames():
         match_sets_checking_cost(gts, preds, w)
+
+
+def assert_loss_terms_match(gts, preds, w) -> None:
+    """``set_loss_terms`` on ``match_sets``' own assignment, which keeps
+    each matched pair's GIoU, equals it on a built copy of that
+    assignment, which scores every pair afresh, and both equal the
+    per-pair oracle, key by key in report order."""
+    kept = match_sets(gts, preds, w)
+    built = Assignment(kept.pairs, kept.total_cost)
+    want = list(plain_loss_terms(gts, preds, kept, w).items())
+    assert list(set_loss_terms(gts, preds, kept, w).items()) == want
+    assert list(set_loss_terms(gts, preds, built, w).items()) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(loss_frames(), weights)
+def test_set_loss_terms_equal_the_per_pair_oracle(frame, w):
+    assert_loss_terms_match(*frame, w)
+
+
+@pytest.mark.parametrize("w", [CostWeights(), CostWeights(0.5, 0.0, 3.0, 0.25)])
+def test_set_loss_terms_equal_the_per_pair_oracle_at_the_edges(w):
+    for gts, preds in edge_frames():
+        assert_loss_terms_match(gts, preds, w)
 
 
 # ---------------------------------------------------------------------------
