@@ -177,7 +177,8 @@ def cmd_evaluate(args) -> int:
         _eval_pair, task=args.task, iou_thresh=args.iou_thresh,
         iou_floor=args.iou_floor, case_insensitive=args.case_insensitive)
     if n_workers > 1 and len(pairs) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        # the pool starts all its workers at once: no more than the pairs
+        with ProcessPoolExecutor(max_workers=min(n_workers, len(pairs))) as pool:
             reports = list(pool.map(score, pairs))
     else:
         reports = [score(pair) for pair in pairs]

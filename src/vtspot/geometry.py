@@ -19,7 +19,9 @@ finite once, where a quad is made, by ``_finite_floats``: in
 The overlap functions take plain shapes.  What they prepare is kept on the
 shape, outside its value: a box keeps its unrolled quad (``RotatedBox.quad``)
 and a quad its convexity and axis-aligned extents, so a shape scored against
-many others is prepared once, whoever calls.
+many others is prepared once, whoever calls.  A quad also keeps its area,
+the shoelace sum of its stored corners taken when it is made, where the
+corner order is settled.
 
 There is one broad-phase rule: two quads whose axis-aligned extents, each
 padded by ``_BROAD_SLACK`` of its coordinates' magnitude, are apart cannot
@@ -53,11 +55,11 @@ _BROAD_SLACK = 1e-9
 
 
 def _cache():
-    """A slot filled on first use.  It is not part of the value: equality,
-    hashing and repr ignore it, and ``dataclasses.replace`` of a
-    ``RotatedBox`` starts its copy with the slot empty.  (A ``Quad`` has no
-    ``__init__`` for ``replace`` to call, so ``replace`` raises TypeError
-    on one.)"""
+    """A slot the shape fills itself, when it is made or on first use.  It
+    is not part of the value: equality, hashing and repr ignore it, and
+    ``dataclasses.replace`` of a ``RotatedBox`` starts its copy with the
+    slot empty.  (A ``Quad`` has no ``__init__`` for ``replace`` to call,
+    so ``replace`` raises TypeError on one.)"""
     return field(default=None, init=False, repr=False, compare=False)
 
 
@@ -121,9 +123,10 @@ def _orient(ax, ay, bx, by, cx, cy) -> float:
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
-def _ccw(xy: tuple[float, ...]) -> tuple[float, ...]:
-    """A flat quad in counter-clockwise order.  Raises SelfIntersectingQuad
-    for a bowtie."""
+def _ccw(xy: tuple[float, ...]) -> tuple[tuple[float, ...], float]:
+    """A flat quad in counter-clockwise order and its area, the shoelace
+    sum of the corners returned.  Raises SelfIntersectingQuad for a
+    bowtie."""
     x0, y0, x1, y1, x2, y2, x3, y3 = xy
     # A four-gon self-intersects iff a pair of opposite edges crosses: edges
     # ab and cd properly cross (a shared endpoint does not count) when c and
@@ -139,9 +142,13 @@ def _ccw(xy: tuple[float, ...]) -> tuple[float, ...]:
     if ((ex * (y3 - y1) - ey * (x3 - x1)) * (ex * (y0 - y1) - ey * (x0 - x1)) < 0.0
             and (fx * (y1 - y3) - fy * (x1 - x3)) * (fx * (y2 - y3) - fy * (x2 - x3)) < 0.0):
         raise SelfIntersectingQuad(f"corner order describes a self-intersecting quad: {xy}")
-    if _quad_signed_area(xy) < 0.0:
-        return (x0, y0, x3, y3, x2, y2, x1, y1)
-    return xy
+    area = _quad_signed_area(xy)
+    if area < 0.0:
+        # summed again: the reversed corners' sum adds the same terms in
+        # another order, so it need not be the negation bit for bit
+        xy = (x0, y0, x3, y3, x2, y2, x1, y1)
+        area = _quad_signed_area(xy)
+    return xy, abs(area)
 
 
 @dataclass(frozen=True, slots=True, init=False, match_args=False)
@@ -153,6 +160,8 @@ class Quad:
     """
 
     _xy: tuple[float, ...]
+    # abs(_quad_signed_area(_xy)), taken when the quad is made
+    _area: float | None = _cache()
     _convex: bool | None = _cache()
     # (min_x, min_y, max_x, max_y, pad): the axis-aligned extents and the
     # broad phase's outward pad, _BROAD_SLACK of their largest magnitude
@@ -162,14 +171,18 @@ class Quad:
     def _of_flat(cls, xy: tuple[float, ...]) -> "Quad":
         """The quad of eight finite floats, reordered counter-clockwise."""
         quad = object.__new__(cls)
-        object.__setattr__(quad, "_xy", _ccw(xy))
+        xy, area = _ccw(xy)
+        object.__setattr__(quad, "_xy", xy)
+        object.__setattr__(quad, "_area", area)
         object.__setattr__(quad, "_convex", None)
         object.__setattr__(quad, "_extents", None)
         return quad
 
     @property
     def area(self) -> float:
-        return abs(_quad_signed_area(self._xy))
+        """The shoelace area of the stored corners, kept since the quad
+        was made."""
+        return self._area
 
     def is_convex(self) -> bool:
         convex = self._convex
@@ -306,7 +319,7 @@ def nondegenerate_hull(quad: Quad) -> list[tuple[float, float]]:
     out, case by case.  Of corners that compare equal (``0.0`` and
     ``-0.0``), the first in corner order stands for them all.
     """
-    area = quad.area
+    area = quad._area
     if area < DEGENERATE_AREA:
         raise DegenerateQuad(f"quad area {area!r} is below {DEGENERATE_AREA!r}")
     x0, y0, x1, y1, x2, y2, x3, y3 = quad._xy
@@ -487,8 +500,16 @@ def _apart(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
 def _overlap(qa: Quad, qb: Quad, area_a: float, area_b: float) -> float:
     """IoU of two convex quads whose areas are ``area_a`` and ``area_b``.
     Raises NonConvexInput for a non-convex quad, even when the two are far
-    apart; quads whose padded extents are apart score 0 unclipped."""
-    if _apart(qa._convex_extents(), qb._convex_extents()):
+    apart; quads whose padded extents are apart score 0 unclipped.  Each
+    quad's extents are read as kept, and worked out (its convexity
+    checked, the first quad's first) only when they are not."""
+    ea = qa._extents
+    if ea is None:
+        ea = qa._convex_extents()
+    eb = qb._extents
+    if eb is None:
+        eb = qb._convex_extents()
+    if _apart(ea, eb):
         return 0.0
     if qa._xy == qb._xy:
         # identical shapes overlap fully by definition; skipping the clip
@@ -503,8 +524,9 @@ def quad_iou(a: Quad, b: Quad) -> float:
 
     Raises NonConvexInput for a non-convex argument, even when the two quads
     are far apart.  Quads whose padded extents are apart score 0 unclipped.
+    Each quad's area is the one it keeps (``Quad.area``).
     """
-    return _overlap(a, b, a.area, b.area)
+    return _overlap(a, b, a._area, b._area)
 
 
 def near_pairs(a: list[Quad], b: list[Quad]) -> list[tuple[int, int]]:
@@ -540,7 +562,13 @@ def iou(a: RotatedBox, b: RotatedBox) -> float:
     score 0 unclipped.  Raises NonConvexInput when rounding left a box's
     unrolled corners non-convex, even when the boxes are far apart.
     """
-    return _overlap(a.quad, b.quad, a.area, b.area)
+    qa = a._quad
+    if qa is None:
+        qa = rotated_to_quad(a)
+    qb = b._quad
+    if qb is None:
+        qb = rotated_to_quad(b)
+    return _overlap(qa, qb, a.w * a.h, b.w * b.h)
 
 
 def giou(a: RotatedBox, b: RotatedBox) -> float:

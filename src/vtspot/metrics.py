@@ -211,7 +211,9 @@ class _FrameTable:
     Track ids are unique within a frame, so every pass reads the keys as
     they are, whatever order the documents list the instances in.
     ``ignore_iou`` holds each prediction's largest IoU with an ignored
-    reference region (0 when there is none), in the order of ``preds``.
+    reference region (0 when it overlaps none), in the order of ``preds``;
+    it is empty when the frame lists no ignored reference, and then no
+    prediction lies on a region.
     Each pass applies its own gate; all gates are positive, so the absent
     pairs never pass one.
     """
@@ -240,16 +242,21 @@ def _frame_tables(gt: VideoAnnotation, pred: VideoAnnotation) -> list[_FrameTabl
             overlap = quad_iou(gt_quads[gi], pred_quads[pi])
             if overlap:
                 ious[active[gi].track_id, preds[pi].track_id] = overlap
-        region_quads = [_usable_quad(r.quad) for r in ignored]
-        ignore_iou = [0.0] * len(preds)
-        for pi, ri in near_pairs(pred_quads, region_quads):
-            ignore_iou[pi] = max(ignore_iou[pi], quad_iou(pred_quads[pi], region_quads[ri]))
+        ignore_iou: list[float] = []
+        if ignored:
+            region_quads = [_usable_quad(r.quad) for r in ignored]
+            ignore_iou = [0.0] * len(preds)
+            for pi, ri in near_pairs(pred_quads, region_quads):
+                ignore_iou[pi] = max(ignore_iou[pi], quad_iou(pred_quads[pi], region_quads[ri]))
         tables.append(_FrameTable(f, active, preds, ious, ignore_iou))
     return tables
 
 
 def _kept_preds(table: _FrameTable, gate: float) -> list[Instance]:
-    """The predictions not lying on an ignored region."""
+    """The predictions not lying on an ignored region: all of them when
+    the frame lists no ignored reference."""
+    if not table.ignore_iou:
+        return table.preds
     return [p for p, overlap in zip(table.preds, table.ignore_iou) if overlap < gate]
 
 

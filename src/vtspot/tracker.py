@@ -10,9 +10,9 @@ unmatched detections become new tracks and unmatched tracks age out after
 ``max_age`` missed frames.
 
 Detections may carry a ``track_box``: an externally predicted box for the
-same object in the next frame.  When a detection with a ``track_box`` is
-matched, that box replaces the constant-position prediction on the
-following step.
+same object in the next frame.  When a track takes a detection with a
+``track_box``, matched or born from it, that box replaces the
+constant-position prediction on the following step.
 
 A track's record, ``TrackState.frames``, maps each frame in which it took
 a detection to that ``Detection``, the shape of ``Trajectory.frames``; a
@@ -167,8 +167,8 @@ def run(
     stream: list[FrameDetections], cfg: TrackerConfig | None = None
 ) -> list[Trajectory]:
     """Track a whole video: fold step() over the frames and collect every
-    trajectory, wiring each matched detection's ``track_box`` into the next
-    step's prediction."""
+    trajectory, wiring the ``track_box`` of each detection a track takes,
+    matched or born from, into the next step's prediction."""
     tracker = Tracker(cfg)
     for frame in stream:
         tracker.step(frame)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vtspot.annotations as annotations_mod
+import vtspot.geometry as geometry_mod
 from vtspot.annotations import (
     Detection,
     FrameDetections,
@@ -548,6 +549,35 @@ def test_load_detections_track_box():
     tb = df.frames[0].detections[0].track_box
     assert tb is not None
     assert tb.cx == pytest.approx(32.0)
+
+
+def test_loaders_sum_each_quads_shoelace_once(monkeypatch):
+    """A loaded quad keeps the area its orientation test summed, so the
+    hull check and the box fit read it rather than summing it again."""
+    gt, dets = generate(SynthConfig(n_objects=3, n_frames=6, motion="rotate", seed=5))
+    frames = [FrameDetections(fd.frame_index, [
+        dataclasses.replace(d, track_box=RotatedBox(d.box.cx + 1.0, d.box.cy, 8.0, 3.0, 0.3))
+        for d in fd.detections]) for fd in dets.frames]
+    dets = dataclasses.replace(dets, frames=frames)
+    gt_text, dets_text = io.StringIO(), io.StringIO()
+    save_annotation(gt, gt_text)
+    save_detections(dets, dets_text)
+    calls = []
+    summed = geometry_mod._quad_signed_area
+
+    def counted(xy):
+        calls.append(xy)
+        return summed(xy)
+
+    monkeypatch.setattr(geometry_mod, "_quad_signed_area", counted)
+    loaded = load_annotation(io.StringIO(gt_text.getvalue()))
+    assert len(calls) == sum(map(len, loaded.frames.values())) > 0
+    calls.clear()
+    loaded_dets = load_detections(io.StringIO(dets_text.getvalue()))
+    boxes = [box for fd in loaded_dets.frames for d in fd.detections
+             for box in (d.box, d.track_box)]
+    assert None not in boxes
+    assert len(calls) == len(boxes) > 0
 
 
 def test_save_detections_round_trip():

@@ -334,6 +334,26 @@ def test_evaluate_corpus_parallel_matches_serial(tmp_path, capsys):
     assert serial == parallel
 
 
+def test_evaluate_pool_has_no_more_workers_than_pairs(tmp_path, capsys, monkeypatch):
+    """The pool starts all its workers at once, so --jobs above the number
+    of pairs starts only as many as there are pairs."""
+    gt_dir, pred_dir = corpus_dirs(tmp_path, 2)
+    dirs = ("--gt-dir", str(gt_dir), "--pred-dir", str(pred_dir), "--format", "csv")
+    assert run_cli("evaluate", *dirs, "--jobs", "1") == 0
+    serial = capsys.readouterr().out
+    sizes = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert run_cli("evaluate", *dirs, "--jobs", "4") == 0
+    assert sizes == [2]
+    assert capsys.readouterr().out == serial
+
+
 def test_evaluate_corpus_name_mismatch_exits_two(tmp_path, capsys):
     gt_dir, pred_dir = corpus_dirs(tmp_path, 2)
     (pred_dir / "video1.json").unlink()

@@ -12,6 +12,7 @@ Results must be equal, not approximately equal."""
 
 import itertools
 import math
+import pickle
 import random
 import sys
 import unittest.mock
@@ -62,6 +63,7 @@ from vtspot.geometry import (
     Quad,
     RotatedBox,
     _clip,
+    _quad_signed_area,
     giou,
     iou,
     near_pairs,
@@ -391,6 +393,37 @@ def test_hull_equals_the_generic_chain_on_every_small_lattice_quad(offset):
         assert outcome == stored_or_refused(plain_ccw, values)
         if outcome[0] == "ok":
             assert_hull_matches(Quad.from_flat(values))
+
+
+@st.composite
+def area_corners(draw):
+    """Eight corner values: four points around an offset of up to 1e6 in
+    magnitude, spread by a side from 1e-6 to 1e6, listed counter-clockwise
+    or clockwise."""
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6]) | st.floats(-1e6, 1e6))
+    scale = draw(st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]))
+    unit = st.floats(-1.0, 1.0)
+    points = [(offset + scale * draw(unit), offset + scale * draw(unit)) for _ in range(4)]
+    if draw(st.booleans()):
+        points.reverse()
+    return [v for point in points for v in point]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(area_corners())
+# clockwise, and the reversed corners' sum is not the negated sum bit for bit
+@example([0.61, 0.81, 0.68, 0.49, 0.38, -0.64, -0.13, -0.68])
+@example([1e6, 1e6, 1e6, 1e6 + 1e-6, 1e6 + 1e-6, 1e6 + 1e-6, 1e6 + 1e-6, 1e6])
+def test_quad_keeps_the_shoelace_area_of_its_stored_corners(values):
+    """The area a quad keeps is the one summed afresh on the corners it
+    stores, reversed ones included, and survives a pickle round trip."""
+    try:
+        quad = Quad.from_flat(values)
+    except SelfIntersectingQuad:
+        return
+    area = abs(_quad_signed_area(quad.as_flat()))
+    assert quad.area.hex() == area.hex()
+    assert pickle.loads(pickle.dumps(quad)).area.hex() == area.hex()
 
 
 # ---------------------------------------------------------------------------

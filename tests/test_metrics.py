@@ -19,6 +19,7 @@ from vtspot.errors import (
     MissingTranscription,
     VideoMismatch,
 )
+import vtspot.metrics as metrics_mod
 from vtspot.geometry import Quad, RotatedBox, rotated_to_quad
 from vtspot.synth import SynthConfig, generate
 from vtspot.tracker import TrackerConfig
@@ -728,6 +729,53 @@ def test_counter_ratios_name_every_empty_denominator():
                        gt_count=4, matched_iou_sum=2.4).ratios(flags) == (
         1.0 - 4 / 4, 2.4 / 3)
     assert flags == []
+
+
+def _with_ignored_references(gt: VideoAnnotation, frames, cx: float) -> VideoAnnotation:
+    """``gt`` with one more reference in each of ``frames``: an ignored
+    unit square at ``(cx, 0)``, under a track id no reference uses."""
+    tid = 1 + max((i.track_id for items in gt.frames.values() for i in items), default=0)
+    items = {f: list(gt.frames.get(f, [])) for f in gt.frames.keys() | set(frames)}
+    for f in frames:
+        items[f].append(inst(tid, cx, text=IGNORE_MARK))
+    return VideoAnnotation(gt.video_id, gt.width, gt.height, gt.frame_count, items,
+                           scenario=gt.scenario)
+
+
+def test_region_pass_runs_only_for_frames_with_an_ignored_reference(monkeypatch):
+    """The table of a frame without an ignored reference scores its pairs
+    with one near_pairs call, and one more runs for the regions of each
+    frame that lists one."""
+    gt = moving_annotation(n_tracks=3, n_frames=8)
+    pred = relabeled(gt, 10)
+    calls = []
+    counted = metrics_mod.near_pairs
+
+    def counting(a, b):
+        calls.append((len(a), len(b)))
+        return counted(a, b)
+
+    monkeypatch.setattr(metrics_mod, "near_pairs", counting)
+    evaluate(gt, pred, "tracking")
+    assert calls == [(3, 3)] * 8
+    calls.clear()
+    evaluate(_with_ignored_references(gt, [2, 5], 10.0), pred, "tracking")
+    assert calls == [pair for f in range(8)
+                     for pair in ([(3, 3), (3, 1)] if f in (2, 5) else [(3, 3)])]
+
+
+def test_an_ignored_reference_far_from_every_prediction_changes_no_report():
+    """The frames that skip the region pass score as they do after it."""
+    for gt, pred in _task_cases():
+        xs = [v for doc in (gt, pred) for items in doc.frames.values()
+              for i in items for v in i.quad.as_flat()[0::2]]
+        far = max(xs, default=0.0) + 1000.0
+        listed = gt.frames.keys() | pred.frames.keys()
+        ignoring = _with_ignored_references(gt, listed, far)
+        for task in ("detection", "tracking", "spotting"):
+            assert (evaluate(ignoring, pred, task).to_dict()
+                    == evaluate(gt, pred, task).to_dict())
+
 
 
 @pytest.mark.parametrize("a,b", [
