@@ -280,7 +280,10 @@ def _loss_sum(terms: dict[str, float], whose: str) -> float:
 def cmd_loss(args) -> int:
     gt = load_annotation(args.gt)
     preds = load_detections(args.pred)
-    _check_same_video(gt, preds)
+    try:
+        _check_same_video(gt, preds)
+    except VideoMismatch as exc:
+        raise VideoMismatch(f"{args.gt} vs {args.pred}: {exc}") from None
     w = args.weights
     frames_out = []
     totals = dict.fromkeys(_TERM_NAMES, 0.0)

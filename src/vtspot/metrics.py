@@ -3,8 +3,9 @@
 Three families of numbers, all computed from two annotation documents
 (reference and predictions) over the same video:
 
-* detection quality: per-frame precision / recall / F-score under a
-  one-to-one greedy IoU matching,
+* detection quality: per-frame precision / recall / F-score under the
+  one-to-one max-IoU matching ``gated_assign`` makes, the one CLEAR makes
+  on a frame with no earlier correspondence,
 * CLEAR tracking quality: MOTA (misses, false positives, identity
   mismatches) and MOTP (mean matched IoU),
 * identity quality: IDP / IDR / IDF1 from a global trajectory-level
@@ -15,7 +16,7 @@ Three families of numbers, all computed from two annotation documents
 Reference instances transcribed with the ignore marker are excluded, and
 predictions lying on an ignored region are discarded rather than punished.
 ``evaluate`` computes each frame's overlaps once, in a table that all three
-families read, each with its own gate.
+families read; detection and CLEAR read it through one gate.
 Every ratio with a zero denominator is reported as 0 and named in the
 report's ``degenerate`` list.
 """
@@ -214,7 +215,8 @@ class _FrameTable:
     reference region (0 when it overlaps none), in the order of ``preds``;
     it is empty when the frame lists no ignored reference, and then no
     prediction lies on a region.
-    Each pass applies its own gate; all gates are positive, so the absent
+    Detection and CLEAR read it through ``_gated_pairs``, identity through
+    its own ``iou_floor``; all gates are positive or strict, so the absent
     pairs never pass one.
     """
 
@@ -260,34 +262,32 @@ def _kept_preds(table: _FrameTable, gate: float) -> list[Instance]:
     return [p for p, overlap in zip(table.preds, table.ignore_iou) if overlap < gate]
 
 
+def _gated_pairs(table: _FrameTable, iou_thresh: float) -> tuple[dict[tuple[int, int], float], int]:
+    """The pairs the detection and CLEAR passes may match in one frame,
+    those at or above ``iou_thresh`` whose prediction is kept by
+    ``_kept_preds`` at the same gate, and the number of kept predictions."""
+    kept = {p.track_id for p in _kept_preds(table, iou_thresh)}
+    gated = {pair: overlap for pair, overlap in table.ious.items()
+             if overlap >= iou_thresh and pair[1] in kept}
+    return gated, len(kept)
+
+
 # ---------------------------------------------------------------------------
 # detection
 # ---------------------------------------------------------------------------
 
 
 def _detection_counts(tables: list[_FrameTable], iou_thresh: float) -> DetCounters:
-    """Per-frame greedy one-to-one matching, best IoU first; equal IoUs are
-    taken in order of the reference's, then the prediction's track id, so
-    the count does not depend on the order of the instances in a frame."""
+    """Per-frame one-to-one matching of the gated pairs by ``gated_assign``,
+    ties in ascending reference, then prediction, track id: on every frame
+    the matching CLEAR makes when it carries no correspondence over."""
     counters = DetCounters()
     for table in tables:
-        kept = _kept_preds(table, iou_thresh)
-        usable = {p.track_id for p in kept}
-        pairs = sorted(
-            (-overlap, gid, pid)
-            for (gid, pid), overlap in table.ious.items()
-            if overlap >= iou_thresh and pid in usable
-        )
-        used_g: set[int] = set()
-        used_p: set[int] = set()
-        for _, gid, pid in pairs:
-            if gid not in used_g and pid not in used_p:
-                used_g.add(gid)
-                used_p.add(pid)
-        tp = len(used_g)
+        gated, n_kept = _gated_pairs(table, iou_thresh)
+        tp = len(gated_assign(gated))
         counters.tp += tp
         counters.fn += len(table.gt) - tp
-        counters.fp += len(kept) - tp
+        counters.fp += n_kept - tp
     return counters
 
 
@@ -312,21 +312,16 @@ def eval_mot(tables: list[_FrameTable], iou_thresh: float) -> MotCounters:
     for table in tables:
         if table.frame != corr_frame + 1:
             active_corr = {}
-        kept = {p.track_id for p in _kept_preds(table, iou_thresh)}
-        ious = table.ious
+        gated, n_kept = _gated_pairs(table, iou_thresh)
 
         # keep still-valid correspondences from the previous frame
-        matches = {gid: pid for gid, pid in active_corr.items()
-                   if pid in kept and ious.get((gid, pid), 0.0) >= iou_thresh}
+        matches = {gid: pid for gid, pid in active_corr.items() if (gid, pid) in gated}
 
         # assign the remainder, maximizing total IoU above the gate
         matched_pred = set(matches.values())
-        gated = {
-            (gid, pid): overlap for (gid, pid), overlap in ious.items()
-            if overlap >= iou_thresh and pid in kept
-            and gid not in matches and pid not in matched_pred
-        }
-        for gid, pid in gated_assign(gated):
+        rest = {(gid, pid): overlap for (gid, pid), overlap in gated.items()
+                if gid not in matches and pid not in matched_pred}
+        for gid, pid in gated_assign(rest):
             matches[gid] = pid
             if gid in last_match and last_match[gid] != pid:
                 counters.mismatches += 1
@@ -335,8 +330,8 @@ def eval_mot(tables: list[_FrameTable], iou_thresh: float) -> MotCounters:
         counters.gt_count += len(table.gt)
         counters.matches += len(matches)
         counters.misses += len(table.gt) - len(matches)
-        counters.false_positives += len(kept) - len(matches)
-        counters.matched_iou_sum += sum(ious[pair] for pair in matches.items())
+        counters.false_positives += n_kept - len(matches)
+        counters.matched_iou_sum += sum(gated[pair] for pair in matches.items())
         active_corr, corr_frame = matches, table.frame
 
     return counters

@@ -590,19 +590,11 @@ def _detection_pass(gt, pred, iou_thresh):
     counters = DetCounters()
     for f in range(gt.frame_count):
         gt_active, preds = _frame_preds(gt, pred, f, iou_thresh)
-        pairs = []
-        for gid, g_quad, _ in gt_active:
-            for pid, p_quad, _ in preds:
-                overlap = clip_quad_iou(g_quad, p_quad)
-                if overlap >= iou_thresh:
-                    pairs.append((-overlap, gid, pid))
-        pairs.sort()  # equal IoUs in (gt track id, pred track id) order
-        used_g, used_p = set(), set()
-        for _, gid, pid in pairs:
-            if gid not in used_g and pid not in used_p:
-                used_g.add(gid)
-                used_p.add(pid)
-        tp = len(used_g)
+        # in track-id order, the order that breaks the assignment's ties
+        gt_active.sort(key=lambda g: g[0])
+        preds.sort(key=lambda p: p[0])
+        ious = [[clip_quad_iou(g[1], p[1]) for p in preds] for g in gt_active]
+        tp = len(_gated_max_iou_pairs(ious, iou_thresh))
         counters.tp += tp
         counters.fn += len(gt_active) - tp
         counters.fp += len(preds) - tp

@@ -903,6 +903,20 @@ def test_loss_video_mismatch_exits_three(tmp_path):
     assert run_cli("loss", str(gt_path), str(other_dets)) == 3
 
 
+@pytest.mark.parametrize("flags,detail", [
+    ({"--seed": 2}, "video_id differs: 'synth-1' vs 'synth-2'"),
+    ({"--frames": 6}, "frame_count differs: 5 vs 6"),
+])
+def test_loss_mismatch_names_both_files(tmp_path, capsys, flags, detail):
+    gt, _ = make_synth(tmp_path, "a", **{"--seed": 1, "--frames": 5})
+    _, dets = make_synth(tmp_path, "b", **{"--seed": 1, "--frames": 5, **flags})
+    capsys.readouterr()
+    assert run_cli("loss", str(gt), str(dets)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"vtspot: mismatched inputs: {gt} vs {dets}: {detail}\n"
+
+
 def test_python_dash_m_version():
     package_root = str(Path(vtspot.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=package_root)

@@ -965,7 +965,17 @@ def _cross_tied_video() -> tuple[VideoAnnotation, VideoAnnotation]:
     return gt, pred
 
 
+def _tied_frame() -> tuple[VideoAnnotation, VideoAnnotation]:
+    """One frame of unit squares: references 1 and 2 at x = 1.25 and 0.75,
+    predictions 1 and 2 at x = 1 and 1.5.  Three pairs tie at IoU 0.6;
+    greedy, best IoU first, matches one reference, the assignment both."""
+    gt = VideoAnnotation("v", 100, 100, 1, {0: [_unit_square(1, 1.25), _unit_square(2, 0.75)]})
+    pred = VideoAnnotation("v", 100, 100, 1, {0: [_unit_square(1, 1.0), _unit_square(2, 1.5)]})
+    return gt, pred
+
+
 @settings(max_examples=60, deadline=None)
+@example(_tied_frame(), "detection", 0.5, 0.0, False)
 @example(_cross_tied_video(), "tracking", 0.5, 0.0, False)
 @example(_cross_tied_video(), "spotting", 0.5, 0.0, False)
 @given(videos(), st.sampled_from(("detection", "tracking", "spotting")),

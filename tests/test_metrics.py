@@ -5,7 +5,7 @@ import random
 from dataclasses import asdict, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vtspot.annotations import (
@@ -116,12 +116,48 @@ def test_detection_two_tp_one_fp_one_fn():
 
 
 def test_detection_counts_do_not_depend_on_prediction_order():
-    # three pairs tie at IoU 2/3; on a tie the lower track ids match first
-    gt = ann({0: [inst(1, 10.0, w=10.0, h=10.0), inst(2, 6.0, w=10.0, h=10.0)]}, 1)
-    a, b = inst(1, 8.0, w=10.0, h=10.0), inst(2, 12.0, w=10.0, h=10.0)
-    forward = evaluate(gt, ann({0: [a, b]}, 1), "detection").det
-    backward = evaluate(gt, ann({0: [b, a]}, 1), "detection").det
-    assert forward == backward == DetCounters(tp=1, fp=1, fn=1)
+    # three pairs tie at IoU 2/3; the assignment matches both references
+    # whatever the order of the instances and whichever ids they carry
+    def square(tid, x):
+        return inst(tid, x, w=10.0, h=10.0)
+
+    for g1, g2 in ((1, 2), (2, 1)):
+        gt = ann({0: [square(g1, 10.0), square(g2, 6.0)]}, 1)
+        for p1, p2 in ((1, 2), (2, 1)):
+            a, b = square(p1, 8.0), square(p2, 12.0)
+            for preds in ([a, b], [b, a]):
+                det = evaluate(gt, ann({0: preds}, 1), "detection").det
+                assert det == DetCounters(tp=2, fp=0, fn=0), (g1, p1, preds)
+
+
+@st.composite
+def one_frame_squares(draw):
+    """A one-frame reference and prediction of unit squares centred on a
+    quarter-unit lattice, so that many pairs tie in IoU; some references
+    are ignored."""
+    def frame_of(texts):
+        xs = draw(st.lists(st.integers(0, 8), max_size=6))
+        ids = draw(st.permutations(range(len(xs))))
+        return ann({0: [inst(tid, 0.25 * x, text=draw(texts)) for tid, x in zip(ids, xs)]}, 1)
+
+    return (frame_of(st.sampled_from(("word", "word", "word", IGNORE_MARK))),
+            frame_of(st.just("word")))
+
+
+# the tied repro above on unit squares: greedy, best IoU first, matches one
+# reference, the assignment both
+_TIED_SQUARES = (ann({0: [inst(1, 1.25), inst(2, 0.75)]}, 1),
+                 ann({0: [inst(1, 1.0), inst(2, 1.5)]}, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@example(_TIED_SQUARES, 0.5)
+@given(one_frame_squares(), st.sampled_from((0.1, 0.3, 0.5, 0.6, 0.7, 1.0)))
+def test_one_frame_detection_counts_equal_clear_counts(docs, iou_thresh):
+    gt, pred = docs
+    r = evaluate(gt, pred, "tracking", iou_thresh=iou_thresh)
+    assert (r.det.tp, r.det.fn, r.det.fp) == (
+        r.mot.matches, r.mot.misses, r.mot.false_positives)
 
 
 def test_clear_ties_do_not_depend_on_prediction_order():
