@@ -31,7 +31,7 @@ from .annotations import (
     save_detections,
     save_trajectories,
 )
-from .errors import DataError, MetricsError, SchemaError, VideoMismatch
+from .errors import DataError, SchemaError, VideoMismatch
 from .geometry import quad_to_rotated
 from .linker import LinkerConfig, link
 from .matching import (
@@ -129,7 +129,7 @@ def _eval_pair(pair: tuple[str, str], **settings) -> MetricsReport:
     pred = load_annotation(pred_path)
     try:
         return evaluate(gt, pred, **settings)
-    except MetricsError as exc:  # the same kind, so the same exit code
+    except ValueError as exc:  # the same kind, so the same exit code
         raise type(exc)(f"{gt_path} vs {pred_path}: {exc}") from None
 
 

@@ -484,7 +484,11 @@ def _clip(a: tuple[float, ...], b: tuple[float, ...]) -> list[tuple[float, float
 
 def _area_ratio(inter: float, union: float) -> float:
     """inter/union clamped into [0, 1]: clipping round-off can push the
-    intersection of a quad with itself a few ulps past its own area."""
+    intersection of a quad with itself a few ulps past its own area.
+    Raises ValueError when either area overflowed the float range."""
+    if not (math.isfinite(inter) and math.isfinite(union)):
+        raise ValueError(f"overlap areas must be finite, got intersection {inter} "
+                         f"and union {union}")
     if union <= 0.0:
         return 0.0
     return min(1.0, max(0.0, inter / union))

@@ -16,7 +16,10 @@ Three families of numbers, all computed from two annotation documents
 Reference instances transcribed with the ignore marker are excluded, and
 predictions lying on an ignored region are discarded rather than punished.
 ``evaluate`` computes each frame's overlaps once, in a table that all three
-families read; detection and CLEAR read it through one gate.
+families read.  The table is the one place the gates apply: it holds the
+pairs at or above ``iou_thresh`` whose prediction is off every ignored
+region at that gate, for detection and CLEAR, and the predictions off every
+region at ``IGNORE_GATE``, for identity.
 Every ratio with a zero denominator is reported as 0 and named in the
 report's ``degenerate`` list.
 """
@@ -205,31 +208,35 @@ def _usable_quad(quad: Quad) -> Quad:
 
 @dataclass(slots=True)
 class _FrameTable:
-    """One frame's overlaps, computed once and read by every metric pass.
+    """One frame's overlaps and gated pairs, computed once and read by every
+    metric pass; no pass gates a pair or drops a prediction itself.
 
     ``ious`` maps (gt track id, pred track id) to ``quad_iou(gt, pred)``
     for the ``near_pairs`` whose IoU is not 0; every other pair has IoU 0.
     Track ids are unique within a frame, so every pass reads the keys as
     they are, whatever order the documents list the instances in.
-    ``ignore_iou`` holds each prediction's largest IoU with an ignored
-    reference region (0 when it overlaps none), in the order of ``preds``;
-    it is empty when the frame lists no ignored reference, and then no
-    prediction lies on a region.
-    Detection and CLEAR read it through ``_gated_pairs``, identity through
-    its own ``iou_floor``; all gates are positive or strict, so the absent
-    pairs never pass one.
+    ``gated`` holds the pairs of ``ious`` at or above ``iou_thresh`` whose
+    prediction is not on an ignored reference region at that gate, and
+    ``n_kept`` counts such predictions: detection and CLEAR match these.
+    ``id_preds`` are the predictions not on a region at ``IGNORE_GATE``:
+    identity reads them with ``ious`` through its own ``iou_floor``.  All
+    gates are positive or strict, so the absent pairs never pass one.
     """
 
     frame: int
     gt: list[Instance]
-    preds: list[Instance]
     ious: dict[tuple[int, int], float]
-    ignore_iou: list[float]
+    gated: dict[tuple[int, int], float]
+    n_kept: int
+    id_preds: list[Instance]
 
 
-def _frame_tables(gt: VideoAnnotation, pred: VideoAnnotation) -> list[_FrameTable]:
+def _frame_tables(gt: VideoAnnotation, pred: VideoAnnotation,
+                  iou_thresh: float) -> list[_FrameTable]:
     """One table per frame that either document lists, in index order;
-    ignored reference instances become regions, ignored predictions are dropped."""
+    ignored reference instances become regions, ignored predictions are
+    dropped.  A prediction lies on a region when its largest IoU with one
+    reaches the gate; a frame that lists no region keeps every prediction."""
     _check_same_video(gt, pred)
     tables = []
     for f in sorted(gt.frames.keys() | pred.frames.keys()):
@@ -244,32 +251,19 @@ def _frame_tables(gt: VideoAnnotation, pred: VideoAnnotation) -> list[_FrameTabl
             overlap = quad_iou(gt_quads[gi], pred_quads[pi])
             if overlap:
                 ious[active[gi].track_id, preds[pi].track_id] = overlap
-        ignore_iou: list[float] = []
+        gated = {pair: overlap for pair, overlap in ious.items() if overlap >= iou_thresh}
+        n_kept, id_preds = len(preds), preds
         if ignored:
             region_quads = [_usable_quad(r.quad) for r in ignored]
             ignore_iou = [0.0] * len(preds)
             for pi, ri in near_pairs(pred_quads, region_quads):
                 ignore_iou[pi] = max(ignore_iou[pi], quad_iou(pred_quads[pi], region_quads[ri]))
-        tables.append(_FrameTable(f, active, preds, ious, ignore_iou))
+            kept = {p.track_id for p, overlap in zip(preds, ignore_iou) if overlap < iou_thresh}
+            gated = {pair: overlap for pair, overlap in gated.items() if pair[1] in kept}
+            n_kept = len(kept)
+            id_preds = [p for p, overlap in zip(preds, ignore_iou) if overlap < IGNORE_GATE]
+        tables.append(_FrameTable(f, active, ious, gated, n_kept, id_preds))
     return tables
-
-
-def _kept_preds(table: _FrameTable, gate: float) -> list[Instance]:
-    """The predictions not lying on an ignored region: all of them when
-    the frame lists no ignored reference."""
-    if not table.ignore_iou:
-        return table.preds
-    return [p for p, overlap in zip(table.preds, table.ignore_iou) if overlap < gate]
-
-
-def _gated_pairs(table: _FrameTable, iou_thresh: float) -> tuple[dict[tuple[int, int], float], int]:
-    """The pairs the detection and CLEAR passes may match in one frame,
-    those at or above ``iou_thresh`` whose prediction is kept by
-    ``_kept_preds`` at the same gate, and the number of kept predictions."""
-    kept = {p.track_id for p in _kept_preds(table, iou_thresh)}
-    gated = {pair: overlap for pair, overlap in table.ious.items()
-             if overlap >= iou_thresh and pair[1] in kept}
-    return gated, len(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +271,16 @@ def _gated_pairs(table: _FrameTable, iou_thresh: float) -> tuple[dict[tuple[int,
 # ---------------------------------------------------------------------------
 
 
-def _detection_counts(tables: list[_FrameTable], iou_thresh: float) -> DetCounters:
+def _detection_counts(tables: list[_FrameTable]) -> DetCounters:
     """Per-frame one-to-one matching of the gated pairs by ``gated_assign``,
     ties in ascending reference, then prediction, track id: on every frame
     the matching CLEAR makes when it carries no correspondence over."""
     counters = DetCounters()
     for table in tables:
-        gated, n_kept = _gated_pairs(table, iou_thresh)
-        tp = len(gated_assign(gated))
+        tp = len(gated_assign(table.gated))
         counters.tp += tp
         counters.fn += len(table.gt) - tp
-        counters.fp += n_kept - tp
+        counters.fp += table.n_kept - tp
     return counters
 
 
@@ -297,10 +290,11 @@ def _detection_counts(tables: list[_FrameTable], iou_thresh: float) -> DetCounte
 
 
 # bench/layers.py times the CLEAR pass by wrapping this name
-def eval_mot(tables: list[_FrameTable], iou_thresh: float) -> MotCounters:
-    """CLEAR procedure: correspondences established frame by frame, kept
-    while they stay above the gate, mismatches counted the first frame a
-    reference track's partner id changes versus its last established one.
+def eval_mot(tables: list[_FrameTable]) -> MotCounters:
+    """CLEAR procedure over the tables' gated pairs: correspondences
+    established frame by frame, kept while they stay gated, mismatches
+    counted the first frame a reference track's partner id changes versus
+    its last established one.
     Correspondences are keyed by track id, and new ones are assigned with
     ties in ascending reference, then prediction, track id.
     A frame without a table is empty, so it ends every correspondence."""
@@ -312,7 +306,7 @@ def eval_mot(tables: list[_FrameTable], iou_thresh: float) -> MotCounters:
     for table in tables:
         if table.frame != corr_frame + 1:
             active_corr = {}
-        gated, n_kept = _gated_pairs(table, iou_thresh)
+        gated = table.gated
 
         # keep still-valid correspondences from the previous frame
         matches = {gid: pid for gid, pid in active_corr.items() if (gid, pid) in gated}
@@ -330,7 +324,7 @@ def eval_mot(tables: list[_FrameTable], iou_thresh: float) -> MotCounters:
         counters.gt_count += len(table.gt)
         counters.matches += len(matches)
         counters.misses += len(table.gt) - len(matches)
-        counters.false_positives += n_kept - len(matches)
+        counters.false_positives += table.n_kept - len(matches)
         counters.matched_iou_sum += sum(gated[pair] for pair in matches.items())
         active_corr, corr_frame = matches, table.frame
 
@@ -355,9 +349,9 @@ def eval_id(
     ``iou_floor``; when ``spotting`` the transcriptions must also be equal
     after normalization.  A global assignment between reference and
     predicted trajectories maximizes the total number of agreeing slots
-    (id_tp); IDP, IDR, IDF1, MT, and ML all follow from it.  Prediction
-    slots on an ignored reference region (IoU at least ``IGNORE_GATE``)
-    are dropped.
+    (id_tp); IDP, IDR, IDF1, MT, and ML all follow from it.  Only the
+    tables' ``id_preds`` count: prediction slots on an ignored reference
+    region (IoU at least ``IGNORE_GATE``) are dropped.
     """
 
     def text_of(slot: Instance) -> str | None:
@@ -375,7 +369,7 @@ def eval_id(
             gt_len[slot.track_id] = gt_len.get(slot.track_id, 0) + 1
             gt_text[slot.track_id] = text_of(slot)
         pred_text: dict[int, str | None] = {}
-        for slot in _kept_preds(table, IGNORE_GATE):
+        for slot in table.id_preds:
             if spotting and slot.transcription is None:
                 raise MissingTranscription(
                     f"prediction track {slot.track_id} frame {table.frame} has no "
@@ -434,11 +428,11 @@ def evaluate(
         raise ValueError(f"iou_thresh must be in (0,1], got {iou_thresh}")
     if not (0.0 <= iou_floor < 1.0):
         raise ValueError(f"iou_floor must be in [0,1), got {iou_floor}")
-    tables = _frame_tables(gt, pred)
-    det = _detection_counts(tables, iou_thresh)
+    tables = _frame_tables(gt, pred, iou_thresh)
+    det = _detection_counts(tables)
     mot, ids, mt, ml = MotCounters(), IdCounters(), 0, 0
     if task != "detection":
-        mot = eval_mot(tables, iou_thresh)
+        mot = eval_mot(tables)
         ids, mt, ml = eval_id(tables, task == "spotting", iou_floor, case_insensitive)
     return MetricsReport(task, mt=mt, ml=ml, det=det, mot=mot, ids=ids,
                          video_id=gt.video_id, scenario=gt.scenario)

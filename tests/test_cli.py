@@ -265,6 +265,33 @@ def test_evaluate_video_mismatch_exits_three(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_evaluate_value_error_names_both_files(tmp_path, capsys, jobs):
+    """A ValueError from scoring, here a clip vertex past the float range,
+    names the pair it came from, in a pool as in one process."""
+    gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+    gt_dir.mkdir()
+    pred_dir.mkdir()
+
+    def write(path, points):
+        path.write_text(json.dumps({
+            "video_id": "far", "width": 10, "height": 10, "frame_count": 1,
+            "frames": {"0": [{"id": 0, "points": points, "transcription": "a"}]},
+        }), encoding="utf-8")
+
+    big = 1e200
+    for directory in (gt_dir, pred_dir):
+        write(directory / "a.json", [0, 0, 4, 0, 4, 4, 0, 4])
+    write(gt_dir / "b.json", [-big, -big, big, -big, big, big, -big, big])
+    write(pred_dir / "b.json", [0, -1.5 * big, 1.5 * big, 0, 0, 1.5 * big, -1.5 * big, 0])
+    assert run_cli("evaluate", "--gt-dir", str(gt_dir), "--pred-dir", str(pred_dir),
+                   "--jobs", jobs) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"vtspot: {gt_dir / 'b.json'} vs {pred_dir / 'b.json'}: "
+                            "point coordinates must be finite, got (nan, nan)\n")
+
+
 def test_evaluate_csv_output(tmp_path, capsys):
     gt, _ = make_synth(tmp_path)
     assert run_cli("evaluate", "--format", "csv", str(gt), str(gt)) == 0

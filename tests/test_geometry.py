@@ -166,6 +166,17 @@ def test_clip_vertex_that_overflows_is_rejected():
         quad_iou(square, diamond)
 
 
+def test_overlap_whose_areas_overflow_is_rejected():
+    """Every corner is finite, but past sides of about 1.3e154 a quad's
+    area is not: the overlap raises rather than scoring 0."""
+    def square_and_inset(side):
+        return (Quad.from_flat([0, 0, side, 0, side, side, 0, side]),
+                Quad.from_flat([side / 7, side / 9, side, side / 9, side, side, side / 7, side]))
+    assert quad_iou(*square_and_inset(1e153)) == 0.7619047619047621
+    with pytest.raises(ValueError, match="overlap areas must be finite, got intersection"):
+        quad_iou(*square_and_inset(1e154))
+
+
 def test_quad_value_is_its_flat_tuple():
     q = Quad.from_flat([0, 0, 0, 2, 4, 2, 4, 0])  # clockwise input
     flat = (0.0, 0.0, 4.0, 0.0, 4.0, 2.0, 0.0, 2.0)
