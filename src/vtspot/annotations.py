@@ -362,53 +362,49 @@ def _load_json(source):
 _REQUIRED = object()
 
 
-def _expect(doc, key, kind, path, kind_name=None, default=_REQUIRED):
-    """``doc[key]``, a ``kind`` (``kind_name`` in errors) at JSON path ``path``;
+def _expect(doc, key, kind, kind_name=None, default=_REQUIRED):
+    """``doc[key]``, a ``kind`` (``kind_name`` in errors) named by ``key``;
     an absent key gives ``default``, or without one is a missing required field."""
     if key not in doc:
         if default is not _REQUIRED:
             return default
-        raise SchemaError(f"{path}.{key}" if path else key, "missing required field")
+        raise SchemaError(key, "missing required field")
     value = doc[key]
     if kind is int and isinstance(value, bool):
-        raise SchemaError(f"{path}.{key}" if path else key, "expected an integer, got a boolean")
+        raise SchemaError(key, "expected an integer, got a boolean")
     if not isinstance(value, kind):
         name = kind_name or getattr(kind, "__name__", str(kind))
-        raise SchemaError(
-            f"{path}.{key}" if path else key,
-            f"expected {name}, got {type(value).__name__}",
-        )
+        raise SchemaError(key, f"expected {name}, got {type(value).__name__}")
     return value
 
 
-def _expect_text(doc, key, kind, path, kind_name=None, default=_REQUIRED):
+def _expect_text(doc, key, kind, kind_name=None, default=_REQUIRED):
     """``_expect`` for a string field.  A string that no UTF-8 writer can
     encode (a lone surrogate, which a JSON escape such as ``"\\udc80"``
     yields) is refused here, not at the next save."""
-    text = _expect(doc, key, kind, path, kind_name, default)
+    text = _expect(doc, key, kind, kind_name, default)
     if isinstance(text, str) and not text.isascii():
         try:
             text.encode("utf-8")
         except UnicodeEncodeError as exc:
-            raise SchemaError(f"{path}.{key}" if path else key,
-                              f"not encodable as UTF-8: {exc.reason} at index {exc.start}"
-                              ) from None
+            raise SchemaError(key, f"not encodable as UTF-8: {exc.reason} "
+                                   f"at index {exc.start}") from None
     return text
 
 
 def _parse_header(doc):
     if not isinstance(doc, dict):
         raise SchemaError("$", f"expected an object, got {type(doc).__name__}")
-    video_id = _expect_text(doc, "video_id", str, "")
-    width = _expect(doc, "width", int, "")
-    height = _expect(doc, "height", int, "")
-    frame_count = _expect(doc, "frame_count", int, "")
-    frames = _expect(doc, "frames", dict, "", "object")
+    video_id = _expect_text(doc, "video_id", str)
+    width = _expect(doc, "width", int)
+    height = _expect(doc, "height", int)
+    frame_count = _expect(doc, "frame_count", int)
+    frames = _expect(doc, "frames", dict, "object")
     if frame_count < 1:
         raise SchemaError("frame_count", f"must be >= 1, got {frame_count}")
     if width <= 0 or height <= 0:
         raise SchemaError("width", f"dimensions must be positive, got {width}x{height}")
-    scenario = _expect_text(doc, "scenario", (str, type(None)), "", "string", None)
+    scenario = _expect_text(doc, "scenario", (str, type(None)), "string", None)
     return video_id, width, height, frame_count, frames, scenario
 
 
@@ -465,7 +461,7 @@ def _parse_points(entry, key: str = "points", *, as_box: bool = False) -> Quad |
     """The quad at ``entry[key]``, or with ``as_box`` its enclosing rotated
     box.  Either way its hull is checked once, by ``nondegenerate_hull``
     or inside ``quad_to_rotated``."""
-    pts = _expect(entry, key, list, "")
+    pts = _expect(entry, key, list)
     if len(pts) != 8:
         raise SchemaError(key, f"expected 8 numbers, got {len(pts)}")
     if not _NUMBER_TYPES.issuperset(map(type, pts)):
@@ -491,7 +487,7 @@ _CATEGORY_OF = {c.value: c for c in TextCategory}
 
 
 def _parse_category(entry) -> TextCategory:
-    raw = _expect(entry, "category", str, "", "string", TextCategory.OTHERS.value)
+    raw = _expect(entry, "category", str, "string", TextCategory.OTHERS.value)
     category = _CATEGORY_OF.get(raw)
     if category is not None:
         return category
@@ -518,9 +514,9 @@ def _naming_file(load):
 
 def _read_instance(entry: dict) -> Instance:
     return Instance(
-        track_id=_expect(entry, "id", int, ""),
+        track_id=_expect(entry, "id", int),
         quad=_parse_points(entry),
-        transcription=_expect_text(entry, "transcription", (str, type(None)), "",
+        transcription=_expect_text(entry, "transcription", (str, type(None)),
                                    "string or null"),
         category=_parse_category(entry),
     )
@@ -528,12 +524,12 @@ def _read_instance(entry: dict) -> Instance:
 
 def _read_detection(entry: dict) -> Detection:
     box = _parse_points(entry, as_box=True)
-    score = _expect(entry, "score", (int, float), "", "a number")
+    score = _expect(entry, "score", (int, float), "a number")
     if isinstance(score, bool):
         raise SchemaError("score", "expected a number, got bool")
     if not (0.0 <= score <= 1.0):
         raise SchemaError("score", f"must be in [0,1], got {score}")
-    transcription = _expect_text(entry, "transcription", (str, type(None)), "",
+    transcription = _expect_text(entry, "transcription", (str, type(None)),
                                  "string or null", None)
     track_box = None
     if entry.get("track_box") is not None:

@@ -212,7 +212,7 @@ def cmd_track(args) -> int:
     else:
         frames = [
             (fd.frame_index,
-             [(d.box.quad, d.transcription or "")
+             [(d.box.quad, d.transcription)
               for d in fd.detections if d.score >= tracker_cfg.min_score])
             for fd in dets.frames
         ]

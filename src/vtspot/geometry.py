@@ -517,8 +517,9 @@ def _overlap(qa: Quad, qb: Quad, area_a: float, area_b: float) -> float:
         return 0.0
     if qa._xy == qb._xy:
         # identical shapes overlap fully by definition; skipping the clip
-        # keeps the result exact where round-off would wobble it
-        return 1.0 if area_a > 0.0 else 0.0
+        # keeps the result exact where round-off would wobble it: 1 for a
+        # positive area, 0 for none, and an area that overflowed raises
+        return _area_ratio(area_a, area_a)
     inter = _area(_clip(qa._xy, qb._xy))
     return _area_ratio(inter, area_a + area_b - inter)
 
@@ -582,9 +583,11 @@ def giou(a: RotatedBox, b: RotatedBox) -> float:
     not their convex hull.  So a rotated box scores below 1 against itself:
     ``giou(b, b)`` is about 0.55 for ``RotatedBox(0.3, 0.4, 0.05, 0.02, 0.3)``.
     Raises NonConvexInput when rounding left a box's unrolled corners
-    non-convex, even when the boxes are far apart.  Boxes whose padded
-    extents are apart are not clipped: their IoU is 0, so their score is
-    ``0.0 - (hull - union) / hull``, taken without a helper call.
+    non-convex, even when the boxes are far apart, and ValueError, as
+    ``_area_ratio`` does, when an area overflowed the float range.  Boxes
+    whose padded extents are apart are not clipped: their intersection is
+    0, so their score is ``0.0 - (hull - union) / hull`` when the hull
+    exceeds the union, and 0 otherwise.
     """
     qa = a._quad
     if qa is None:
@@ -605,17 +608,14 @@ def giou(a: RotatedBox, b: RotatedBox) -> float:
             * ((b_hi_y if b_hi_y > a_hi_y else a_hi_y) - (b_lo_y if b_lo_y < a_lo_y else a_lo_y)))
     union = a.w * a.h + b.w * b.h
     # _apart(ea, eb), spelled out; matching._cost_row repeats this test and
-    # the closed form below with the same floats, so change both together
-    if (a_hi_x + a_pad < b_lo_x - b_pad or b_hi_x + b_pad < a_lo_x - a_pad
+    # the score of an apart pair with the same floats, so change both together
+    inter = 0.0
+    if not (a_hi_x + a_pad < b_lo_x - b_pad or b_hi_x + b_pad < a_lo_x - a_pad
             or a_hi_y + a_pad < b_lo_y - b_pad or b_hi_y + b_pad < a_lo_y - a_pad):
-        if hull <= 0.0:
-            return 0.0
-        gap = hull - union
-        # max(0.0, gap): 0.0 on a tie, and for a nan gap
-        return 0.0 - (gap if gap > 0.0 else 0.0) / hull
-    inter = _area(_clip(qa._xy, qb._xy))
-    union -= inter
+        inter = _area(_clip(qa._xy, qb._xy))
+        union -= inter
     value = _area_ratio(inter, union)
     if hull <= 0.0:
         return value
-    return value - max(0.0, hull - union) / hull
+    gap = hull - union
+    return value if gap <= 0.0 else value - gap / hull

@@ -83,13 +83,14 @@ class _OpenTrajectory:
 
 
 def link(
-    frames: list[tuple[int, list[tuple[Quad, str]]]],
+    frames: list[tuple[int, list[tuple[Quad, str | None]]]],
     cfg: LinkerConfig | None = None,
 ) -> list[Trajectory]:
     """Link per-frame (quad, transcription) objects into trajectories.
 
     ``frames`` holds (frame_index, objects) pairs ordered by frame index.
-    Every input object lands in exactly one trajectory.
+    Every input object lands in exactly one trajectory, its transcription
+    kept as given; a missing one (None) reads as "" for the edit distance.
     """
     cfg = cfg if cfg is not None else LinkerConfig()
     open_trajs: list[_OpenTrajectory] = []

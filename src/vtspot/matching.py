@@ -114,9 +114,11 @@ def _cost_row(a: RotatedBox, flat: list[tuple], w: CostWeights) -> tuple[list[fl
     """The matching costs of object box ``a`` against each prediction of
     ``flat`` (``_flat_preds``), ``cls + w_l1*l1 + w_giou*(1 - giou) +
     w_angle*(1 - cos(pred angle - gt angle))`` summed in that order, and
-    the GIoU each cost used.  A pair whose padded extents are apart takes
-    ``giou``'s closed form, ``0.0 - max(0, hull - union) / hull``, with
-    its floats and operations; only the other pairs call ``giou``."""
+    the GIoU each cost used.  A pair whose padded extents are apart is
+    scored in closed form, ``0.0 - (hull - union) / hull`` when the hull
+    exceeds the union and 0 otherwise, the floats ``giou`` returns for it;
+    only the other pairs call ``giou``.  Areas that overflowed make a nan
+    GIoU and so a nan cost, which ``hungarian`` refuses."""
     lo_x, lo_y, hi_x, hi_y, pad = rotated_to_quad(a)._convex_extents()
     p_lo_x, p_lo_y, p_hi_x, p_hi_y = lo_x - pad, lo_y - pad, hi_x + pad, hi_y + pad
     a_cx, a_cy, a_w, a_h, a_angle = a.cx, a.cy, a.w, a.h, a.angle
@@ -134,7 +136,8 @@ def _cost_row(a: RotatedBox, flat: list[tuple], w: CostWeights) -> tuple[list[fl
                 g = 0.0
             else:
                 gap = hull - (a_area + area)
-                g = 0.0 - (gap if gap > 0.0 else 0.0) / hull
+                # not max(0.0, gap), which would read a nan gap as 0
+                g = 0.0 if gap <= 0.0 else 0.0 - gap / hull
         else:
             g = score(a, b)
         scores.append(g)

@@ -14,12 +14,13 @@ Three families of numbers, all computed from two annotation documents
   boxes may count as the same identity.
 
 Reference instances transcribed with the ignore marker are excluded, and
-predictions lying on an ignored region are discarded rather than punished.
-``evaluate`` computes each frame's overlaps once, in a table that all three
-families read.  The table is the one place the gates apply: it holds the
-pairs at or above ``iou_thresh`` whose prediction is off every ignored
-region at that gate, for detection and CLEAR, and the predictions off every
-region at ``IGNORE_GATE``, for identity.
+a prediction lying on an ignored region (IoU with it at least
+``IGNORE_GATE``, whatever ``iou_thresh`` is) is discarded rather than
+punished, once, so that all three families count the same predictions.
+``evaluate`` computes each frame's predictions and overlaps once, in a
+table that all three families read.  The table is the one place the gates
+apply: it holds the predictions off every region and, of their pairs, those
+at or above ``iou_thresh``, for detection and CLEAR.
 Every ratio with a zero denominator is reported as 0 and named in the
 report's ``degenerate`` list.
 """
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 # predictions overlapping an ignored reference region at or above this IoU
-# are dropped from identity evaluation (which has no iou_thresh of its own)
+# are dropped from every evaluation pass, whatever iou_thresh is
 IGNORE_GATE = 0.5
 
 
@@ -208,61 +209,59 @@ def _usable_quad(quad: Quad) -> Quad:
 
 @dataclass(slots=True)
 class _FrameTable:
-    """One frame's overlaps and gated pairs, computed once and read by every
-    metric pass; no pass gates a pair or drops a prediction itself.
+    """One frame's predictions, overlaps and gated pairs, computed once and
+    read by every metric pass; no pass gates a pair or drops a prediction
+    itself.
 
-    ``ious`` maps (gt track id, pred track id) to ``quad_iou(gt, pred)``
-    for the ``near_pairs`` whose IoU is not 0; every other pair has IoU 0.
-    Track ids are unique within a frame, so every pass reads the keys as
-    they are, whatever order the documents list the instances in.
-    ``gated`` holds the pairs of ``ious`` at or above ``iou_thresh`` whose
-    prediction is not on an ignored reference region at that gate, and
-    ``n_kept`` counts such predictions: detection and CLEAR match these.
-    ``id_preds`` are the predictions not on a region at ``IGNORE_GATE``:
-    identity reads them with ``ious`` through its own ``iou_floor``.  All
-    gates are positive or strict, so the absent pairs never pass one.
+    ``preds`` are the frame's predictions off every ignored reference
+    region: detection, CLEAR and identity all count these.  ``ious`` maps
+    (gt track id, pred track id) to ``quad_iou(gt, pred)`` for the
+    ``near_pairs`` of ``gt`` and ``preds`` whose IoU is not 0; every other
+    pair has IoU 0.  Track ids are unique within a frame, so every pass
+    reads the keys as they are, whatever order the documents list the
+    instances in.  ``gated`` holds the pairs of ``ious`` at or above
+    ``iou_thresh``: detection and CLEAR match these, and identity reads
+    ``ious`` through its own ``iou_floor``.  All gates are positive or
+    strict, so the absent pairs never pass one.
     """
 
     frame: int
     gt: list[Instance]
+    preds: list[Instance]
     ious: dict[tuple[int, int], float]
     gated: dict[tuple[int, int], float]
-    n_kept: int
-    id_preds: list[Instance]
 
 
 def _frame_tables(gt: VideoAnnotation, pred: VideoAnnotation,
                   iou_thresh: float) -> list[_FrameTable]:
     """One table per frame that either document lists, in index order;
     ignored reference instances become regions, ignored predictions are
-    dropped.  A prediction lies on a region when its largest IoU with one
-    reaches the gate; a frame that lists no region keeps every prediction."""
+    dropped, and so is a prediction on a region: one whose IoU with a
+    region reaches ``IGNORE_GATE``, whatever ``iou_thresh`` is.  A frame
+    that lists no region keeps every prediction."""
     _check_same_video(gt, pred)
     tables = []
     for f in sorted(gt.frames.keys() | pred.frames.keys()):
         active, ignored = [], []
         for inst in gt.frames.get(f, []):
             (ignored if inst.ignore else active).append(inst)
-        preds = [inst for inst in pred.frames.get(f, []) if not inst.ignore]
+        listed = [inst for inst in pred.frames.get(f, []) if not inst.ignore]
         gt_quads = [_usable_quad(g.quad) for g in active]
-        pred_quads = [_usable_quad(p.quad) for p in preds]
-        ious: dict[tuple[int, int], float] = {}
-        for gi, pi in near_pairs(gt_quads, pred_quads):
-            overlap = quad_iou(gt_quads[gi], pred_quads[pi])
-            if overlap:
-                ious[active[gi].track_id, preds[pi].track_id] = overlap
-        gated = {pair: overlap for pair, overlap in ious.items() if overlap >= iou_thresh}
-        n_kept, id_preds = len(preds), preds
+        pred_quads = [_usable_quad(p.quad) for p in listed]
+        pairs, preds = near_pairs(gt_quads, pred_quads), listed
         if ignored:
             region_quads = [_usable_quad(r.quad) for r in ignored]
-            ignore_iou = [0.0] * len(preds)
-            for pi, ri in near_pairs(pred_quads, region_quads):
-                ignore_iou[pi] = max(ignore_iou[pi], quad_iou(pred_quads[pi], region_quads[ri]))
-            kept = {p.track_id for p, overlap in zip(preds, ignore_iou) if overlap < iou_thresh}
-            gated = {pair: overlap for pair, overlap in gated.items() if pair[1] in kept}
-            n_kept = len(kept)
-            id_preds = [p for p, overlap in zip(preds, ignore_iou) if overlap < IGNORE_GATE]
-        tables.append(_FrameTable(f, active, ious, gated, n_kept, id_preds))
+            dropped = {pi for pi, ri in near_pairs(pred_quads, region_quads)
+                       if quad_iou(pred_quads[pi], region_quads[ri]) >= IGNORE_GATE}
+            pairs = [(gi, pi) for gi, pi in pairs if pi not in dropped]
+            preds = [p for pi, p in enumerate(listed) if pi not in dropped]
+        ious: dict[tuple[int, int], float] = {}
+        for gi, pi in pairs:
+            overlap = quad_iou(gt_quads[gi], pred_quads[pi])
+            if overlap:
+                ious[active[gi].track_id, listed[pi].track_id] = overlap
+        gated = {pair: overlap for pair, overlap in ious.items() if overlap >= iou_thresh}
+        tables.append(_FrameTable(f, active, preds, ious, gated))
     return tables
 
 
@@ -280,7 +279,7 @@ def _detection_counts(tables: list[_FrameTable]) -> DetCounters:
         tp = len(gated_assign(table.gated))
         counters.tp += tp
         counters.fn += len(table.gt) - tp
-        counters.fp += table.n_kept - tp
+        counters.fp += len(table.preds) - tp
     return counters
 
 
@@ -324,7 +323,7 @@ def eval_mot(tables: list[_FrameTable]) -> MotCounters:
         counters.gt_count += len(table.gt)
         counters.matches += len(matches)
         counters.misses += len(table.gt) - len(matches)
-        counters.false_positives += table.n_kept - len(matches)
+        counters.false_positives += len(table.preds) - len(matches)
         counters.matched_iou_sum += sum(gated[pair] for pair in matches.items())
         active_corr, corr_frame = matches, table.frame
 
@@ -350,8 +349,8 @@ def eval_id(
     after normalization.  A global assignment between reference and
     predicted trajectories maximizes the total number of agreeing slots
     (id_tp); IDP, IDR, IDF1, MT, and ML all follow from it.  Only the
-    tables' ``id_preds`` count: prediction slots on an ignored reference
-    region (IoU at least ``IGNORE_GATE``) are dropped.
+    tables' ``preds`` count, the predictions that detection and CLEAR
+    count too.
     """
 
     def text_of(slot: Instance) -> str | None:
@@ -369,7 +368,7 @@ def eval_id(
             gt_len[slot.track_id] = gt_len.get(slot.track_id, 0) + 1
             gt_text[slot.track_id] = text_of(slot)
         pred_text: dict[int, str | None] = {}
-        for slot in table.id_preds:
+        for slot in table.preds:
             if spotting and slot.transcription is None:
                 raise MissingTranscription(
                     f"prediction track {slot.track_id} frame {table.frame} has no "
@@ -378,8 +377,7 @@ def eval_id(
             pred_len[slot.track_id] = pred_len.get(slot.track_id, 0) + 1
             pred_text[slot.track_id] = text_of(slot)
         for (gid, pid), overlap in table.ious.items():
-            if (pid in pred_text and overlap > iou_floor
-                    and gt_text[gid] == pred_text[pid]):
+            if overlap > iou_floor and gt_text[gid] == pred_text[pid]:
                 agree[gid, pid] = agree.get((gid, pid), 0) + 1
 
     assigned = dict(gated_assign(agree))

@@ -525,8 +525,10 @@ def _split_frame(instances):
     return active, ignored
 
 
-def _on_ignored_region(quad, ignored, gate):
-    return any(clip_quad_iou(quad, region) >= gate for region in ignored)
+def _on_ignored_region(quad, ignored):
+    """The one ignore rule of every pass: IoU with a region at least
+    ``IGNORE_GATE``, whatever ``iou_thresh`` is."""
+    return any(clip_quad_iou(quad, region) >= IGNORE_GATE for region in ignored)
 
 
 def component_pairs(admissible, weight):
@@ -579,17 +581,17 @@ def _gated_max_iou_pairs(ious, gate):
     return component_pairs([[v >= gate for v in row] for row in ious], ious)
 
 
-def _frame_preds(gt, pred, f, gate):
+def _frame_preds(gt, pred, f):
     gt_active, gt_ignored = _split_frame(gt.frames.get(f, []))
     pred_all, _ = _split_frame(pred.frames.get(f, []))
-    preds = [p for p in pred_all if not _on_ignored_region(p[1], gt_ignored, gate)]
+    preds = [p for p in pred_all if not _on_ignored_region(p[1], gt_ignored)]
     return gt_active, preds
 
 
 def _detection_pass(gt, pred, iou_thresh):
     counters = DetCounters()
     for f in range(gt.frame_count):
-        gt_active, preds = _frame_preds(gt, pred, f, iou_thresh)
+        gt_active, preds = _frame_preds(gt, pred, f)
         # in track-id order, the order that breaks the assignment's ties
         gt_active.sort(key=lambda g: g[0])
         preds.sort(key=lambda p: p[0])
@@ -605,7 +607,7 @@ def _clear_pass(gt, pred, iou_thresh):
     counters = MotCounters()
     active_corr, last_match = {}, {}
     for f in range(gt.frame_count):
-        gt_active, preds = _frame_preds(gt, pred, f, iou_thresh)
+        gt_active, preds = _frame_preds(gt, pred, f)
         gt_by_id = {g[0]: g for g in gt_active}
         pred_by_id = {p[0]: p for p in preds}
         matches, matched_pred, iou_of = {}, set(), {}
@@ -647,7 +649,7 @@ def _identity_tracks(ann, spotting, case_insensitive, ignored_by_frame=None):
                 continue
             quad = _usable_quad(inst.quad)
             if ignored_by_frame is not None and _on_ignored_region(
-                    quad, ignored_by_frame.get(f, []), IGNORE_GATE):
+                    quad, ignored_by_frame.get(f, [])):
                 continue
             text = inst.transcription
             if spotting:

@@ -465,6 +465,23 @@ def test_track_linker_on_static_fixture(tmp_path):
     assert idf1 >= 0.9
 
 
+def test_track_keeps_a_missing_transcription_missing_whatever_the_method(tmp_path, capsys):
+    """A detection without a transcription is written as null by both
+    methods, so spotting refuses both outputs alike."""
+    gt, dets = axis_aligned_fixture(tmp_path)
+    doc = json.loads(dets.read_text())
+    del doc["frames"]["1"][0]["transcription"]
+    dets.write_text(json.dumps(doc))
+    for method in ("transformer-assoc", "linker"):
+        out = tmp_path / f"{method}.json"
+        assert run_cli("track", str(dets), "--method", method, "--out", str(out)) == 0
+        texts = [entry["transcription"]
+                 for entry in json.loads(out.read_text())["frames"]["1"]]
+        assert sorted(texts, key=str) == [None, "w1", "w2"], method
+        assert run_cli("evaluate", "--task", "spotting", str(gt), str(out)) == 1
+        assert "frame 1 has no transcription" in capsys.readouterr().err, method
+
+
 def test_track_empty_detections(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({
@@ -827,6 +844,24 @@ def test_loss_whose_optimal_total_overflows_exits_one(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("vtspot: the optimal total of the 2x2 cost matrix "
                             "overflows the float range\n")
+
+
+def test_loss_of_apart_boxes_whose_areas_overflow_exits_one(tmp_path, capsys):
+    """In a 1x1 video the boxes keep their size; a reference and a far
+    detection whose areas overflow get no GIoU, and so no score."""
+    def points(cx):
+        return [cx - 5e153, -1e154, cx + 5e153, -1e154, cx + 5e153, 1e154, cx - 5e153, 1e154]
+
+    header = {"video_id": "v", "width": 1, "height": 1, "frame_count": 1}
+    gt, dets = tmp_path / "gt.json", tmp_path / "dets.json"
+    gt.write_text(json.dumps(dict(header, frames={"0": [
+        {"id": 1, "points": points(0.0), "transcription": "a"}]})))
+    dets.write_text(json.dumps(dict(header, frames={"0": [
+        {"score": 0.5, "points": points(5e155)}]})))
+    assert run_cli("loss", str(gt), str(dets)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "vtspot: cost[0][0] = nan\n"
 
 
 def _loss_inputs(tmp_path, *detections):

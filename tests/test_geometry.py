@@ -175,6 +175,28 @@ def test_overlap_whose_areas_overflow_is_rejected():
     assert quad_iou(*square_and_inset(1e153)) == 0.7619047619047621
     with pytest.raises(ValueError, match="overlap areas must be finite, got intersection"):
         quad_iou(*square_and_inset(1e154))
+    # a shape against itself skips the clip, but not the finite-area rule
+    square = square_and_inset(1e154)[0]
+    box = RotatedBox(0.0, 0.0, 1e154, 2e154, 0.0)
+    with pytest.raises(ValueError, match="overlap areas must be finite, got intersection inf"):
+        quad_iou(square, square)
+    with pytest.raises(ValueError, match="overlap areas must be finite, got intersection inf"):
+        iou(box, box)
+    small = square_and_inset(1e153)[0]
+    assert quad_iou(small, small) == 1.0
+    assert iou(RotatedBox(0.0, 0.0, 1e153, 2e153, 0.0), RotatedBox(0.0, 0.0, 1e153, 2e153, 0.0)) == 1.0
+
+
+def test_giou_of_apart_boxes_whose_areas_overflow_is_rejected():
+    """Apart boxes are scored without a clip, but their hull and union
+    overflowing make no score: GIoU raises as it does for the same boxes
+    overlapping."""
+    a = RotatedBox(0.0, 0.0, 1e154, 2e154, 0.0)
+    for cx in (5e155, 5e153):
+        with pytest.raises(ValueError, match="overlap areas must be finite"):
+            giou(a, replace(a, cx=cx))
+    small = RotatedBox(0.0, 0.0, 1e153, 2e153, 0.0)
+    assert -1.0 < giou(small, replace(small, cx=5e154)) < -0.9
 
 
 def test_quad_value_is_its_flat_tuple():

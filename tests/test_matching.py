@@ -627,6 +627,15 @@ def test_match_sets_calls_giou_once_per_object_pair(monkeypatch):
     assert calls == []
 
 
+def test_match_sets_refuses_an_apart_pair_whose_areas_overflow():
+    """The closed form of an apart pair does not read an overflowed
+    GIoU as 0: the cost is nan, and the matching refuses it."""
+    a = RotatedBox(0.0, 0.0, 1e154, 2e154, 0.0)
+    far = PredictedInstance(0.5, RotatedBox(5e155, 0.0, 1e154, 2e154, 0.0))
+    with pytest.raises(NonFiniteCost, match=r"cost\[0\]\[0\] = nan"):
+        match_sets([GroundTruthInstance(box=a)], [far])
+
+
 def test_match_sets_unrolls_no_prediction_for_an_all_padding_frame():
     huge = PredictedInstance(0.5, RotatedBox(1.7e308, 0.0, 1e308, 1.0, 0.3))
     preds = [pred_of(0.5, 1.0, 2.0, 3.0, 1.0, 0.3), huge]

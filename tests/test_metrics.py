@@ -338,6 +338,41 @@ def test_mot_ignore_regions_not_counted():
     assert r.mota == 1.0 and r.motp == 1.0
 
 
+def _region_and_match(on_region: Instance):
+    """One frame: an ignored 10×10 square at the origin and a second,
+    exactly predicted reference far from it; ``on_region`` is predicted
+    too."""
+    gt = ann({0: [inst(0, 100.0, w=10.0, h=10.0),
+                  inst(1, 0.0, w=10.0, h=10.0, text=IGNORE_MARK)]}, 1)
+    return gt, ann({0: [inst(0, 100.0, w=10.0, h=10.0), on_region]}, 1)
+
+
+# a prediction at region IoU 0.6 (7.5 / 12.5), and one at 0.4 (40 / 100)
+_ON_REGION_06 = _region_and_match(inst(1, 2.5, w=10.0, h=10.0))
+_ON_REGION_04 = _region_and_match(inst(1, 0.0, w=10.0, h=4.0))
+_GATES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+
+
+@pytest.mark.parametrize("iou_thresh", _GATES)
+def test_a_prediction_on_a_region_is_dropped_at_ignore_gate_whatever_iou_thresh(iou_thresh):
+    r = evaluate(*_ON_REGION_06, "tracking", iou_thresh=iou_thresh)
+    assert (r.mota, r.idf1, r.det.fp, r.ids.id_fp) == (1.0, 1.0, 0, 0)
+    r = evaluate(*_ON_REGION_04, "tracking", iou_thresh=iou_thresh)
+    assert (r.mota, r.det.fp, r.mot.false_positives, r.ids.id_fp) == (0.0, 1, 1, 1)
+    assert r.idf1 == 2 / 3
+
+
+@settings(max_examples=300, deadline=None)
+@example(_ON_REGION_06, 0.7)
+@example(_ON_REGION_04, 0.3)
+@given(one_frame_squares(), st.sampled_from(_GATES))
+def test_every_pass_counts_the_same_predictions(docs, iou_thresh):
+    gt, pred = docs
+    r = evaluate(gt, pred, "tracking", iou_thresh=iou_thresh)
+    assert (r.det.tp + r.det.fp == r.mot.matches + r.mot.false_positives
+            == r.ids.id_tp + r.ids.id_fp)
+
+
 # ---------------------------------------------------------------------------
 # identity metrics
 # ---------------------------------------------------------------------------
