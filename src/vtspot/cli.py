@@ -307,8 +307,11 @@ def cmd_loss(args) -> int:
         while len(predicted) < len(gts):
             predicted.append(PredictedInstance(class_prob=0.0,
                                                box=GroundTruthInstance.padding().box))
-        assignment = match_sets(gts, predicted, w)
-        terms = set_loss_terms(gts, predicted, assignment, w)
+        try:
+            assignment = match_sets(gts, predicted, w)
+            terms = set_loss_terms(gts, predicted, assignment, w)
+        except ValueError as exc:  # the same kind, so the same exit code
+            raise type(exc)(f"{args.gt} vs {args.pred}: frame {f}: {exc}") from None
         for key in totals:
             totals[key] += terms[key]
         frames_out.append({

@@ -618,4 +618,8 @@ def giou(a: RotatedBox, b: RotatedBox) -> float:
     if hull <= 0.0:
         return value
     gap = hull - union
-    return value if gap <= 0.0 else value - gap / hull
+    if gap <= 0.0:
+        return value
+    if not hull < math.inf:  # inf / inf would read nan
+        raise ValueError(f"overlap areas must be finite, got hull {hull} and union {union}")
+    return value - gap / hull

@@ -9,9 +9,7 @@ Three families of numbers, all computed from two annotation documents
 * CLEAR tracking quality: MOTA (misses, false positives, identity
   mismatches) and MOTP (mean matched IoU),
 * identity quality: IDP / IDR / IDF1 from a global trajectory-level
-  assignment, plus mostly-tracked / mostly-lost counts; the spotting
-  variant additionally requires the transcriptions to agree before two
-  boxes may count as the same identity.
+  assignment, plus mostly-tracked / mostly-lost counts.
 
 Reference instances transcribed with the ignore marker are excluded, and
 a prediction lying on an ignored region (IoU with it at least
@@ -19,8 +17,11 @@ a prediction lying on an ignored region (IoU with it at least
 punished, once, so that all three families count the same predictions.
 ``evaluate`` computes each frame's predictions and overlaps once, in a
 table that all three families read.  The table is the one place the gates
-apply: it holds the predictions off every region and, of their pairs, those
-at or above ``iou_thresh``, for detection and CLEAR.
+apply: it holds the predictions off every region and, of their pairs,
+those at or above ``iou_thresh``, for detection and CLEAR.  For spotting
+it keeps only the pairs whose normalized transcriptions are equal, so
+every family counts a word only when it is read right, as the ICDAR 2015
+"Text in Videos" end-to-end task does.
 Every ratio with a zero denominator is reported as 0 and named in the
 report's ``degenerate`` list.
 """
@@ -219,10 +220,11 @@ class _FrameTable:
     ``near_pairs`` of ``gt`` and ``preds`` whose IoU is not 0; every other
     pair has IoU 0.  Track ids are unique within a frame, so every pass
     reads the keys as they are, whatever order the documents list the
-    instances in.  ``gated`` holds the pairs of ``ious`` at or above
-    ``iou_thresh``: detection and CLEAR match these, and identity reads
-    ``ious`` through its own ``iou_floor``.  All gates are positive or
-    strict, so the absent pairs never pass one.
+    instances in.  For spotting, ``ious`` holds only the pairs whose
+    normalized transcriptions are equal.  ``gated`` holds the pairs of
+    ``ious`` at or above ``iou_thresh``: detection and CLEAR match these,
+    and identity reads ``ious`` through its own ``iou_floor``.  All gates
+    are positive or strict, so the absent pairs never pass one.
     """
 
     frame: int
@@ -232,13 +234,20 @@ class _FrameTable:
     gated: dict[tuple[int, int], float]
 
 
-def _frame_tables(gt: VideoAnnotation, pred: VideoAnnotation,
-                  iou_thresh: float) -> list[_FrameTable]:
+def _frame_tables(gt: VideoAnnotation, pred: VideoAnnotation, iou_thresh: float,
+                  spotting: bool, case_insensitive: bool) -> list[_FrameTable]:
     """One table per frame that either document lists, in index order;
     ignored reference instances become regions, ignored predictions are
     dropped, and so is a prediction on a region: one whose IoU with a
     region reaches ``IGNORE_GATE``, whatever ``iou_thresh`` is.  A frame
-    that lists no region keeps every prediction."""
+    that lists no region keeps every prediction.
+
+    When ``spotting``, a pair is kept only if its transcriptions are equal
+    after ``normalize_transcription`` (folding case when
+    ``case_insensitive``), a missing reference text reading as "".  Its
+    IoU is worked out first, so an overflowing pair raises whatever its
+    words say, and a kept prediction without a transcription raises
+    MissingTranscription."""
     _check_same_video(gt, pred)
     tables = []
     for f in sorted(gt.frames.keys() | pred.frames.keys()):
@@ -255,10 +264,19 @@ def _frame_tables(gt: VideoAnnotation, pred: VideoAnnotation,
                        if quad_iou(pred_quads[pi], region_quads[ri]) >= IGNORE_GATE}
             pairs = [(gi, pi) for gi, pi in pairs if pi not in dropped]
             preds = [p for pi, p in enumerate(listed) if pi not in dropped]
+        if spotting:
+            for p in preds:
+                if p.transcription is None:
+                    raise MissingTranscription(
+                        f"prediction track {p.track_id} frame {f} has no transcription")
+            gt_words, pred_words = (
+                [normalize_transcription(inst.transcription or "", case_insensitive)
+                 for inst in side]
+                for side in (active, listed))
         ious: dict[tuple[int, int], float] = {}
         for gi, pi in pairs:
             overlap = quad_iou(gt_quads[gi], pred_quads[pi])
-            if overlap:
+            if overlap and (not spotting or gt_words[gi] == pred_words[pi]):
                 ious[active[gi].track_id, listed[pi].track_id] = overlap
         gated = {pair: overlap for pair, overlap in ious.items() if overlap >= iou_thresh}
         tables.append(_FrameTable(f, active, preds, ious, gated))
@@ -336,49 +354,28 @@ def eval_mot(tables: list[_FrameTable]) -> MotCounters:
 
 
 # bench/layers.py times the identity pass by wrapping this name
-def eval_id(
-    tables: list[_FrameTable],
-    spotting: bool,
-    iou_floor: float,
-    case_insensitive: bool,
-) -> tuple[IdCounters, int, int]:
+def eval_id(tables: list[_FrameTable], iou_floor: float) -> tuple[IdCounters, int, int]:
     """Trajectory-level identity counters plus MT and ML.
 
-    Two frame slots agree when both exist and their IoU strictly exceeds
-    ``iou_floor``; when ``spotting`` the transcriptions must also be equal
-    after normalization.  A global assignment between reference and
-    predicted trajectories maximizes the total number of agreeing slots
-    (id_tp); IDP, IDR, IDF1, MT, and ML all follow from it.  Only the
-    tables' ``preds`` count, the predictions that detection and CLEAR
-    count too.
+    Two frame slots agree when the tables pair them with an IoU strictly
+    above ``iou_floor``; for spotting the tables pair only slots whose
+    words agree.  A global assignment between reference and predicted
+    trajectories maximizes the total number of agreeing slots (id_tp);
+    IDP, IDR, IDF1, MT, and ML all follow from it.  Only the tables'
+    ``preds`` count, the predictions that detection and CLEAR count too.
     """
-
-    def text_of(slot: Instance) -> str | None:
-        if not spotting:
-            return None
-        return normalize_transcription(slot.transcription or "", case_insensitive)
-
     # lifespans (slots per track) and agreeing slots per (gt, pred) track pair
     gt_len: dict[int, int] = {}
     pred_len: dict[int, int] = {}
     agree: dict[tuple[int, int], int] = {}
     for table in tables:
-        gt_text: dict[int, str | None] = {}
         for slot in table.gt:
             gt_len[slot.track_id] = gt_len.get(slot.track_id, 0) + 1
-            gt_text[slot.track_id] = text_of(slot)
-        pred_text: dict[int, str | None] = {}
         for slot in table.preds:
-            if spotting and slot.transcription is None:
-                raise MissingTranscription(
-                    f"prediction track {slot.track_id} frame {table.frame} has no "
-                    "transcription"
-                )
             pred_len[slot.track_id] = pred_len.get(slot.track_id, 0) + 1
-            pred_text[slot.track_id] = text_of(slot)
-        for (gid, pid), overlap in table.ious.items():
-            if overlap > iou_floor and gt_text[gid] == pred_text[pid]:
-                agree[gid, pid] = agree.get((gid, pid), 0) + 1
+        for pair, overlap in table.ious.items():
+            if overlap > iou_floor:
+                agree[pair] = agree.get(pair, 0) + 1
 
     assigned = dict(gated_assign(agree))
     id_tp = sum(agree[pair] for pair in assigned.items())
@@ -417,8 +414,9 @@ def evaluate(
 
     detection: precision / recall / F-score only.  tracking: those plus
     CLEAR (MOTA, MOTP) and identity metrics on geometry alone.  spotting:
-    CLEAR on geometry alone plus identity metrics that also require
-    transcription agreement.
+    the tracking numbers counted over the pairs whose transcriptions
+    agree after normalization, so a box read wrong is both a miss and a
+    false positive.
     """
     if task not in ("detection", "tracking", "spotting"):
         raise ValueError(f"unknown task {task!r}")
@@ -426,12 +424,12 @@ def evaluate(
         raise ValueError(f"iou_thresh must be in (0,1], got {iou_thresh}")
     if not (0.0 <= iou_floor < 1.0):
         raise ValueError(f"iou_floor must be in [0,1), got {iou_floor}")
-    tables = _frame_tables(gt, pred, iou_thresh)
+    tables = _frame_tables(gt, pred, iou_thresh, task == "spotting", case_insensitive)
     det = _detection_counts(tables)
     mot, ids, mt, ml = MotCounters(), IdCounters(), 0, 0
     if task != "detection":
         mot = eval_mot(tables)
-        ids, mt, ml = eval_id(tables, task == "spotting", iou_floor, case_insensitive)
+        ids, mt, ml = eval_id(tables, iou_floor)
     return MetricsReport(task, mt=mt, ml=ml, det=det, mot=mot, ids=ids,
                          video_id=gt.video_id, scenario=gt.scenario)
 

@@ -581,21 +581,42 @@ def _gated_max_iou_pairs(ious, gate):
     return component_pairs([[v >= gate for v in row] for row in ious], ious)
 
 
-def _frame_preds(gt, pred, f):
+def _words_agree(gt_text, pred_text, spotting, case_insensitive):
+    """The word gate of every pass: outside spotting every pair agrees; in
+    spotting the normalized transcriptions must be equal, a missing
+    reference text read as ""."""
+    return not spotting or (normalize_transcription(gt_text or "", case_insensitive)
+                            == normalize_transcription(pred_text, case_insensitive))
+
+
+def _pair_iou(g, p, spotting, case_insensitive):
+    """IoU of a reference and a prediction that agree in words, else 0; the
+    IoU is worked out either way, so an overflow raises whatever they say."""
+    overlap = clip_quad_iou(g[1], p[1])
+    return overlap if _words_agree(g[2], p[2], spotting, case_insensitive) else 0.0
+
+
+def _frame_preds(gt, pred, f, spotting):
+    """The frame's references and the predictions off every ignored region;
+    in spotting each of those must be transcribed."""
     gt_active, gt_ignored = _split_frame(gt.frames.get(f, []))
     pred_all, _ = _split_frame(pred.frames.get(f, []))
     preds = [p for p in pred_all if not _on_ignored_region(p[1], gt_ignored)]
+    for tid, _, text in preds:
+        if spotting and text is None:
+            raise MissingTranscription(f"prediction track {tid} frame {f} has no transcription")
     return gt_active, preds
 
 
-def _detection_pass(gt, pred, iou_thresh):
+def _detection_pass(gt, pred, iou_thresh, spotting, case_insensitive):
     counters = DetCounters()
     for f in range(gt.frame_count):
-        gt_active, preds = _frame_preds(gt, pred, f)
+        gt_active, preds = _frame_preds(gt, pred, f, spotting)
         # in track-id order, the order that breaks the assignment's ties
         gt_active.sort(key=lambda g: g[0])
         preds.sort(key=lambda p: p[0])
-        ious = [[clip_quad_iou(g[1], p[1]) for p in preds] for g in gt_active]
+        ious = [[_pair_iou(g, p, spotting, case_insensitive) for p in preds]
+                for g in gt_active]
         tp = len(_gated_max_iou_pairs(ious, iou_thresh))
         counters.tp += tp
         counters.fn += len(gt_active) - tp
@@ -603,17 +624,18 @@ def _detection_pass(gt, pred, iou_thresh):
     return counters
 
 
-def _clear_pass(gt, pred, iou_thresh):
+def _clear_pass(gt, pred, iou_thresh, spotting, case_insensitive):
     counters = MotCounters()
     active_corr, last_match = {}, {}
     for f in range(gt.frame_count):
-        gt_active, preds = _frame_preds(gt, pred, f)
+        gt_active, preds = _frame_preds(gt, pred, f, spotting)
         gt_by_id = {g[0]: g for g in gt_active}
         pred_by_id = {p[0]: p for p in preds}
         matches, matched_pred, iou_of = {}, set(), {}
         for gid, pid in active_corr.items():
             if gid in gt_by_id and pid in pred_by_id:
-                overlap = clip_quad_iou(gt_by_id[gid][1], pred_by_id[pid][1])
+                overlap = _pair_iou(gt_by_id[gid], pred_by_id[pid], spotting,
+                                    case_insensitive)
                 if overlap >= iou_thresh:
                     matches[gid] = pid
                     matched_pred.add(pid)
@@ -621,7 +643,8 @@ def _clear_pass(gt, pred, iou_thresh):
         # the remainder in track-id order, the order that breaks CLEAR's ties
         rem_g = sorted((g for g in gt_active if g[0] not in matches), key=lambda g: g[0])
         rem_p = sorted((p for p in preds if p[0] not in matched_pred), key=lambda p: p[0])
-        ious = [[clip_quad_iou(g[1], p[1]) for p in rem_p] for g in rem_g]
+        ious = [[_pair_iou(g, p, spotting, case_insensitive) for p in rem_p]
+                for g in rem_g]
         for gi, pi in _gated_max_iou_pairs(ious, iou_thresh):
             gid, pid = rem_g[gi][0], rem_p[pi][0]
             matches[gid] = pid
@@ -639,9 +662,10 @@ def _clear_pass(gt, pred, iou_thresh):
     return counters
 
 
-def _identity_tracks(ann, spotting, case_insensitive, ignored_by_frame=None):
-    """Per-track frame slots; ``ignored_by_frame`` is given for predictions
-    only, which are dropped on an ignored region and must be transcribed."""
+def _identity_tracks(ann, ignored_by_frame=None):
+    """Per-track frame slots ``(track id, quad, transcription)``;
+    ``ignored_by_frame`` is given for predictions only, which are dropped on
+    an ignored region."""
     tracks = {}
     for f in sorted(ann.frames):
         for inst in ann.frames[f]:
@@ -651,15 +675,7 @@ def _identity_tracks(ann, spotting, case_insensitive, ignored_by_frame=None):
             if ignored_by_frame is not None and _on_ignored_region(
                     quad, ignored_by_frame.get(f, [])):
                 continue
-            text = inst.transcription
-            if spotting:
-                if ignored_by_frame is not None and text is None:
-                    raise MissingTranscription(
-                        f"prediction track {inst.track_id} frame {f} has no "
-                        "transcription"
-                    )
-                text = normalize_transcription(text or "", case_insensitive)
-            tracks.setdefault(inst.track_id, {})[f] = (quad, text)
+            tracks.setdefault(inst.track_id, {})[f] = (inst.track_id, quad, inst.transcription)
     return tracks
 
 
@@ -668,19 +684,13 @@ def _identity_pass(gt, pred, spotting, iou_floor, case_insensitive):
         f: [_usable_quad(i.quad) for i in instances if i.ignore]
         for f, instances in gt.frames.items()
     }
-    gt_tracks = _identity_tracks(gt, spotting, case_insensitive)
-    pred_tracks = _identity_tracks(pred, spotting, case_insensitive, ignored_by_frame)
+    gt_tracks = _identity_tracks(gt)
+    pred_tracks = _identity_tracks(pred, ignored_by_frame)
     g_ids, p_ids = sorted(gt_tracks), sorted(pred_tracks)
 
     def overlap(g_frames, p_frames):
-        count = 0
-        for f in g_frames.keys() & p_frames.keys():
-            (g_quad, g_text), (p_quad, p_text) = g_frames[f], p_frames[f]
-            if spotting and g_text != p_text:
-                continue
-            if clip_quad_iou(g_quad, p_quad) > iou_floor:
-                count += 1
-        return count
+        return sum(_pair_iou(g_frames[f], p_frames[f], spotting, case_insensitive) > iou_floor
+                   for f in g_frames.keys() & p_frames.keys())
 
     overlaps = [[overlap(gt_tracks[g], pred_tracks[p]) for p in p_ids] for g in g_ids]
     assigned = dict(component_pairs([[n > 0 for n in row] for row in overlaps],
@@ -705,12 +715,12 @@ def three_pass_report(gt, pred, task, *, iou_thresh=0.5, iou_floor=0.0,
                       case_insensitive=False):
     """``evaluate(...).to_dict()`` computed by three independent passes,
     each clipping every gt x pred pair it looks at."""
-    det = _detection_pass(gt, pred, iou_thresh)
+    spotting = task == "spotting"
+    det = _detection_pass(gt, pred, iou_thresh, spotting, case_insensitive)
     mot, ids, mt, ml = MotCounters(), IdCounters(), 0, 0
     if task != "detection":
-        mot = _clear_pass(gt, pred, iou_thresh)
-        mt, ml, ids = _identity_pass(gt, pred, task == "spotting", iou_floor,
-                                     case_insensitive)
+        mot = _clear_pass(gt, pred, iou_thresh, spotting, case_insensitive)
+        mt, ml, ids = _identity_pass(gt, pred, spotting, iou_floor, case_insensitive)
     return MetricsReport(task, mt=mt, ml=ml, det=det, mot=mot, ids=ids,
                          video_id=gt.video_id, scenario=gt.scenario).to_dict()
 

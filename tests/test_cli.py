@@ -242,7 +242,10 @@ def test_evaluate_wrong_text_zero_spotting_idf1(tmp_path, capsys):
     assert run_cli("evaluate", "--task", "spotting", str(gt), str(bad_path)) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["idf1"] == 0.0
-    assert report["mota"] == 1.0  # geometry untouched
+    # every box is a miss and a false positive, while tracking stays whole
+    assert report["mota"] == -1.0
+    assert run_cli("evaluate", "--task", "tracking", str(gt), str(bad_path)) == 0
+    assert json.loads(capsys.readouterr().out)["mota"] == 1.0
 
 
 def test_evaluate_schema_error_exits_two(tmp_path, capsys):
@@ -842,8 +845,8 @@ def test_loss_whose_optimal_total_overflows_exits_one(tmp_path, capsys):
     assert run_cli("loss", str(gt), str(dets), "--weights", "0,1.4e308,0,0") == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("vtspot: the optimal total of the 2x2 cost matrix "
-                            "overflows the float range\n")
+    assert captured.err == (f"vtspot: {gt} vs {dets}: frame 0: the optimal total of "
+                            "the 2x2 cost matrix overflows the float range\n")
 
 
 def test_loss_of_apart_boxes_whose_areas_overflow_exits_one(tmp_path, capsys):
@@ -861,7 +864,7 @@ def test_loss_of_apart_boxes_whose_areas_overflow_exits_one(tmp_path, capsys):
     assert run_cli("loss", str(gt), str(dets)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "vtspot: cost[0][0] = nan\n"
+    assert captured.err == f"vtspot: {gt} vs {dets}: frame 0: cost[0][0] = nan\n"
 
 
 def _loss_inputs(tmp_path, *detections):

@@ -974,7 +974,22 @@ def _tied_frame() -> tuple[VideoAnnotation, VideoAnnotation]:
     return gt, pred
 
 
+def _misread_video() -> tuple[VideoAnnotation, VideoAnnotation]:
+    """Reference track 1 reads "cat" on frames 0-2; prediction 7 covers it
+    reading "Cat", "cot" and "cat", so spotting matches frames 0 and 2
+    only when case folds, and never frame 1."""
+    def square(tid, text):
+        return Instance(tid, Quad.from_flat([0, 0, 10, 0, 10, 10, 0, 10]), text)
+
+    gt = VideoAnnotation("v", 100, 100, 3, {f: [square(1, "cat")] for f in range(3)})
+    pred = VideoAnnotation("v", 100, 100, 3, {
+        f: [square(7, text)] for f, text in enumerate(("Cat", "cot", "cat"))})
+    return gt, pred
+
+
 @settings(max_examples=60, deadline=None)
+@example(_misread_video(), "spotting", 0.5, 0.0, False)
+@example(_misread_video(), "spotting", 0.5, 0.0, True)
 @example(_tied_frame(), "detection", 0.5, 0.0, False)
 @example(_cross_tied_video(), "tracking", 0.5, 0.0, False)
 @example(_cross_tied_video(), "spotting", 0.5, 0.0, False)

@@ -199,6 +199,15 @@ def test_giou_of_apart_boxes_whose_areas_overflow_is_rejected():
     assert -1.0 < giou(small, replace(small, cx=5e154)) < -0.9
 
 
+def test_giou_whose_hull_overflows_is_rejected():
+    """Both areas are finite, but the hull of two boxes that far apart is
+    not: GIoU raises rather than reading inf / inf as nan."""
+    a = RotatedBox(0.0, 0.0, 1e150, 1e150, 0.0)
+    with pytest.raises(ValueError, match="overlap areas must be finite, got hull inf"):
+        giou(a, replace(a, cx=1e160, cy=1e160))
+    assert giou(a, replace(a, cx=1e154, cy=1e154)) == pytest.approx(-1.0)
+
+
 def test_quad_value_is_its_flat_tuple():
     q = Quad.from_flat([0, 0, 0, 2, 4, 2, 4, 0])  # clockwise input
     flat = (0.0, 0.0, 4.0, 0.0, 4.0, 2.0, 0.0, 2.0)

@@ -20,6 +20,7 @@ from vtspot.errors import (
     VideoMismatch,
 )
 import vtspot.metrics as metrics_mod
+from oracles import three_pass_report
 from vtspot.geometry import Quad, RotatedBox, rotated_to_quad
 from vtspot.synth import SynthConfig, generate
 from vtspot.tracker import TrackerConfig
@@ -506,6 +507,8 @@ def test_spotting_report_composition():
 
 
 def test_spotting_geometry_unaffected_by_text():
+    """Every word read wrong leaves tracking whole, and spotting counts
+    each box as a miss and a false positive."""
     gt = moving_annotation()
     bad_frames = {
         f: [Instance(track_id=i.track_id, quad=i.quad, transcription="WRONG")
@@ -513,9 +516,88 @@ def test_spotting_geometry_unaffected_by_text():
         for f, items in gt.frames.items()
     }
     bad = ann(bad_frames, gt.frame_count, gt.video_id)
+    tracking = evaluate(gt, bad, "tracking")
+    assert tracking.mota == 1.0 and tracking.motp == 1.0
     report = evaluate(gt, bad, "spotting")
-    assert report.mota == 1.0 and report.motp == 1.0  # geometry only
-    assert report.idf1 == 0.0                          # text veto
+    assert report.mota == -1.0 and report.mot.matches == 0
+    assert report.idf1 == 0.0
+
+
+def test_spotting_counts_a_misread_word_as_a_miss_and_a_false_positive():
+    gt = ann({0: [inst(1, 5.0, 5.0, 10.0, 10.0, "cat")]}, 1)
+    pred = ann({0: [inst(1, 5.0, 5.0, 10.0, 10.0, "cot")]}, 1)
+    tracking = evaluate(gt, pred, "tracking")
+    assert tracking.det == DetCounters(tp=1, fp=0, fn=0) and tracking.mota == 1.0
+    spotting = evaluate(gt, pred, "spotting")
+    assert spotting.det == DetCounters(tp=0, fp=1, fn=1) and spotting.mota == -1.0
+
+
+# references a at x=0 ("cat") and b at 0.5 ("cot"), predictions x at 0
+# ("cot") and y at -0.5 ("cat"): (a, x) has IoU 1, (a, y) and (b, x) 1/3
+_MISREAD_PAIR = (ann({0: [inst(1, 0.0, text="cat"), inst(2, 0.5, text="cot")]}, 1),
+                 ann({0: [inst(1, 0.0, text="cot"), inst(2, -0.5, text="cat")]}, 1))
+
+
+def test_dropping_a_misread_pair_can_match_more():
+    """At a gate of 0.3 the max-IoU assignment takes (a, x) alone; without
+    that misread pair it takes (a, y) and (b, x).  So spotting's matches,
+    F-score and MOTA are not bounded by tracking's; only IDF1 is."""
+    gt, pred = _MISREAD_PAIR
+    tracking = evaluate(gt, pred, "tracking", iou_thresh=0.3)
+    spotting = evaluate(gt, pred, "spotting", iou_thresh=0.3)
+    assert (tracking.det.tp, spotting.det.tp) == (1, 2)
+    assert (tracking.mot.matches, spotting.mot.matches) == (1, 2)
+    assert spotting.idf1 <= tracking.idf1
+
+
+@st.composite
+def worded_videos(draw, words):
+    """A few frames of unit squares on a quarter-unit lattice, for a
+    reference and a prediction; track ids come from a small pool, so that
+    tracks recur and swap, and every square reads a word from ``words``."""
+    n_frames = draw(st.integers(1, 4))
+
+    def document():
+        frames = {}
+        for f in range(n_frames):
+            xs = draw(st.lists(st.integers(0, 8), max_size=5))
+            ids = draw(st.permutations(range(6)))
+            frames[f] = [inst(tid, 0.25 * x, text=draw(st.sampled_from(words)))
+                         for tid, x in zip(ids, xs)]
+        return ann(frames, n_frames)
+
+    return document(), document()
+
+
+# one word: composed or decomposed, cased and padded differently
+_ONE_WORD = ("caf\u00e9", "cafe\u0301", " CAF\u00c9", "Caf\u00e9\n")
+
+
+@settings(max_examples=150, deadline=None)
+@example((ann({0: [inst(1, 0.0, text=" CAF\u00c9")]}, 1),
+          ann({0: [inst(1, 0.0, text="caf\u00e9")]}, 1)), 0.5, 0.0)
+@given(worded_videos(_ONE_WORD), st.sampled_from(_GATES), st.sampled_from((0.0, 0.2, 0.6)))
+def test_spotting_equals_tracking_when_every_word_agrees(docs, iou_thresh, iou_floor):
+    gt, pred = docs
+    kwargs = dict(iou_thresh=iou_thresh, iou_floor=iou_floor)
+    tracking = evaluate(gt, pred, "tracking", **kwargs)
+    folded = evaluate(gt, pred, "spotting", case_insensitive=True, **kwargs)
+    assert (folded.det, folded.mot, folded.ids) == (tracking.det, tracking.mot, tracking.ids)
+    # unfolded, the cases and the padding disagree, and spotting is the oracle's
+    assert evaluate(gt, pred, "spotting", **kwargs).to_dict() == three_pass_report(
+        gt, pred, "spotting", **kwargs)
+
+
+@settings(max_examples=150, deadline=None)
+@example(_MISREAD_PAIR, 0.3, 0.0)
+@given(worded_videos(("cat", "cot", " cat")), st.sampled_from(_GATES),
+       st.sampled_from((0.0, 0.2, 0.6)))
+def test_spotting_idf1_never_exceeds_tracking_idf1(docs, iou_thresh, iou_floor):
+    gt, pred = docs
+    kwargs = dict(iou_thresh=iou_thresh, iou_floor=iou_floor)
+    spotting = evaluate(gt, pred, "spotting", **kwargs)
+    assert spotting.idf1 <= evaluate(gt, pred, "tracking", **kwargs).idf1
+    assert spotting.to_dict() == three_pass_report(gt, pred, "spotting", **kwargs)
 
 
 def test_spotting_missing_transcription_raises():
@@ -777,8 +859,9 @@ def test_tasks_agree_on_their_shared_passes(iou_thresh):
     for gt, pred in _task_cases():
         det, trk, spot = (evaluate(gt, pred, task, iou_thresh=iou_thresh)
                           for task in ("detection", "tracking", "spotting"))
+        # synth gives every detection its object's word, so the word gate
+        # drops no pair and spotting counts what tracking counts
         assert det.det == trk.det == spot.det
-        # CLEAR reads geometry only, so the transcriptions cannot move it
         assert trk.mot == spot.mot
         assert (trk.mota, trk.motp) == (spot.mota, spot.motp)
         # spotting adds a condition for two slots to agree, never removes one
