@@ -1,9 +1,9 @@
 """vtspot: multi-oriented video text tracking and spotting toolkit.
 
 Rotated-box geometry, optimal set matching and its training loss,
-IoU-gated tracking, a greedy linking baseline, annotation sampling and
-interpolation, and the detection / CLEAR / identity evaluation stack,
-all behind one data model and a scriptable CLI.
+IoU-gated tracking, an IoU and edit-distance linking baseline, annotation
+sampling and interpolation, and the detection / CLEAR / identity
+evaluation stack, all behind one data model and a scriptable CLI.
 """
 
 __version__ = "0.1.0"

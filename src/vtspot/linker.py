@@ -1,15 +1,17 @@
-"""Greedy cross-frame linking of text objects by IoU and edit distance.
+"""Cross-frame linking of text objects by IoU and edit distance.
 
-A deliberately simple baseline for detectors with no tracking head: each
-object in the current frame is linked to the best open trajectory whose
-latest element is at most ``window`` frames old, provided the boxes
-overlap enough and the transcriptions are close in normalized Levenshtein
-distance.  Only the object/trajectory pairs that ``geometry.near_pairs``
-returns for their enclosing boxes are scored; every other pair has IoU 0.
-Matching is greedy, not globally optimal: objects claim trajectories in
-descending order of their best IoU, and each takes its highest-IoU
-trajectory not yet taken, the lowest trajectory index among equal IoUs.
-Each trajectory records its objects as ``Instance``s under its track id.
+A deliberately simple baseline for detectors with no tracking head: the
+objects of the current frame are linked to the open trajectories whose
+latest element is at most ``window`` frames old.  A pair is admissible
+when the boxes overlap enough and the transcriptions are close in
+normalized Levenshtein distance.  Only the object/trajectory pairs that
+``geometry.near_pairs`` returns for their enclosing boxes are scored;
+every other pair has IoU 0.  Each frame takes the one-to-one matching of
+``matching.gated_assign`` over the admissible pairs, which maximizes the
+total IoU, ties settled by ascending object, then trajectory, index.  An
+unlinked object starts a trajectory; newborns are numbered in object
+order.  Each trajectory records its objects as ``Instance``s under its
+track id.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from .annotations import Instance, Trajectory
 from .errors import NonMonotonicFrame
 from .geometry import Quad, iou, near_pairs, quad_to_rotated
+from .matching import gated_assign
 
 __all__ = ["LinkerConfig", "edit_distance", "link"]
 
@@ -100,6 +103,8 @@ def link(
     last_index: int | None = None
 
     for frame_index, objects in frames:
+        if frame_index < 0:
+            raise ValueError(f"frame_index must be >= 0, got {frame_index}")
         if last_index is not None and frame_index <= last_index:
             raise NonMonotonicFrame(
                 f"frame {frame_index} after frame {last_index}"
@@ -109,9 +114,8 @@ def link(
         live = [t for t in live if frame_index - t.last_frame <= cfg.window]
         boxes = [quad_to_rotated(q) for q, _ in objects]
 
-        # score every admissible (object, trajectory) pair once; each row
-        # sorted best first: highest IoU, then lowest trajectory index
-        rows: list[list[tuple[float, int]]] = [[] for _ in objects]
+        # score every admissible (object, trajectory) pair once
+        gated: dict[tuple[int, int], float] = {}
         for oi, ci in near_pairs([b.quad for b in boxes],
                                  [t.last_box.quad for t in live]):
             traj = live[ci]
@@ -120,23 +124,14 @@ def link(
                 continue
             if _norm_edit(objects[oi][1] or "", traj.last_text or "") > cfg.max_norm_edit:
                 continue
-            rows[oi].append((-overlap, ci))
-        for row in rows:
-            row.sort()
+            gated[oi, ci] = overlap
+        linked = dict(gated_assign(gated))
 
-        # greedy: objects claim trajectories in descending best-IoU order,
-        # each its best one not yet taken; a newborn lands past every index
-        # scored in this frame
-        order = sorted(range(len(objects)),
-                       key=lambda oi: (rows[oi][0][0] if rows[oi] else 1.0, oi))
-        taken: set[int] = set()
-        for oi in order:
-            quad, text = objects[oi]
-            for _, ci in rows[oi]:
-                if ci not in taken:
-                    taken.add(ci)
-                    live[ci].append(frame_index, quad, boxes[oi], text)
-                    break
+        # a linked object extends its trajectory; the others are born in
+        # object order, past every index scored in this frame
+        for oi, (quad, text) in enumerate(objects):
+            if oi in linked:
+                live[linked[oi]].append(frame_index, quad, boxes[oi], text)
             else:
                 traj = _OpenTrajectory(len(open_trajs), frame_index, quad,
                                        boxes[oi], text)

@@ -277,8 +277,9 @@ def gated_assign(weights: dict[tuple[int, int], float]) -> list[tuple[int, int]]
     """Max-weight one-to-one assignment over the admissible (row, col) pairs
     in ``weights``, each of positive weight; returns the chosen pairs, all
     listed, sorted by row.  Rows and columns are any sortable, hashable
-    keys (matrix indices for the tracker, track ids for the metrics); they
-    need not be contiguous.
+    keys (matrix indices for the tracker, object and trajectory indices
+    for the linker, track ids for the metrics); they need not be
+    contiguous.
 
     Only listed pairs can be chosen, so the optimum splits over the
     connected components of the bipartite graph the pairs form.  A

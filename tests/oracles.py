@@ -351,8 +351,8 @@ def point_quad_to_rotated(quad):
 # clipped on its own, the broad phase calls ``_apart`` on every pair, each
 # pass computes its own overlaps, and each assignment flood-fills its gate
 # components on a dense table and fills each one's padded matrix by hand.
-# The linker's greedy, which sorts each object's candidates once, is kept
-# as a best-IoU scan with an explicit tie rule.
+# The linker scores every object against every live trajectory on a dense
+# table and assigns like the passes.
 # Unlike the oracles at the top, the overlaps use the point geometry above,
 # which does the package's arithmetic, so that differential tests can
 # demand bit-equal results.
@@ -748,7 +748,7 @@ def dense_track(stream, cfg=None):
     return tracker.trajectories()
 
 
-class _GreedyTrajectory:
+class _PlainTrajectory:
     def __init__(self, track_id, frame_index, quad, box, text):
         self.track_id = track_id
         self.frames = {}
@@ -765,15 +765,13 @@ def _norm_edit_ref(a, b):
     return levenshtein_ref(a, b) / max(len(a), len(b), 1)
 
 
-def greedy_link(frames, cfg=None):
+def plain_link(frames, cfg=None):
     """``linker.link`` with every object/trajectory pair scored by
-    ``clip_iou``: the claim order comes from each object's best IoU, and a
-    separate scan picks each object's trajectory, higher IoU first, then
-    the lower index."""
+    ``clip_iou`` into a dense table, assigned by ``component_pairs``; the
+    objects left over are born in object order."""
     cfg = cfg if cfg is not None else LinkerConfig()
     open_trajs = []
     live = []
-    next_id = 0
     last_index = None
 
     for frame_index, objects in frames:
@@ -786,41 +784,22 @@ def greedy_link(frames, cfg=None):
         live = [t for t in live if frame_index - t.last_frame <= cfg.window]
         boxes = [point_quad_to_rotated(q) for q, _ in objects]
 
-        scored = [[] for _ in objects]
-        for oi in range(len(objects)):
-            for ci, traj in enumerate(live):
-                overlap = clip_iou(boxes[oi], traj.last_box)
-                if overlap < cfg.iou_threshold:
-                    continue
-                if _norm_edit_ref(objects[oi][1] or "", traj.last_text or "") > cfg.max_norm_edit:
-                    continue
-                scored[oi].append((overlap, ci))
+        table = [[clip_iou(box, traj.last_box) for traj in live] for box in boxes]
+        admissible = [
+            [table[oi][ci] >= cfg.iou_threshold
+             and _norm_edit_ref(objects[oi][1] or "", traj.last_text or "") <= cfg.max_norm_edit
+             for ci, traj in enumerate(live)]
+            for oi in range(len(objects))]
+        linked = dict(component_pairs(admissible, table))
 
-        order = sorted(
-            range(len(objects)),
-            key=lambda oi: (-(max(scored[oi])[0] if scored[oi] else -1.0), oi),
-        )
-        taken = set()
         born = []
-        for oi in order:
-            quad, text = objects[oi]
-            best = None
-            for overlap, ci in scored[oi]:
-                if ci in taken:
-                    continue
-                if best is None or overlap > best[0] or (
-                    overlap == best[0] and ci < best[1]
-                ):
-                    best = (overlap, ci)
-            if best is not None:
-                ci = best[1]
-                taken.add(ci)
-                live[ci].append(frame_index, quad, boxes[oi], text)
+        for oi, (quad, text) in enumerate(objects):
+            if oi in linked:
+                live[linked[oi]].append(frame_index, quad, boxes[oi], text)
             else:
-                traj = _GreedyTrajectory(next_id, frame_index, quad, boxes[oi], text)
-                open_trajs.append(traj)
-                born.append(traj)
-                next_id += 1
+                born.append(_PlainTrajectory(len(open_trajs) + len(born),
+                                             frame_index, quad, boxes[oi], text))
+        open_trajs += born
         live += born
 
     return [Trajectory(track_id=t.track_id, frames=t.frames) for t in open_trajs]

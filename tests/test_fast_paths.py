@@ -33,10 +33,10 @@ from oracles import (
     corners,
     dense_track,
     flat_quad_to_rotated,
-    greedy_link,
     plain_ccw,
     plain_cost_matrix,
     plain_hull,
+    plain_link,
     plain_loss_terms,
     plain_near_pairs,
     point_intersection,
@@ -1199,7 +1199,7 @@ def test_linker_on_a_gappy_stream_equals_it_padded(stream, window):
 
 
 # ---------------------------------------------------------------------------
-# linker: one sorted candidate row per object against a best-IoU scan
+# linker: its near pairs and gated_assign against a dense table
 # ---------------------------------------------------------------------------
 
 
@@ -1227,11 +1227,13 @@ def tied_link_frames(draw):
 @settings(max_examples=200, deadline=None)
 @given(tied_link_frames(), st.integers(1, 3), st.sampled_from((0.1, 1.0 / 3.0, 1.0)),
        st.sampled_from((0.0, 0.5, 1.0)))
-def test_linker_equals_greedy_scan_on_tied_frames(frames, window, gate, max_edit):
-    """Highest IoU first, then the lowest trajectory index: the sorted rows
-    pick what the scan with its explicit tie rule picks."""
+def test_linker_equals_dense_component_assignment_on_tied_frames(
+        frames, window, gate, max_edit):
+    """Max total IoU, ties by ascending object, then trajectory, index: the
+    near pairs through ``gated_assign`` pick what the dense table's
+    components pick."""
     cfg = linker_mod.LinkerConfig(window, gate, max_edit)
-    assert link(frames, cfg) == greedy_link(frames, cfg)
+    assert link(frames, cfg) == plain_link(frames, cfg)
 
 
 @st.composite

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from vtspot.errors import NonMonotonicFrame
 from vtspot.geometry import Quad, RotatedBox, rotated_to_quad
 from vtspot.linker import LinkerConfig, edit_distance, link
-from vtspot.tracker import Tracker, TrackerConfig
+from vtspot.tracker import Tracker, TrackerConfig, run
 from vtspot.annotations import Detection, FrameDetections, Instance
 
 from oracles import levenshtein_ref
@@ -126,7 +126,7 @@ def test_iou_vetoes_distant_boxes():
     assert len(link(frames)) == 2
 
 
-def test_greedy_prefers_higher_iou():
+def test_link_prefers_higher_iou():
     # one open trajectory, two new objects; the closer one must claim it
     frames = [
         (0, [obj(0.0, "GO")]),
@@ -145,6 +145,43 @@ def test_non_monotonic_frame_rejected():
         link(frames)
 
 
+@pytest.mark.parametrize("frames", [
+    [(-3, [obj(0.0, "a")])],
+    [(2, [obj(0.0, "a")]), (-3, [obj(0.0, "a")])],
+])
+def test_negative_frame_index_rejected(frames):
+    """As ``FrameDetections`` refuses it, before the order is checked."""
+    with pytest.raises(ValueError, match=r"^frame_index must be >= 0, got -3$"):
+        link(frames)
+
+
+def test_optimal_assignment_keeps_the_link_greedy_loses():
+    """IoUs (o0, t0) 0.818, (o0, t1) 0.667 and (o1, t0) 0.600; (o1, t1)
+    0.290 is under the gate.  Claiming best IoU first links o0 to t0 and
+    leaves o1 to be born; the max-IoU matching links both."""
+    frames = [(0, [obj(0.0, "a", w=10.0, h=10.0), obj(3.0, "a", w=10.0, h=10.0)]),
+              (1, [obj(1.0, "a", w=10.0, h=10.0), obj(-2.5, "a", w=10.0, h=10.0)])]
+    trajs = link(frames, LinkerConfig(iou_threshold=0.3))
+    assert [(t.track_id, t.frames[1].quad) for t in trajs] == [
+        (0, quad_at(-2.5, w=10.0, h=10.0)),
+        (1, quad_at(1.0, w=10.0, h=10.0)),
+    ]
+
+
+def test_newborns_are_numbered_in_object_order():
+    """Object 0 has no candidate; object 1 loses trajectory 0 to object 2,
+    which overlaps it more.  The two newborns take ids 1 and 2 in object
+    order, whatever their best IoU."""
+    frames = [(0, [obj(0.0, "a")]),
+              (1, [obj(50.0, "a"), obj(1.5, "a"), obj(0.1, "a")])]
+    trajs = link(frames, LinkerConfig(iou_threshold=0.1))
+    assert [(t.track_id, sorted(t.frames), t.frames[1].quad) for t in trajs] == [
+        (0, [0, 1], quad_at(0.1)),
+        (1, [1], quad_at(50.0)),
+        (2, [1], quad_at(1.5)),
+    ]
+
+
 def test_norm_edit_threshold_boundary():
     # "abcde" vs "abcdX": edit 1, norm 0.2 <= 0.3 passes; "abXXX" norm 0.6 fails
     frames = [(0, [obj(0.0, "abcde")]), (1, [obj(0.0, "abcdX")])]
@@ -159,9 +196,9 @@ def test_empty_transcriptions_link_by_iou():
 
 
 def test_window_one_matches_tracker_on_disjoint_sets():
-    """Frame-to-frame greedy equals optimal assignment when objects are far
-    apart: each detection overlaps exactly one track, so both methods pick
-    the same unique stable matching."""
+    """With a window of one frame and no text gate, the linker is the
+    tracker with ``max_age`` 0: far-apart objects each overlap exactly one
+    track, so both link the same trajectories."""
     cfg_link = LinkerConfig(window=1, iou_threshold=0.2, max_norm_edit=1.0)
     cfg_track = TrackerConfig(iou_threshold=0.2)
     positions = [0.0, 20.0, 40.0]
@@ -185,6 +222,23 @@ def test_window_one_matches_tracker_on_disjoint_sets():
         assert sorted(lt.frames) == sorted(tt.frames)
         for f in lt.frames:
             assert lt.frames[f].transcription == tt.frames[f].transcription
+
+
+def test_window_one_matches_tracker_on_conflicting_frames():
+    """Frame 1's objects both overlap trajectory 0 and the first overlaps it
+    most, yet the max-IoU matching the tracker takes links the first to
+    trajectory 1 and the second to trajectory 0; the linker takes it too."""
+    rows = [[0.0, 3.0], [1.0, -2.5], [1.5, -2.0, 30.0]]
+    linked = link([(f, [obj(x, "a", w=10.0, h=10.0) for x in xs])
+                   for f, xs in enumerate(rows)],
+                  LinkerConfig(window=1, iou_threshold=0.3, max_norm_edit=1.0))
+    tracked = run([FrameDetections(f, [Detection(RotatedBox(x, 0.0, 10.0, 10.0, 0.0),
+                                                 1.0, transcription="a")
+                                       for x in xs])
+                   for f, xs in enumerate(rows)],
+                  TrackerConfig(iou_threshold=0.3))
+    assert len(linked) == 3
+    assert linked == tracked
 
 
 def test_link_records_instances_under_the_track_id():
