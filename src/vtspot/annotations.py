@@ -154,14 +154,23 @@ class Detection:
             raise ValueError(f"score must be in [0,1], got {self.score}")
 
 
+def _check_frame_index(index) -> None:
+    """Raise ValueError unless ``index`` is an ``int`` (not a ``bool``) of
+    at least 0: the one frame index rule of ``FrameDetections`` and
+    ``link``."""
+    if isinstance(index, bool) or not isinstance(index, int):
+        raise ValueError(f"frame_index must be an int, got {index!r}")
+    if index < 0:
+        raise ValueError(f"frame_index must be >= 0, got {index}")
+
+
 @dataclass
 class FrameDetections:
     frame_index: int
     detections: list[Detection]
 
     def __post_init__(self):
-        if self.frame_index < 0:
-            raise ValueError(f"frame_index must be >= 0, got {self.frame_index}")
+        _check_frame_index(self.frame_index)
 
 
 @dataclass

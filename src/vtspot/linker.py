@@ -3,10 +3,12 @@
 A deliberately simple baseline for detectors with no tracking head: the
 objects of the current frame are linked to the open trajectories whose
 latest element is at most ``window`` frames old.  A pair is admissible
-when the boxes overlap enough and the transcriptions are close in
-normalized Levenshtein distance.  Only the object/trajectory pairs that
-``geometry.near_pairs`` returns for their enclosing boxes are scored;
-every other pair has IoU 0.  Each frame takes the one-to-one matching of
+when the shapes overlap enough and the transcriptions are close in
+normalized Levenshtein distance.  Each object is scored by the shape
+``evaluate`` scores: its own quad when convex, otherwise the quad of its
+minimum-area enclosing box.  Only the object/trajectory pairs that
+``geometry.near_pairs`` returns for those shapes are scored; every other
+pair has IoU 0.  Each frame takes the one-to-one matching of
 ``matching.gated_assign`` over the admissible pairs, which maximizes the
 total IoU, ties settled by ascending object, then trajectory, index.  An
 unlinked object starts a trajectory; newborns are numbered in object
@@ -18,12 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .annotations import Instance, Trajectory
+from .annotations import Instance, Trajectory, _check_frame_index
 from .errors import NonMonotonicFrame
-from .geometry import Quad, iou, near_pairs, quad_to_rotated
+from .geometry import Quad, near_pairs, nondegenerate_hull, quad_iou, quad_to_rotated
 from .matching import gated_assign
 
 __all__ = ["LinkerConfig", "edit_distance", "link"]
+
+# The overlap of two shapes; ``bench/layers.py`` times it under this name.
+iou = quad_iou
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,20 +73,30 @@ def _norm_edit(a: str, b: str) -> float:
     return edit_distance(a, b) / max(len(a), len(b), 1)
 
 
-class _OpenTrajectory:
-    __slots__ = ("track_id", "frames", "last_frame", "last_box", "last_text")
+def _shape(quad: Quad) -> Quad:
+    """The shape scored for ``quad``, by ``metrics._usable_quad``'s rule:
+    the quad itself when convex, else its minimum-area box's quad.  Raises
+    DegenerateQuad for the quads ``quad_to_rotated`` cannot enclose, convex
+    or not; the box is fitted through this module's ``quad_to_rotated``, so
+    that a traced run counts exactly these fits."""
+    nondegenerate_hull(quad)
+    return quad if quad.is_convex() else quad_to_rotated(quad).quad
 
-    def __init__(self, track_id, frame_index, quad, box, text):
+
+class _OpenTrajectory:
+    __slots__ = ("track_id", "frames", "last_frame", "last_shape", "last_text")
+
+    def __init__(self, track_id, frame_index, quad, shape, text):
         self.track_id = track_id
         self.frames: dict[int, Instance] = {}
-        self.append(frame_index, quad, box, text)
+        self.append(frame_index, quad, shape, text)
 
-    def append(self, frame_index, quad, box, text):
-        """Record ``quad`` at ``frame_index``; ``box`` is its enclosing
-        rotated box."""
+    def append(self, frame_index, quad, shape, text):
+        """Record ``quad`` at ``frame_index``; ``shape`` is what it is
+        scored by."""
         self.frames[frame_index] = Instance(self.track_id, quad, text)
         self.last_frame = frame_index
-        self.last_box = box
+        self.last_shape = shape
         self.last_text = text
 
 
@@ -103,8 +118,7 @@ def link(
     last_index: int | None = None
 
     for frame_index, objects in frames:
-        if frame_index < 0:
-            raise ValueError(f"frame_index must be >= 0, got {frame_index}")
+        _check_frame_index(frame_index)
         if last_index is not None and frame_index <= last_index:
             raise NonMonotonicFrame(
                 f"frame {frame_index} after frame {last_index}"
@@ -112,14 +126,13 @@ def link(
         last_index = frame_index
 
         live = [t for t in live if frame_index - t.last_frame <= cfg.window]
-        boxes = [quad_to_rotated(q) for q, _ in objects]
+        shapes = [_shape(q) for q, _ in objects]
 
         # score every admissible (object, trajectory) pair once
         gated: dict[tuple[int, int], float] = {}
-        for oi, ci in near_pairs([b.quad for b in boxes],
-                                 [t.last_box.quad for t in live]):
+        for oi, ci in near_pairs(shapes, [t.last_shape for t in live]):
             traj = live[ci]
-            overlap = iou(boxes[oi], traj.last_box)
+            overlap = iou(shapes[oi], traj.last_shape)
             if overlap < cfg.iou_threshold:
                 continue
             if _norm_edit(objects[oi][1] or "", traj.last_text or "") > cfg.max_norm_edit:
@@ -131,10 +144,10 @@ def link(
         # object order, past every index scored in this frame
         for oi, (quad, text) in enumerate(objects):
             if oi in linked:
-                live[linked[oi]].append(frame_index, quad, boxes[oi], text)
+                live[linked[oi]].append(frame_index, quad, shapes[oi], text)
             else:
                 traj = _OpenTrajectory(len(open_trajs), frame_index, quad,
-                                       boxes[oi], text)
+                                       shapes[oi], text)
                 open_trajs.append(traj)
                 live.append(traj)
 

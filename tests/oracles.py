@@ -749,15 +749,15 @@ def dense_track(stream, cfg=None):
 
 
 class _PlainTrajectory:
-    def __init__(self, track_id, frame_index, quad, box, text):
+    def __init__(self, track_id, frame_index, quad, shape, text):
         self.track_id = track_id
         self.frames = {}
-        self.append(frame_index, quad, box, text)
+        self.append(frame_index, quad, shape, text)
 
-    def append(self, frame_index, quad, box, text):
+    def append(self, frame_index, quad, shape, text):
         self.frames[frame_index] = Instance(self.track_id, quad, text)
         self.last_frame = frame_index
-        self.last_box = box
+        self.last_shape = shape
         self.last_text = text
 
 
@@ -765,10 +765,17 @@ def _norm_edit_ref(a, b):
     return levenshtein_ref(a, b) / max(len(a), len(b), 1)
 
 
+def _link_shape(quad):
+    """The shape the linker scores: ``plain_hull`` refuses a degenerate
+    quad, then the one that ``evaluate`` scores."""
+    plain_hull(quad)
+    return _usable_quad(quad)
+
+
 def plain_link(frames, cfg=None):
     """``linker.link`` with every object/trajectory pair scored by
-    ``clip_iou`` into a dense table, assigned by ``component_pairs``; the
-    objects left over are born in object order."""
+    ``clip_quad_iou`` into a dense table, assigned by ``component_pairs``;
+    the objects left over are born in object order."""
     cfg = cfg if cfg is not None else LinkerConfig()
     open_trajs = []
     live = []
@@ -782,9 +789,10 @@ def plain_link(frames, cfg=None):
         last_index = frame_index
 
         live = [t for t in live if frame_index - t.last_frame <= cfg.window]
-        boxes = [point_quad_to_rotated(q) for q, _ in objects]
+        shapes = [_link_shape(q) for q, _ in objects]
 
-        table = [[clip_iou(box, traj.last_box) for traj in live] for box in boxes]
+        table = [[clip_quad_iou(shape, traj.last_shape) for traj in live]
+                 for shape in shapes]
         admissible = [
             [table[oi][ci] >= cfg.iou_threshold
              and _norm_edit_ref(objects[oi][1] or "", traj.last_text or "") <= cfg.max_norm_edit
@@ -795,10 +803,10 @@ def plain_link(frames, cfg=None):
         born = []
         for oi, (quad, text) in enumerate(objects):
             if oi in linked:
-                live[linked[oi]].append(frame_index, quad, boxes[oi], text)
+                live[linked[oi]].append(frame_index, quad, shapes[oi], text)
             else:
                 born.append(_PlainTrajectory(len(open_trajs) + len(born),
-                                             frame_index, quad, boxes[oi], text))
+                                             frame_index, quad, shapes[oi], text))
         open_trajs += born
         live += born
 

@@ -17,7 +17,7 @@ from vtspot.annotations import (
     trajectories_to_annotation,
 )
 from vtspot.cli import main
-from vtspot.geometry import rotated_to_quad
+from vtspot.geometry import Quad, rotated_to_quad
 from vtspot.linker import link
 from vtspot.matching import GroundTruthInstance, PredictedInstance, match_sets
 from vtspot.metrics import evaluate
@@ -79,9 +79,11 @@ def test_every_wrapped_global_is_on_the_call_path(layers, tmp_path, monkeypatch)
     pred = trajectories_to_annotation(trajs, gt.video_id, gt.width, gt.height,
                                       gt.frame_count)
     evaluate(gt, pred, "tracking")
+    # the dart is non-convex: the linker scores it by its refitted box
+    dart = Quad.from_flat((0, 0, 4, 2, 0, 4, 1, 2))
     link([(fd.frame_index,
            [(rotated_to_quad(d.box), "w") for d in fd.detections])
-          for fd in dets.frames])
+          for fd in dets.frames] + [(dets.frame_count, [(dart, "w")])])
     first = dets.frames[0].detections
     match_sets([GroundTruthInstance(box=d.box) for d in first],
                [PredictedInstance(class_prob=d.score, box=d.box) for d in first])

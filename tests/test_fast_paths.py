@@ -4,8 +4,8 @@ bowtie test against the generic chain and a call per side test, the shared
 per-frame IoU table
 and the tracker's component-wise gated assignment against the point
 geometry and clip-only overlaps, the per-pair cost matrix, the three
-separate metric passes, the dense-table tracker and the linker's best-IoU
-scan kept in ``oracles``;
+separate metric passes, the dense-table tracker and the dense-table linker
+kept in ``oracles``;
 and the tracker, the linker and ``evaluate`` on inputs that skip frame
 indices against the same inputs with every skipped frame listed empty.
 Results must be equal, not approximately equal."""
@@ -1044,10 +1044,6 @@ def test_evaluate_equals_oracle_on_missing_transcription():
 # ---------------------------------------------------------------------------
 
 
-def _clip_only(a, b):
-    return clip_iou(a, b)
-
-
 def _as_points(trajectories):
     return [(t.track_id, sorted((f, p.quad.as_flat(), p.transcription)
                                 for f, p in t.frames.items()))
@@ -1066,13 +1062,14 @@ def _every_pair(a, b):
 ], ids=["1", "2", "3", "crowded"])
 def test_tracker_and_linker_equal_clip_only(synth, monkeypatch):
     """The tracker and the linker score the pairs ``near_pairs`` picks with
-    ``iou``; scoring every pair with the clip-only IoU links the same."""
+    ``iou``, of boxes and of quads; scoring every pair with the clip-only
+    IoU links the same."""
     _, dets = generate(synth)
     frames = [(fd.frame_index, [(rotated_to_quad(d.box), d.transcription or "")
                                 for d in fd.detections]) for fd in dets.frames]
     fast = (_as_points(run_tracker(dets.frames)), _as_points(link(frames)))
-    for mod in (tracker_mod, linker_mod):
-        monkeypatch.setattr(mod, "iou", _clip_only)
+    for mod, clip_only in ((tracker_mod, clip_iou), (linker_mod, clip_quad_iou)):
+        monkeypatch.setattr(mod, "iou", clip_only)
         monkeypatch.setattr(mod, "near_pairs", _every_pair)
     plain = (_as_points(run_tracker(dets.frames)), _as_points(link(frames)))
     assert fast == plain
@@ -1203,12 +1200,26 @@ def test_linker_on_a_gappy_stream_equals_it_padded(stream, window):
 # ---------------------------------------------------------------------------
 
 
-# Squares of side 4 on a lattice of step 2, often repeated: trajectories
-# whose last boxes are identical meet an object at equal IoU (as do the
-# boxes at x = 0 and x = 4 an object at x = 2), and transcriptions from a
-# two-letter alphabet keep many pairs inside the edit gate.
+def _lattice_shape(kind: str, x: int, y: int) -> Quad:
+    """A shape of height 4 centred at ``(2x, 2y)``: a square of side 4, a
+    parallelogram slanted by 2 over its height, or a dart, non-convex,
+    whose minimum-area box is that square."""
+    x, y = 2.0 * x, 2.0 * y
+    return Quad.from_flat({
+        "square": (x - 2, y - 2, x + 2, y - 2, x + 2, y + 2, x - 2, y + 2),
+        "slanted": (x - 3, y - 2, x + 1, y - 2, x + 3, y + 2, x - 1, y + 2),
+        "dart": (x - 2, y - 2, x + 2, y, x - 2, y + 2, x - 1, y),
+    }[kind])
+
+
+# Shapes on a lattice of step 2, often repeated: trajectories whose last
+# shapes are identical meet an object at equal IoU (as do the squares at
+# x = 0 and x = 4 a square at x = 2), and transcriptions from a two-letter
+# alphabet keep many pairs inside the edit gate.  Two parallelograms one
+# step apart vertically overlap by 0.23 as quads and by 0.37 as boxes, so
+# the gate of 1/3 tells the linker's quad IoU from a box IoU.
 tied_objects = st.tuples(
-    st.builds(lambda x, y: RotatedBox(2.0 * x, 2.0 * y, 4.0, 4.0, 0.0).quad,
+    st.builds(_lattice_shape, st.sampled_from(("square", "slanted", "dart")),
               st.integers(0, 3), st.integers(0, 1)),
     st.text("ab", max_size=3))
 
@@ -1225,13 +1236,16 @@ def tied_link_frames(draw):
 
 
 @settings(max_examples=200, deadline=None)
+@example([(0, [(_lattice_shape("slanted", 0, 0), "a")]),
+          (1, [(_lattice_shape("slanted", 0, 1), "a"), (_lattice_shape("dart", 1, 0), "a")])],
+         1, 1.0 / 3.0, 0.0)
 @given(tied_link_frames(), st.integers(1, 3), st.sampled_from((0.1, 1.0 / 3.0, 1.0)),
        st.sampled_from((0.0, 0.5, 1.0)))
 def test_linker_equals_dense_component_assignment_on_tied_frames(
         frames, window, gate, max_edit):
-    """Max total IoU, ties by ascending object, then trajectory, index: the
-    near pairs through ``gated_assign`` pick what the dense table's
-    components pick."""
+    """Max total IoU of the shapes ``evaluate`` scores, ties by ascending
+    object, then trajectory, index: the near pairs through ``gated_assign``
+    pick what the dense table's components pick."""
     cfg = linker_mod.LinkerConfig(window, gate, max_edit)
     assert link(frames, cfg) == plain_link(frames, cfg)
 

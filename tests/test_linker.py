@@ -1,11 +1,20 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vtspot.errors import NonMonotonicFrame
-from vtspot.geometry import Quad, RotatedBox, rotated_to_quad
+import vtspot.linker as linker_mod
+from vtspot.errors import DegenerateQuad, NonMonotonicFrame
+from vtspot.geometry import (
+    DEGENERATE_AREA,
+    Quad,
+    RotatedBox,
+    quad_iou,
+    quad_to_rotated,
+    rotated_to_quad,
+)
 from vtspot.linker import LinkerConfig, edit_distance, link
 from vtspot.tracker import Tracker, TrackerConfig, run
 from vtspot.annotations import Detection, FrameDetections, Instance
@@ -153,6 +162,69 @@ def test_negative_frame_index_rejected(frames):
     """As ``FrameDetections`` refuses it, before the order is checked."""
     with pytest.raises(ValueError, match=r"^frame_index must be >= 0, got -3$"):
         link(frames)
+
+
+@pytest.mark.parametrize("index", [0.5, 1.0, True, "1"])
+def test_frame_index_must_be_an_int(index):
+    """``FrameDetections`` and ``link`` refuse, with one message, a frame
+    index that is not an ``int``; a ``bool`` is not one.  Refused up front,
+    0.5 after frame 0 is not misread as out of order."""
+    want = rf"^frame_index must be an int, got {re.escape(repr(index))}$"
+    with pytest.raises(ValueError, match=want):
+        FrameDetections(index, [])
+    with pytest.raises(ValueError, match=want):
+        link([(index, [obj(0.0, "a")])])
+    with pytest.raises(ValueError, match=want):
+        link([(0, [obj(0.0, "a")]), (index, [obj(0.0, "a")])])
+
+
+def _parallelogram(x: float) -> Quad:
+    return Quad.from_flat((x, 0, x + 10, 0, x + 18, 4, x + 8, 4))
+
+
+def test_convex_objects_are_scored_by_their_own_quads():
+    """Two parallelograms 6 apart overlap by 0.25 as quads and by 0.5 as
+    their enclosing boxes: under the default gate of 0.3 they do not link."""
+    a, b = _parallelogram(0.0), _parallelogram(6.0)
+    assert quad_iou(a, b) == pytest.approx(0.25)
+    trajs = link([(0, [(a, "a")]), (1, [(b, "a")])], LinkerConfig())
+    assert [(t.track_id, t.frames) for t in trajs] == [
+        (0, {0: Instance(0, a, "a")}),
+        (1, {1: Instance(1, b, "a")}),
+    ]
+
+
+def test_a_non_convex_object_links_through_its_minimum_area_box(monkeypatch):
+    """The dart's minimum-area box is the 4x4 square it is linked to; the
+    box is fitted for the dart only, and the dart is recorded as given."""
+    fits = []
+
+    def counted(quad):
+        fits.append(quad)
+        return quad_to_rotated(quad)
+
+    monkeypatch.setattr(linker_mod, "quad_to_rotated", counted)
+    dart = Quad.from_flat((0, 0, 4, 2, 0, 4, 1, 2))
+    square = quad_at(2.0, 2.0)
+    trajs = link([(0, [(dart, "a")]), (1, [(square, "a")]), (2, [(dart, "a")])])
+    assert [(t.track_id, t.frames) for t in trajs] == [
+        (0, {0: Instance(0, dart, "a"), 1: Instance(0, square, "a"),
+             2: Instance(0, dart, "a")}),
+    ]
+    assert fits == [dart, dart]
+
+
+@pytest.mark.parametrize("flat,want", [
+    ((0, 0, 4, 0, 4, 1e-14, 0, 1e-14), f"quad area 4e-14 is below {DEGENERATE_AREA!r}"),
+    ((0, 0, 1, 0, 2, 0, 3, 0), f"quad area 0.0 is below {DEGENERATE_AREA!r}"),
+    # on one line, but rounding leaves the stored corners an area and convex
+    ((4e6 + 0.1, 1.2e6 + 0.03, 8.4e7 + 0.1, 2.52e7 + 0.03,
+      7e7 + 0.1, 2.1e7 + 0.03, 2e6 + 0.1, 6e5 + 0.03), "quad corners are collinear"),
+], ids=["thin", "flat", "collinear"])
+def test_degenerate_object_rejected(flat, want):
+    """Refused, convex or not, with the message of the box fit."""
+    with pytest.raises(DegenerateQuad, match=f"^{re.escape(want)}$"):
+        link([(0, [obj(0.0, "a")]), (1, [obj(0.0, "a"), (Quad.from_flat(flat), "a")])])
 
 
 def test_optimal_assignment_keeps_the_link_greedy_loses():
