@@ -52,7 +52,6 @@ from .geometry import (
     RotatedBox,
     canonical_angle,
     giou,
-    iou,
     quad_iou,
     quad_to_rotated,
     rotated_to_quad,
@@ -99,7 +98,7 @@ __all__ = [
     "OutOfRangeFrameIndex", "SchemaError", "SelfIntersectingQuad",
     "SizeMismatch", "VideoMismatch", "VtspotError",
     # geometry
-    "Quad", "RotatedBox", "canonical_angle", "giou", "iou", "quad_iou",
+    "Quad", "RotatedBox", "canonical_angle", "giou", "quad_iou",
     "quad_to_rotated", "rotated_to_quad",
     # linker
     "LinkerConfig", "edit_distance", "link",

@@ -154,14 +154,15 @@ class Detection:
             raise ValueError(f"score must be in [0,1], got {self.score}")
 
 
-def _check_frame_index(index) -> None:
-    """Raise ValueError unless ``index`` is an ``int`` (not a ``bool``) of
-    at least 0: the one frame index rule of ``FrameDetections`` and
-    ``link``."""
-    if isinstance(index, bool) or not isinstance(index, int):
-        raise ValueError(f"frame_index must be an int, got {index!r}")
-    if index < 0:
-        raise ValueError(f"frame_index must be >= 0, got {index}")
+def _check_int(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an ``int`` (not a ``bool``) of
+    at least ``least``, naming it ``name``: the one rule for frame indices
+    (``FrameDetections``, ``link``) and for counts (``max_age``,
+    ``window``, ``n_objects``, ``n_frames``)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass
@@ -170,7 +171,7 @@ class FrameDetections:
     detections: list[Detection]
 
     def __post_init__(self):
-        _check_frame_index(self.frame_index)
+        _check_int("frame_index", self.frame_index, 0)
 
 
 @dataclass

@@ -25,10 +25,10 @@ corner order is settled.
 
 There is one broad-phase rule: two quads whose axis-aligned extents, each
 padded by ``_BROAD_SLACK`` of its coordinates' magnitude, are apart cannot
-overlap.  ``_apart`` states the rule.  ``iou``, ``quad_iou`` and ``giou``
-skip the clip for such a pair, and ``near_pairs`` leaves it out of the
-pairs a caller scores: the tracker, the linker and the metrics score only
-the pairs it returns.  ``near_pairs`` pads each quad's bounds once per
+overlap.  ``_apart`` states the rule.  ``quad_iou`` and ``giou`` skip the
+clip for such a pair, and ``near_pairs`` leaves it out of the pairs a
+caller scores: the tracker, the linker and the metrics score only the
+pairs it returns.  ``near_pairs`` pads each quad's bounds once per
 call and compares them inline, pair by pair, with no call per pair.
 
 Units are whatever the caller uses (pixels throughout this package); nothing
@@ -501,46 +501,38 @@ def _apart(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
             or a[3] + a[4] < b[1] - b[4] or b[3] + b[4] < a[1] - a[4])
 
 
-def _overlap(qa: Quad, qb: Quad, area_a: float, area_b: float) -> float:
-    """IoU of two convex quads whose areas are ``area_a`` and ``area_b``.
-    Raises NonConvexInput for a non-convex quad, even when the two are far
-    apart; quads whose padded extents are apart score 0 unclipped.  Each
-    quad's extents are read as kept, and worked out (its convexity
-    checked, the first quad's first) only when they are not."""
-    ea = qa._extents
-    if ea is None:
-        ea = qa._convex_extents()
-    eb = qb._extents
-    if eb is None:
-        eb = qb._convex_extents()
-    if _apart(ea, eb):
-        return 0.0
-    if qa._xy == qb._xy:
-        # identical shapes overlap fully by definition; skipping the clip
-        # keeps the result exact where round-off would wobble it: 1 for a
-        # positive area, 0 for none, and an area that overflowed raises
-        return _area_ratio(area_a, area_a)
-    inter = _area(_clip(qa._xy, qb._xy))
-    return _area_ratio(inter, area_a + area_b - inter)
-
-
 def quad_iou(a: Quad, b: Quad) -> float:
     """Exact intersection-over-union of two convex quads.
 
     Raises NonConvexInput for a non-convex argument, even when the two quads
     are far apart.  Quads whose padded extents are apart score 0 unclipped.
-    Each quad's area is the one it keeps (``Quad.area``).
+    Each quad's area is the one it keeps (``Quad.area``), and so are its
+    extents once worked out (and its convexity checked), the first quad's first.
     """
-    return _overlap(a, b, a._area, b._area)
+    ea = a._extents
+    if ea is None:
+        ea = a._convex_extents()
+    eb = b._extents
+    if eb is None:
+        eb = b._convex_extents()
+    if _apart(ea, eb):
+        return 0.0
+    if a._xy == b._xy:
+        # identical shapes overlap fully by definition; skipping the clip
+        # keeps the result exact where round-off would wobble it: 1 for a
+        # positive area, 0 for none, and an area that overflowed raises
+        return _area_ratio(a._area, a._area)
+    inter = _area(_clip(a._xy, b._xy))
+    return _area_ratio(inter, a._area + b._area - inter)
 
 
 def near_pairs(a: list[Quad], b: list[Quad]) -> list[tuple[int, int]]:
     """The index pairs ``(i, j)``, in order, for which ``quad_iou(a[i],
-    b[j])``, or ``iou`` of the boxes these quads unroll, can be nonzero:
-    every pair but those whose padded extents are apart, the one reject
-    rule of the overlap functions.  A table of IoUs needs to score only
-    these pairs.  Raises NonConvexInput for a non-convex quad, as quad_iou
-    does, checking every quad of ``b`` first, even when ``a`` is empty.
+    b[j])`` can be nonzero: every pair but those whose padded extents are
+    apart, the one reject rule of the overlap functions.  A table of IoUs
+    needs to score only these pairs.  Raises NonConvexInput for a
+    non-convex quad, as quad_iou does, checking every quad of ``b`` first,
+    even when ``a`` is empty.
 
     Each quad's padded bounds, ``(lo_x - pad, lo_y - pad, hi_x + pad, hi_y
     + pad)`` of its ``_extents``, are taken once per call, and each pair's
@@ -557,23 +549,6 @@ def near_pairs(a: list[Quad], b: list[Quad]) -> list[tuple[int, int]]:
                   if not (a_hi_x < b_lo_x or b_hi_x < a_lo_x
                           or a_hi_y < b_lo_y or b_hi_y < a_lo_y)]
     return pairs
-
-
-def iou(a: RotatedBox, b: RotatedBox) -> float:
-    """Intersection-over-union of two rotated boxes, in [0, 1].
-
-    ``quad_iou`` of the boxes' unrolled quads (``RotatedBox.quad``), over
-    the boxes' own ``w * h`` areas: boxes whose padded extents are apart
-    score 0 unclipped.  Raises NonConvexInput when rounding left a box's
-    unrolled corners non-convex, even when the boxes are far apart.
-    """
-    qa = a._quad
-    if qa is None:
-        qa = rotated_to_quad(a)
-    qb = b._quad
-    if qb is None:
-        qb = rotated_to_quad(b)
-    return _overlap(qa, qb, a.w * a.h, b.w * b.h)
 
 
 def giou(a: RotatedBox, b: RotatedBox) -> float:

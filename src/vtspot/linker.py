@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .annotations import Instance, Trajectory, _check_frame_index
+from .annotations import Instance, Trajectory, _check_int
 from .errors import NonMonotonicFrame
 from .geometry import Quad, near_pairs, nondegenerate_hull, quad_iou, quad_to_rotated
 from .matching import gated_assign
@@ -38,8 +38,7 @@ class LinkerConfig:
     max_norm_edit: float = 0.3
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+        _check_int("window", self.window, 1)
         if not (0.0 < self.iou_threshold <= 1.0):
             raise ValueError(
                 f"iou_threshold must be in (0,1], got {self.iou_threshold}"
@@ -118,7 +117,7 @@ def link(
     last_index: int | None = None
 
     for frame_index, objects in frames:
-        _check_frame_index(frame_index)
+        _check_int("frame_index", frame_index, 0)
         if last_index is not None and frame_index <= last_index:
             raise NonMonotonicFrame(
                 f"frame {frame_index} after frame {last_index}"

@@ -8,9 +8,12 @@ finds the minimum-cost one-to-one matching, in O(n^2 m) for n rows and
 m >= n columns (a tall problem is padded with columns); the set loss scores a
 matched set with log-likelihood class terms plus the same box terms, reading
 each matched pair's GIoU from the matching that priced it.  The
-tracker and the CLEAR and identity passes solve their gated max-weight
-assignments with ``gated_assign``, one connected component of admissible
-pairs at a time, each priced for the same solver by ``gated_cost``.
+tracker, the linker and the detection, CLEAR and identity passes solve
+their gated max-weight assignments with ``gated_assign``, one connected
+component of admissible pairs at a time, each priced for the same solver
+by ``gated_cost``.  The tracker, the linker, detection and CLEAR weigh a
+pair by its ``geometry.quad_iou``; identity weighs a trajectory pair by
+its agreeing frames.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from .annotations import (
     FrameDetections,
     Instance,
     VideoAnnotation,
+    _check_int,
 )
 from .errors import GeometryError
 from .geometry import Quad, RotatedBox, quad_to_rotated, rotated_to_quad
@@ -45,10 +46,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_objects < 1:
-            raise ValueError(f"n_objects must be >= 1, got {self.n_objects}")
-        if self.n_frames < 2:
-            raise ValueError(f"n_frames must be >= 2, got {self.n_frames}")
+        _check_int("n_objects", self.n_objects, 1)
+        _check_int("n_frames", self.n_frames, 2)
         if self.motion not in MOTIONS:
             raise ValueError(f"motion must be one of {MOTIONS}, got {self.motion!r}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):

@@ -2,12 +2,13 @@
 
 The tracker is a sequential state machine over a stream of per-frame
 detections.  Each step it predicts where every live track should be (a
-constant-position guess unless a carried ``track_box`` applies), scores by
-rotated-box IoU the track/detection pairs that ``geometry.near_pairs``
-returns (every other pair has IoU 0), and solves the resulting assignment
-problem exactly.  Pairs below the IoU gate never match;
-unmatched detections become new tracks and unmatched tracks age out after
-``max_age`` missed frames.
+constant-position guess unless a carried ``track_box`` applies), scores
+the quads of the predicted boxes against those of the detection boxes with
+``quad_iou``, the IoU that the linker and ``evaluate`` score, for the pairs
+that ``geometry.near_pairs`` returns (every other pair has IoU 0), and
+solves the resulting assignment problem exactly.  Pairs below the IoU gate
+never match; unmatched detections become new tracks and unmatched tracks
+age out after ``max_age`` missed frames.
 
 Detections may carry a ``track_box``: an externally predicted box for the
 same object in the next frame.  When a track takes a detection with a
@@ -26,13 +27,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .annotations import Detection, FrameDetections, Instance, Trajectory
+from .annotations import Detection, FrameDetections, Instance, Trajectory, _check_int
 from .errors import NonMonotonicFrame
-from .geometry import RotatedBox, iou, near_pairs
+from .geometry import RotatedBox, near_pairs, quad_iou
 from .matching import gated_assign
 from .matching import hungarian  # noqa: F401  bench/layers.py wraps this name
 
 __all__ = ["TrackerConfig", "TrackState", "Tracker", "run"]
+
+# The overlap of two shapes; ``bench/layers.py`` times it under this name.
+iou = quad_iou
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,8 +50,7 @@ class TrackerConfig:
             raise ValueError(
                 f"iou_threshold must be in (0,1], got {self.iou_threshold}"
             )
-        if self.max_age < 0:
-            raise ValueError(f"max_age must be >= 0, got {self.max_age}")
+        _check_int("max_age", self.max_age, 0)
         if not (0.0 <= self.min_score <= 1.0):
             raise ValueError(f"min_score must be in [0,1], got {self.min_score}")
 
@@ -144,10 +147,10 @@ class Tracker:
         the gate."""
         gate = self.cfg.iou_threshold
         gated: dict[tuple[int, int], float] = {}
-        tracks = self.tracks
-        for ti, di in near_pairs([t.predicted_box.quad for t in tracks],
-                                 [d.box.quad for d in detections]):
-            overlap = iou(tracks[ti].predicted_box, detections[di].box)
+        prev = [t.predicted_box.quad for t in self.tracks]
+        cur = [d.box.quad for d in detections]
+        for ti, di in near_pairs(prev, cur):
+            overlap = iou(prev[ti], cur[di])
             if overlap >= gate:
                 gated[ti, di] = overlap
         return gated_assign(gated)

@@ -32,7 +32,7 @@ from vtspot.geometry import (
     RotatedBox,
     _apart,
     canonical_angle,
-    iou,
+    quad_iou,
 )
 from vtspot.linker import LinkerConfig
 from vtspot.matching import Assignment, hungarian
@@ -371,17 +371,6 @@ def clip_quad_iou(a, b):
         return 1.0 if point_area(corners(a)) > 0.0 else 0.0
     inter = point_area(point_intersection(a, b))
     return _area_ratio(inter, point_area(corners(a)) + point_area(corners(b)) - inter)
-
-
-def clip_iou(a, b):
-    """IoU of two rotated boxes, always by clipping their quads."""
-    qa = point_unroll(a)
-    qb = point_unroll(b)
-    if corners(qa) == corners(qb):
-        _require_convex(qa)
-        return 1.0
-    inter = point_area(point_intersection(qa, qb))
-    return _area_ratio(inter, a.area + b.area - inter)
 
 
 def clip_giou(a, b):
@@ -729,7 +718,7 @@ def _dense_associate(tracker, detections):
     """``Tracker._associate`` on a dense table: every track/detection IoU
     is kept, and the gate components are solved one by one."""
     gate = tracker.cfg.iou_threshold
-    ious = [[iou(track.predicted_box, det.box) for det in detections]
+    ious = [[quad_iou(track.predicted_box.quad, det.box.quad) for det in detections]
             for track in tracker.tracks]
     return _gated_max_iou_pairs(ious, gate)
 

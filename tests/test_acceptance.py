@@ -21,7 +21,7 @@ from vtspot.annotations import (
     sample,
     trajectories_to_annotation,
 )
-from vtspot.geometry import RotatedBox, iou, rotated_to_quad
+from vtspot.geometry import RotatedBox, quad_iou, rotated_to_quad
 from vtspot.matching import (
     CostWeights,
     GroundTruthInstance,
@@ -89,7 +89,7 @@ def test_criterion_02_iou_matches_monte_carlo():
         worst = 0.0
         for k in range(200):
             a, b = overlapping_box_pair(rng)
-            exact = iou(RotatedBox(*a), RotatedBox(*b))
+            exact = quad_iou(RotatedBox(*a).quad, RotatedBox(*b).quad)
             estimate = monte_carlo_iou(a, b, n=1_000_000, seed=k)
             worst = max(worst, abs(exact - estimate))
         assert worst < 2e-3, f"worst deviation {worst:.2e}"

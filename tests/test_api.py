@@ -1,7 +1,7 @@
 """The public surface: ``vtspot.__all__`` is exactly the names below, each
-resolves, and the retired corner type, its polygon helpers, the second
-text-slot record, the tracker's tuple history and ``Trajectory.lifespan``
-stay gone."""
+resolves, and the retired corner type, its polygon helpers, the box IoU
+kernel, the second text-slot record, the tracker's tuple history and
+``Trajectory.lifespan`` stay gone."""
 
 import vtspot
 import vtspot.annotations
@@ -20,7 +20,7 @@ PUBLIC = [
     "Trajectory", "VideoAnnotation", "VideoMismatch",
     "VtspotError", "__version__", "aggregate", "angle_loss",
     "annotation_to_trajectories", "canonical_angle", "edit_distance",
-    "evaluate", "generate", "giou", "hungarian", "interpolate", "iou", "link",
+    "evaluate", "generate", "giou", "hungarian", "interpolate", "link",
     "load_annotation", "load_detections", "match_sets",
     "normalize_transcription", "pair_cost", "quad_iou", "quad_to_rotated",
     "rotated_to_quad", "sample", "save_annotation", "save_detections",
@@ -30,13 +30,13 @@ PUBLIC = [
 
 
 def test_all_is_the_public_surface():
-    assert len(PUBLIC) == 70
+    assert len(PUBLIC) == 69
     assert sorted(vtspot.__all__) == PUBLIC
     assert [name for name in PUBLIC if not hasattr(vtspot, name)] == []
 
 
 def test_retired_geometry_names_are_gone():
-    retired = ("Point2", "polygon_area", "polygon_intersection")
+    retired = ("Point2", "polygon_area", "polygon_intersection", "iou")
     assert [(module.__name__, name) for module in (vtspot, vtspot.geometry)
             for name in retired if hasattr(module, name)] == []
 

@@ -28,7 +28,6 @@ import vtspot.tracker as tracker_mod
 import vtspot.matching as matching_mod
 from oracles import (
     clip_giou,
-    clip_iou,
     clip_quad_iou,
     corners,
     dense_track,
@@ -65,7 +64,6 @@ from vtspot.geometry import (
     _clip,
     _quad_signed_area,
     giou,
-    iou,
     near_pairs,
     nondegenerate_hull,
     quad_iou,
@@ -106,17 +104,20 @@ def shifted(quad: Quad, dx: float, dy: float) -> Quad:
 
 
 def assert_box_iou_matches(a: RotatedBox, b: RotatedBox) -> None:
-    """iou and giou equal the clip-only oracles both ways round, on fresh
-    copies of the boxes (a cold call unrolls them) and again on the same
-    copies (a warm call reads the quads they kept); each box unrolls to
-    the point unroll's corners."""
+    """quad_iou of the boxes' quads and giou of the boxes equal the
+    clip-only oracles both ways round, on fresh copies of the boxes (a cold
+    call unrolls them) and again on the same copies (a warm call reads the
+    quads they kept); each box unrolls to the point unroll's corners."""
     for x, y in ((a, b), (b, a)):
         assert rotated_to_quad(replace(x)) == point_unroll(x)
-        for overlap, oracle in ((iou, clip_iou), (giou, clip_giou)):
-            expected = oracle(x, y)
-            cold_x, cold_y = replace(x), replace(y)
-            assert overlap(cold_x, cold_y) == expected
-            assert overlap(cold_x, cold_y) == expected
+        expected = clip_quad_iou(point_unroll(x), point_unroll(y))
+        cold_x, cold_y = replace(x), replace(y)
+        assert quad_iou(cold_x.quad, cold_y.quad) == expected
+        assert quad_iou(cold_x.quad, cold_y.quad) == expected
+        expected = clip_giou(x, y)
+        cold_x, cold_y = replace(x), replace(y)
+        assert giou(cold_x, cold_y) == expected
+        assert giou(cold_x, cold_y) == expected
 
 
 def assert_quad_iou_matches(a: Quad, b: Quad) -> None:
@@ -132,7 +133,7 @@ def assert_quad_iou_matches(a: Quad, b: Quad) -> None:
 
 
 # ---------------------------------------------------------------------------
-# iou: the extents reject quad_iou uses (and giou on the same pairs)
+# boxes: the extents reject of quad_iou on their quads, and of giou
 # ---------------------------------------------------------------------------
 
 
@@ -178,7 +179,7 @@ def test_box_iou_equals_clip_at_circle_contact(a, ratio):
 
 @given(boxes)
 def test_box_iou_identical_boxes(a):
-    assert iou(a, a) == clip_iou(a, a) == 1.0
+    assert quad_iou(a.quad, a.quad) == clip_quad_iou(point_unroll(a), point_unroll(a)) == 1.0
     assert_box_iou_matches(a, a)
     swapped = RotatedBox(a.cx, a.cy, a.h, a.w, a.angle + math.pi / 2.0)
     assert_box_iou_matches(a, swapped)
@@ -190,7 +191,6 @@ def test_far_apart_boxes_score_zero_without_clipping(monkeypatch):
 
     monkeypatch.setattr("vtspot.geometry._clip", refuse)
     a, b = RotatedBox(0, 0, 10, 4, 0.3), RotatedBox(100, 0, 10, 4, -1.0)
-    assert iou(a, b) == 0.0
     assert quad_iou(a.quad, b.quad) == 0.0
 
 
@@ -487,12 +487,13 @@ def test_giou_rejects_nonconvex_unroll_even_when_disjoint(dx):
     for a, b in ((SLIVER, other), (other, SLIVER)) * 2:
         with pytest.raises(NonConvexInput):
             clip_giou(a, b)
-        for overlap in (giou, iou):
-            with pytest.raises(NonConvexInput):
-                overlap(a, b)
-    for overlap in (clip_iou, iou):
         with pytest.raises(NonConvexInput):
-            overlap(SLIVER, SLIVER)
+            giou(a, b)
+        with pytest.raises(NonConvexInput):
+            quad_iou(a.quad, b.quad)
+    for overlap in (clip_quad_iou, quad_iou):
+        with pytest.raises(NonConvexInput):
+            overlap(SLIVER.quad, SLIVER.quad)
     w = CostWeights()
     with pytest.raises(NonConvexInput):
         match_sets([GroundTruthInstance(SLIVER)], [PredictedInstance(0.5, other)], w)
@@ -1040,7 +1041,7 @@ def test_evaluate_equals_oracle_on_missing_transcription():
 
 
 # ---------------------------------------------------------------------------
-# tracker and linker with the clip-only iou
+# tracker and linker with the clip-only quad_iou
 # ---------------------------------------------------------------------------
 
 
@@ -1062,14 +1063,14 @@ def _every_pair(a, b):
 ], ids=["1", "2", "3", "crowded"])
 def test_tracker_and_linker_equal_clip_only(synth, monkeypatch):
     """The tracker and the linker score the pairs ``near_pairs`` picks with
-    ``iou``, of boxes and of quads; scoring every pair with the clip-only
+    ``iou``, which is ``quad_iou``; scoring every pair with the clip-only
     IoU links the same."""
     _, dets = generate(synth)
     frames = [(fd.frame_index, [(rotated_to_quad(d.box), d.transcription or "")
                                 for d in fd.detections]) for fd in dets.frames]
     fast = (_as_points(run_tracker(dets.frames)), _as_points(link(frames)))
-    for mod, clip_only in ((tracker_mod, clip_iou), (linker_mod, clip_quad_iou)):
-        monkeypatch.setattr(mod, "iou", clip_only)
+    for mod in (tracker_mod, linker_mod):
+        monkeypatch.setattr(mod, "iou", clip_quad_iou)
         monkeypatch.setattr(mod, "near_pairs", _every_pair)
     plain = (_as_points(run_tracker(dets.frames)), _as_points(link(frames)))
     assert fast == plain

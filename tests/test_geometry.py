@@ -13,7 +13,6 @@ from vtspot.geometry import (
     _clip,
     canonical_angle,
     giou,
-    iou,
     quad_iou,
     quad_to_rotated,
     rotated_to_quad,
@@ -181,10 +180,11 @@ def test_overlap_whose_areas_overflow_is_rejected():
     with pytest.raises(ValueError, match="overlap areas must be finite, got intersection inf"):
         quad_iou(square, square)
     with pytest.raises(ValueError, match="overlap areas must be finite, got intersection inf"):
-        iou(box, box)
+        quad_iou(box.quad, box.quad)
     small = square_and_inset(1e153)[0]
     assert quad_iou(small, small) == 1.0
-    assert iou(RotatedBox(0.0, 0.0, 1e153, 2e153, 0.0), RotatedBox(0.0, 0.0, 1e153, 2e153, 0.0)) == 1.0
+    assert quad_iou(RotatedBox(0.0, 0.0, 1e153, 2e153, 0.0).quad,
+                    RotatedBox(0.0, 0.0, 1e153, 2e153, 0.0).quad) == 1.0
 
 
 def test_giou_of_apart_boxes_whose_areas_overflow_is_rejected():
@@ -258,8 +258,8 @@ def test_replaced_box_unrolls_afresh():
     moved = replace(box, cx=11.0)
     assert box.quad.as_flat()[0] + 10.0 == pytest.approx(moved.quad.as_flat()[0])
     assert moved.quad == rotated_to_quad(RotatedBox(11.0, 2.0, 5.0, 3.0, 0.7))
-    assert iou(box, moved) == 0.0
-    assert iou(moved, replace(moved)) == 1.0
+    assert quad_iou(box.quad, moved.quad) == 0.0
+    assert quad_iou(moved.quad, replace(moved).quad) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -394,26 +394,26 @@ def test_intersection_area_bounded_by_inputs():
 
 
 # ---------------------------------------------------------------------------
-# iou / giou
+# quad_iou of boxes' quads / giou
 # ---------------------------------------------------------------------------
 
 
 def test_iou_identical_is_one():
     b = RotatedBox(3, 4, 5, 2, 0.3)
-    assert iou(b, b) == pytest.approx(1.0, abs=1e-12)
+    assert quad_iou(b.quad, b.quad) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_iou_disjoint_is_zero():
     a = RotatedBox(0, 0, 1, 1, 0)
     b = RotatedBox(10, 0, 1, 1, 0.7)
-    assert iou(a, b) == 0.0
+    assert quad_iou(a.quad, b.quad) == 0.0
 
 
 def test_iou_half_shifted_unit_squares():
     # overlap 0.5, union 1.5
     a = RotatedBox(0, 0, 1, 1, 0)
     b = RotatedBox(0.5, 0, 1, 1, 0)
-    assert iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert quad_iou(a.quad, b.quad) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_iou_square_against_its_45_degree_rotation():
@@ -421,20 +421,20 @@ def test_iou_square_against_its_45_degree_rotation():
     # simplifies to exactly 1/sqrt(2)
     a = RotatedBox(0, 0, 2, 2, 0)
     b = RotatedBox(0, 0, 2, 2, math.pi / 4)
-    assert iou(a, b) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+    assert quad_iou(a.quad, b.quad) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
 
 def test_iou_edge_touching_is_zero():
     a = RotatedBox(0, 0, 1, 1, 0)
     b = RotatedBox(1.0, 0, 1, 1, 0)
-    assert iou(a, b) == pytest.approx(0.0, abs=1e-12)
+    assert quad_iou(a.quad, b.quad) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_iou_matches_sampling_estimate():
     rng = random.Random(5)
     for k in range(5):
         pa, pb = overlapping_box_pair(rng)
-        exact = iou(RotatedBox(*pa), RotatedBox(*pb))
+        exact = quad_iou(RotatedBox(*pa).quad, RotatedBox(*pb).quad)
         est = monte_carlo_iou(pa, pb, n=400_000, seed=100 + k)
         assert exact == pytest.approx(est, abs=4e-3)
 
@@ -444,7 +444,7 @@ def test_iou_symmetry():
     for _ in range(300):
         pa, pb = overlapping_box_pair(rng)
         a, b = RotatedBox(*pa), RotatedBox(*pb)
-        assert abs(iou(a, b) - iou(b, a)) < 1e-12
+        assert abs(quad_iou(a.quad, b.quad) - quad_iou(b.quad, a.quad)) < 1e-12
 
 
 def test_iou_similarity_invariance():
@@ -462,16 +462,18 @@ def test_iou_similarity_invariance():
             cy = scale * (s * box.cx + c * box.cy) + ty
             return RotatedBox(cx, cy, box.w * scale, box.h * scale, box.angle + phi)
 
-        assert abs(iou(a, b) - iou(xform(a), xform(b))) < 1e-9
+        assert abs(quad_iou(a.quad, b.quad) - quad_iou(xform(a).quad, xform(b).quad)) < 1e-9
 
 
-def test_quad_iou_agrees_with_box_iou_on_rectangles():
+def test_quad_iou_of_rectangles_agrees_with_box_areas():
+    # a box's quad keeps the shoelace area of its corners, w * h to rounding
     rng = random.Random(17)
     for _ in range(100):
         pa, pb = overlapping_box_pair(rng)
         a, b = RotatedBox(*pa), RotatedBox(*pb)
+        inter = shoelace(point_intersection(a.quad, b.quad))
         assert quad_iou(rotated_to_quad(a), rotated_to_quad(b)) == pytest.approx(
-            iou(a, b), abs=1e-12
+            inter / (a.area + b.area - inter), abs=1e-12
         )
 
 
@@ -510,7 +512,7 @@ def test_giou_never_exceeds_iou():
     for _ in range(500):
         pa, pb = overlapping_box_pair(rng)
         a, b = RotatedBox(*pa), RotatedBox(*pb)
-        g, i = giou(a, b), iou(a, b)
+        g, i = giou(a, b), quad_iou(a.quad, b.quad)
         assert g <= i + 1e-12
         assert -1.0 <= g <= 1.0 + 1e-12
 

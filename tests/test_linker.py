@@ -16,6 +16,7 @@ from vtspot.geometry import (
     rotated_to_quad,
 )
 from vtspot.linker import LinkerConfig, edit_distance, link
+from vtspot.synth import SynthConfig
 from vtspot.tracker import Tracker, TrackerConfig, run
 from vtspot.annotations import Detection, FrameDetections, Instance
 
@@ -176,6 +177,36 @@ def test_frame_index_must_be_an_int(index):
         link([(index, [obj(0.0, "a")])])
     with pytest.raises(ValueError, match=want):
         link([(0, [obj(0.0, "a")]), (index, [obj(0.0, "a")])])
+
+
+@pytest.mark.parametrize("config,field,value", [
+    (LinkerConfig, "window", 1.5),
+    (LinkerConfig, "window", True),
+    (TrackerConfig, "max_age", True),
+    (TrackerConfig, "max_age", 1.0),
+    (SynthConfig, "n_objects", True),
+    (SynthConfig, "n_objects", 2.0),
+    (SynthConfig, "n_frames", 2.5),
+    (SynthConfig, "n_frames", "3"),
+])
+def test_counts_must_be_ints(config, field, value):
+    """The frame index rule holds for every count: ``window``, ``max_age``,
+    ``n_objects`` and ``n_frames`` refuse, where the config is made, a
+    value that is not an ``int``; a ``bool`` is not one."""
+    want = rf"^{field} must be an int, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=want):
+        config(**{field: value})
+
+
+@pytest.mark.parametrize("config,field,value,least", [
+    (LinkerConfig, "window", 0, 1),
+    (TrackerConfig, "max_age", -1, 0),
+    (SynthConfig, "n_objects", 0, 1),
+    (SynthConfig, "n_frames", 1, 2),
+])
+def test_counts_below_their_least_value_are_refused(config, field, value, least):
+    with pytest.raises(ValueError, match=rf"^{field} must be >= {least}, got {value}$"):
+        config(**{field: value})
 
 
 def _parallelogram(x: float) -> Quad:

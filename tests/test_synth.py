@@ -3,7 +3,7 @@ import io
 import pytest
 
 from vtspot.annotations import save_annotation, save_detections
-from vtspot.geometry import iou
+from vtspot.geometry import quad_iou
 from vtspot.metrics import evaluate
 from vtspot.synth import CANVAS_HEIGHT, CANVAS_WIDTH, SynthConfig, generate
 
@@ -40,10 +40,10 @@ def test_noiseless_detections_equal_reference():
         for inst, det in zip(boxes, found):
             assert det.score == 1.0
             assert det.transcription == inst.transcription
-            assert iou(det.box, det.box) == 1.0
+            assert quad_iou(det.box.quad, det.box.quad) == 1.0
             # the detection box is the exact generator box
             q = inst.quad
-            assert det.box.w > 0 and iou(det.box, det.box) == 1.0
+            assert det.box.w > 0 and quad_iou(det.box.quad, det.box.quad) == 1.0
             from vtspot.geometry import rotated_to_quad
             assert rotated_to_quad(det.box) == q
 

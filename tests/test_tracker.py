@@ -2,10 +2,17 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from vtspot.annotations import Detection, FrameDetections, Instance
+import vtspot.geometry
+import vtspot.linker
+import vtspot.metrics
+import vtspot.tracker
+from vtspot.annotations import Detection, FrameDetections, Instance, VideoAnnotation
 from vtspot.errors import NonMonotonicFrame
-from vtspot.geometry import RotatedBox, iou
+from vtspot.geometry import RotatedBox, quad_iou
+from vtspot.metrics import evaluate
 from vtspot.tracker import Tracker, TrackerConfig, run
 
 
@@ -146,8 +153,8 @@ def test_crossed_detections_get_globally_optimal_pairing():
     t.step(frame(0, [det(0), det(3)]))
     # detection order is swapped relative to track order
     d0, d1 = det(2.9), det(0.1)
-    same = iou(box(0), d0.box) + iou(box(3), d1.box)
-    cross = iou(box(0), d1.box) + iou(box(3), d0.box)
+    same = quad_iou(box(0).quad, d0.box.quad) + quad_iou(box(3).quad, d1.box.quad)
+    cross = quad_iou(box(0).quad, d1.box.quad) + quad_iou(box(3).quad, d0.box.quad)
     assert cross > same  # fixture sanity
     tracks, born, dead = t.step(frame(1, [d0, d1]))
     assert born == [] and dead == []
@@ -176,8 +183,8 @@ def test_accepted_matching_is_gate_optimal():
         for tr in tracks:
             if 1 in tr.frames and tr.track_id in live_before:
                 assert tr.last_box is tr.frames[1].box
-                got += iou(live_before[tr.track_id], tr.frames[1].box)
-        ious = [[iou(p, d.box) for d in cur] for p in prev]
+                got += quad_iou(live_before[tr.track_id].quad, tr.frames[1].box.quad)
+        ious = [[quad_iou(p.quad, d.box.quad) for d in cur] for p in prev]
         want = best_gated_total(ious, thresh)
         assert got == pytest.approx(want, abs=1e-9), f"trial {trial}"
 
@@ -319,3 +326,55 @@ def test_history_frame_indices_strictly_increase():
         idxs = list(tr.frames)
         assert idxs == sorted(idxs)
         assert math.inf not in idxs
+
+
+# ---------------------------------------------------------------------------
+# the tracker gates the IoU that the linker and evaluate score
+# ---------------------------------------------------------------------------
+
+
+def test_tracker_linker_and_evaluate_score_one_iou():
+    assert (vtspot.tracker.iou is vtspot.linker.iou is vtspot.metrics.quad_iou
+            is vtspot.geometry.quad_iou)
+
+
+def _tracks_and_tp(a: RotatedBox, b: RotatedBox, gate: float) -> tuple[int, int]:
+    """The number of trajectories the tracker makes of ``a`` then ``b`` at
+    ``gate``, and the true positives of ``evaluate`` detection scoring
+    ``b`` against a reference ``a`` at the same gate."""
+    trajs = run([frame(0, [Detection(a, 1.0)]), frame(1, [Detection(b, 1.0)])],
+                TrackerConfig(iou_threshold=gate))
+    gt = VideoAnnotation("v", 1280, 720, 1, {0: [Instance(0, a.quad, "a")]})
+    pred = VideoAnnotation("v", 1280, 720, 1, {0: [Instance(0, b.quad, "a")]})
+    return len(trajs), evaluate(gt, pred, "detection", iou_thresh=gate).det.tp
+
+
+def test_tracker_links_at_a_gate_of_exactly_the_quad_iou():
+    """For this pair the boxes' ``w * h`` and their quads' kept areas differ
+    in the last bits: an IoU over ``w * h`` reads 0.7825702709457311, a few
+    ulps below the quad IoU that ``evaluate`` scores, so a tracker gating
+    that IoU at the quad IoU would refuse a match ``evaluate`` counts."""
+    a = RotatedBox(50, 50, 10, 4, 0.1)
+    b = RotatedBox(51, 50, 10, 4, 0.1)
+    gate = quad_iou(a.quad, b.quad)
+    assert gate == 0.7825702709457389
+    assert _tracks_and_tp(a, b, gate) == (1, 1)
+    assert _tracks_and_tp(a, b, math.nextafter(gate, 1.0)) == (2, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@example(RotatedBox(50, 50, 10, 4, 0.1), 0.1, 0.0, 1.0, 1.0, 0.0, 0)
+@given(st.builds(RotatedBox, st.floats(-200.0, 200.0), st.floats(-200.0, 200.0),
+                 st.floats(0.5, 60.0), st.floats(0.5, 60.0), st.floats(-math.pi, math.pi)),
+       st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+       st.floats(-0.3, 0.3), st.integers(-1, 1))
+def test_tracker_links_a_pair_iff_evaluate_matches_it(a, fx, fy, sw, sh, turn, ulps):
+    """At a gate on, or an ulp either side of, the pair's IoU, the tracker
+    links ``a`` to ``b`` exactly when ``evaluate`` counts ``b`` a true
+    positive against ``a``."""
+    b = RotatedBox(a.cx + fx * a.w, a.cy + fy * a.h, a.w * sw, a.h * sh, a.angle + turn)
+    gate = quad_iou(a.quad, b.quad)
+    gate = math.nextafter(gate, math.inf if ulps > 0 else 0.0) if ulps else gate
+    assume(0.0 < gate <= 1.0)
+    tracks, tp = _tracks_and_tp(a, b, gate)
+    assert (tracks, tp) in ((1, 1), (2, 0))
