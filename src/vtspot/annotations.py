@@ -98,11 +98,15 @@ class Instance:
 
 
 def _check_extent(video) -> None:
-    """The header checks shared by annotations and detections files."""
+    """The header checks shared by annotations and detections files: the
+    ranges first, so an out-of-range value keeps its message, then
+    ``_check_int``'s type rule."""
     if video.frame_count < 1:
         raise ValueError(f"frame_count must be >= 1, got {video.frame_count}")
     if video.width <= 0 or video.height <= 0:
         raise ValueError(f"width/height must be positive, got {video.width}x{video.height}")
+    for name in ("width", "height", "frame_count"):
+        _check_int(name, getattr(video, name), 1)
 
 
 @dataclass
@@ -121,6 +125,7 @@ class VideoAnnotation:
                 raise OutOfRangeFrameIndex(
                     f"frames.{idx}", f"frame index outside [0, {self.frame_count})"
                 )
+            _check_int("frame index", idx, 0)
             seen: set[int] = set()
             for i, inst in enumerate(instances):
                 if inst.track_id in seen:
@@ -157,8 +162,9 @@ class Detection:
 def _check_int(name: str, value, least: int) -> None:
     """Raise ValueError unless ``value`` is an ``int`` (not a ``bool``) of
     at least ``least``, naming it ``name``: the one rule for frame indices
-    (``FrameDetections``, ``link``) and for counts (``max_age``,
-    ``window``, ``n_objects``, ``n_frames``)."""
+    (``FrameDetections``, ``VideoAnnotation`` keys, ``link``), for video
+    extents (``width``, ``height``, ``frame_count``) and for counts
+    (``max_age``, ``window``, ``n_objects``, ``n_frames``, ``sample``'s k)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an int, got {value!r}")
     if value < least:
@@ -208,6 +214,7 @@ def sample(dense: VideoAnnotation, k: int) -> VideoAnnotation:
     """Keep only frames whose index is a multiple of k."""
     if k < 1:
         raise ValueError(f"sampling frequency must be >= 1, got {k}")
+    _check_int("sampling frequency", k, 1)
     kept = {idx: list(insts) for idx, insts in dense.frames.items() if idx % k == 0}
     return replace(dense, frames=kept)
 

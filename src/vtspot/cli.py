@@ -158,8 +158,6 @@ def cmd_evaluate(args) -> int:
     n_workers = args.jobs if args.jobs is not None else _env_jobs(args.parser)
     if not (0.0 < args.iou_thresh <= 1.0):
         raise ValueError(f"--iou-thresh must be in (0, 1], got {args.iou_thresh}")
-    if not (0.0 <= args.iou_floor < 1.0):
-        raise ValueError(f"--iou-floor must be in [0, 1), got {args.iou_floor}")
     if (args.gt_dir is None) != (args.pred_dir is None):
         args.parser.error("--gt-dir and --pred-dir must be used together")
     if args.gt_dir is not None:
@@ -175,7 +173,7 @@ def cmd_evaluate(args) -> int:
 
     score = functools.partial(
         _eval_pair, task=args.task, iou_thresh=args.iou_thresh,
-        iou_floor=args.iou_floor, case_insensitive=args.case_insensitive)
+        case_insensitive=args.case_insensitive)
     if n_workers > 1 and len(pairs) > 1:
         # the pool starts all its workers at once: no more than the pairs
         with ProcessPoolExecutor(max_workers=min(n_workers, len(pairs))) as pool:
@@ -369,11 +367,8 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--task", choices=("detection", "tracking", "spotting"),
                         default="tracking")
     p_eval.add_argument("--iou-thresh", type=float, default=0.5,
-                        help="match gate for detection and CLEAR numbers, "
-                             "in (0, 1]")
-    p_eval.add_argument("--iou-floor", type=float, default=0.0,
-                        help="minimum IoU (strict) for identity overlap, "
-                             "in [0, 1)")
+                        help="IoU gate of every pass (detection, CLEAR and "
+                             "identity), in (0, 1]")
     p_eval.add_argument("--case-insensitive", action="store_true",
                         help="fold case when comparing transcriptions")
     p_eval.add_argument("--format", choices=("json", "csv"), default="json")

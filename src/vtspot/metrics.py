@@ -18,16 +18,18 @@ punished, once, so that all three families count the same predictions.
 ``evaluate`` computes each frame's predictions and overlaps once, in a
 table that all three families read.  The table is the one place the gates
 apply: it holds the predictions off every region and, of their pairs,
-those at or above ``iou_thresh``, for detection and CLEAR.  For spotting
-it keeps only the pairs whose normalized transcriptions are equal, so
-every family counts a word only when it is read right, as the ICDAR 2015
-"Text in Videos" end-to-end task does.
+those at or above ``iou_thresh``, which detection and CLEAR match and
+identity counts, as TrackEval and py-motmetrics do.  For spotting it
+keeps only the pairs whose normalized transcriptions are equal, so every
+family counts a word only when it is read right, as the ICDAR 2015 "Text
+in Videos" end-to-end task does.
 Every ratio with a zero denominator is reported as 0 and named in the
 report's ``degenerate`` list.
 """
 
 from __future__ import annotations
 
+import functools
 import unicodedata
 from dataclasses import asdict, dataclass, field, fields
 
@@ -210,27 +212,23 @@ def _usable_quad(quad: Quad) -> Quad:
 
 @dataclass(slots=True)
 class _FrameTable:
-    """One frame's predictions, overlaps and gated pairs, computed once and
-    read by every metric pass; no pass gates a pair or drops a prediction
-    itself.
+    """One frame's predictions and gated pairs, computed once and read by
+    every metric pass; no pass gates a pair or drops a prediction itself.
 
     ``preds`` are the frame's predictions off every ignored reference
-    region: detection, CLEAR and identity all count these.  ``ious`` maps
+    region: detection, CLEAR and identity all count these.  ``gated`` maps
     (gt track id, pred track id) to ``quad_iou(gt, pred)`` for the
-    ``near_pairs`` of ``gt`` and ``preds`` whose IoU is not 0; every other
-    pair has IoU 0.  Track ids are unique within a frame, so every pass
-    reads the keys as they are, whatever order the documents list the
-    instances in.  For spotting, ``ious`` holds only the pairs whose
-    normalized transcriptions are equal.  ``gated`` holds the pairs of
-    ``ious`` at or above ``iou_thresh``: detection and CLEAR match these,
-    and identity reads ``ious`` through its own ``iou_floor``.  All gates
-    are positive or strict, so the absent pairs never pass one.
+    ``near_pairs`` of ``gt`` and ``preds`` whose IoU is at or above
+    ``iou_thresh``; for spotting, only those whose normalized
+    transcriptions are equal.  Detection and CLEAR match these pairs and
+    identity counts them.  Track ids are unique within a frame, so every
+    pass reads the keys as they are, whatever order the documents list
+    the instances in.
     """
 
     frame: int
     gt: list[Instance]
     preds: list[Instance]
-    ious: dict[tuple[int, int], float]
     gated: dict[tuple[int, int], float]
 
 
@@ -242,13 +240,15 @@ def _frame_tables(gt: VideoAnnotation, pred: VideoAnnotation, iou_thresh: float,
     region reaches ``IGNORE_GATE``, whatever ``iou_thresh`` is.  A frame
     that lists no region keeps every prediction.
 
-    When ``spotting``, a pair is kept only if its transcriptions are equal
-    after ``normalize_transcription`` (folding case when
-    ``case_insensitive``), a missing reference text reading as "".  Its
-    IoU is worked out first, so an overflowing pair raises whatever its
-    words say, and a kept prediction without a transcription raises
-    MissingTranscription."""
+    When ``spotting``, a kept prediction without a transcription raises
+    MissingTranscription, and a pair that reaches the gate is kept only
+    if its transcriptions are equal after ``normalize_transcription``
+    (folding case when ``case_insensitive``), a missing reference text
+    reading as "".  Its IoU is worked out first, so an overflowing pair
+    raises whatever its words say; each distinct transcription is
+    normalized once per call."""
     _check_same_video(gt, pred)
+    word = functools.cache(lambda text: normalize_transcription(text, case_insensitive))
     tables = []
     for f in sorted(gt.frames.keys() | pred.frames.keys()):
         active, ignored = [], []
@@ -269,17 +269,14 @@ def _frame_tables(gt: VideoAnnotation, pred: VideoAnnotation, iou_thresh: float,
                 if p.transcription is None:
                     raise MissingTranscription(
                         f"prediction track {p.track_id} frame {f} has no transcription")
-            gt_words, pred_words = (
-                [normalize_transcription(inst.transcription or "", case_insensitive)
-                 for inst in side]
-                for side in (active, listed))
-        ious: dict[tuple[int, int], float] = {}
+        gated: dict[tuple[int, int], float] = {}
         for gi, pi in pairs:
+            g, p = active[gi], listed[pi]
             overlap = quad_iou(gt_quads[gi], pred_quads[pi])
-            if overlap and (not spotting or gt_words[gi] == pred_words[pi]):
-                ious[active[gi].track_id, listed[pi].track_id] = overlap
-        gated = {pair: overlap for pair, overlap in ious.items() if overlap >= iou_thresh}
-        tables.append(_FrameTable(f, active, preds, ious, gated))
+            if overlap >= iou_thresh and (
+                    not spotting or word(g.transcription or "") == word(p.transcription)):
+                gated[g.track_id, p.track_id] = overlap
+        tables.append(_FrameTable(f, active, preds, gated))
     return tables
 
 
@@ -354,15 +351,16 @@ def eval_mot(tables: list[_FrameTable]) -> MotCounters:
 
 
 # bench/layers.py times the identity pass by wrapping this name
-def eval_id(tables: list[_FrameTable], iou_floor: float) -> tuple[IdCounters, int, int]:
+def eval_id(tables: list[_FrameTable]) -> tuple[IdCounters, int, int]:
     """Trajectory-level identity counters plus MT and ML.
 
-    Two frame slots agree when the tables pair them with an IoU strictly
-    above ``iou_floor``; for spotting the tables pair only slots whose
-    words agree.  A global assignment between reference and predicted
-    trajectories maximizes the total number of agreeing slots (id_tp);
-    IDP, IDR, IDF1, MT, and ML all follow from it.  Only the tables'
-    ``preds`` count, the predictions that detection and CLEAR count too.
+    Two frame slots agree when their pair is in the table's ``gated``, the
+    pairs detection and CLEAR may match: at or above ``iou_thresh`` and,
+    for spotting, read alike.  A global assignment between reference and
+    predicted trajectories maximizes the total number of agreeing slots
+    (id_tp); IDP, IDR, IDF1, MT, and ML all follow from it.  Only the
+    tables' ``preds`` count, the predictions that detection and CLEAR
+    count too.
     """
     # lifespans (slots per track) and agreeing slots per (gt, pred) track pair
     gt_len: dict[int, int] = {}
@@ -373,9 +371,8 @@ def eval_id(tables: list[_FrameTable], iou_floor: float) -> tuple[IdCounters, in
             gt_len[slot.track_id] = gt_len.get(slot.track_id, 0) + 1
         for slot in table.preds:
             pred_len[slot.track_id] = pred_len.get(slot.track_id, 0) + 1
-        for pair, overlap in table.ious.items():
-            if overlap > iou_floor:
-                agree[pair] = agree.get(pair, 0) + 1
+        for pair in table.gated:
+            agree[pair] = agree.get(pair, 0) + 1
 
     assigned = dict(gated_assign(agree))
     id_tp = sum(agree[pair] for pair in assigned.items())
@@ -407,7 +404,6 @@ def evaluate(
     task: str = "tracking",
     *,
     iou_thresh: float = 0.5,
-    iou_floor: float = 0.0,
     case_insensitive: bool = False,
 ) -> MetricsReport:
     """One-call evaluation producing a full report for the given task.
@@ -416,20 +412,19 @@ def evaluate(
     CLEAR (MOTA, MOTP) and identity metrics on geometry alone.  spotting:
     the tracking numbers counted over the pairs whose transcriptions
     agree after normalization, so a box read wrong is both a miss and a
-    false positive.
+    false positive.  ``iou_thresh`` gates every pass: a pair below it is
+    neither matched nor counted as an identity agreement.
     """
     if task not in ("detection", "tracking", "spotting"):
         raise ValueError(f"unknown task {task!r}")
     if not (0.0 < iou_thresh <= 1.0):
         raise ValueError(f"iou_thresh must be in (0,1], got {iou_thresh}")
-    if not (0.0 <= iou_floor < 1.0):
-        raise ValueError(f"iou_floor must be in [0,1), got {iou_floor}")
     tables = _frame_tables(gt, pred, iou_thresh, task == "spotting", case_insensitive)
     det = _detection_counts(tables)
     mot, ids, mt, ml = MotCounters(), IdCounters(), 0, 0
     if task != "detection":
         mot = eval_mot(tables)
-        ids, mt, ml = eval_id(tables, iou_floor)
+        ids, mt, ml = eval_id(tables)
     return MetricsReport(task, mt=mt, ml=ml, det=det, mot=mot, ids=ids,
                          video_id=gt.video_id, scenario=gt.scenario)
 

@@ -668,7 +668,9 @@ def _identity_tracks(ann, ignored_by_frame=None):
     return tracks
 
 
-def _identity_pass(gt, pred, spotting, iou_floor, case_insensitive):
+def _identity_pass(gt, pred, iou_thresh, spotting, case_insensitive):
+    """Two slots agree when detection and CLEAR may match them: their IoU
+    reaches the gate and, in spotting, their words agree."""
     ignored_by_frame = {
         f: [_usable_quad(i.quad) for i in instances if i.ignore]
         for f, instances in gt.frames.items()
@@ -678,7 +680,7 @@ def _identity_pass(gt, pred, spotting, iou_floor, case_insensitive):
     g_ids, p_ids = sorted(gt_tracks), sorted(pred_tracks)
 
     def overlap(g_frames, p_frames):
-        return sum(_pair_iou(g_frames[f], p_frames[f], spotting, case_insensitive) > iou_floor
+        return sum(_pair_iou(g_frames[f], p_frames[f], spotting, case_insensitive) >= iou_thresh
                    for f in g_frames.keys() & p_frames.keys())
 
     overlaps = [[overlap(gt_tracks[g], pred_tracks[p]) for p in p_ids] for g in g_ids]
@@ -700,8 +702,7 @@ def _identity_pass(gt, pred, spotting, iou_floor, case_insensitive):
     return mt, ml, counters
 
 
-def three_pass_report(gt, pred, task, *, iou_thresh=0.5, iou_floor=0.0,
-                      case_insensitive=False):
+def three_pass_report(gt, pred, task, *, iou_thresh=0.5, case_insensitive=False):
     """``evaluate(...).to_dict()`` computed by three independent passes,
     each clipping every gt x pred pair it looks at."""
     spotting = task == "spotting"
@@ -709,7 +710,7 @@ def three_pass_report(gt, pred, task, *, iou_thresh=0.5, iou_floor=0.0,
     mot, ids, mt, ml = MotCounters(), IdCounters(), 0, 0
     if task != "detection":
         mot = _clear_pass(gt, pred, iou_thresh, spotting, case_insensitive)
-        mt, ml, ids = _identity_pass(gt, pred, spotting, iou_floor, case_insensitive)
+        mt, ml, ids = _identity_pass(gt, pred, iou_thresh, spotting, case_insensitive)
     return MetricsReport(task, mt=mt, ml=ml, det=det, mot=mot, ids=ids,
                          video_id=gt.video_id, scenario=gt.scenario).to_dict()
 

@@ -147,9 +147,25 @@ def test_sample_rejects_bad_k():
         sample(make_linear_video(), 0)
 
 
+@pytest.mark.parametrize("k", [1.5, True])
+def test_sample_k_must_be_an_int(k):
+    """k = 1.5 kept frames 0 and 3, and True acted as k = 1."""
+    with pytest.raises(ValueError, match=f"sampling frequency must be an int, got {k!r}"):
+        sample(make_linear_video(), k)
+
+
 # ---------------------------------------------------------------------------
 # interpolation
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("frame_count", [4.5, True])
+def test_interpolate_frame_count_must_be_an_int(frame_count):
+    """4.5 was kept as the frame count, and True raised OutOfRangeFrameIndex
+    for the sampled frame 3."""
+    sampled = sample(make_linear_video(4), 3)
+    with pytest.raises(ValueError, match=f"frame_count must be an int, got {frame_count!r}"):
+        interpolate(sampled, frame_count)
 
 
 def test_interpolate_constant_quad():
@@ -634,6 +650,25 @@ def test_detections_file_checks_its_header_like_an_annotation(frame_count, width
     with pytest.raises(ValueError, match=message):
         VideoAnnotation(video_id="v", width=width, height=240,
                         frame_count=frame_count, frames={})
+
+
+@pytest.mark.parametrize("field, value", [("frame_count", 2.5), ("width", 2.5),
+                                          ("height", True)])
+def test_video_extents_must_be_ints(field, value):
+    """Both models took a fractional or boolean extent."""
+    header = dict(video_id="v", width=320, height=240, frame_count=3)
+    header[field] = value
+    message = f"{field} must be an int, got {value!r}"
+    with pytest.raises(ValueError, match=message):
+        VideoAnnotation(**header, frames={})
+    with pytest.raises(ValueError, match=message):
+        DetectionsFile(**header, frames=[])
+
+
+def test_video_frame_keys_must_be_ints():
+    """The key 1.0 was taken as frame 1."""
+    with pytest.raises(ValueError, match="frame index must be an int, got 1.0"):
+        small_video({1.0: []}, frame_count=3)
 
 
 # ---------------------------------------------------------------------------

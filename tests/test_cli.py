@@ -996,9 +996,6 @@ def test_python_dash_m_version():
     ("--iou-thresh", "-0.5"),
     ("--iou-thresh", "1.5"),
     ("--iou-thresh", "nan"),
-    ("--iou-floor", "-0.1"),
-    ("--iou-floor", "1"),
-    ("--iou-floor", "nan"),
 ])
 def test_evaluate_gate_out_of_range_exits_one(tmp_path, capsys, flag, value):
     gt, _ = make_synth(tmp_path)
@@ -1009,12 +1006,19 @@ def test_evaluate_gate_out_of_range_exits_one(tmp_path, capsys, flag, value):
                    str(gt)) == 1
 
 
-@pytest.mark.parametrize("flag,value", [("--iou-thresh", "1"),
-                                        ("--iou-floor", "0")])
-def test_evaluate_gate_range_ends_accepted(tmp_path, capsys, flag, value):
+def test_evaluate_gate_range_ends_accepted(tmp_path, capsys):
     gt, _ = make_synth(tmp_path)
-    assert run_cli("evaluate", flag, value, str(gt), str(gt)) == 0
+    assert run_cli("evaluate", "--iou-thresh", "1", str(gt), str(gt)) == 0
     assert json.loads(capsys.readouterr().out)["mota"] == 1.0
+
+
+def test_evaluate_has_no_identity_floor(capsys):
+    """``--iou-thresh`` gates identity too; a second identity gate is a
+    usage error."""
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("evaluate", "--iou-floor", "0.2", "g.json", "p.json")
+    assert exc_info.value.code == 1
+    assert "unrecognized arguments: --iou-floor" in capsys.readouterr().err
 
 
 def test_evaluate_corpus_bad_file_with_jobs_exits_two(tmp_path, capsys):

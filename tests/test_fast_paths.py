@@ -989,17 +989,16 @@ def _misread_video() -> tuple[VideoAnnotation, VideoAnnotation]:
 
 
 @settings(max_examples=60, deadline=None)
-@example(_misread_video(), "spotting", 0.5, 0.0, False)
-@example(_misread_video(), "spotting", 0.5, 0.0, True)
-@example(_tied_frame(), "detection", 0.5, 0.0, False)
-@example(_cross_tied_video(), "tracking", 0.5, 0.0, False)
-@example(_cross_tied_video(), "spotting", 0.5, 0.0, False)
+@example(_misread_video(), "spotting", 0.5, False)
+@example(_misread_video(), "spotting", 0.5, True)
+@example(_tied_frame(), "detection", 0.5, False)
+@example(_cross_tied_video(), "tracking", 0.5, False)
+@example(_cross_tied_video(), "spotting", 0.5, False)
 @given(videos(), st.sampled_from(("detection", "tracking", "spotting")),
-       st.sampled_from((0.05, 0.3, 0.5, 0.7, 1.0)),
-       st.sampled_from((0.0, 0.2, 0.6)), st.booleans())
-def test_evaluate_equals_three_pass_oracle(video, task, iou_thresh, iou_floor, fold):
+       st.sampled_from((0.05, 0.3, 0.5, 0.7, 1.0)), st.booleans())
+def test_evaluate_equals_three_pass_oracle(video, task, iou_thresh, fold):
     gt, pred = video
-    kwargs = dict(iou_thresh=iou_thresh, iou_floor=iou_floor, case_insensitive=fold)
+    kwargs = dict(iou_thresh=iou_thresh, case_insensitive=fold)
     assert evaluate(gt, pred, task, **kwargs).to_dict() == three_pass_report(
         gt, pred, task, **kwargs)
 
@@ -1294,11 +1293,11 @@ def _correspondence_across_a_gap() -> tuple[VideoAnnotation, VideoAnnotation]:
 
 
 @settings(max_examples=80, deadline=None)
-@example(_correspondence_across_a_gap(), "tracking", 0.5, 0.0)
+@example(_correspondence_across_a_gap(), "tracking", 0.5)
 @given(sparse_videos(), st.sampled_from(("detection", "tracking", "spotting")),
-       st.sampled_from((0.3, 0.5, 1.0)), st.sampled_from((0.0, 0.6)))
-def test_evaluate_on_sparse_documents_equals_them_padded(video, task, iou_thresh, iou_floor):
+       st.sampled_from((0.3, 0.5, 1.0)))
+def test_evaluate_on_sparse_documents_equals_them_padded(video, task, iou_thresh):
     gt, pred = video
-    kwargs = dict(iou_thresh=iou_thresh, iou_floor=iou_floor)
+    kwargs = dict(iou_thresh=iou_thresh)
     assert _report(gt, pred, task, **kwargs) == _report(
         _filled(gt), _filled(pred), task, **kwargs)

@@ -160,7 +160,7 @@ FIXTURES = {
 TOKENS = (
     "evaluate", "track", "interpolate", "sample", "loss", "synth",
     "--task", "detection", "tracking", "spotting", "--iou-thresh",
-    "--iou-floor", "--case-insensitive", "--format", "json", "csv",
+    "--case-insensitive", "--format", "json", "csv",
     "--gt-dir", "--pred-dir", "--method", "transformer-assoc", "linker",
     "--max-age", "--min-score", "--window", "--max-norm-edit", "--frames",
     "--k", "--weights", "--objects", "--motion", "static", "rotate",

@@ -382,7 +382,9 @@ def test_every_pass_counts_the_same_predictions(docs, iou_thresh):
 def identity_fixture():
     """Two reference tracks, three predicted, hand-computable overlaps
     {(g1,p1)=5, (g1,p2)=3, (g2,p2)=4, (g2,p3)=4} with lifespans
-    g1=6, g2=5, p1=5, p2=6, p3=4."""
+    g1=6, g2=5, p1=5, p2=6, p3=4.  One frame of (g1,p2) and one of
+    (g2,p2) are at IoU 1/3, so at the default gate 0.5 those two pairs
+    agree on 2 and 3 frames."""
     far = 100.0
     gt_frames = {f: [] for f in range(6)}
     for f in range(6):
@@ -415,8 +417,8 @@ def test_identity_fixture_matches_exhaustive_enumeration():
     gt, pred = identity_fixture()
     counters = evaluate(gt, pred, "tracking").ids
     overlaps = [
-        [5, 3, 0],
-        [0, 4, 4],
+        [5, 2, 0],
+        [0, 3, 4],
     ]
     assert best_overlap_total(overlaps) == counters.id_tp == 9
 
@@ -439,13 +441,16 @@ def test_id_relabeling_invariance():
     assert a.mota == b.mota
 
 
-def test_id_iou_floor_monotonicity():
-    gt, pred = identity_fixture()
-    tps = []
-    for floor in (0.0, 0.1, 0.3, 0.5, 0.9):
-        counters = evaluate(gt, pred, "tracking", iou_floor=floor).ids
-        tps.append(counters.id_tp)
-    assert tps == sorted(tps, reverse=True)
+@pytest.mark.parametrize("task", ["tracking", "spotting"])
+def test_identity_does_not_agree_below_the_gate(task):
+    # a 10×10 reference square predicted 5 units to the side, IoU 1/3, in
+    # each of 10 frames
+    gt = ann({f: [inst(1, 0.0, w=10.0, h=10.0)] for f in range(10)}, 10)
+    pred = ann({f: [inst(1, 5.0, w=10.0, h=10.0)] for f in range(10)}, 10)
+    r = evaluate(gt, pred, task)
+    assert (r.precision, r.mota) == (0.0, -1.0)
+    assert (r.idf1, r.mt, r.ml) == (0.0, 0, 1)
+    assert r.ids == IdCounters(id_tp=0, id_fp=10, id_fn=10, gt_tracks=1)
 
 
 def test_id_edge_touching_boxes_do_not_overlap():
@@ -575,11 +580,11 @@ _ONE_WORD = ("caf\u00e9", "cafe\u0301", " CAF\u00c9", "Caf\u00e9\n")
 
 @settings(max_examples=150, deadline=None)
 @example((ann({0: [inst(1, 0.0, text=" CAF\u00c9")]}, 1),
-          ann({0: [inst(1, 0.0, text="caf\u00e9")]}, 1)), 0.5, 0.0)
-@given(worded_videos(_ONE_WORD), st.sampled_from(_GATES), st.sampled_from((0.0, 0.2, 0.6)))
-def test_spotting_equals_tracking_when_every_word_agrees(docs, iou_thresh, iou_floor):
+          ann({0: [inst(1, 0.0, text="caf\u00e9")]}, 1)), 0.5)
+@given(worded_videos(_ONE_WORD), st.sampled_from(_GATES))
+def test_spotting_equals_tracking_when_every_word_agrees(docs, iou_thresh):
     gt, pred = docs
-    kwargs = dict(iou_thresh=iou_thresh, iou_floor=iou_floor)
+    kwargs = dict(iou_thresh=iou_thresh)
     tracking = evaluate(gt, pred, "tracking", **kwargs)
     folded = evaluate(gt, pred, "spotting", case_insensitive=True, **kwargs)
     assert (folded.det, folded.mot, folded.ids) == (tracking.det, tracking.mot, tracking.ids)
@@ -589,15 +594,54 @@ def test_spotting_equals_tracking_when_every_word_agrees(docs, iou_thresh, iou_f
 
 
 @settings(max_examples=150, deadline=None)
-@example(_MISREAD_PAIR, 0.3, 0.0)
-@given(worded_videos(("cat", "cot", " cat")), st.sampled_from(_GATES),
-       st.sampled_from((0.0, 0.2, 0.6)))
-def test_spotting_idf1_never_exceeds_tracking_idf1(docs, iou_thresh, iou_floor):
+@example(_MISREAD_PAIR, 0.3)
+@given(worded_videos(("cat", "cot", " cat")), st.sampled_from(_GATES))
+def test_spotting_idf1_never_exceeds_tracking_idf1(docs, iou_thresh):
     gt, pred = docs
-    kwargs = dict(iou_thresh=iou_thresh, iou_floor=iou_floor)
+    kwargs = dict(iou_thresh=iou_thresh)
     spotting = evaluate(gt, pred, "spotting", **kwargs)
     assert spotting.idf1 <= evaluate(gt, pred, "tracking", **kwargs).idf1
     assert spotting.to_dict() == three_pass_report(gt, pred, "spotting", **kwargs)
+
+
+# every document strategy above: one frame with ignored references, and
+# several frames of recurring tracks that read alike or not
+_DOCUMENTS = st.one_of(one_frame_squares(), worded_videos(("cat", "cot", " cat")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DOCUMENTS, st.sampled_from(("tracking", "spotting")))
+def test_id_tp_is_monotone_in_iou_thresh(docs, task):
+    # a higher gate keeps a subset of the agreeing slots, so the best
+    # assignment can only agree on fewer
+    gt, pred = docs
+    tps = [evaluate(gt, pred, task, iou_thresh=gate).ids.id_tp for gate in _GATES]
+    assert tps == sorted(tps, reverse=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS, st.sampled_from(("tracking", "spotting")), st.sampled_from(_GATES))
+def test_no_identity_agreement_without_a_detection_match(docs, task, iou_thresh):
+    """Identity counts only the pairs detection may match, so a video that
+    detection matches nowhere has no identity true positive."""
+    gt, pred = docs
+    r = evaluate(gt, pred, task, iou_thresh=iou_thresh)
+    if r.det.tp == 0:
+        assert r.ids.id_tp == 0
+
+
+def test_spotting_normalizes_each_distinct_transcription_once(monkeypatch):
+    seen = []
+
+    def counting(text, case_insensitive=False):
+        seen.append(text)
+        return normalize_transcription(text, case_insensitive)
+
+    monkeypatch.setattr(metrics_mod, "normalize_transcription", counting)
+    gt, pred = moving_annotation(), relabeled(moving_annotation(), 1000)
+    r = evaluate(gt, pred, "spotting")
+    assert r.mota == 1.0
+    assert sorted(seen) == ["w0", "w1", "w2"]
 
 
 def test_spotting_missing_transcription_raises():
@@ -815,7 +859,6 @@ def test_evaluate_rejects_unknown_task():
 
 @pytest.mark.parametrize("kwargs", [
     {"iou_thresh": 0.0}, {"iou_thresh": -0.2}, {"iou_thresh": 1.01},
-    {"iou_floor": -0.01}, {"iou_floor": 1.0},
 ])
 def test_gates_outside_their_range_are_rejected(kwargs):
     gt = moving_annotation()
