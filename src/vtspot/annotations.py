@@ -17,9 +17,14 @@ empty; ``points`` lists the quad's four corners.
 A transcription of "###" marks an ignore region. Detection documents use the
 same shape with "score" (and optionally "track_box") per entry and no "id".
 Both formats share one frame walk (``_read_frames``) and one writer
-(``_write_document``); each supplies only how one entry is read and
-written. The writer lists every frame the model lists, empty ones too, so
-a save then a load gives the model back.
+(``_write_document``); each supplies only how one entry is read and how
+it is formatted.  A formatter (``_instance_text``, ``_detection_text``)
+makes an entry's JSON text straight from its model, the bytes the json
+module would write for the entry's dict, and the writer sends out the
+header and then one frame at a time.  It lists every frame the model
+lists, empty ones too, and the models refuse what the loaders refuse, so
+a save then a load gives the model back.  Reports (``evaluate``,
+``loss``) go through the generic ``_dump_json``.
 Files whose name ends in ".gz" are read and written gzip-compressed.
 
 A text object in one frame is an ``Instance``, in an annotation and in a
@@ -128,11 +133,16 @@ class VideoAnnotation:
             _check_int("frame index", idx, 0)
             seen: set[int] = set()
             for i, inst in enumerate(instances):
-                if inst.track_id in seen:
+                track_id = inst.track_id
+                # the loaders' rule, so that a saved model loads back
+                if isinstance(track_id, bool) or not isinstance(track_id, int):
+                    raise ValueError(f"frames.{idx}[{i}]: track id must be an int, "
+                                     f"got {track_id!r}")
+                if track_id in seen:
                     raise DuplicateTrackIdInFrame(
-                        f"frames.{idx}[{i}]", f"track id {inst.track_id} repeated in frame {idx}"
+                        f"frames.{idx}[{i}]", f"track id {track_id} repeated in frame {idx}"
                     )
-                seen.add(inst.track_id)
+                seen.add(track_id)
 
 
 @dataclass
@@ -155,6 +165,9 @@ class Detection:
     track_box: RotatedBox | None = None
 
     def __post_init__(self):
+        # the loaders' rule, so that a saved detection loads back
+        if isinstance(self.score, bool):
+            raise ValueError(f"score must be a number, got {self.score!r}")
         if not (0.0 <= self.score <= 1.0):
             raise ValueError(f"score must be in [0,1], got {self.score}")
 
@@ -583,30 +596,94 @@ def load_detections(source) -> DetectionsFile:
     )
 
 
-def _write_instance(inst: Instance) -> dict:
-    return {
-        "id": inst.track_id,
-        "points": inst.quad.as_flat(),
-        "transcription": inst.transcription,
-        "category": inst.category.value,
-    }
-
-
-def _write_detection(det: Detection) -> dict:
-    entry: dict = {"points": det.box.quad.as_flat(), "score": det.score}
-    if det.transcription is not None:
-        entry["transcription"] = det.transcription
-    if det.track_box is not None:
-        entry["track_box"] = det.track_box.quad.as_flat()
-    return entry
-
-
 # ---------------------------------------------------------------------------
-# the JSON emitter: the json module's indent=1 bytes, written faster
+# the writers: the json module's indent=1 bytes, written faster
 # ---------------------------------------------------------------------------
 
 _quote = json.encoder.encode_basestring  # the C codec when CPython has it
-_FLOAT = frozenset((float,))
+
+# An entry sits at depth 3 of a document (the document, its "frames", a
+# frame's list), so its fields are indented four spaces and its corners five.
+_CORNER_BREAK = ",\n     "
+
+
+def _corners_text(quad: Quad) -> str:
+    """A quad's corners as json writes the list: each corner is a finite
+    float, written as its repr."""
+    return "[\n     " + _CORNER_BREAK.join(map(float.__repr__, quad.as_flat())) + "\n    ]"
+
+
+def _instance_text(inst: Instance) -> str:
+    """An annotation entry's text, as json writes its dict at depth 3."""
+    transcription = inst.transcription
+    return ('{\n    "id": %s,\n    "points": %s,\n    "transcription": %s,\n    "category": %s\n   }'
+            % (int.__repr__(inst.track_id), _corners_text(inst.quad),
+               "null" if transcription is None else _quote(transcription),
+               _quote(inst.category.value)))
+
+
+def _detection_text(det: Detection) -> str:
+    """A detection entry's text, as json writes its dict at depth 3: the
+    transcription and the track box only when set."""
+    score = det.score
+    text = ('{\n    "points": ' + _corners_text(det.box.quad) + ',\n    "score": '
+            + (float.__repr__(score) if isinstance(score, float) else int.__repr__(score)))
+    if det.transcription is not None:
+        text += ',\n    "transcription": ' + _quote(det.transcription)
+    if det.track_box is not None:
+        text += ',\n    "track_box": ' + _corners_text(det.track_box.quad)
+    return text + "\n   }"
+
+
+def _write_document(video, frames, entry_text, target, scenario=None) -> None:
+    """The one writer for both formats: the header of ``video``,
+    ``scenario`` when set, then every (index, entries) pair of ``frames``,
+    empty ones too, each entry as ``entry_text`` gives it.  The header is
+    one write and each frame one more, so a document is never held whole
+    as text."""
+    header = ('{\n "video_id": %s,\n "width": %s,\n "height": %s,\n "frame_count": %s,\n'
+              % (_quote(video.video_id), int.__repr__(video.width),
+                 int.__repr__(video.height), int.__repr__(video.frame_count)))
+    if scenario is not None:
+        header += ' "scenario": ' + _quote(scenario) + ",\n"
+    with _open(target, "w") as fh:
+        fh.write(header + ' "frames": {')
+        opening = "\n  "
+        for idx, entries in frames:
+            listed = ("[\n   " + ",\n   ".join(map(entry_text, entries)) + "\n  ]"
+                      if entries else "[]")
+            fh.write(opening + '"' + int.__repr__(idx) + '": ' + listed)
+            opening = ",\n  "
+        fh.write("}\n}\n" if opening == "\n  " else "\n }\n}\n")
+
+
+def save_annotation(ann: VideoAnnotation, target) -> None:
+    """Write an annotation document; canonical key order, UTF-8."""
+    _write_document(ann, sorted(ann.frames.items()), _instance_text, target, ann.scenario)
+
+
+def save_trajectories(
+    trajectories: list[Trajectory],
+    video_id: str,
+    width: int,
+    height: int,
+    frame_count: int,
+    target,
+) -> None:
+    """Write trajectories as an annotation-shaped document (prediction flavor)."""
+    ann = trajectories_to_annotation(trajectories, video_id, width, height, frame_count)
+    save_annotation(ann, target)
+
+
+def save_detections(dets: DetectionsFile, target) -> None:
+    """Write a detections document, every listed frame included."""
+    frames = ((fd.frame_index, fd.detections) for fd in dets.frames)
+    _write_document(dets, frames, _detection_text, target)
+
+
+# ---------------------------------------------------------------------------
+# reports: the json module's indent=1 bytes for any JSON value
+# ---------------------------------------------------------------------------
 
 
 def _key_text(key) -> str:
@@ -616,12 +693,11 @@ def _key_text(key) -> str:
     raise TypeError(f"keys must be str, not {type(key).__name__}")
 
 
-def _encode(value, indent: str, default) -> str:
+def _encode(value, indent: str) -> str:
     """``value`` as json writes it with ``ensure_ascii=False, indent=1`` at
     the depth whose line break and indent are ``indent``, testing types in
-    json's order.  A value of no JSON type is written as ``default(value)``
-    is, as json's ``default``; without one it raises TypeError, as does a
-    dict key that is not a string."""
+    json's order.  A value of no JSON type raises TypeError, as json does,
+    and so does a dict key that is not a string."""
     if isinstance(value, str):
         return _quote(value)
     if value is None:
@@ -642,85 +718,22 @@ def _encode(value, indent: str, default) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if _FLOAT.issuperset(map(type, value)) and math.isfinite(sum(value)):
-            # a corner tuple: finite floats all, each written as its repr
-            items = map(float.__repr__, value)
-        else:
-            items = [_encode(v, inner, default) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
+        return ("[" + inner + ("," + inner).join([_encode(v, inner) for v in value])
+                + indent + "]")
     if isinstance(value, dict):
         if not value:
             return "{}"
         return ("{" + inner
-                + ("," + inner).join([_key_text(k) + ": " + _encode(v, inner, default)
+                + ("," + inner).join([_key_text(k) + ": " + _encode(v, inner)
                                       for k, v in value.items()])
                 + indent + "}")
-    if default is None:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return _encode(default(value), indent, default)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _write_json(value, fh, default=None, indent: str = "\n", depth: int = 2) -> None:
-    """Write ``value`` to the text stream ``fh`` byte for byte as the json
-    module's ``dump(value, fh, ensure_ascii=False, indent=1,
-    default=default)`` does, without its pure-Python encoder.  The outer
-    ``depth`` levels of dicts (a document and its ``frames``) are written
-    a member at a time, so a document is never held whole as text."""
-    if depth and isinstance(value, dict) and value:
-        inner = indent + " "
-        opening = "{"
-        for k, v in value.items():
-            fh.write(opening + inner + _key_text(k) + ": ")
-            _write_json(v, fh, default, inner, depth - 1)
-            opening = ","
-        fh.write(indent + "}")
-    else:
-        fh.write(_encode(value, indent, default))
-
-
-def _dump_json(payload, target, default=None) -> None:
-    """Write ``payload`` and a line break to ``target``, a path or a text
-    stream: one-space indent, non-ASCII as UTF-8, ``default`` as json's."""
+def _dump_json(payload, target) -> None:
+    """Write a report, ``payload``, and a line break to ``target``, a path
+    or a text stream, byte for byte as the json module's ``dump(payload,
+    fh, ensure_ascii=False, indent=1)`` does, without its pure-Python
+    encoder."""
     with _open(target, "w") as fh:
-        _write_json(payload, fh, default)
-        fh.write("\n")
-
-
-def _write_document(video, frames, write_entry, target, scenario=None) -> None:
-    """The one writer for both formats: the header of ``video``,
-    ``scenario`` when set, then every (index, entries) pair of ``frames``,
-    empty ones too, each entry through ``write_entry`` as it is written."""
-    payload: dict = {
-        "video_id": video.video_id,
-        "width": video.width,
-        "height": video.height,
-        "frame_count": video.frame_count,
-    }
-    if scenario is not None:
-        payload["scenario"] = scenario
-    payload["frames"] = {str(idx): entries for idx, entries in frames}
-    _dump_json(payload, target, write_entry)
-
-
-def save_annotation(ann: VideoAnnotation, target) -> None:
-    """Write an annotation document; canonical key order, UTF-8."""
-    _write_document(ann, sorted(ann.frames.items()), _write_instance, target, ann.scenario)
-
-
-def save_trajectories(
-    trajectories: list[Trajectory],
-    video_id: str,
-    width: int,
-    height: int,
-    frame_count: int,
-    target,
-) -> None:
-    """Write trajectories as an annotation-shaped document (prediction flavor)."""
-    ann = trajectories_to_annotation(trajectories, video_id, width, height, frame_count)
-    save_annotation(ann, target)
-
-
-def save_detections(dets: DetectionsFile, target) -> None:
-    """Write a detections document, every listed frame included."""
-    frames = ((fd.frame_index, fd.detections) for fd in dets.frames)
-    _write_document(dets, frames, _write_detection, target)
+        fh.write(_encode(payload, "\n") + "\n")

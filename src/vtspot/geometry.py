@@ -118,11 +118,6 @@ def _quad_signed_area(xy: tuple[float, ...]) -> float:
                   + (x2 * y3 - x3 * y2) + (x3 * y0 - x0 * y3))
 
 
-def _orient(ax, ay, bx, by, cx, cy) -> float:
-    """Twice the signed area of triangle abc (left of a->b is positive)."""
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
 def _ccw(xy: tuple[float, ...]) -> tuple[tuple[float, ...], float]:
     """A flat quad in counter-clockwise order and its area, the shoelace
     sum of the corners returned.  Raises SelfIntersectingQuad for a
@@ -131,7 +126,7 @@ def _ccw(xy: tuple[float, ...]) -> tuple[tuple[float, ...], float]:
     # A four-gon self-intersects iff a pair of opposite edges crosses: edges
     # ab and cd properly cross (a shared endpoint does not count) when c and
     # d lie strictly on opposite sides of ab, and a and b of cd.  Each side
-    # is the sign of _orient, written out here.
+    # is the sign of an orientation product, (b - a) x (p - a), written out.
     ex, ey = x1 - x0, y1 - y0
     fx, fy = x3 - x2, y3 - y2
     if ((ex * (y2 - y0) - ey * (x2 - x0)) * (ex * (y3 - y0) - ey * (x3 - x0)) < 0.0
@@ -185,31 +180,61 @@ class Quad:
         return self._area
 
     def is_convex(self) -> bool:
+        """No corner turns right: each corner triple's orientation, ``(b -
+        a) x (c - a)``, is not negative.  Taken on first use in one pass
+        over the corners, which also keeps a convex quad's ``_extents``."""
         convex = self._convex
         if convex is None:
             x0, y0, x1, y1, x2, y2, x3, y3 = self._xy
-            convex = not (_orient(x0, y0, x1, y1, x2, y2) < 0.0
-                          or _orient(x1, y1, x2, y2, x3, y3) < 0.0
-                          or _orient(x2, y2, x3, y3, x0, y0) < 0.0
-                          or _orient(x3, y3, x0, y0, x1, y1) < 0.0)
+            convex = not ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) < 0.0
+                          or (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1) < 0.0
+                          or (x3 - x2) * (y0 - y2) - (y3 - y2) * (x0 - x2) < 0.0
+                          or (x0 - x3) * (y1 - y3) - (y0 - y3) * (x1 - x3) < 0.0)
+            if convex:
+                # min and max of each axis, each keeping the first of equal
+                # values as min() and max() do; the minimum never passes
+                # the maximum, so one if/elif per corner
+                lo_x = hi_x = x0
+                if x1 < lo_x:
+                    lo_x = x1
+                elif x1 > hi_x:
+                    hi_x = x1
+                if x2 < lo_x:
+                    lo_x = x2
+                elif x2 > hi_x:
+                    hi_x = x2
+                if x3 < lo_x:
+                    lo_x = x3
+                elif x3 > hi_x:
+                    hi_x = x3
+                lo_y = hi_y = y0
+                if y1 < lo_y:
+                    lo_y = y1
+                elif y1 > hi_y:
+                    hi_y = y1
+                if y2 < lo_y:
+                    lo_y = y2
+                elif y2 > hi_y:
+                    hi_y = y2
+                if y3 < lo_y:
+                    lo_y = y3
+                elif y3 > hi_y:
+                    hi_y = y3
+                pad = _BROAD_SLACK * max(abs(lo_x), abs(hi_x), abs(lo_y), abs(hi_y))
+                object.__setattr__(self, "_extents", (lo_x, lo_y, hi_x, hi_y, pad))
             object.__setattr__(self, "_convex", convex)
         return convex
 
     def _convex_extents(self) -> tuple[float, float, float, float, float]:
-        """The cached ``_extents`` of a convex quad; raises NonConvexInput
-        for a non-convex one, since overlap math cannot use it."""
+        """The ``_extents`` of a convex quad, kept by ``is_convex``; raises
+        NonConvexInput for a non-convex one, since overlap math cannot
+        use it."""
         extents = self._extents
         if extents is None:
             if not self.is_convex():
                 raise NonConvexInput(
                     f"polygon clipping needs convex input, got {self._xy}")
-            xy = self._xy
-            xs = xy[0::2]
-            ys = xy[1::2]
-            lo_x, lo_y, hi_x, hi_y = min(xs), min(ys), max(xs), max(ys)
-            pad = _BROAD_SLACK * max(abs(lo_x), abs(hi_x), abs(lo_y), abs(hi_y))
-            extents = (lo_x, lo_y, hi_x, hi_y, pad)
-            object.__setattr__(self, "_extents", extents)
+            extents = self._extents
         return extents
 
     def as_flat(self) -> tuple[float, ...]:

@@ -121,7 +121,8 @@ def _cost_row(a: RotatedBox, flat: list[tuple], w: CostWeights) -> tuple[list[fl
     scored in closed form, ``0.0 - (hull - union) / hull`` when the hull
     exceeds the union and 0 otherwise, the floats ``giou`` returns for it;
     only the other pairs call ``giou``.  Areas that overflowed make a nan
-    GIoU and so a nan cost, which ``hungarian`` refuses."""
+    GIoU and so a nan cost; ``match_sets`` and ``pair_cost`` then raise
+    the ValueError ``giou`` raises for that pair."""
     lo_x, lo_y, hi_x, hi_y, pad = rotated_to_quad(a)._convex_extents()
     p_lo_x, p_lo_y, p_hi_x, p_hi_y = lo_x - pad, lo_y - pad, hi_x + pad, hi_y + pad
     a_cx, a_cy, a_w, a_h, a_angle = a.cx, a.cy, a.w, a.h, a.angle
@@ -155,7 +156,10 @@ def pair_cost(gt: GroundTruthInstance, pred: PredictedInstance, w: CostWeights) 
     are therefore never unrolled."""
     if not gt.is_object:
         return 0.0
-    return _cost_row(gt.box, _flat_preds(gt.box, (pred,), w), w)[0][0]
+    costs, scores = _cost_row(gt.box, _flat_preds(gt.box, (pred,), w), w)
+    if costs[0] != costs[0]:
+        _refuse_overflowed_pair((gt,), (pred,), (scores,))
+    return costs[0]
 
 
 def hungarian(cost) -> Assignment:
@@ -358,11 +362,28 @@ def match_sets(gts, preds, w: CostWeights = CostWeights()) -> Assignment:
         else:
             rows.append(zeros)
             scores.append(None)
-    assignment = hungarian(rows)
+    try:
+        assignment = hungarian(rows)
+    except NonFiniteCost:
+        _refuse_overflowed_pair(gts, preds, scores)
+        raise
     object.__setattr__(assignment, "_scored", tuple(
         None if scores[gi] is None else (gts[gi].box, preds[pi].box, scores[gi][pi])
         for gi, pi in assignment.pairs))
     return assignment
+
+
+def _refuse_overflowed_pair(gts, preds, scores) -> None:
+    """Raise ``giou``'s own ValueError for the first pair, in row-major
+    order, whose GIoU in ``scores`` (``_cost_row``'s, or None for a padding
+    row) is nan: an apart pair whose areas overflowed, which the closed
+    form scores as nan where ``giou`` refuses it.  Called only once a cost
+    matrix has been refused, so finite rows pay nothing for it."""
+    for gt, row_scores in zip(gts, scores):
+        if row_scores is not None:
+            for pred, g in zip(preds, row_scores):
+                if g != g:
+                    giou(gt.box, pred.box)
 
 
 def _clamp_prob(p: float) -> float:

@@ -27,6 +27,7 @@ from vtspot.errors import (
     SelfIntersectingQuad,
 )
 from vtspot.geometry import (
+    _BROAD_SLACK,
     DEGENERATE_AREA,
     Quad,
     RotatedBox,
@@ -219,10 +220,28 @@ def _orient(a, b, c):
     return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
 
 
-def _require_convex(quad):
+def plain_convex(quad) -> bool:
+    """``Quad.is_convex`` as it was: no corner triple's ``_orient`` is
+    negative."""
     c = corners(quad)
-    if any(_orient(c[i], c[(i + 1) % 4], c[(i + 2) % 4]) < 0.0 for i in range(4)):
+    return not any(_orient(c[i], c[(i + 1) % 4], c[(i + 2) % 4]) < 0.0 for i in range(4))
+
+
+def _require_convex(quad):
+    if not plain_convex(quad):
         raise NonConvexInput(f"polygon clipping needs convex input, got {quad.as_flat()}")
+
+
+def plain_extents(quad) -> tuple[float, float, float, float, float]:
+    """``Quad._convex_extents`` as it was: NonConvexInput for a non-convex
+    quad, else ``(min_x, min_y, max_x, max_y, pad)`` from slices of the
+    corners, ``min`` and ``max``, with the pad ``_BROAD_SLACK`` of their
+    largest magnitude."""
+    _require_convex(quad)
+    xy = quad.as_flat()
+    xs, ys = xy[0::2], xy[1::2]
+    lo_x, lo_y, hi_x, hi_y = min(xs), min(ys), max(xs), max(ys)
+    return lo_x, lo_y, hi_x, hi_y, _BROAD_SLACK * max(abs(lo_x), abs(hi_x), abs(lo_y), abs(hi_y))
 
 
 def _line_hit(p, q, p_side, q_side):

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import gc
 import gzip
@@ -7,6 +8,7 @@ import math
 import os
 import pickle
 import random
+import re
 import stat
 import sys
 import threading
@@ -99,6 +101,28 @@ def test_video_rejects_duplicate_track_in_frame():
 def test_detection_score_range():
     with pytest.raises(ValueError):
         Detection(box=RotatedBox(0, 0, 1, 1, 0), score=1.2)
+
+
+@pytest.mark.parametrize("track_id", [True, False, 1.5, 2.0, "3", None])
+def test_video_track_ids_must_be_ints(tmp_path, track_id):
+    """Such an annotation was saved with "id": true, 1.5 or "3", and
+    loading it back raised SchemaError."""
+    q = rect(0, 0, 5, 5)
+    with pytest.raises(ValueError, match=rf"^frames\.1\[1\]: track id must be an int, "
+                                         rf"got {re.escape(repr(track_id))}$"):
+        small_video({0: [inst(0, q)], 1: [inst(4, q), inst(track_id, q)]})
+    with pytest.raises(ValueError, match="track id must be an int"):
+        save_trajectories([Trajectory(track_id=track_id, frames={0: inst(track_id, q)})],
+                          "v", 640, 480, 1, tmp_path / "t.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("score", [True, False])
+def test_detection_score_is_not_a_bool(score):
+    """Such a detection was saved with "score": true, and loading it back
+    raised SchemaError."""
+    with pytest.raises(ValueError, match=f"^score must be a number, got {score!r}$"):
+        Detection(box=RotatedBox(0, 0, 1, 1, 0), score=score)
 
 
 # ---------------------------------------------------------------------------
@@ -862,8 +886,9 @@ def test_failed_save_leaves_the_target_as_it_was(tmp_path, monkeypatch, name, ex
     if existing:
         path.write_bytes(b"old bytes")
 
-    # the emitter's fourth write to the stream fails, after three went through
-    real = annotations_mod._write_json
+    # the writer's fourth write fails, after the header and two frames went
+    # through to the stream that _open gives it
+    real_open = annotations_mod._open
     written = []
 
     class FailingStream:
@@ -876,13 +901,18 @@ def test_failed_save_leaves_the_target_as_it_was(tmp_path, monkeypatch, name, ex
             written.append(text)
             return self.fh.write(text)
 
-    def failing_write_json(value, fh, *args):
-        real(value, fh if isinstance(fh, FailingStream) else FailingStream(fh), *args)
+    @contextlib.contextmanager
+    def failing_open(target, mode):
+        with real_open(target, mode) as fh:
+            yield FailingStream(fh)
 
-    monkeypatch.setattr(annotations_mod, "_write_json", failing_write_json)
+    monkeypatch.setattr(annotations_mod, "_open", failing_open)
+    ann = make_linear_video(3)
     with pytest.raises(RuntimeError, match="partway"):
-        save_annotation(make_linear_video(3), path)
-    assert "".join(written) == '{\n "video_id": "v0",\n "width": '
+        save_annotation(ann, path)
+    whole = json_text(document(ann, {str(i): [instance_entry(x) for x in insts]
+                                     for i, insts in sorted(ann.frames.items())}))
+    assert "".join(written) == whole[:whole.index(',\n  "2": ')]
     assert [p.name for p in tmp_path.iterdir()] == ([name] if existing else [])
     if existing:
         assert path.read_bytes() == b"old bytes"
@@ -1321,20 +1351,9 @@ def test_a_path_is_closed_when_its_parse_raises(tmp_path, load):
 
 
 # ---------------------------------------------------------------------------
-# the writer: the json module's indent=1 bytes; the entry readers: the
-# per-value loop's errors
+# the writers: the json module's indent=1 bytes, for documents and for
+# reports; the entry readers: the per-value loop's errors
 # ---------------------------------------------------------------------------
-
-
-class Wrapped:
-    """A value of no JSON type, written as the value it holds."""
-
-    def __init__(self, value):
-        self.value = value
-
-
-def unwrap(obj):
-    return obj.value
 
 
 class Count(int):
@@ -1380,7 +1399,6 @@ json_values = st.recursive(
         # flat corner tuples, finite, overflowing when summed, or not finite
         st.lists(st.floats(), min_size=1, max_size=8).map(tuple),
         st.dictionaries(st.one_of(json_strings, json_strings.map(Label)), inner, max_size=4),
-        inner.map(Wrapped),
     ),
     max_leaves=24,
 )
@@ -1390,8 +1408,8 @@ json_values = st.recursive(
 @given(json_values)
 def test_writer_emits_the_json_modules_bytes(value):
     stream = io.StringIO()
-    annotations_mod._dump_json(value, stream, unwrap)
-    assert stream.getvalue() == json_text(value, unwrap) + "\n"
+    annotations_mod._dump_json(value, stream)
+    assert stream.getvalue() == json_text(value) + "\n"
 
 
 @pytest.mark.parametrize("value", [
@@ -1507,3 +1525,129 @@ def test_saved_files_are_the_json_modules_bytes_in_utf8(tmp_path, suffix):
     for name, text in expected_bytes(gt, dets).items():
         data = (tmp_path / f"{name}{suffix}").read_bytes()
         assert (gzip.decompress(data) if suffix.endswith(".gz") else data) == text.encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# one formatter per entry kind: the text json writes for the entry's dict,
+# at the depth where a document holds its entries
+# ---------------------------------------------------------------------------
+
+
+def at_entry_depth(text):
+    """An entry's indent=1 text indented as a document's entries are, three
+    levels down (the document, its "frames", a frame's list).  A string's
+    own line breaks are escaped, so every raw one is the indent's."""
+    return text.replace("\n", "\n   ")
+
+
+entry_ids = st.one_of(st.integers(), st.integers(min_value=2 ** 64, max_value=10 ** 40),
+                      st.integers().map(Count))
+entry_texts = st.one_of(st.none(), json_strings, json_strings.map(Label),
+                        st.sampled_from(["é 漢字 🙂", "\u2028", "\u2029x", "###"]))
+entry_scores = st.one_of(
+    st.sampled_from([0, 1, 0.0, 1.0, 5e-324, Ratio(0.0), Ratio(1.0), Ratio(5e-324)]),
+    st.floats(0.0, 1.0), st.floats(0.0, 1.0).map(Ratio))
+entry_boxes = st.builds(
+    RotatedBox,
+    st.one_of(st.floats(-1e6, 1e6), st.floats(-1e300, 1e300)), st.floats(-1e6, 1e6),
+    st.floats(1e-3, 1e4), st.floats(1e-3, 1e4), st.floats(-4.0, 4.0))
+categories = st.sampled_from(list(TextCategory))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry_ids, entry_boxes, entry_texts, categories)
+def test_instance_text_is_the_json_modules_entry(track_id, box, text, category):
+    entry = Instance(track_id=track_id, quad=box.quad, transcription=text, category=category)
+    assert (annotations_mod._instance_text(entry)
+            == at_entry_depth(json_text(instance_entry(entry))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry_boxes, entry_scores, entry_texts, st.none() | entry_boxes)
+def test_detection_text_is_the_json_modules_entry(box, score, text, track_box):
+    det = Detection(box=box, score=score, transcription=text, track_box=track_box)
+    assert (annotations_mod._detection_text(det)
+            == at_entry_depth(json_text(detection_entry(det))))
+
+
+def rich_clip(rows, scenario):
+    """An annotation and a detections file with a frame per row of
+    ``rows``, each a list of (box, transcription, category, score, track
+    box) entries, so an empty row is an empty frame.  Odd positions in a
+    frame take an int-subclass track id."""
+    frames = {idx: [Instance(track_id=Count(i) if i % 2 else i, quad=box.quad,
+                             transcription=text, category=category)
+                    for i, (box, text, category, _, _) in enumerate(row)]
+              for idx, row in enumerate(rows)}
+    det_frames = [FrameDetections(idx, [Detection(box, score, text, track_box)
+                                        for box, text, _, score, track_box in row])
+                  for idx, row in enumerate(rows)]
+    count = max(1, len(rows))
+    return (VideoAnnotation("v", 640, 480, count, frames, scenario),
+            DetectionsFile("v", 640, 480, count, det_frames))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.tuples(entry_boxes, entry_texts, categories, entry_scores,
+                                   st.none() | entry_boxes), max_size=3), max_size=4),
+       st.none() | json_strings)
+def test_saved_entries_are_the_json_modules_bytes(rows, scenario):
+    gt, dets = rich_clip(rows, scenario)
+    streams = {}
+    save_all(gt, dets, lambda name: streams.setdefault(name, io.StringIO()))
+    assert {name: s.getvalue() for name, s in streams.items()} == expected_bytes(gt, dets)
+
+
+RICH_ROWS = [
+    [],
+    [(RotatedBox(10.5, 20.25, 8.0, 3.0, 0.3), None, TextCategory.CAPTION, 0, None),
+     (RotatedBox(-1e6, 1e6, 4.0, 2.0, -1.2), Label("出口"), TextCategory.TITLE, 1,
+      RotatedBox(-1e6 + 1.0, 1e6, 4.0, 2.0, -1.2)),
+     (RotatedBox(3.0, 4.0, 1e-3, 2e-3, 0.0), "\u2028 é", TextCategory.SCENE, 5e-324, None),
+     (RotatedBox(7.0, 8.0, 2.0, 1.0, 1.0), "###", TextCategory.OTHERS, Ratio(0.5),
+      RotatedBox(7.5, 8.0, 2.0, 1.0, 1.0))],
+    [],
+]
+
+
+@pytest.mark.parametrize("rows", [RICH_ROWS, []])
+@pytest.mark.parametrize("scenario", [None, "crowd\tscene"])
+@pytest.mark.parametrize("suffix", [".json", ".json.gz"])
+def test_saved_entry_files_are_the_json_modules_bytes(tmp_path, rows, scenario, suffix):
+    gt, dets = rich_clip(rows, scenario)
+    save_all(gt, dets, lambda name: tmp_path / f"{name}{suffix}")
+    for name, text in expected_bytes(gt, dets).items():
+        data = (tmp_path / f"{name}{suffix}").read_bytes()
+        assert (gzip.decompress(data) if suffix.endswith(".gz") else data) == text.encode("utf-8")
+
+
+class RecordingStream(io.StringIO):
+    """A text stream that keeps each write apart."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+FRAME_KEY = re.compile(r'\n  "[0-9]+": ')
+
+
+def test_a_saved_document_is_written_a_frame_at_a_time():
+    """The header is one write, each frame one more, then the closing
+    brackets: no write holds two frames, so a long video is never held
+    whole as text."""
+    gt, dets = varied_clip(7, "w", "scene")
+    streams = {}
+    save_all(gt, dets, lambda name: streams.setdefault(name, RecordingStream()))
+    n_frames = {"annotation": len(gt.frames),
+                "trajectories": sum(1 for insts in gt.frames.values() if insts),
+                "detections": len(dets.frames)}
+    assert min(n_frames.values()) >= 3
+    for name, stream in streams.items():
+        keys = [len(FRAME_KEY.findall(text)) for text in stream.writes]
+        assert keys == [0] + [1] * n_frames[name] + [0], name
+    assert {name: s.getvalue() for name, s in streams.items()} == expected_bytes(gt, dets)

@@ -851,7 +851,8 @@ def test_loss_whose_optimal_total_overflows_exits_one(tmp_path, capsys):
 
 def test_loss_of_apart_boxes_whose_areas_overflow_exits_one(tmp_path, capsys):
     """In a 1x1 video the boxes keep their size; a reference and a far
-    detection whose areas overflow get no GIoU, and so no score."""
+    detection whose areas overflow get no GIoU, and so no score: the error
+    is the one giou raises for them."""
     def points(cx):
         return [cx - 5e153, -1e154, cx + 5e153, -1e154, cx + 5e153, 1e154, cx - 5e153, 1e154]
 
@@ -864,7 +865,8 @@ def test_loss_of_apart_boxes_whose_areas_overflow_exits_one(tmp_path, capsys):
     assert run_cli("loss", str(gt), str(dets)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"vtspot: {gt} vs {dets}: frame 0: cost[0][0] = nan\n"
+    assert captured.err == (f"vtspot: {gt} vs {dets}: frame 0: overlap areas must be "
+                            "finite, got intersection 0.0 and union inf\n")
 
 
 def _loss_inputs(tmp_path, *detections):

@@ -33,7 +33,9 @@ from oracles import (
     dense_track,
     flat_quad_to_rotated,
     plain_ccw,
+    plain_convex,
     plain_cost_matrix,
+    plain_extents,
     plain_hull,
     plain_link,
     plain_loss_terms,
@@ -817,6 +819,46 @@ def test_edge_of_range_quads_pad_to_infinity(sign):
     else:
         assert lo_x - pad == lo_y - pad == -math.inf
     assert near_pairs([quad], [quad]) == [(0, 0)]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.one_of(hull_corners(), area_corners(), edge_of_range_quads().map(Quad.as_flat)))
+# signed zeros tied for a minimum, then for a maximum, each way round
+@example([0.0, 0.0, 2.0, 0.0, 2.0, 2.0, -0.0, 2.0])
+@example([-0.0, -0.0, 2.0, 0.0, 2.0, 2.0, 0.0, 2.0])
+@example([-2.0, -2.0, 0.0, -2.0, -0.0, 0.0, -2.0, -0.0])
+@example([-2.0, -2.0, -0.0, -2.0, 0.0, -0.0, -2.0, 0.0])
+@example([1e6, -1e6, 1e6 + 2.0, -1e6, 1e6 + 2.0, -1e6 + 1.0, 1e6, -1e6 + 1.0])
+@example(rectangle(-sys.float_info.max, -1.0, sys.float_info.max, 1.0).as_flat())
+# darts: one corner turns right
+@example([0.0, 0.0, 4.0, 0.0, 1.0, 1.0, 0.0, 4.0])
+@example([1e6, 1e6, 1e6 + 4.0, 1e6, 1e6 + 1.0, 1e6 + 1.0, 1e6, 1e6 + 4.0])
+@example([-1e6, -1e6, -1e6 + 4.0, -1e6, -1e6 + 1.0, -1e6 + 1.0, -1e6, -1e6 + 4.0])
+def test_convexity_and_extents_equal_the_plain_ones(values):
+    """The one pass over a fresh quad's corners gives the floats of the
+    ``_orient`` calls, the slices, ``min`` and ``max``, bit for bit: of
+    equal values (0.0 and -0.0) it keeps the first, as ``min`` and ``max``
+    do.  A fresh quad asked for its extents first, or its convexity first,
+    agrees, and a non-convex one raises the same NonConvexInput."""
+    try:
+        plain, convexity_first, extents_first = (Quad.from_flat(values) for _ in range(3))
+    except SelfIntersectingQuad:
+        return
+    convex = plain_convex(plain)
+    assert convexity_first.is_convex() is convex
+    try:
+        expected = plain_extents(plain)
+    except NonConvexInput as exc:
+        assert not convex
+        for quad in (convexity_first, extents_first):
+            with pytest.raises(NonConvexInput) as ours:
+                quad._convex_extents()
+            assert str(ours.value) == str(exc)
+        assert extents_first.is_convex() is False
+        return
+    assert convex
+    for quad in (convexity_first, extents_first):
+        assert [v.hex() for v in quad._convex_extents()] == [v.hex() for v in expected]
 
 
 @settings(max_examples=400, deadline=None)

@@ -629,11 +629,56 @@ def test_match_sets_calls_giou_once_per_object_pair(monkeypatch):
 
 def test_match_sets_refuses_an_apart_pair_whose_areas_overflow():
     """The closed form of an apart pair does not read an overflowed
-    GIoU as 0: the cost is nan, and the matching refuses it."""
+    GIoU as 0: the cost is nan, and the matching refuses the pair with the
+    error giou raises for it."""
     a = RotatedBox(0.0, 0.0, 1e154, 2e154, 0.0)
     far = PredictedInstance(0.5, RotatedBox(5e155, 0.0, 1e154, 2e154, 0.0))
-    with pytest.raises(NonFiniteCost, match=r"cost\[0\]\[0\] = nan"):
+    message = "overlap areas must be finite, got intersection 0.0 and union inf"
+    with pytest.raises(ValueError, match=message) as exc_info:
+        giou(a, far.box)
+    assert not isinstance(exc_info.value, NonFiniteCost)
+    with pytest.raises(ValueError, match=message) as exc_info:
         match_sets([GroundTruthInstance(box=a)], [far])
+    assert not isinstance(exc_info.value, NonFiniteCost)
+
+
+# an apart pair whose box areas are finite but whose hull overflows
+HULL_OVERFLOW = (RotatedBox(0.0, 0.0, 1e150, 1e150, 0.0),
+                 RotatedBox(1e160, 1e160, 1e150, 1e150, 0.0))
+HULL_MESSAGE = r"^overlap areas must be finite, got hull inf and union 1\.9999999999999998e\+300$"
+
+
+def test_pair_cost_of_an_apart_pair_whose_hull_overflows_raises_gious_error():
+    """Not a silent nan: the one-cell row raises what giou raises."""
+    a, b = HULL_OVERFLOW
+    with pytest.raises(ValueError, match=HULL_MESSAGE):
+        giou(a, b)
+    with pytest.raises(ValueError, match=HULL_MESSAGE):
+        pair_cost(GroundTruthInstance(box=a), PredictedInstance(0.5, b), CostWeights())
+
+
+def test_match_sets_of_an_apart_pair_whose_hull_overflows_raises_gious_error():
+    """The first refused pair in row-major order names the error, not the
+    nan cell of the cost matrix; a finite pair beside it changes nothing."""
+    a, b = HULL_OVERFLOW
+    near = RotatedBox(0.0, 1.0, 2e149, 1e149, 0.0)
+    gts = [GroundTruthInstance.padding(), GroundTruthInstance(box=a)]
+    preds = [PredictedInstance(0.5, near), PredictedInstance(0.5, b)]
+    with pytest.raises(ValueError, match=HULL_MESSAGE) as exc_info:
+        match_sets(gts, preds)
+    assert not isinstance(exc_info.value, NonFiniteCost)
+
+
+def test_match_sets_still_names_a_nan_cost_that_giou_did_not_make():
+    """A nan from the box terms (an overflowed L1 weighted by 0) is the
+    cost matrix's to refuse: its GIoU is a number."""
+    a = RotatedBox(-8e307, 0.0, 1e300, 1.0, 0.0)
+    b = PredictedInstance(0.5, RotatedBox(0.0, 0.0, 1.7e308, 1.0, 0.0))
+    assert math.isfinite(giou(a, b.box))
+    w = CostWeights(w_l1=0.0)
+    assert math.isnan(pair_cost(GroundTruthInstance(box=a), b, w))
+    with pytest.raises(NonFiniteCost, match=r"^cost\[0\]\[0\] = nan$"):
+        match_sets([GroundTruthInstance(box=a)], [b], w)
 
 
 def test_match_sets_unrolls_no_prediction_for_an_all_padding_frame():
