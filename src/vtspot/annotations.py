@@ -23,8 +23,7 @@ makes an entry's JSON text straight from its model, the bytes the json
 module would write for the entry's dict, and the writer sends out the
 header and then one frame at a time.  It lists every frame the model
 lists, empty ones too, and the models refuse what the loaders refuse, so
-a save then a load gives the model back.  Reports (``evaluate``,
-``loss``) go through the generic ``_dump_json``.
+a save then a load gives the model back.
 Files whose name ends in ".gz" are read and written gzip-compressed.
 
 A text object in one frame is an ``Instance``, in an annotation and in a
@@ -45,7 +44,6 @@ import functools
 import gzip
 import io
 import json
-import math
 import os
 import re
 import zlib
@@ -105,13 +103,15 @@ class Instance:
 def _check_extent(video) -> None:
     """The header checks shared by annotations and detections files: the
     ranges first, so an out-of-range value keeps its message, then
-    ``_check_int``'s type rule."""
+    ``_check_int``'s type rule, then the video id's type."""
     if video.frame_count < 1:
         raise ValueError(f"frame_count must be >= 1, got {video.frame_count}")
     if video.width <= 0 or video.height <= 0:
         raise ValueError(f"width/height must be positive, got {video.width}x{video.height}")
     for name in ("width", "height", "frame_count"):
         _check_int(name, getattr(video, name), 1)
+    if not isinstance(video.video_id, str):
+        raise ValueError(f"video_id must be a string, got {video.video_id!r}")
 
 
 @dataclass
@@ -125,6 +125,8 @@ class VideoAnnotation:
 
     def __post_init__(self):
         _check_extent(self)
+        if self.scenario is not None and not isinstance(self.scenario, str):
+            raise ValueError(f"scenario must be a string or None, got {self.scenario!r}")
         for idx, instances in self.frames.items():
             if not (0 <= idx < self.frame_count):
                 raise OutOfRangeFrameIndex(
@@ -138,6 +140,13 @@ class VideoAnnotation:
                 if isinstance(track_id, bool) or not isinstance(track_id, int):
                     raise ValueError(f"frames.{idx}[{i}]: track id must be an int, "
                                      f"got {track_id!r}")
+                text = inst.transcription
+                if text is not None and not isinstance(text, str):
+                    raise ValueError(f"frames.{idx}[{i}]: transcription must be a string "
+                                     f"or None, got {text!r}")
+                if not isinstance(inst.category, TextCategory):
+                    raise ValueError(f"frames.{idx}[{i}]: category must be a TextCategory, "
+                                     f"got {inst.category!r}")
                 if track_id in seen:
                     raise DuplicateTrackIdInFrame(
                         f"frames.{idx}[{i}]", f"track id {track_id} repeated in frame {idx}"
@@ -170,6 +179,9 @@ class Detection:
             raise ValueError(f"score must be a number, got {self.score!r}")
         if not (0.0 <= self.score <= 1.0):
             raise ValueError(f"score must be in [0,1], got {self.score}")
+        if self.transcription is not None and not isinstance(self.transcription, str):
+            raise ValueError(f"transcription must be a string or None, "
+                             f"got {self.transcription!r}")
 
 
 def _check_int(name: str, value, least: int) -> None:
@@ -225,8 +237,6 @@ class DetectionsFile:
 
 def sample(dense: VideoAnnotation, k: int) -> VideoAnnotation:
     """Keep only frames whose index is a multiple of k."""
-    if k < 1:
-        raise ValueError(f"sampling frequency must be >= 1, got {k}")
     _check_int("sampling frequency", k, 1)
     kept = {idx: list(insts) for idx, insts in dense.frames.items() if idx % k == 0}
     return replace(dense, frames=kept)
@@ -679,61 +689,3 @@ def save_detections(dets: DetectionsFile, target) -> None:
     """Write a detections document, every listed frame included."""
     frames = ((fd.frame_index, fd.detections) for fd in dets.frames)
     _write_document(dets, frames, _detection_text, target)
-
-
-# ---------------------------------------------------------------------------
-# reports: the json module's indent=1 bytes for any JSON value
-# ---------------------------------------------------------------------------
-
-
-def _key_text(key) -> str:
-    """A dict key, which must be a string, quoted as json writes it."""
-    if isinstance(key, str):
-        return _quote(key)
-    raise TypeError(f"keys must be str, not {type(key).__name__}")
-
-
-def _encode(value, indent: str) -> str:
-    """``value`` as json writes it with ``ensure_ascii=False, indent=1`` at
-    the depth whose line break and indent are ``indent``, testing types in
-    json's order.  A value of no JSON type raises TypeError, as json does,
-    and so does a dict key that is not a string."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (math.inf, -math.inf):
-            return "Infinity" if value > 0.0 else "-Infinity"
-        return float.__repr__(value)
-    inner = indent + " "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return ("[" + inner + ("," + inner).join([_encode(v, inner) for v in value])
-                + indent + "]")
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        return ("{" + inner
-                + ("," + inner).join([_key_text(k) + ": " + _encode(v, inner)
-                                      for k, v in value.items()])
-                + indent + "}")
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _dump_json(payload, target) -> None:
-    """Write a report, ``payload``, and a line break to ``target``, a path
-    or a text stream, byte for byte as the json module's ``dump(payload,
-    fh, ensure_ascii=False, indent=1)`` does, without its pure-Python
-    encoder."""
-    with _open(target, "w") as fh:
-        fh.write(_encode(payload, "\n") + "\n")

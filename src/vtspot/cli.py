@@ -13,6 +13,7 @@ import contextlib
 import csv
 import dataclasses
 import functools
+import json
 import math
 import os
 import sys
@@ -21,7 +22,6 @@ from pathlib import Path
 
 from . import __version__
 from .annotations import (
-    _dump_json,
     _open,
     interpolate,
     load_annotation,
@@ -99,6 +99,14 @@ def _config(cls, args):
     given = vars(args)
     return cls(**{f.name: given[f.name] for f in dataclasses.fields(cls)
                   if f.name in given})
+
+
+def _dump_json(payload, target) -> None:
+    """Write a report, ``payload``, and a line break to ``target``, a path
+    or a text stream, in one write: a report that fails to encode writes
+    nothing."""
+    with _open(target, "w") as fh:
+        fh.write(json.dumps(payload, ensure_ascii=False, indent=1) + "\n")
 
 
 def _csv_rows(reports: list[MetricsReport], target) -> None:

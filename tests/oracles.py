@@ -856,10 +856,10 @@ def plain_ccw(values):
     return xy
 
 
-def json_text(value, default=None) -> str:
-    """The bytes the package's writer must emit for ``value``: the json
+def json_text(value) -> str:
+    """The bytes the package's writers must emit for ``value``: the json
     module's own ``indent=1`` form, non-ASCII kept as it is."""
-    return json.dumps(value, ensure_ascii=False, indent=1, default=default)
+    return json.dumps(value, ensure_ascii=False, indent=1)
 
 
 def flat_quad_to_rotated(quad):

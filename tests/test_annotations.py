@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vtspot.annotations as annotations_mod
+import vtspot.cli as cli
 import vtspot.geometry as geometry_mod
 from vtspot.annotations import (
     Detection,
@@ -47,6 +48,7 @@ from vtspot.errors import (
     SchemaError,
 )
 from vtspot.geometry import Quad, RotatedBox, quad_to_rotated, rotated_to_quad
+from vtspot.metrics import aggregate, evaluate
 from vtspot.synth import SynthConfig, generate
 
 from oracles import first_non_number, json_text
@@ -125,6 +127,46 @@ def test_detection_score_is_not_a_bool(score):
         Detection(box=RotatedBox(0, 0, 1, 1, 0), score=score)
 
 
+@pytest.mark.parametrize("text", [5, b"SALE", ["SALE"]])
+def test_video_transcriptions_must_be_strings(text):
+    """Such an annotation failed at save in the string quoter, naming no
+    field."""
+    q = rect(0, 0, 5, 5)
+    with pytest.raises(ValueError, match=rf"^frames\.1\[1\]: transcription must be a string "
+                                         rf"or None, got {re.escape(repr(text))}$"):
+        small_video({0: [inst(0, q)], 1: [inst(4, q), inst(5, q, text)]})
+
+
+@pytest.mark.parametrize("category", ["scene", None])
+def test_video_categories_must_be_text_categories(category):
+    """Such an annotation failed at save with an AttributeError."""
+    q = rect(0, 0, 5, 5)
+    with pytest.raises(ValueError, match=rf"^frames\.0\[0\]: category must be a TextCategory, "
+                                         rf"got {category!r}$"):
+        small_video({0: [inst(0, q, category=category)]})
+
+
+@pytest.mark.parametrize("video_id", [7, None])
+def test_video_ids_must_be_strings(video_id):
+    with pytest.raises(ValueError, match=f"^video_id must be a string, got {video_id!r}$"):
+        small_video({}, video_id=video_id)
+    with pytest.raises(ValueError, match=f"^video_id must be a string, got {video_id!r}$"):
+        DetectionsFile(video_id=video_id, width=640, height=480, frame_count=1, frames=[])
+
+
+def test_video_scenario_must_be_a_string():
+    with pytest.raises(ValueError, match="^scenario must be a string or None, got 3$"):
+        VideoAnnotation(video_id="v", width=640, height=480, frame_count=1, frames={},
+                        scenario=3)
+
+
+@pytest.mark.parametrize("text", [5, b"SALE"])
+def test_detection_transcription_must_be_a_string(text):
+    with pytest.raises(ValueError, match=rf"^transcription must be a string or None, "
+                                         rf"got {re.escape(repr(text))}$"):
+        Detection(box=RotatedBox(0, 0, 1, 1, 0), score=0.5, transcription=text)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -166,14 +208,16 @@ def test_sample_k_equal_frame_count():
     assert sorted(s.frames) == [0]
 
 
-def test_sample_rejects_bad_k():
-    with pytest.raises(ValueError):
-        sample(make_linear_video(), 0)
+@pytest.mark.parametrize("k", [0, -3])
+def test_sample_rejects_bad_k(k):
+    with pytest.raises(ValueError, match=f"^sampling frequency must be >= 1, got {k}$"):
+        sample(make_linear_video(), k)
 
 
-@pytest.mark.parametrize("k", [1.5, True])
+@pytest.mark.parametrize("k", [1.5, True, 0.5, False])
 def test_sample_k_must_be_an_int(k):
-    """k = 1.5 kept frames 0 and 3, and True acted as k = 1."""
+    """k = 1.5 kept frames 0 and 3, and True acted as k = 1; 0.5 and False
+    are refused as what they are, not as values below 1."""
     with pytest.raises(ValueError, match=f"sampling frequency must be an int, got {k!r}"):
         sample(make_linear_video(), k)
 
@@ -1408,7 +1452,7 @@ json_values = st.recursive(
 @given(json_values)
 def test_writer_emits_the_json_modules_bytes(value):
     stream = io.StringIO()
-    annotations_mod._dump_json(value, stream)
+    cli._dump_json(value, stream)
     assert stream.getvalue() == json_text(value) + "\n"
 
 
@@ -1421,7 +1465,7 @@ def test_writer_emits_the_json_modules_bytes(value):
 ])
 def test_writer_emits_the_json_modules_bytes_at_the_edges(value):
     stream = io.StringIO()
-    annotations_mod._dump_json(value, stream)
+    cli._dump_json(value, stream)
     assert stream.getvalue() == json_text(value) + "\n"
 
 
@@ -1429,17 +1473,33 @@ def test_writer_emits_the_json_modules_bytes_at_the_edges(value):
 def test_writer_refuses_what_the_json_module_refuses(value):
     with pytest.raises(TypeError) as theirs:
         json_text(value)
+    stream = io.StringIO()
     with pytest.raises(TypeError) as ours:
-        annotations_mod._dump_json(value, io.StringIO())
+        cli._dump_json(value, stream)
     assert str(ours.value) == str(theirs.value)
+    assert stream.getvalue() == ""
 
 
-@pytest.mark.parametrize("value", [{1: 0}, {"a": {None: 0}}, [{2.5: 0}], {(1, 2): 0}])
-def test_writer_keys_are_strings(value):
-    """The json module would write 1, None or 2.5 as a key's text; no
-    document has such keys, and the writer refuses them."""
-    with pytest.raises(TypeError, match="keys must be str, not "):
-        annotations_mod._dump_json(value, io.StringIO())
+def test_writer_keys_are_strings(tmp_path, capsys):
+    """An ``evaluate`` report reads back as the dicts it was written from,
+    for a pair of files and for a corpus: a key that is not a string would
+    come back as one."""
+    gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+    gt_dir.mkdir()
+    pred_dir.mkdir()
+    reports = []
+    for seed in (1, 2):
+        gt, _ = generate(SynthConfig(n_objects=3, n_frames=12, seed=seed))
+        pred = sample(gt, 2)
+        save_annotation(gt, gt_dir / f"v{seed}.json")
+        save_annotation(pred, pred_dir / f"v{seed}.json")
+        reports.append(evaluate(gt, pred))
+        assert cli.main(["evaluate", str(gt_dir / f"v{seed}.json"),
+                         str(pred_dir / f"v{seed}.json")]) == 0
+        assert json.loads(capsys.readouterr().out) == reports[-1].to_dict()
+    assert cli.main(["evaluate", "--gt-dir", str(gt_dir), "--pred-dir", str(pred_dir)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "videos": [r.to_dict() for r in reports], "aggregate": aggregate(reports).to_dict()}
 
 
 def instance_entry(inst):

@@ -1,5 +1,6 @@
 import dataclasses
 import gzip
+import hashlib
 import io
 import json
 import math
@@ -1208,3 +1209,47 @@ def test_main_restores_the_stdout_it_found(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "stdout", text)
     assert run_cli("sample", str(clip)) == 0
     assert text.getvalue() == out.read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# report bytes
+# ---------------------------------------------------------------------------
+
+
+def test_report_bytes_are_pinned(tmp_path, capsys):
+    """The sha256 of every JSON report on two synthetic clips, as the
+    package wrote them when they were pinned: ``loss`` of each clip's
+    detections, and ``evaluate`` of each clip's tracked trajectories and of
+    both as a corpus, for tracking and spotting."""
+    gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+    gt_dir.mkdir()
+    pred_dir.mkdir()
+    reports = {}
+
+    def digest(name, *argv):
+        assert run_cli(*argv) == 0
+        reports[name] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+    for seed, motion in ((1, "constant_velocity"), (2, "rotate")):
+        gt, dets = make_synth(tmp_path, f"s{seed}", **{
+            "--seed": seed, "--objects": 5, "--frames": 24, "--motion": motion,
+            "--noise-sigma": 1.5, "--drop-prob": 0.1})
+        pred = pred_dir / f"clip{seed}.json"
+        assert run_cli("track", str(dets), "--out", str(pred)) == 0
+        shutil.copy(gt, gt_dir / pred.name)
+        digest(f"loss {seed}", "loss", str(gt), str(dets))
+        for task in ("tracking", "spotting"):
+            digest(f"{task} {seed}", "evaluate", str(gt), str(pred), "--task", task)
+    for task in ("tracking", "spotting"):
+        digest(f"{task} corpus", "evaluate", "--gt-dir", str(gt_dir),
+               "--pred-dir", str(pred_dir), "--task", task)
+    assert reports == {
+        "loss 1": "56ee52d651d84ee98736f078cfdb7ef9f486dc477608a267f02c157c5cdb8b83",
+        "tracking 1": "2a6f054037631bc47c1dbd73e7f6654b1a2c32e15aac9bd9fd414b53d30af1b1",
+        "spotting 1": "f24f4d3d11501891633c45d6909a0f7f344b3dc8ef6ee1b4c373b8d14e1b04a4",
+        "loss 2": "b33342415dd1fc30b3039ace49e31b6a0c821a9581c16beae84668cef843cc6f",
+        "tracking 2": "f4f118202b943d4df80993063e76cf8bab5f9ea56029157507cb463ae70187c7",
+        "spotting 2": "6021e9c7922bebd5d9ee94b5898983e26935e4b56ebd9af43f9ffd86b2d6083f",
+        "tracking corpus": "ad4ca866114f4fbc18c121939d83b813883e742c281e1b6a7d1c1edff1fc25f1",
+        "spotting corpus": "16fbed08d9a27020fc2e1718c7cd4bb780be4bc9fade1463e66d12f61899645e",
+    }
