@@ -103,7 +103,7 @@ class Instance:
 def _check_extent(video) -> None:
     """The header checks shared by annotations and detections files: the
     ranges first, so an out-of-range value keeps its message, then
-    ``_check_int``'s type rule, then the video id's type."""
+    ``_check_int``'s type rule, then the video id's type and encoding."""
     if video.frame_count < 1:
         raise ValueError(f"frame_count must be >= 1, got {video.frame_count}")
     if video.width <= 0 or video.height <= 0:
@@ -112,6 +112,10 @@ def _check_extent(video) -> None:
         _check_int(name, getattr(video, name), 1)
     if not isinstance(video.video_id, str):
         raise ValueError(f"video_id must be a string, got {video.video_id!r}")
+    if not video.video_id.isascii():
+        fault = _utf8_fault(video.video_id)
+        if fault is not None:
+            raise ValueError(f"video_id is {fault}")
 
 
 @dataclass
@@ -125,8 +129,14 @@ class VideoAnnotation:
 
     def __post_init__(self):
         _check_extent(self)
-        if self.scenario is not None and not isinstance(self.scenario, str):
-            raise ValueError(f"scenario must be a string or None, got {self.scenario!r}")
+        scenario = self.scenario
+        if scenario is not None:
+            if not isinstance(scenario, str):
+                raise ValueError(f"scenario must be a string or None, got {scenario!r}")
+            if not scenario.isascii():
+                fault = _utf8_fault(scenario)
+                if fault is not None:
+                    raise ValueError(f"scenario is {fault}")
         for idx, instances in self.frames.items():
             if not (0 <= idx < self.frame_count):
                 raise OutOfRangeFrameIndex(
@@ -141,9 +151,14 @@ class VideoAnnotation:
                     raise ValueError(f"frames.{idx}[{i}]: track id must be an int, "
                                      f"got {track_id!r}")
                 text = inst.transcription
-                if text is not None and not isinstance(text, str):
-                    raise ValueError(f"frames.{idx}[{i}]: transcription must be a string "
-                                     f"or None, got {text!r}")
+                if text is not None:
+                    if not isinstance(text, str):
+                        raise ValueError(f"frames.{idx}[{i}]: transcription must be a "
+                                         f"string or None, got {text!r}")
+                    if not text.isascii():
+                        fault = _utf8_fault(text)
+                        if fault is not None:
+                            raise ValueError(f"frames.{idx}[{i}]: transcription is {fault}")
                 if not isinstance(inst.category, TextCategory):
                     raise ValueError(f"frames.{idx}[{i}]: category must be a TextCategory, "
                                      f"got {inst.category!r}")
@@ -179,9 +194,27 @@ class Detection:
             raise ValueError(f"score must be a number, got {self.score!r}")
         if not (0.0 <= self.score <= 1.0):
             raise ValueError(f"score must be in [0,1], got {self.score}")
-        if self.transcription is not None and not isinstance(self.transcription, str):
-            raise ValueError(f"transcription must be a string or None, "
-                             f"got {self.transcription!r}")
+        text = self.transcription
+        if text is not None:
+            if not isinstance(text, str):
+                raise ValueError(f"transcription must be a string or None, got {text!r}")
+            if not text.isascii():
+                fault = _utf8_fault(text)
+                if fault is not None:
+                    raise ValueError(f"transcription is {fault}")
+
+
+def _utf8_fault(text: str) -> str | None:
+    """Why no UTF-8 writer can encode ``text`` (a lone surrogate, which a
+    JSON escape such as ``"\\udc80"`` yields), or None when one can: the
+    one rule for the models' strings and the loaders' (``_expect_text``).
+    Callers test ``str.isascii()`` first, so that ASCII text pays only that
+    call."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return f"not encodable as UTF-8: {exc.reason} at index {exc.start}"
+    return None
 
 
 def _check_int(name: str, value, least: int) -> None:
@@ -420,15 +453,13 @@ def _expect(doc, key, kind, kind_name=None, default=_REQUIRED):
 
 def _expect_text(doc, key, kind, kind_name=None, default=_REQUIRED):
     """``_expect`` for a string field.  A string that no UTF-8 writer can
-    encode (a lone surrogate, which a JSON escape such as ``"\\udc80"``
-    yields) is refused here, not at the next save."""
+    encode (``_utf8_fault``) is refused here, naming its field in the
+    file, before the model refuses it."""
     text = _expect(doc, key, kind, kind_name, default)
     if isinstance(text, str) and not text.isascii():
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise SchemaError(key, f"not encodable as UTF-8: {exc.reason} "
-                                   f"at index {exc.start}") from None
+        fault = _utf8_fault(text)
+        if fault is not None:
+            raise SchemaError(key, fault)
     return text
 
 

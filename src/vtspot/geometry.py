@@ -557,23 +557,23 @@ def near_pairs(a: list[Quad], b: list[Quad]) -> list[tuple[int, int]]:
     apart, the one reject rule of the overlap functions.  A table of IoUs
     needs to score only these pairs.  Raises NonConvexInput for a
     non-convex quad, as quad_iou does, checking every quad of ``b`` first,
-    even when ``a`` is empty.
+    even when ``a`` is empty, then every quad of ``a``.
 
     Each quad's padded bounds, ``(lo_x - pad, lo_y - pad, hi_x + pad, hi_y
-    + pad)`` of its ``_extents``, are taken once per call, and each pair's
-    four comparisons run inline: the floats and the rule of ``_apart``,
-    without a call per pair.
+    + pad)`` of its ``_extents``, are taken once per call, ``b``'s then
+    ``a``'s.  The pairs are then one comprehension over both lists of
+    bounds, each pair's four comparisons inline: the floats and the rule
+    of ``_apart``, without a call per pair.
     """
     bounds_b = [(lo_x - pad, lo_y - pad, hi_x + pad, hi_y + pad)
                 for lo_x, lo_y, hi_x, hi_y, pad in map(Quad._convex_extents, b)]
-    pairs: list[tuple[int, int]] = []
-    for i, q in enumerate(a):
-        lo_x, lo_y, hi_x, hi_y, pad = q._convex_extents()
-        a_lo_x, a_lo_y, a_hi_x, a_hi_y = lo_x - pad, lo_y - pad, hi_x + pad, hi_y + pad
-        pairs += [(i, j) for j, (b_lo_x, b_lo_y, b_hi_x, b_hi_y) in enumerate(bounds_b)
-                  if not (a_hi_x < b_lo_x or b_hi_x < a_lo_x
-                          or a_hi_y < b_lo_y or b_hi_y < a_lo_y)]
-    return pairs
+    bounds_a = [(lo_x - pad, lo_y - pad, hi_x + pad, hi_y + pad)
+                for lo_x, lo_y, hi_x, hi_y, pad in map(Quad._convex_extents, a)]
+    return [(i, j)
+            for i, (a_lo_x, a_lo_y, a_hi_x, a_hi_y) in enumerate(bounds_a)
+            for j, (b_lo_x, b_lo_y, b_hi_x, b_hi_y) in enumerate(bounds_b)
+            if not (a_hi_x < b_lo_x or b_hi_x < a_lo_x
+                    or a_hi_y < b_lo_y or b_hi_y < a_lo_y)]
 
 
 def giou(a: RotatedBox, b: RotatedBox) -> float:

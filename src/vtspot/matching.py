@@ -11,7 +11,8 @@ each matched pair's GIoU from the matching that priced it.  The
 tracker, the linker and the detection, CLEAR and identity passes solve
 their gated max-weight assignments with ``gated_assign``, one connected
 component of admissible pairs at a time, each priced for the same solver
-by ``gated_cost``.  The tracker, the linker, detection and CLEAR weigh a
+by ``gated_cost``; admissible pairs that are already a matching are taken
+as they are.  The tracker, the linker, detection and CLEAR weigh a
 pair by its ``geometry.quad_iou``; identity weighs a trajectory pair by
 its agreeing frames.
 """
@@ -295,8 +296,13 @@ def gated_assign(weights: dict[tuple[int, int], float]) -> list[tuple[int, int]]
     its columns in ascending order.  A tie is therefore broken inside its
     own component, never by rows or columns that share no listed pair with
     it.  An r×c component costs O(r^2 c) when r <= c, so a star of one row
-    against many columns costs a single row scan.
+    against many columns costs a single row scan.  When no row and no
+    column repeats, the pairs are already a matching, every pair its own
+    component, and they are returned sorted without a walk.
     """
+    n_pairs = len(weights)
+    if len({r for r, _ in weights}) == n_pairs == len({c for _, c in weights}):
+        return sorted(weights)
     row_cols: dict[int, list[int]] = {}
     col_rows: dict[int, list[int]] = {}
     for r, c in weights:

@@ -167,6 +167,52 @@ def test_detection_transcription_must_be_a_string(text):
         Detection(box=RotatedBox(0, 0, 1, 1, 0), score=0.5, transcription=text)
 
 
+# A lone surrogate: such a model built, and saving it to a path raised a
+# UnicodeEncodeError that named no field.
+_UNENCODABLE = [("\udc80", 0), ("ok \ud800 then", 3), ("café\udc80", 4)]
+
+
+@pytest.mark.parametrize("text,at", _UNENCODABLE)
+def test_video_transcriptions_must_be_encodable(text, at):
+    q = rect(0, 0, 5, 5)
+    with pytest.raises(ValueError, match=rf"^frames\.1\[1\]: transcription is not encodable "
+                                         rf"as UTF-8: surrogates not allowed at index {at}$"):
+        small_video({0: [inst(0, q)], 1: [inst(4, q), inst(5, q, text)]})
+
+
+@pytest.mark.parametrize("text,at", _UNENCODABLE)
+def test_video_ids_must_be_encodable(text, at):
+    message = f"^video_id is not encodable as UTF-8: surrogates not allowed at index {at}$"
+    with pytest.raises(ValueError, match=message):
+        small_video({}, video_id=text)
+    with pytest.raises(ValueError, match=message):
+        DetectionsFile(video_id=text, width=640, height=480, frame_count=1, frames=[])
+
+
+@pytest.mark.parametrize("text,at", _UNENCODABLE)
+def test_video_scenario_must_be_encodable(text, at):
+    with pytest.raises(ValueError, match=f"^scenario is not encodable as UTF-8: "
+                                         f"surrogates not allowed at index {at}$"):
+        VideoAnnotation(video_id="v", width=640, height=480, frame_count=1, frames={},
+                        scenario=text)
+
+
+@pytest.mark.parametrize("text,at", _UNENCODABLE)
+def test_detection_transcription_must_be_encodable(text, at):
+    with pytest.raises(ValueError, match=f"^transcription is not encodable as UTF-8: "
+                                         f"surrogates not allowed at index {at}$"):
+        Detection(box=RotatedBox(0, 0, 1, 1, 0), score=0.5, transcription=text)
+
+
+def test_encodable_non_ascii_strings_build():
+    q = rect(0, 0, 5, 5)
+    video = VideoAnnotation(video_id="vidéo", width=640, height=480, frame_count=1,
+                            frames={0: [inst(0, q, "SALE   カフェ")]}, scenario="街")
+    assert video.frames[0][0].transcription == "SALE   カフェ"
+    assert Detection(box=RotatedBox(0, 0, 1, 1, 0), score=0.5,
+                     transcription="naïve").transcription == "naïve"
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------

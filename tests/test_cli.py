@@ -870,6 +870,26 @@ def test_loss_of_apart_boxes_whose_areas_overflow_exits_one(tmp_path, capsys):
                             "finite, got intersection 0.0 and union inf\n")
 
 
+def test_loss_of_apart_boxes_whose_hull_overflows_exits_one(tmp_path, capsys):
+    """Both areas are finite, but the hull enclosing two far boxes is not:
+    the error is giou's, prefixed with both files and the frame."""
+    def points(c):
+        return [c - 5e149, c - 5e149, c + 5e149, c - 5e149, c + 5e149, c + 5e149,
+                c - 5e149, c + 5e149]
+
+    header = {"video_id": "v", "width": 1, "height": 1, "frame_count": 1}
+    gt, dets = tmp_path / "gt.json", tmp_path / "dets.json"
+    gt.write_text(json.dumps(dict(header, frames={"0": [
+        {"id": 1, "points": points(0.0), "transcription": "a"}]})))
+    dets.write_text(json.dumps(dict(header, frames={"0": [
+        {"score": 0.5, "points": points(1e160)}]})))
+    assert run_cli("loss", str(gt), str(dets)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"vtspot: {gt} vs {dets}: frame 0: overlap areas must be finite, got hull inf ")
+
+
 def _loss_inputs(tmp_path, *detections):
     """One 20x10 box in each frame of a 100x100 video, and one detection
     per frame with the given points."""

@@ -877,21 +877,31 @@ def test_near_pairs_equals_apart_on_every_pair(lists):
 
 
 DART = [0, 0, 4, 0, 1, 1, 0, 4]
+FAR_DART = [50, 0, 54, 0, 51, 1, 50, 4]
+UNIT = [0, 0, 1, 0, 1, 1, 0, 1]
 
 
 @pytest.mark.parametrize("a,b", [
     ([DART], []),
     ([], [DART]),
-    ([DART], [[0, 0, 1, 0, 1, 1, 0, 1]]),
-    ([[100, 0, 101, 0, 101, 1, 100, 1]], [[0, 0, 1, 0, 1, 1, 0, 1], DART]),
-    ([[0, 0, 1, 0, 1, 1, 0, 1], [1e6, 0, 1e6 + 1, 0, 1e6 + 1, 1, 1e6, 1], DART], [DART]),
+    ([DART], [UNIT]),
+    ([[100, 0, 101, 0, 101, 1, 100, 1]], [UNIT, DART]),
+    ([UNIT, [1e6, 0, 1e6 + 1, 0, 1e6 + 1, 1, 1e6, 1], DART], [DART]),
+    # b is checked whole before a, and a in order, so b's dart is named
+    ([UNIT, FAR_DART], [UNIT, DART]),
+    ([UNIT, UNIT, DART, FAR_DART], [UNIT]),
+    ([UNIT, FAR_DART, DART], []),
 ])
 def test_near_pairs_rejects_a_nonconvex_quad_in_either_list(a, b):
     """A non-convex quad raises wherever it is, even when no pair is
-    tested: one in ``b`` when ``a`` is empty, one in ``a`` when ``b`` is."""
+    tested: one in ``b`` when ``a`` is empty, one in ``a`` when ``b`` is.
+    The error names the same quad as the double loop's."""
+    messages = []
     for pairs in (near_pairs, plain_near_pairs):
-        with pytest.raises(NonConvexInput):
+        with pytest.raises(NonConvexInput) as exc_info:
             pairs([Quad.from_flat(q) for q in a], [Quad.from_flat(q) for q in b])
+        messages.append(str(exc_info.value))
+    assert messages[0] == messages[1]
 
 
 # ---------------------------------------------------------------------------

@@ -427,9 +427,17 @@ pair_weights = st.one_of(st.sampled_from((0.25, 0.5, 1.0)), st.floats(0.01, 1.0)
 
 @st.composite
 def sparse_weights(draw):
+    """Weights on some cells of an n_rows × n_cols grid: any set of cells,
+    or a matching (no row and no column listed twice), listed in a drawn
+    order, which ``gated_assign`` returns as it is."""
     n_rows, n_cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
-    cells = [(r, c) for r in range(n_rows) for c in range(n_cols)]
-    listed = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+    if draw(st.booleans()):
+        rows = draw(st.permutations(range(n_rows)))
+        cols = draw(st.permutations(range(n_cols)))
+        listed = [pair for pair in zip(rows, cols) if draw(st.booleans())]
+    else:
+        cells = [(r, c) for r in range(n_rows) for c in range(n_cols)]
+        listed = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
     return {pair: draw(pair_weights) for pair in listed}, n_rows, n_cols
 
 
@@ -524,6 +532,45 @@ def test_gated_assign_equals_the_padded_square_solve(case):
     admissible = [[(r, c) in weights for c in range(n_cols)] for r in range(n_rows)]
     table = [[weights.get((r, c), 0) for c in range(n_cols)] for r in range(n_rows)]
     assert gated_assign(weights) == component_pairs(admissible, table)
+
+
+def _brute_force_total(weights):
+    """The max total weight of a matching over the listed pairs, by
+    enumeration over the rows and columns relabelled in ascending order."""
+    rows = sorted({r for r, _ in weights})
+    cols = sorted({c for _, c in weights})
+    n = max(len(rows), len(cols))
+    best, _ = brute_force_assignment(
+        [[-weights.get((r, c), 0) for c in cols + [None] * (n - len(cols))]
+         for r in rows + [None] * (n - len(rows))])
+    return -best
+
+
+def test_gated_assign_returns_a_matching_as_it_is(monkeypatch):
+    """Pairs that share no row and no column come back all of them, sorted,
+    whatever their keys and their order, and without a solve."""
+    def no_solve(cost):
+        raise AssertionError("a matching needs no solve")
+
+    monkeypatch.setattr("vtspot.matching.hungarian", no_solve)
+    weights = {(41, 7): 0.25, (3, 90): 0.5, (17, 2): 1.0, (8, 55): 3}
+    assert gated_assign(weights) == [(3, 90), (8, 55), (17, 2), (41, 7)]
+    assert gated_assign({(5, 5): 0.5}) == [(5, 5)]
+
+
+@pytest.mark.parametrize("weights,want", [
+    # row 10 is listed twice
+    ({(41, 7): 0.8, (10, 3): 0.5, (20, 5): 0.4, (10, 9): 0.9}, [(10, 9), (20, 5), (41, 7)]),
+    # column 3 is listed twice, and the cheaper pair of it loses
+    ({(30, 1): 0.8, (10, 3): 0.5, (20, 3): 0.9}, [(20, 3), (30, 1)]),
+    # a row and a column of one component each listed twice
+    ({(2, 6): 0.6, (1, 5): 0.5, (1, 6): 0.7, (9, 9): 0.1}, [(1, 5), (2, 6), (9, 9)]),
+])
+def test_gated_assign_solves_a_shared_row_or_column(weights, want):
+    pairs = gated_assign(weights)
+    assert pairs == want
+    assert math.fsum(weights[pair] for pair in pairs) == pytest.approx(
+        _brute_force_total(weights), abs=1e-12)
 
 
 def test_gated_assign_solves_a_star_over_its_own_rows(monkeypatch):
